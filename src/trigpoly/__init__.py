@@ -12,14 +12,13 @@ and benchmarks the approximants against Maclaurin sums and libm.
 
 from .approx import (
     COS_PI_X,
+    DOMAINS,
     SIN_PI_X,
     ApproxPolynomial,
     DomainError,
     ErrorCertificate,
-    MaclaurinPoly,
     build_poly,
     error_bound,
-    eval_poly,
     maclaurin_eval,
     select_degree,
     taylor_coeffs_at_zero,

@@ -35,18 +35,18 @@ from .precision import (
 __all__ = [
     "COS_PI_X",
     "SIN_PI_X",
+    "DOMAINS",
     "ApproxPolynomial",
     "DomainError",
     "ErrorCertificate",
-    "MaclaurinPoly",
     "build_poly",
     "bound_sup",
     "error_bound",
-    "eval_poly",
     "maclaurin_eval",
     "maclaurin_eval_hp",
     "select_degree",
     "sin_taylor_coefficient",
+    "sine_monomials",
     "taylor_coeffs_at_zero",
 ]
 
@@ -55,7 +55,7 @@ SIN_PI_X = "sin_pi_x"
 FuncTag = Literal["cos_pi_x", "sin_pi_x"]
 
 # certified-bound domains, open intervals
-_DOMAINS = {COS_PI_X: (-0.5, 0.5), SIN_PI_X: (0.0, 1.0)}
+DOMAINS = {COS_PI_X: (-0.5, 0.5), SIN_PI_X: (0.0, 1.0)}
 
 
 class DomainError(ValueError):
@@ -63,8 +63,16 @@ class DomainError(ValueError):
 
 
 def _check_func(func: str) -> None:
-    if func not in _DOMAINS:
+    if func not in DOMAINS:
         raise ValueError(f"func must be {COS_PI_X!r} or {SIN_PI_X!r}, got {func!r}")
+
+
+def _y_hp(func: str, x) -> mpf:
+    """The shifted variable y at the current working precision."""
+    xv = to_mpf(x)
+    if func == COS_PI_X:
+        return mpf(1) / 4 - xv * xv
+    return xv * (1 - xv)
 
 
 @dataclass(frozen=True)
@@ -88,10 +96,7 @@ class ApproxPolynomial:
         return x * (1.0 - x)
 
     def y_of_hp(self, x) -> mpf:
-        xv = to_mpf(x)
-        if self.func == COS_PI_X:
-            return mpf(1) / 4 - xv * xv
-        return xv * (1 - xv)
+        return _y_hp(self.func, x)
 
     def eval(self, x: float) -> float:
         """Machine-precision Horner evaluation in y."""
@@ -136,10 +141,6 @@ def build_poly(func: FuncTag, m: int, digits: int = DEFAULT_DIGITS) -> ApproxPol
         hp_coeffs=tuple(hp),
         precision_digits=digits,
     )
-
-
-def eval_poly(poly: ApproxPolynomial, x: float) -> float:
-    return poly.eval(x)
 
 
 @dataclass(frozen=True)
@@ -187,13 +188,11 @@ def error_bound(
     require_digits(digits)
     if m < 1:
         raise ValueError("m must be >= 1")
-    lo, hi = _DOMAINS[func]
+    lo, hi = DOMAINS[func]
     if not (lo < x < hi):
         raise DomainError(f"{func} bound only asserted on ({lo}, {hi}); got x={x}")
     with working(digits):
-        xv = to_mpf(x)
-        y = (mpf(1) / 4 - xv * xv) if func == COS_PI_X else xv * (1 - xv)
-        lead, q, bound = _bound_parts(m, y)
+        lead, q, bound = _bound_parts(m, _y_hp(func, x))
         return ErrorCertificate(
             func=func,
             m=m,
@@ -239,42 +238,17 @@ def select_degree(
     )
 
 
-@dataclass(frozen=True)
-class MaclaurinPoly:
-    """Odd partial sum S_m(x) = sum_{j=1}^m (-1)^(j-1) (pi x)^(2j-1)/(2j-1)!."""
-
-    m: int
-    coefficients: tuple[float, ...]  # of x^1, x^3, ..., x^(2m-1)
-
-    @classmethod
-    def build(cls, m: int) -> "MaclaurinPoly":
-        if m < 1:
-            raise ValueError("m must be >= 1")
-        coeffs = [
-            (-1) ** (j - 1) * math.pi ** (2 * j - 1) / math.factorial(2 * j - 1)
-            for j in range(1, m + 1)
-        ]
-        return cls(m=m, coefficients=tuple(coeffs))
-
-    def eval(self, x: float) -> float:
-        x2 = x * x
-        acc = 0.0
-        for c in reversed(self.coefficients):
-            acc = acc * x2 + c
-        return acc * x
-
-    __call__ = eval
-
-
-def maclaurin_eval(m: int, x: float) -> float:
-    """S_m(x) in machine precision."""
+def maclaurin_eval(m: int, x: float, func: FuncTag = SIN_PI_X) -> float:
+    """m-term Maclaurin partial sum of sin(pi*x) (odd) or cos(pi*x) (even), in floats."""
+    _check_func(func)
     if m < 1:
         raise ValueError("m must be >= 1")
+    odd = 1 if func == SIN_PI_X else 0
     t = math.pi * x
-    term = t
-    acc = t
+    term = t if odd else 1.0
+    acc = term
     for j in range(1, m):
-        term *= -t * t / ((2 * j) * (2 * j + 1))
+        term *= -t * t / ((2 * j - 1 + odd) * (2 * j + odd))
         acc += term
     return acc
 
@@ -294,21 +268,27 @@ def maclaurin_eval_hp(m: int, x, digits: int = DEFAULT_DIGITS) -> mpf:
 
 
 def taylor_coeffs_at_zero(poly: ApproxPolynomial) -> list[mpf]:
-    """Monomial coefficients of the sine approximant, orders 0..2m.
-
-    Expands sum_j c_j (x(1-x))^j exactly by binomials in extended
-    precision: the x^n coefficient is sum_j c_j (-1)^(n-j) binom(j, n-j).
-    """
+    """Monomial coefficients of the sine approximant, orders 0..2m, in extended precision."""
     if poly.func != SIN_PI_X:
         raise ValueError("monomial expansion is defined for the sine form")
-    m = poly.degree_m
     with working(poly.precision_digits):
-        out = [mpf(0)] * (2 * m + 1)
-        for j in range(1, m + 1):
-            c = poly.hp_coeffs[j - 1]
-            for i in range(0, j + 1):
-                out[j + i] += c * ((-1) ** i * math.comb(j, i))
-        return [+v for v in out]
+        return [+v for v in sine_monomials(poly.hp_coeffs, mpf(0))]
+
+
+def sine_monomials(y_coeffs, zero) -> list:
+    """Monomial coefficients, orders 0..2m, of sum_j y_coeffs[j-1] (x(1-x))^j.
+
+    The x^n coefficient is sum_j c_j (-1)^(n-j) binom(j, n-j); the
+    binomials are exact integers, so the coefficient type (mpf or
+    IntervalValue, given by `zero`) sets the arithmetic.
+    """
+    m = len(y_coeffs)
+    out = [zero] * (2 * m + 1)
+    for j in range(1, m + 1):
+        c = y_coeffs[j - 1]
+        for i in range(0, j + 1):
+            out[j + i] = out[j + i] + c * ((-1) ** i * math.comb(j, i))
+    return out
 
 
 def sin_taylor_coefficient(n: int, digits: int = DEFAULT_DIGITS) -> mpf:

@@ -19,10 +19,10 @@ from dataclasses import dataclass
 
 from mpmath import mp, mpf
 
-from .approx import SIN_PI_X, build_poly, bound_sup, maclaurin_eval, maclaurin_eval_hp
+from .approx import DOMAINS, SIN_PI_X, build_poly, bound_sup, maclaurin_eval, maclaurin_eval_hp
 from .precision import DEFAULT_DIGITS, working
 
-__all__ = ["BenchConfig", "BenchRow", "run_bench", "rows_to_csv", "write_csv"]
+__all__ = ["BenchConfig", "BenchRow", "run_bench", "rows_to_csv"]
 
 CSV_HEADER = "method,m,ns_per_eval,max_abs_err,mean_abs_err,certified_bound"
 
@@ -35,7 +35,6 @@ class BenchConfig:
     grid_size: int = 2048
     m_list: tuple[int, ...] = (1, 2, 3, 4)
     repetitions: int = 5
-    domain: tuple[float, float] = (0.0, 1.0)
     digits: int = DEFAULT_DIGITS
 
     def __post_init__(self):
@@ -89,7 +88,7 @@ def _time_per_eval(fn, xs, repetitions: int) -> float:
 def run_bench(cfg: BenchConfig) -> list[BenchRow]:
     """One row per method: approximants for each m, matched Maclaurin sums, native sin."""
     n = cfg.grid_size
-    lo, hi = cfg.domain
+    lo, hi = DOMAINS[SIN_PI_X]
     xs = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
     digits = cfg.digits
     with working(digits):
@@ -158,8 +157,3 @@ def rows_to_csv(rows) -> str:
             )
         )
     return "\n".join(lines) + "\n"
-
-
-def write_csv(rows, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(rows_to_csv(rows))

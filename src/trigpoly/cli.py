@@ -38,11 +38,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _depth_int(text: str) -> int:
-    value = _positive_int(text)
-    if value < 8:
-        raise argparse.ArgumentTypeError(f"max-depth must be >= 8, got {value}")
-    return value
+def _int_at_least(low: int, what: str):
+    def parse(text: str) -> int:
+        value = _positive_int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{what} must be >= {low}, got {value}")
+        return value
+
+    return parse
 
 
 def _finite_float(text: str) -> float:
@@ -122,7 +125,7 @@ def cmd_eval(args) -> int:
         print(f"value={value!r}")
         print(f"reference={mp.nstr(ref, min(args.digits, 30))}")
         print(f"error={mp.nstr(err, 6)}")
-    lo, hi = (-0.5, 0.5) if func == COS_PI_X else (0.0, 1.0)
+    lo, hi = approx.DOMAINS[func]
     if lo < args.x < hi:
         cert = approx.error_bound(func, args.m, args.x, args.digits)
         print(f"bound={cert.bound!r}")
@@ -161,7 +164,7 @@ def _compare_grid(lo: float, hi: float, n: int, seed) -> list[float]:
 def cmd_compare(args) -> int:
     func = _func_tag(args.func)
     is_sin = func == SIN_PI_X
-    lo, hi = (0.0, 1.0) if is_sin else (-0.5, 0.5)
+    lo, hi = approx.DOMAINS[func]
     polys = {m: approx.build_poly(func, m, args.digits) for m in args.m_list}
     fam = "Q" if is_sin else "P"
     header = (
@@ -178,25 +181,12 @@ def cmd_compare(args) -> int:
                 ref = float(mp.sin(mp.pi * x)) if is_sin else float(mp.cos(mp.pi * x))
                 row = [repr(x), repr(ref)]
                 row += [repr(polys[m].eval(x)) for m in args.m_list]
-                row += [repr(_maclaurin_for(func, m, x)) for m in args.m_list]
+                row += [repr(approx.maclaurin_eval(m, x, func)) for m in args.m_list]
                 out.write(",".join(row) + "\n")
     finally:
         if close_me:
             out.close()
     return EXIT_OK
-
-
-def _maclaurin_for(func: str, m: int, x: float) -> float:
-    if func == SIN_PI_X:
-        return approx.maclaurin_eval(m, x)
-    # cosine comparator: the m-term even partial sum 1 - (pi x)^2/2! + ...
-    t = math.pi * x
-    term = 1.0
-    acc = 1.0
-    for j in range(1, m):
-        term *= -t * t / ((2 * j - 1) * (2 * j))
-        acc += term
-    return acc
 
 
 def cmd_prove_example(args) -> int:
@@ -308,7 +298,7 @@ def build_parser(default_digits: int) -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="CSV of approximants vs Maclaurin sums")
     p.add_argument("--func", choices=("sin", "cos"), required=True)
     p.add_argument("--m-list", type=_m_list, default=(1, 2, 3, 4))
-    p.add_argument("--grid", type=_positive_int, default=2048)
+    p.add_argument("--grid", type=_int_at_least(2, "grid"), default=2048)
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.add_argument("--seed", type=int, default=None,
                    help="jitter interior grid points (default: deterministic)")
@@ -316,7 +306,7 @@ def build_parser(default_digits: int) -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_compare)
 
     p = sub.add_parser("prove-example", help="run the worked positivity proof")
-    p.add_argument("--max-depth", type=_depth_int, default=24)
+    p.add_argument("--max-depth", type=_int_at_least(8, "max-depth"), default=24)
     p.add_argument("--emit-curves", default=None, metavar="PATH")
     p.add_argument("--grid", type=_positive_int, default=2048)
     add_digits(p)
@@ -335,8 +325,6 @@ def build_parser(default_digits: int) -> argparse.ArgumentParser:
     p.add_argument("--m-list", type=_m_list, default=(1, 2, 3, 4))
     p.add_argument("--reps", type=_positive_int, default=5)
     p.add_argument("--out", default=None, help="output path (default stdout)")
-    p.add_argument("--seed", type=int, default=None,
-                   help="accepted for interface parity; bench grids are deterministic")
     add_digits(p)
     p.set_defaults(handler=cmd_bench)
 

@@ -27,7 +27,7 @@ from typing import Literal
 
 from mpmath import mp, mpf
 
-from .intervals import IntervalValue, interval_dps, pi_interval
+from .intervals import IntervalValue, interval_dps, pi_interval, poly_eval
 from .precision import (
     DEFAULT_DIGITS,
     DEFAULT_INDEX_LIMIT,
@@ -91,7 +91,7 @@ class CoefficientTable:
         for pos, entry in enumerate(self.entries, start=1):
             if entry.j != pos:
                 raise ValueError("entries must be contiguous in j starting at 1")
-            if not entry.value > 0:
+            if not entry.value.value > 0:
                 raise ValueError(f"coefficient {entry.j} not positive")
         with working(self.precision_digits):
             for entry in self.entries:
@@ -309,21 +309,13 @@ class SymbolicCoefficient:
         """Enclosure of t_j from an enclosure of pi."""
         with interval_dps(digits):
             p = pi_interval(digits)
-            u = p ** 2
-            acc = IntervalValue(0)
-            for c in reversed(self.numerator):
-                acc = acc * u + c
-            return acc / self.denominator / p ** self.pi_power
+            return poly_eval(self.numerator, p ** 2) / self.denominator / p ** self.pi_power
 
     def y_coefficient_interval(self, digits: int = DEFAULT_DIGITS) -> IntervalValue:
         """Enclosure of the y-basis coefficient c_j = t_j pi^(2j) = pi N_j(pi^2)/D_j."""
         with interval_dps(digits):
             p = pi_interval(digits)
-            u = p ** 2
-            acc = IntervalValue(0)
-            for c in reversed(self.numerator):
-                acc = acc * u + c
-            return acc * p / self.denominator
+            return poly_eval(self.numerator, p ** 2) * p / self.denominator
 
     def as_string(self) -> str:
         terms = []

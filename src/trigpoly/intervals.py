@@ -60,10 +60,6 @@ class IntervalValue:
         out._iv = ivmpf
         return out
 
-    @classmethod
-    def from_fraction(cls, fr: Fraction) -> "IntervalValue":
-        return cls(fr)
-
     # endpoints are returned exactly (no rounding at the ambient precision)
     @property
     def lo(self) -> mpf:

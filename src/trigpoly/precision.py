@@ -1,4 +1,4 @@
-"""Extended-precision arithmetic carrier and working-precision control.
+"""Extended-precision value carrier and working-precision control.
 
 All real-valued computation in this package runs through mpmath at a
 working precision of ``requested digits + GUARD_DIGITS``.  The guard
@@ -80,8 +80,9 @@ def to_mpf(x) -> mpf:
 class ExtReal:
     """An extended-precision real tagged with its requested decimal precision.
 
-    Arithmetic between ExtReals (and ints, fractions, mpf) is correctly
-    rounded at the working precision of the more precise operand.
+    A frozen carrier: computation happens on `value` (an mpf) inside a
+    `working` section, and the result is wrapped again with its digits.
+    Equality compares both fields.
     """
 
     value: mpf
@@ -98,78 +99,6 @@ class ExtReal:
         with working(digits):
             return cls(+to_mpf(x), digits)
 
-    def _digits_with(self, other) -> int:
-        if isinstance(other, ExtReal):
-            return max(self.precision_digits, other.precision_digits)
-        return self.precision_digits
-
-    def _binop(self, other, op):
-        digits = self._digits_with(other)
-        with working(digits):
-            return ExtReal(op(self.value, to_mpf(other)), digits)
-
-    def __add__(self, other):
-        return self._binop(other, lambda a, b: a + b)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._binop(other, lambda a, b: a - b)
-
-    def __rsub__(self, other):
-        return self._binop(other, lambda a, b: b - a)
-
-    def __mul__(self, other):
-        return self._binop(other, lambda a, b: a * b)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return self._binop(other, lambda a, b: a / b)
-
-    def __rtruediv__(self, other):
-        return self._binop(other, lambda a, b: b / a)
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            raise TypeError("ExtReal only supports integer powers")
-        with working(self.precision_digits):
-            return ExtReal(self.value ** n, self.precision_digits)
-
-    def __neg__(self):
-        return ExtReal(-self.value, self.precision_digits)
-
-    def __abs__(self):
-        return ExtReal(abs(self.value), self.precision_digits)
-
-    def sqrt(self) -> "ExtReal":
-        with working(self.precision_digits):
-            return ExtReal(mp.sqrt(self.value), self.precision_digits)
-
-    # comparisons are exact on the stored values
-    def _cmp_value(self, other):
-        return other.value if isinstance(other, ExtReal) else to_mpf(other)
-
-    def __lt__(self, other):
-        return self.value < self._cmp_value(other)
-
-    def __le__(self, other):
-        return self.value <= self._cmp_value(other)
-
-    def __gt__(self, other):
-        return self.value > self._cmp_value(other)
-
-    def __ge__(self, other):
-        return self.value >= self._cmp_value(other)
-
-    def __eq__(self, other):
-        if isinstance(other, (ExtReal, int, float, mpf, Fraction)):
-            return self.value == self._cmp_value(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.value)
-
     def __float__(self) -> float:
         return float(self.value)
 
@@ -182,8 +111,3 @@ class ExtReal:
     def __repr__(self) -> str:
         return f"ExtReal({self.to_str(min(self.precision_digits, 20))}, digits={self.precision_digits})"
 
-
-def pi_value(digits: int = DEFAULT_DIGITS) -> mpf:
-    """pi correctly rounded at the working precision for `digits`."""
-    with working(digits):
-        return +mp.pi

@@ -11,6 +11,7 @@ false positive.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
@@ -19,10 +20,13 @@ from fractions import Fraction
 from mpmath import mp, mpf
 
 from .approx import (
+    COS_PI_X,
+    DOMAINS,
     SIN_PI_X,
     build_poly,
     maclaurin_eval_hp,
     sin_taylor_coefficient,
+    sine_monomials,
     taylor_coeffs_at_zero,
 )
 from .coeffs import (
@@ -193,11 +197,10 @@ def check_bracketing(
     if m_max < 2:
         raise ValueError("m_max must be >= 2")
     top = build_poly(func, m_max + 1, digits)
-    is_cos = func == "cos_pi_x"
-    lo, hi = (mpf(-1) / 2, mpf(1) / 2) if is_cos else (mpf(0), mpf(1))
+    is_cos = func == COS_PI_X
     worst = _Worst()
     with working(digits):
-        for x in _grid(lo, hi, grid_size):
+        for x in _grid(*DOMAINS[func], grid_size):
             y = top.y_of_hp(x)
             sums = _partial_sums_at(top.hp_coeffs, y)
             ref = mp.cos(mp.pi * x) if is_cos else mp.sin(mp.pi * x)
@@ -425,13 +428,8 @@ def _sine_poly_intervals(digits: int) -> list[IntervalValue]:
     symbolic forms evaluated over a pi enclosure; the binomial expansion
     of (x(1-x))^j is exact integer arithmetic.
     """
-    syms = coeff_symbolic(4)
-    c = [s.y_coefficient_interval(digits) for s in syms]
-    out = [IntervalValue(0)] * 9
-    for j in range(1, 5):
-        for i in range(0, j + 1):
-            out[j + i] = out[j + i] + c[j - 1] * ((-1) ** i * math.comb(j, i))
-    return out
+    c = [s.y_coefficient_interval(digits) for s in coeff_symbolic(4)]
+    return sine_monomials(c, IntervalValue(0))
 
 
 def example_inequality_polynomial(digits: int = DEFAULT_DIGITS):
@@ -477,13 +475,8 @@ def prove_example_inequality(
     if not q_positive:  # pragma: no cover
         raise ArithmeticError("approximant coefficient enclosure not positive")
     proof = prove_polynomial_positive(coeffs, (0.0, 0.5), max_depth, digits)
-    return PositivityProof(
-        target_coefficients=proof.target_coefficients,
-        domain=proof.domain,
-        subintervals=proof.subintervals,
-        max_depth_used=proof.max_depth_used,
-        proved=proof.proved,
-        unresolved=proof.unresolved,
+    return dataclasses.replace(
+        proof,
         preconditions={
             "positive_y_coefficients": q_positive,
             "envelope": "0 <= Q <= sin(pi u) on [0,1] gives Q^2 <= sin^2",

@@ -9,11 +9,9 @@ from trigpoly.approx import (
     COS_PI_X,
     SIN_PI_X,
     DomainError,
-    MaclaurinPoly,
     bound_sup,
     build_poly,
     error_bound,
-    eval_poly,
     maclaurin_eval,
     maclaurin_eval_hp,
     select_degree,
@@ -83,11 +81,6 @@ def test_zeros_at_basis_roots_are_exact():
         assert p.eval(-0.5) == 0.0
         assert q.eval_hp(0) == 0
         assert p.eval_hp(mpf(1) / 2) == 0
-
-
-def test_eval_poly_function_matches_method():
-    poly = build_poly(SIN_PI_X, 3, 50)
-    assert eval_poly(poly, 0.3) == poly.eval(0.3)
 
 
 @given(x=st.floats(min_value=-2.0, max_value=2.0, allow_nan=False))
@@ -207,11 +200,9 @@ def test_maclaurin_odd_function_zero_at_origin():
         assert maclaurin_eval(m, 0.0) == 0.0
 
 
-def test_maclaurin_poly_class_matches_incremental_eval():
-    for m in (1, 2, 5):
-        poly = MaclaurinPoly.build(m)
-        for x in (0.1, 0.5, 0.9, 1.0):
-            assert poly.eval(x) == pytest.approx(maclaurin_eval(m, x), rel=1e-13)
+def test_maclaurin_rejects_unknown_func():
+    with pytest.raises(ValueError):
+        maclaurin_eval(2, 0.5, "tan_pi_x")
 
 
 def test_maclaurin_hp_matches_machine():

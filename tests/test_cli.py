@@ -1,8 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from mpmath import mp, mpf
 
+import trigpoly
 import trigpoly.cli as cli
+from trigpoly.approx import COS_PI_X, maclaurin_eval
 from trigpoly.verify import PositivityProof
 
 
@@ -139,6 +146,44 @@ def test_compare_seed_jitter_is_deterministic(capsys):
     assert capsys.readouterr().out != first
 
 
+def test_compare_cos_maclaurin_columns_are_even_partial_sums(capsys):
+    # S_m = sum_{k<m} (-1)^k (pi x)^(2k)/(2k)!; each float term takes 7k
+    # roundings (math.pi, the product pi*x, then t*t, /d and *= per step) and
+    # the running sum m-1 more, so |S_m - exact| <= gamma_{8m} sum |term_k|
+    # (Higham, Accuracy and Stability of Numerical Algorithms, Lemma 3.3)
+    m_list = (1, 2, 5, 9)
+    assert run_cli("compare", "--func", "cos", "--m-list", "1,2,5,9", "--grid", "301",
+                   "--seed", "7") == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split(",")[-4:] == [f"S_{m}" for m in m_list]
+    u = mpf(2) ** -53
+    with mp.workdps(50):
+        for line in lines[1:]:
+            fields = line.split(",")
+            x = float(fields[0])
+            for m, text in zip(m_list, fields[-4:]):
+                value = float(text)
+                assert value == maclaurin_eval(m, x, COS_PI_X)
+                terms = [(mp.pi * x) ** (2 * k) / mp.factorial(2 * k) for k in range(m)]
+                exact = sum((-1) ** k * t for k, t in enumerate(terms))
+                gamma = 8 * m * u / (1 - 8 * m * u)
+                assert abs(mpf(value) - exact) <= gamma * sum(terms), (m, x)
+
+
+def test_compare_single_point_grid_is_usage_error():
+    # the grid spacing divides by grid-1, so one point must be refused
+    # before any work, not end in a ZeroDivisionError traceback
+    src = str(Path(trigpoly.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-m", "trigpoly.cli", "compare", "--func", "sin", "--grid", "1"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == cli.EXIT_USAGE
+    assert "Traceback" not in proc.stderr
+    assert "--grid" in proc.stderr
+
+
 def test_compare_unwritable_path(capsys):
     code = run_cli("compare", "--func", "sin", "--m-list", "1", "--grid", "4",
                    "--out", "/nonexistent-dir/x.csv")
@@ -226,6 +271,12 @@ def test_bench_csv(tmp_path):
 
 def test_bench_rejects_small_grid(capsys):
     assert run_cli("bench", "--grid", "10") == cli.EXIT_USAGE
+
+
+def test_bench_has_no_seed_flag(capsys):
+    # bench grids are deterministic; the former no-op --seed is refused
+    assert run_cli("bench", "--seed", "1") == cli.EXIT_USAGE
+    assert "--seed" in capsys.readouterr().err
 
 
 # --- environment ----------------------------------------------------------------------

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
@@ -47,14 +47,26 @@ def test_pi_interval_width_and_containment():
         assert enc.lo < mp.pi < enc.hi
 
 
+def sample_point(a: float, b: float, t: float) -> float:
+    """A point of [min(a,b), max(a,b)]: min + t*(max-min), clamped to the ends.
+
+    The clamp matters: the float sum can round past an endpoint, e.g.
+    -1.0 + 1.0*(-6e-31 - -1.0) rounds to 0.0, outside [-1, -6e-31].
+    """
+    lo, hi = min(a, b), max(a, b)
+    return min(hi, max(lo, lo + t * (hi - lo)))
+
+
 @given(a=finite, b=finite, c=finite, d=finite, ta=st.floats(0, 1), tb=st.floats(0, 1))
+@example(a=0.0, b=0.0, c=-1.0, d=-6.038865258794831e-31, ta=0.0, tb=1.0)
+@example(a=0.0, b=0.0, c=-1.0, d=-8.74304699952782e-19, ta=0.0, tb=1.0)
 @settings(max_examples=200, deadline=None)
 def test_arithmetic_containment(a, b, c, d, ta, tb):
     """Exact results of point operations stay inside interval results."""
     u = make_interval(a, b)
     v = make_interval(c, d)
-    pu = min(a, b) + ta * (max(a, b) - min(a, b))
-    pv = min(c, d) + tb * (max(c, d) - min(c, d))
+    pu = sample_point(a, b, ta)
+    pv = sample_point(c, d, tb)
     with mp.workdps(40):
         xs, ys = mpf(pu), mpf(pv)
         assert (u + v).contains(xs + ys)
