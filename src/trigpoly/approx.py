@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Literal
 
 from mpmath import mp, mpf
@@ -27,6 +28,7 @@ from .precision import (
     DEFAULT_DIGITS,
     DEFAULT_INDEX_LIMIT,
     IndexLimitError,
+    horner,
     require_digits,
     to_mpf,
     working,
@@ -44,6 +46,7 @@ __all__ = [
     "error_bound",
     "maclaurin_eval",
     "maclaurin_eval_hp",
+    "maclaurin_partial_sums_hp",
     "select_degree",
     "sin_taylor_coefficient",
     "sine_monomials",
@@ -112,10 +115,7 @@ class ApproxPolynomial:
         """Extended-precision Horner evaluation, for verification."""
         with working(self.precision_digits):
             y = self.y_of_hp(x)
-            acc = mpf(0)
-            for c in reversed(self.hp_coeffs):
-                acc = acc * y + c
-            return acc * y
+            return horner(self.hp_coeffs, y) * y
 
 
 def build_poly(func: FuncTag, m: int, digits: int = DEFAULT_DIGITS) -> ApproxPolynomial:
@@ -163,14 +163,23 @@ class ErrorCertificate:
     bound_hp: mpf = field(repr=False, compare=False, default=None)
 
 
-def _q_of(m: int) -> mpf:
-    return (mp.pi ** 2 / 4) / ((2 * m + 4) * (2 * m + 3))
+@lru_cache(maxsize=1024)
+def _bound_constants(m: int, prec: int) -> tuple[mpf, mpf, mpf, mpf]:
+    """pi^(2m+2), (2m+2)!, q_m and 1 - q_m, rounded at binary precision `prec`.
+
+    They do not depend on x, so `error_bound` computes them once per
+    (m, precision); the precision is part of the key because every value
+    is rounded to it.
+    """
+    with mp.workprec(prec):
+        q = (mp.pi ** 2 / 4) / ((2 * m + 4) * (2 * m + 3))
+        return mp.pi ** (2 * m + 2), mpf(math.factorial(2 * m + 2)), q, 1 - q
 
 
 def _bound_parts(m: int, y) -> tuple[mpf, mpf, mpf]:
-    lead = mp.pi ** (2 * m + 2) * y ** (m + 1) / mpf(math.factorial(2 * m + 2))
-    q = _q_of(m)
-    return lead, q, lead / (1 - q)
+    pi_pow, fact, q, one_minus_q = _bound_constants(m, mp.prec)
+    lead = pi_pow * y ** (m + 1) / fact
+    return lead, q, lead / one_minus_q
 
 
 def _round_up(x_hp: mpf) -> float:
@@ -257,14 +266,27 @@ def maclaurin_eval_hp(m: int, x, digits: int = DEFAULT_DIGITS) -> mpf:
     """S_m(x) in extended precision."""
     if m < 1:
         raise ValueError("m must be >= 1")
+    return maclaurin_partial_sums_hp(m, x, digits)[-1]
+
+
+def maclaurin_partial_sums_hp(n: int, x, digits: int = DEFAULT_DIGITS) -> list[mpf]:
+    """[S_1(x), ..., S_n(x)] for sin(pi*x) in extended precision, in one pass.
+
+    Each S_m is the running sum after its m-th term, so it equals the
+    m-term sum computed on its own, bit for bit.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     with working(digits):
         t = mp.pi * to_mpf(x)
         term = t
         acc = +t
-        for j in range(1, m):
+        sums = [acc]
+        for j in range(1, n):
             term *= -t * t / ((2 * j) * (2 * j + 1))
             acc += term
-        return +acc
+            sums.append(acc)
+        return sums
 
 
 def taylor_coeffs_at_zero(poly: ApproxPolynomial) -> list[mpf]:

@@ -32,6 +32,7 @@ from .precision import (
     DEFAULT_DIGITS,
     DEFAULT_INDEX_LIMIT,
     ExtReal,
+    horner,
     require_digits,
     require_index,
     to_mpf,
@@ -299,10 +300,7 @@ class SymbolicCoefficient:
     def evaluate(self, digits: int = DEFAULT_DIGITS) -> ExtReal:
         require_digits(digits)
         with working(digits):
-            u = mp.pi ** 2
-            acc = mpf(0)
-            for c in reversed(self.numerator):
-                acc = acc * u + c
+            acc = horner(self.numerator, mp.pi ** 2)
             return ExtReal(+(acc / self.denominator / mp.pi ** self.pi_power), digits)
 
     def evaluate_interval(self, digits: int = DEFAULT_DIGITS) -> IntervalValue:

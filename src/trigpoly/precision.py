@@ -63,6 +63,18 @@ def working(digits: int, extra: int = 0):
             yield mp
 
 
+def horner(coeffs, u) -> mpf:
+    """sum_k coeffs[k] * u**k by Horner's rule (constant term first).
+
+    The one mpf Horner loop: each step rounds once for the product and
+    once for the sum, at the current working precision.
+    """
+    acc = mpf(0)
+    for c in reversed(coeffs):
+        acc = acc * u + c
+    return acc
+
+
 def to_mpf(x) -> mpf:
     """Coerce ints, fractions, floats, strings and ExtReal to mpf.
 

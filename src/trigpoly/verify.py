@@ -24,7 +24,7 @@ from .approx import (
     DOMAINS,
     SIN_PI_X,
     build_poly,
-    maclaurin_eval_hp,
+    maclaurin_partial_sums_hp,
     sin_taylor_coefficient,
     sine_monomials,
     taylor_coeffs_at_zero,
@@ -122,17 +122,32 @@ def _grid(lo, hi, n: int, include_hi: bool = False) -> list[mpf]:
     return sorted(pts)
 
 
+def _label_part(part):
+    return mp.nstr(part, 10) if isinstance(part, mpf) else part
+
+
 class _Worst:
-    """Track the minimum margin and where it happened."""
+    """Track the minimum margin and where it happened.
+
+    The first point with the smallest margin wins.  Its label is kept as
+    a format string and its parts, and formatted once, by `where`: a
+    sweep makes thousands of comparisons but reports one label.  mpf
+    parts print with 10 significant digits (`mp.nstr(x, 10)`).
+    """
 
     def __init__(self):
         self.margin = None
-        self.where = ""
+        self._label = ("", ())
 
-    def update(self, margin: mpf, where: str) -> None:
+    def update(self, margin: mpf, fmt: str, *parts) -> None:
         if self.margin is None or margin < self.margin:
             self.margin = margin
-            self.where = where
+            self._label = (fmt, parts)
+
+    @property
+    def where(self) -> str:
+        fmt, parts = self._label
+        return fmt.format(*map(_label_part, parts))
 
     def report(self, property_id: str, slack: mpf, metadata: dict) -> PropertyReport:
         ok = self.margin is not None and self.margin > -slack
@@ -163,9 +178,9 @@ def check_coefficient_bounds(j_max: int, digits: int = DEFAULT_DIGITS) -> Proper
             lo_scaled = (v - b) * fact
             hi_scaled = (v + b) * fact
             bracket_lo = 1 - pi2 / (8 * (2 * j + 1))
-            worst.update(lo_scaled - 0, f"j={j} positivity")
-            worst.update(1 - hi_scaled, f"j={j} upper")
-            worst.update(lo_scaled - bracket_lo, f"j={j} bracket")
+            worst.update(lo_scaled - 0, "j={} positivity", j)
+            worst.update(1 - hi_scaled, "j={} upper", j)
+            worst.update(lo_scaled - bracket_lo, "j={} bracket", j)
     return worst.report(
         "coeff_bounds",
         _slack(digits),
@@ -204,10 +219,10 @@ def check_bracketing(
             y = top.y_of_hp(x)
             sums = _partial_sums_at(top.hp_coeffs, y)
             ref = mp.cos(mp.pi * x) if is_cos else mp.sin(mp.pi * x)
-            worst.update(ref - sums[0], f"m=1 x={mp.nstr(x, 10)} delta")
+            worst.update(ref - sums[0], "m=1 x={} delta", x)
             for m in range(1, m_max + 1):
-                worst.update(sums[m] - sums[m - 1], f"m={m} x={mp.nstr(x, 10)} chain")
-                worst.update(ref - sums[m], f"m={m + 1} x={mp.nstr(x, 10)} delta")
+                worst.update(sums[m] - sums[m - 1], "m={} x={} chain", m, x)
+                worst.update(ref - sums[m], "m={} x={} delta", m + 1, x)
     return worst.report(
         f"bracketing_{'cos' if is_cos else 'sin'}",
         _slack(digits),
@@ -237,7 +252,7 @@ def check_bessel_identity(
             direct, _ = coeff_direct(j, digits)
             via_bessel = coeff_bessel(j, digits)
             rel = abs(via_bessel.value - direct.value) / direct.value
-            worst.update(tol - rel, f"j={j} route")
+            worst.update(tol - rel, "j={} route", j)
         for z in z_values:
             zv = to_mpf(z)
             for j in range(1, z_j_max + 1):
@@ -250,7 +265,8 @@ def check_bessel_identity(
                 )
                 rhs = pref * jfun.value
                 rel = abs(series.value - rhs) / abs(series.value)
-                worst.update(tol - rel, f"j={j} z={z} general")
+                # str(z): the caller's z as given, not cut to 10 digits
+                worst.update(tol - rel, "j={} z={} general", j, str(z))
     return worst.report(
         "bessel_identity",
         mpf(0),
@@ -277,25 +293,28 @@ def check_maclaurin_interleaving(
     with working(digits):
         for x in _grid(0, 1, grid_size, include_hi=True):
             ref = mp.sin(mp.pi * x)
-            sums = [maclaurin_eval_hp(m, x, digits) for m in range(1, n_sums + 1)]
+            sums = maclaurin_partial_sums_hp(n_sums, x, digits)
             for j in range(1, j_max + 1):
                 s_even, s_even2 = sums[2 * j - 1], sums[2 * j + 1]
                 s_odd_lo, s_odd_hi = sums[2 * j - 2], sums[2 * j]
-                tag = f"j={j} x={mp.nstr(x, 10)}"
-                worst.update(s_even2 - s_even, f"{tag} even-step")
-                worst.update(ref - s_even2, f"{tag} even-below")
-                worst.update(s_odd_hi - ref, f"{tag} odd-above")
-                worst.update(s_odd_lo - ref, f"{tag} prev-odd-above")
-        thresholds = {}
+                worst.update(s_even2 - s_even, "j={} x={} even-step", j, x)
+                worst.update(ref - s_even2, "j={} x={} even-below", j, x)
+                worst.update(s_odd_hi - ref, "j={} x={} odd-above", j, x)
+                worst.update(s_odd_lo - ref, "j={} x={} prev-odd-above", j, x)
+        # cuts[j]: the largest scan point where S_{2j+1} <= S_{2j-1}; one
+        # downward walk settles every j, each at its first such point
         scan = [mpf(3) * i / 600 for i in range(1, 601)]
+        cuts = {}
+        for x in reversed(scan):
+            sums = maclaurin_partial_sums_hp(2 * j_max + 1, x, digits)
+            for j in range(1, j_max + 1):
+                if j not in cuts and sums[2 * j] <= sums[2 * j - 2]:
+                    cuts[j] = x
+            if len(cuts) == j_max:
+                break
+        thresholds = {}
         for j in range(1, j_max + 1):
-            cut = None
-            for x in reversed(scan):
-                if maclaurin_eval_hp(2 * j + 1, x, digits) <= maclaurin_eval_hp(
-                    2 * j - 1, x, digits
-                ):
-                    cut = x
-                    break
+            cut = cuts.get(j)
             theo = mp.sqrt(4 * j * (4 * j + 1)) / mp.pi
             # cut == top of scan means the chain never became valid in range
             found = cut is not None and cut < scan[-1]
@@ -335,13 +354,13 @@ def check_taylor_exactness(m_max: int, digits: int = DEFAULT_DIGITS) -> Property
                 ref = sin_taylor_coefficient(n, digits)
                 diff = abs(coeffs[n] - ref)
                 scale = max(mpf(1), abs(ref))
-                worst.update(tol * scale - diff, f"m={m} order={n}")
+                worst.update(tol * scale - diff, "m={} order={}", m, n)
             h1, h2 = mpf(10) ** -2, mpf(10) ** -3
             d1 = mp.sin(mp.pi * (1 - h1)) - poly.eval_hp(1 - h1)
             d2 = mp.sin(mp.pi * (1 - h2)) - poly.eval_hp(1 - h2)
             slope = mp.log(d1 / d2) / mp.log(h1 / h2)
             slopes[f"m={m}"] = float(slope)
-            worst.update(mpf(1) / 2 - abs(slope - (m + 1)), f"m={m} decay-order")
+            worst.update(mpf(1) / 2 - abs(slope - (m + 1)), "m={} decay-order", m)
     return worst.report(
         "taylor_exactness",
         mpf(0),
@@ -421,17 +440,6 @@ def prove_polynomial_positive(
     )
 
 
-def _sine_poly_intervals(digits: int) -> list[IntervalValue]:
-    """Monomial interval coefficients of the degree-4 sine approximant.
-
-    The y-basis coefficients c_j = pi N_j(pi^2)/D_j come from the exact
-    symbolic forms evaluated over a pi enclosure; the binomial expansion
-    of (x(1-x))^j is exact integer arithmetic.
-    """
-    c = [s.y_coefficient_interval(digits) for s in coeff_symbolic(4)]
-    return sine_monomials(c, IntervalValue(0))
-
-
 def example_inequality_polynomial(digits: int = DEFAULT_DIGITS):
     """Interval-coefficient polynomial for the worked positivity example.
 
@@ -439,10 +447,15 @@ def example_inequality_polynomial(digits: int = DEFAULT_DIGITS):
     where Q is the degree-4 sine approximant; f4 underestimates the
     transcendental target because 0 <= Q(u) <= sin(pi u) on [0, 1].
     Returns (coefficients, q_y_coefficient_intervals).
+
+    Q's y-basis coefficients c_j = pi N_j(pi^2)/D_j come from the exact
+    symbolic forms evaluated over a pi enclosure; the binomial expansion
+    of (x(1-x))^j into monomials is exact integer arithmetic.
     """
     require_digits(digits)
     with interval_dps(digits):
-        q = _sine_poly_intervals(digits)
+        c_intervals = [s.y_coefficient_interval(digits) for s in coeff_symbolic(4)]
+        q = sine_monomials(c_intervals, IntervalValue(0))
         q2x = [q[n] * (2 ** n) for n in range(len(q))]
         q_sq = poly_mul(q, q)
         q2x_sq = poly_mul(q2x, q2x)
@@ -453,7 +466,6 @@ def example_inequality_polynomial(digits: int = DEFAULT_DIGITS):
         scale = 4 / pi_interval(digits) ** 2
         for n in range(17):
             coeffs[n] = coeffs[n] + scale * (2 * q_sq[n] + q2x_sq[n])
-        c_intervals = [s.y_coefficient_interval(digits) for s in coeff_symbolic(4)]
     return coeffs, c_intervals
 
 

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
+import trigpoly.approx as approx
 from trigpoly.approx import (
     COS_PI_X,
     SIN_PI_X,
@@ -14,12 +15,14 @@ from trigpoly.approx import (
     error_bound,
     maclaurin_eval,
     maclaurin_eval_hp,
+    maclaurin_partial_sums_hp,
     select_degree,
     sin_taylor_coefficient,
     taylor_coeffs_at_zero,
 )
 from trigpoly.coeffs import coeff_symbolic
-from trigpoly.precision import IndexLimitError, working
+from trigpoly.precision import IndexLimitError, horner, working
+from trigpoly.verify import _grid
 
 
 # --- coefficient construction ----------------------------------------------
@@ -286,3 +289,76 @@ def test_sine_form_is_shifted_cosine_form():
         for xf in ("0.1", "0.25", "0.6", "0.95"):
             x = mpf(xf)
             assert abs(q.eval_hp(x) - p.eval_hp(x - mpf(1) / 2)) < mpf(10) ** -60
+
+
+# --- one-pass Maclaurin sums and cached bound constants -----------------------
+
+def test_maclaurin_partial_sums_match_single_sums_bitwise():
+    with working(50):
+        points = _grid(0, 1, 64, include_hi=True)
+    for x in points:
+        sums = maclaurin_partial_sums_hp(12, x, 50)
+        assert len(sums) == 12
+        for m in range(1, 13):
+            assert sums[m - 1]._mpf_ == maclaurin_eval_hp(m, x, 50)._mpf_
+            assert maclaurin_partial_sums_hp(m, x, 50)[-1]._mpf_ == sums[m - 1]._mpf_
+
+
+def test_maclaurin_partial_sums_reject_empty():
+    with pytest.raises(ValueError):
+        maclaurin_partial_sums_hp(0, 0.5)
+
+
+def _certificate_bits(cert):
+    return (cert.leading_term, cert.q_m, cert.tail_factor, cert.bound, cert.bound_hp._mpf_)
+
+
+def test_error_bound_cache_is_per_precision():
+    cases = [(func, m, x, digits)
+             for func, x in ((COS_PI_X, 0.3125), (SIN_PI_X, 0.7))
+             for m in (1, 4, 9)
+             for digits in (50, 80)]
+    fresh = {}
+    for case in cases:
+        approx._bound_constants.cache_clear()
+        fresh[case] = _certificate_bits(error_bound(*case))
+    approx._bound_constants.cache_clear()
+    for _ in range(2):  # interleave the precisions on a warm cache
+        for case in cases:
+            assert _certificate_bits(error_bound(*case)) == fresh[case]
+
+
+def test_error_bound_matches_uncached_formula():
+    for func, x in ((COS_PI_X, -0.45), (SIN_PI_X, 0.125)):
+        for m in (2, 7):
+            for digits in (50, 80):
+                cert = error_bound(func, m, x, digits)
+                with working(digits):
+                    xv = mpf(x)
+                    y = mpf(1) / 4 - xv * xv if func == COS_PI_X else xv * (1 - xv)
+                    lead = mp.pi ** (2 * m + 2) * y ** (m + 1) / mpf(math.factorial(2 * m + 2))
+                    q = (mp.pi ** 2 / 4) / ((2 * m + 4) * (2 * m + 3))
+                    bound = lead / (1 - q)
+                assert cert.bound_hp._mpf_ == bound._mpf_
+                assert cert.leading_term == float(lead)
+                assert cert.q_m == float(q)
+
+
+def test_mpf_horner_keeps_the_loop_order():
+    poly = build_poly(SIN_PI_X, 6, 50)
+    with working(50):
+        for x in (mpf("0.1"), mpf("0.37"), mpf(1) / 3):
+            y = x * (1 - x)
+            acc = mpf(0)
+            for c in reversed(poly.hp_coeffs):
+                acc = acc * y + c
+            assert horner(poly.hp_coeffs, y)._mpf_ == acc._mpf_
+            assert poly.eval_hp(x)._mpf_ == (acc * y)._mpf_
+    for s in coeff_symbolic(6):
+        with working(50):
+            u = mp.pi ** 2
+            acc = mpf(0)
+            for c in reversed(s.numerator):
+                acc = acc * u + c
+            ref = +(acc / s.denominator / mp.pi ** s.pi_power)
+        assert s.evaluate(50).value._mpf_ == ref._mpf_

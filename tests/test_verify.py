@@ -6,8 +6,8 @@ import pytest
 from mpmath import mp, mpf
 
 import trigpoly.verify as verify
-from trigpoly.approx import COS_PI_X, SIN_PI_X, maclaurin_eval
-from trigpoly.coeffs import CoefficientTable, coeff_recurrence
+from trigpoly.approx import COS_PI_X, DOMAINS, SIN_PI_X, build_poly, maclaurin_eval
+from trigpoly.coeffs import CoefficientTable, SymbolicCoefficient, coeff_recurrence
 from trigpoly.intervals import IntervalValue, interval_dps, poly_eval
 from trigpoly.precision import ExtReal, working
 from trigpoly.verify import (
@@ -246,3 +246,105 @@ def test_reports_are_deterministic():
     b = check_bracketing(SIN_PI_X, 2, 32, 50)
     assert report_line(a) == report_line(b)
     assert a.worst_case == b.worst_case
+
+
+# --- one-pass sweeps report what a per-comparison sweep reports ---------------
+
+def _maclaurin_from_scratch(m, x):
+    # the m-term sum built on its own, as the grid checks once did per m
+    t = mp.pi * x
+    term = t
+    acc = +t
+    for j in range(1, m):
+        term *= -t * t / ((2 * j) * (2 * j + 1))
+        acc += term
+    return +acc
+
+
+def _brute_worst(rows):
+    # first strict minimum, with every label formatted up front
+    worst = None
+    for margin, where in rows:
+        if worst is None or margin < worst[0]:
+            worst = (margin, where)
+    return worst[1], float(worst[0])
+
+
+def test_maclaurin_worst_case_matches_brute_force():
+    j_max, grid = 4, 64
+    rows = []
+    with working(50):
+        for x in verify._grid(0, 1, grid, include_hi=True):
+            ref = mp.sin(mp.pi * x)
+            sums = [_maclaurin_from_scratch(m, x) for m in range(1, 2 * j_max + 3)]
+            for j in range(1, j_max + 1):
+                tag = f"j={j} x={mp.nstr(x, 10)}"
+                rows.append((sums[2 * j + 1] - sums[2 * j - 1], f"{tag} even-step"))
+                rows.append((ref - sums[2 * j + 1], f"{tag} even-below"))
+                rows.append((sums[2 * j] - ref, f"{tag} odd-above"))
+                rows.append((sums[2 * j - 2] - ref, f"{tag} prev-odd-above"))
+    report = check_maclaurin_interleaving(j_max, grid, 50)
+    assert report.worst_case == _brute_worst(rows)
+
+
+def test_maclaurin_thresholds_match_per_j_scan():
+    j_max = 4
+    report = check_maclaurin_interleaving(j_max, 16, 50)
+    info = report.metadata["five_way_chain_valid_for"]
+    with working(50):
+        scan = [mpf(3) * i / 600 for i in range(1, 601)]
+        for j in range(1, j_max + 1):
+            cut = None
+            for x in reversed(scan):
+                if _maclaurin_from_scratch(2 * j + 1, x) <= _maclaurin_from_scratch(2 * j - 1, x):
+                    cut = x
+                    break
+            found = cut is not None and cut < scan[-1]
+            assert info[f"j={j}"]["empirical_x_above"] == (float(cut) if found else None)
+    assert info["j=1"]["empirical_x_above"] is not None
+
+
+@pytest.mark.parametrize("func", [SIN_PI_X, COS_PI_X])
+def test_bracketing_worst_case_matches_brute_force(func):
+    m_max, grid = 10, 64
+    top = build_poly(func, m_max + 1, 50)
+    rows = []
+    with working(50):
+        for x in verify._grid(*DOMAINS[func], grid):
+            y = top.y_of_hp(x)
+            sums, acc, ypow = [], mpf(0), mpf(1)
+            for c in top.hp_coeffs:
+                ypow *= y
+                acc += c * ypow
+                sums.append(acc)
+            ref = mp.cos(mp.pi * x) if func == COS_PI_X else mp.sin(mp.pi * x)
+            rows.append((ref - sums[0], f"m=1 x={mp.nstr(x, 10)} delta"))
+            for m in range(1, m_max + 1):
+                rows.append((sums[m] - sums[m - 1], f"m={m} x={mp.nstr(x, 10)} chain"))
+                rows.append((ref - sums[m], f"m={m + 1} x={mp.nstr(x, 10)} delta"))
+    report = check_bracketing(func, m_max, grid, 50)
+    assert report.worst_case == _brute_worst(rows)
+
+
+def test_worst_keeps_the_first_of_equal_margins():
+    worst = verify._Worst()
+    worst.update(mpf(2), "j={} a", 1)
+    worst.update(mpf(1), "j={} x={} b", 2, mpf(1) / 3)
+    worst.update(mpf(1), "j={} c", 3)
+    assert worst.where == "j=2 x=0.3333333333 b"
+    report = worst.report("demo", mpf(0), {})
+    assert report.worst_case == ("j=2 x=0.3333333333 b", 1.0)
+
+
+def test_example_polynomial_builds_each_y_coefficient_once(monkeypatch):
+    calls = []
+    original = SymbolicCoefficient.y_coefficient_interval
+
+    def counted(self, digits=50):
+        calls.append(self.index)
+        return original(self, digits)
+
+    monkeypatch.setattr(SymbolicCoefficient, "y_coefficient_interval", counted)
+    _, c_intervals = example_inequality_polynomial(50)
+    assert calls == [1, 2, 3, 4]
+    assert len(c_intervals) == 4
