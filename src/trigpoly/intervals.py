@@ -4,15 +4,21 @@ IntervalValue wraps mpmath's interval type, which rounds outward at the
 interval context's working precision, so every operation returns an
 enclosure of the exact result.  Precision only affects tightness, never
 containment.
+
+The fixed-point kernel at the end serves the grid checks: it encloses
+the y-map, the partial sums sum c_j y^j and the Maclaurin partial sums
+of sin/cos(pi x) with plain Python ints, which is much cheaper than mpf
+objects at the same precision.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import lru_cache
 
 from mpmath import iv, mp, mpf
-from mpmath.libmp import mpf_sub, round_ceiling
+from mpmath.libmp import dps_to_prec, mpf_sub, prec_to_dps, round_ceiling
 
 from .precision import DEFAULT_DIGITS, GUARD_DIGITS, PRECISION_LOCK
 
@@ -164,3 +170,166 @@ def poly_mul(a, b):
 
 def poly_deriv(coeffs):
     return [coeffs[n] * n for n in range(1, len(coeffs))]
+
+
+# --- fixed-point enclosures -----------------------------------------------
+#
+# A fixed-point enclosure at `bits` fractional bits is a pair of ints
+# (lo, hi) with lo / 2**bits <= value <= hi / 2**bits.  Every product is
+# rounded down for lo and up for hi (floor and ceiling shifts), so a pair
+# always encloses the exact value; sums are exact.  mpmath's libelefun
+# sums its series over Python ints the same way.  Inputs x are exact
+# rationals p/q, so the y-map and pi*x round once each.
+
+def fixed_bits(digits: int) -> int:
+    """Fractional bits matching `digits` decimal digits plus the guard digits."""
+    return dps_to_prec(digits + GUARD_DIGITS)
+
+
+def exact_ratio(x) -> tuple[int, int]:
+    """(p, q) with q > 0 and x == p/q exactly, for a Fraction or mpf x."""
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
+    if not isinstance(x, mpf):
+        raise TypeError(f"cannot take an exact ratio of {type(x).__name__}")
+    sign, man, exp, _ = x._mpf_  # not mpf(x): that would round to the context
+    if man == 0 and exp != 0:
+        raise ValueError("x must be finite")
+    man = -man if sign else man
+    return (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
+
+
+def _scaled(v: mpf, bits: int, up: bool) -> int:
+    # floor (or ceiling) of v * 2**bits, exactly
+    sign, man, exp, _ = v._mpf_
+    man = -man if sign else man
+    shift = exp + bits
+    if shift >= 0:
+        return man << shift
+    return -((-man) >> -shift) if up else man >> -shift
+
+
+def fixed_from_interval(enc: IntervalValue, bits: int) -> tuple[int, int]:
+    """The fixed-point enclosure of an IntervalValue, rounded outward."""
+    return _scaled(enc.lo, bits, False), _scaled(enc.hi, bits, True)
+
+
+def fixed_digits(bits: int) -> int:
+    """Decimal digits whose interval enclosures are tighter than one unit at `bits`."""
+    return prec_to_dps(bits) + 2
+
+
+@lru_cache(maxsize=16)
+def fixed_pi(bits: int) -> tuple[int, int]:
+    """pi at `bits` fractional bits, from `pi_interval`."""
+    return fixed_from_interval(pi_interval(fixed_digits(bits)), bits)
+
+
+def fixed_ratio(num: int, den: int, bits: int) -> tuple[int, int]:
+    """The enclosure of the rational num/den (den > 0), rounded once."""
+    return (num << bits) // den, -((-num << bits) // den)
+
+
+def fixed_y(p: int, q: int, bits: int, cos: bool) -> tuple[int, int]:
+    """The shifted variable at x = p/q: 1/4 - x^2 (cos) or x(1 - x) (sin).
+
+    y is formed exactly as a rational and rounded once.
+    """
+    if cos:
+        return fixed_ratio(q * q - 4 * p * p, 4 * q * q, bits)
+    return fixed_ratio(p * (q - p), q * q, bits)
+
+
+def fixed_partial_sums(coeffs, y, bits: int):
+    """Enclosures of the terms c_j y^j and of the partial sums sum_{i<=j} c_i y^i.
+
+    `coeffs` holds fixed-point enclosures of c_1, c_2, ...; they and `y`
+    must be non-negative, as the expansion's are.  Returns (sums, terms),
+    both indexed from j = 1.
+    """
+    y_lo, y_hi = y
+    if y_lo < 0 or any(c_lo < 0 for c_lo, _ in coeffs):
+        raise ValueError("y and the coefficients must be non-negative")
+    pow_lo = pow_hi = 1 << bits
+    s_lo = s_hi = 0
+    sums, terms = [], []
+    for c_lo, c_hi in coeffs:
+        pow_lo = pow_lo * y_lo >> bits
+        pow_hi = -(-(pow_hi * y_hi) >> bits)
+        t_lo = c_lo * pow_lo >> bits
+        t_hi = -(-(c_hi * pow_hi) >> bits)
+        s_lo += t_lo
+        s_hi += t_hi
+        terms.append((t_lo, t_hi))
+        sums.append((s_lo, s_hi))
+    return sums, terms
+
+
+def _fixed_t(p: int, q: int, bits: int):
+    # pi * p/q (p >= 0) and its square
+    pi_lo, pi_hi = fixed_pi(bits)
+    t_lo, t_hi = pi_lo * p // q, -(-pi_hi * p // q)
+    return t_lo, t_hi, t_lo * t_lo >> bits, -(-(t_hi * t_hi) >> bits)
+
+
+def fixed_maclaurin(p: int, q: int, n: int, bits: int, odd: bool = True):
+    """Maclaurin partial sums of sin(pi x) (odd) or cos(pi x) at x = p/q >= 0.
+
+    Returns (sums, mags): sums[k] encloses S_{k+1}, the sum of the terms
+    0..k, for k < n, and mags[k] the magnitude of term k (its sign is
+    (-1)^k), for k <= n.
+    """
+    if p < 0:
+        raise ValueError("the series are summed for x >= 0")
+    t_lo, t_hi, t2_lo, t2_hi = _fixed_t(p, q, bits)
+    a_lo, a_hi = (t_lo, t_hi) if odd else (1 << bits, 1 << bits)
+    s_lo = s_hi = 0
+    sums, mags = [], [(a_lo, a_hi)]
+    for k in range(n):
+        if k % 2:
+            s_lo, s_hi = s_lo - a_hi, s_hi - a_lo
+        else:
+            s_lo, s_hi = s_lo + a_lo, s_hi + a_hi
+        sums.append((s_lo, s_hi))
+        d = (2 * k + 1 + odd) * (2 * k + 2 + odd)
+        a_lo = (a_lo * t2_lo >> bits) // d
+        a_hi = -((-(a_hi * t2_hi) >> bits) // d)
+        mags.append((a_lo, a_hi))
+    return sums, mags
+
+
+def fixed_sin_cos_pi(p: int, q: int, bits: int, cos: bool = False) -> tuple[int, int]:
+    """Enclosure of sin(pi x) for 0 <= x <= 1, or of cos(pi x) for |x| <= 1/2, at x = p/q.
+
+    The argument is reduced exactly to u in [0, 1/4], using
+    sin(pi x) = sin(pi (1 - x)) and sin/cos(pi x) = cos/sin(pi (1/2 - x)).
+    Then t = pi u < 1, so the series' terms decrease from the first: the
+    Maclaurin sum stops at a term below one unit, and the alternating tail
+    from there lies between 0 and that term.
+    """
+    if cos:
+        p = abs(p)
+        if 2 * p > q:
+            raise ValueError("cos(pi x) is enclosed for |x| <= 1/2")
+    else:
+        if not 0 <= p <= q:
+            raise ValueError("sin(pi x) is enclosed for 0 <= x <= 1")
+        p = min(p, q - p)
+    odd = not cos
+    if 4 * p > q:
+        p, q, odd = q - 2 * p, 2 * q, not odd
+    t_lo, t_hi, t2_lo, t2_hi = _fixed_t(p, q, bits)
+    a_lo, a_hi = (t_lo, t_hi) if odd else (1 << bits, 1 << bits)
+    s_lo = s_hi = 0
+    d = odd  # 2k + odd for the even-indexed term k in hand
+    while a_hi > 1:  # two terms per turn: +a, then -a
+        s_lo, s_hi = s_lo + a_lo, s_hi + a_hi
+        den = (d + 1) * (d + 2)
+        a_lo = (a_lo * t2_lo >> bits) // den
+        a_hi = -((-(a_hi * t2_hi) >> bits) // den)
+        s_lo, s_hi = s_lo - a_hi, s_hi - a_lo
+        den = (d + 3) * (d + 4)
+        a_lo = (a_lo * t2_lo >> bits) // den
+        a_hi = -((-(a_hi * t2_hi) >> bits) // den)
+        d += 4
+    return s_lo, s_hi + a_hi

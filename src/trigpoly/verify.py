@@ -1,12 +1,23 @@
 """Executable checks for the expansion's inequalities and identities.
 
-Grid-based checks run in extended precision (default 50 digits) with an
-explicit slack of 10**-(digits-10): they are high-fidelity property
-evidence, not formal proofs, and reports label them as such.  The one
-genuinely rigorous component is the interval positivity prover, which
-establishes the worked inequality example by adaptive bisection with
-outward-rounded arithmetic and can return "inconclusive" but never a
-false positive.
+The grid checks (monotone bracketing, Maclaurin interleaving) enclose
+every quantity with the outward-rounded fixed-point kernel of
+`intervals`, at `fixed_bits(digits)` fractional bits.  Each margin is an
+enclosure of a difference divided by its leading term (the first
+dropped c_{m+1} y^{m+1}, or the next Maclaurin term), and a report
+prints the smallest lower end over the grid, rounded down.  A point
+whose enclosures leave a sign open is recomputed with twice the bits,
+up to eight times the base; points still open there are counted as
+unresolved.  A grid report passes only if every margin's enclosure is
+positive, so no pass rests on rounding noise.
+
+The coefficient check runs in extended precision with a slack of
+10**-(digits-10); the Bessel and Taylor checks compare routes to a
+relative tolerance of 10**-digits.  They are evidence, not proofs.  The
+interval positivity prover establishes the worked inequality example by
+adaptive bisection with outward-rounded arithmetic and can return
+"inconclusive" but never a false positive.  `example_curve` samples that
+example on the fixed-point kernel and returns correctly rounded floats.
 """
 
 from __future__ import annotations
@@ -16,15 +27,16 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from mpmath import mp, mpf
+from mpmath.libmp import repr_dps
 
 from .approx import (
     COS_PI_X,
     DOMAINS,
     SIN_PI_X,
     build_poly,
-    maclaurin_partial_sums_hp,
     sin_taylor_coefficient,
     sine_monomials,
     taylor_coeffs_at_zero,
@@ -39,6 +51,16 @@ from .coeffs import (
 )
 from .intervals import (
     IntervalValue,
+    exact_ratio,
+    fixed_bits,
+    fixed_digits,
+    fixed_from_interval,
+    fixed_maclaurin,
+    fixed_partial_sums,
+    fixed_pi,
+    fixed_ratio,
+    fixed_sin_cos_pi,
+    fixed_y,
     interval_dps,
     pi_interval,
     poly_deriv,
@@ -122,24 +144,21 @@ def _grid(lo, hi, n: int, include_hi: bool = False) -> list[mpf]:
     return sorted(pts)
 
 
-def _label_part(part):
-    return mp.nstr(part, 10) if isinstance(part, mpf) else part
-
-
 class _Worst:
     """Track the minimum margin and where it happened.
 
     The first point with the smallest margin wins.  Its label is kept as
     a format string and its parts, and formatted once, by `where`: a
     sweep makes thousands of comparisons but reports one label.  mpf
-    parts print with 10 significant digits (`mp.nstr(x, 10)`).
+    parts print with `digits` significant digits (10 by default).
     """
 
-    def __init__(self):
+    def __init__(self, digits: int = 10):
         self.margin = None
+        self.digits = digits
         self._label = ("", ())
 
-    def update(self, margin: mpf, fmt: str, *parts) -> None:
+    def update(self, margin, fmt: str, *parts) -> None:
         if self.margin is None or margin < self.margin:
             self.margin = margin
             self._label = (fmt, parts)
@@ -147,7 +166,8 @@ class _Worst:
     @property
     def where(self) -> str:
         fmt, parts = self._label
-        return fmt.format(*map(_label_part, parts))
+        return fmt.format(*(mp.nstr(p, self.digits) if isinstance(p, mpf) else p
+                            for p in parts))
 
     def report(self, property_id: str, slack: mpf, metadata: dict) -> PropertyReport:
         ok = self.margin is not None and self.margin > -slack
@@ -188,16 +208,97 @@ def check_coefficient_bounds(j_max: int, digits: int = DEFAULT_DIGITS) -> Proper
     )
 
 
-def _partial_sums_at(poly_coeffs, y: mpf) -> list[mpf]:
-    """Partial sums sum_{j<=m} c_j y^j for m = 1..len(coeffs)."""
-    sums = []
-    acc = mpf(0)
-    ypow = mpf(1)
-    for c in poly_coeffs:
-        ypow *= y
-        acc += c * ypow
-        sums.append(acc)
-    return sums
+# --- grid checks on fixed-point enclosures ---------------------------------
+
+_MAX_DOUBLINGS = 3  # escalation stops at fixed_bits(digits) * 2**3 bits
+_EVIDENCE = "outward-rounded fixed-point enclosure"
+
+
+@lru_cache(maxsize=32)
+def _fixed_coefficients(n: int, bits: int) -> tuple[tuple[int, int], ...]:
+    """Enclosures of c_1..c_n at `bits` fractional bits, from the exact symbolic forms."""
+    digits = fixed_digits(bits)
+    return tuple(fixed_from_interval(s.y_coefficient_interval(digits), bits)
+                 for s in coeff_symbolic(n))
+
+
+def _diff(a, b) -> tuple[int, int]:
+    return a[0] - b[1], a[1] - b[0]
+
+
+def _relative(row) -> float:
+    """diff/scale for a row (diff_lo, diff_hi, scale_lo, scale_hi), at its low end.
+
+    The quotient is rounded to nearest; -inf when no positive scale
+    bound exists.
+    """
+    d_lo, _, s_lo, s_hi = row
+    den = s_hi if d_lo > 0 else s_lo
+    if den <= 0:
+        return -math.inf
+    try:
+        return d_lo / den
+    except OverflowError:
+        return -math.inf if d_lo < 0 else math.inf
+
+
+class _Sweep:
+    """Fixed-point evaluation of a grid, with per-point precision escalation.
+
+    `settle(evaluate, x)` calls `evaluate(p, q, bits)` at x = p/q, first
+    at the base bits and then with the bits doubled while any returned
+    row's (lo, hi, ...) leaves its sign open, up to the cap; a point
+    still open at the cap is counted as unresolved.
+    """
+
+    def __init__(self, digits: int):
+        self.digits = digits
+        self.base = self.top = fixed_bits(digits)
+        self.cap = self.base << _MAX_DOUBLINGS
+        self.escalated = 0
+        self.unresolved = 0
+        self.worst = _Worst(repr_dps(mp.prec))  # labels print x in full
+
+    def settle(self, evaluate, x) -> list:
+        p, q = exact_ratio(x)
+        bits = self.base
+        rows = evaluate(p, q, bits)
+        while not all(r[0] > 0 or r[1] < 0 for r in rows):
+            if bits >= self.cap:
+                self.unresolved += 1
+                break
+            bits *= 2
+            rows = evaluate(p, q, bits)
+        if bits > self.base:
+            self.escalated += 1
+            self.top = max(self.top, bits)
+        return rows
+
+    def margins(self, evaluate, labels, x) -> None:
+        """Fold in a point's margin rows, labelled by `labels` (format, parts...)."""
+        rel = [_relative(r) for r in self.settle(evaluate, x)]
+        i = rel.index(min(rel))  # the first of equal margins
+        # rounding the nearest quotient down one step gives a lower bound
+        self.worst.update(math.nextafter(rel[i], -math.inf), *labels[i], x)
+
+    def report(self, property_id: str, metadata: dict) -> PropertyReport:
+        worst = self.worst
+        ok = worst.margin is not None and worst.margin > 0 and not self.unresolved
+        return PropertyReport(
+            property_id=property_id,
+            status="pass" if ok else "fail",
+            worst_case=(worst.where, worst.margin),
+            metadata={
+                **metadata,
+                "digits": self.digits,
+                "evidence": _EVIDENCE,
+                "margin": "lower end of difference / leading term",
+                "base_bits": self.base,
+                "max_bits": self.top,
+                "escalated_points": self.escalated,
+                "unresolved_points": self.unresolved,
+            },
+        )
 
 
 def check_bracketing(
@@ -205,29 +306,41 @@ def check_bracketing(
 ) -> PropertyReport:
     """Monotone bracketing: approximants increase with m and stay below the target.
 
-    Verified pointwise on the grid in extended precision: for every m up
-    to m_max, P_m < P_{m+1} and P_{m+1} < reference on the open domain.
+    Enclosed pointwise on the grid: for every m up to m_max,
+    P_m < P_{m+1} (margin scaled by c_{m+1} y^{m+1}) and
+    P_{m+1} < target (scaled by c_{m+2} y^{m+2}), with the exact
+    coefficients and the target from its alternating Maclaurin series.
     """
     require_digits(digits)
     if m_max < 2:
         raise ValueError("m_max must be >= 2")
-    top = build_poly(func, m_max + 1, digits)
     is_cos = func == COS_PI_X
-    worst = _Worst()
+    if not is_cos and func != SIN_PI_X:
+        raise ValueError(f"func must be {COS_PI_X!r} or {SIN_PI_X!r}, got {func!r}")
+
+    labels = [("m=1 x={} delta",)]
+    for m in range(1, m_max + 1):
+        labels += [("m={} x={} chain", m), ("m={} x={} delta", m + 1)]
+
+    def evaluate(p, q, bits):
+        coeffs = _fixed_coefficients(m_max + 2, bits)
+        sums, terms = fixed_partial_sums(coeffs, fixed_y(p, q, bits, is_cos), bits)
+        ref_lo, ref_hi = fixed_sin_cos_pi(p, q, bits, is_cos)
+        # rows (difference lo, hi, leading term lo, hi), in `labels` order
+        rows = [(ref_lo - sums[0][1], ref_hi - sums[0][0], *terms[1])]
+        for m in range(1, m_max + 1):
+            (lo, hi), (prev_lo, prev_hi) = sums[m], sums[m - 1]
+            rows.append((lo - prev_hi, hi - prev_lo, *terms[m]))
+            rows.append((ref_lo - hi, ref_hi - lo, *terms[m + 1]))
+        return rows
+
     with working(digits):
+        sweep = _Sweep(digits)
         for x in _grid(*DOMAINS[func], grid_size):
-            y = top.y_of_hp(x)
-            sums = _partial_sums_at(top.hp_coeffs, y)
-            ref = mp.cos(mp.pi * x) if is_cos else mp.sin(mp.pi * x)
-            worst.update(ref - sums[0], "m=1 x={} delta", x)
-            for m in range(1, m_max + 1):
-                worst.update(sums[m] - sums[m - 1], "m={} x={} chain", m, x)
-                worst.update(ref - sums[m], "m={} x={} delta", m + 1, x)
-    return worst.report(
+            sweep.margins(evaluate, labels, x)
+    return sweep.report(
         f"bracketing_{'cos' if is_cos else 'sin'}",
-        _slack(digits),
-        {"m_max": m_max, "grid_size": grid_size, "digits": digits,
-         "evidence": "extended-precision grid sweep"},
+        {"m_max": m_max, "grid_size": grid_size},
     )
 
 
@@ -239,15 +352,16 @@ def check_bessel_identity(
 ) -> PropertyReport:
     """Cross-check the Bessel route against the direct series.
 
-    Verifies |t_bessel(j) - t_direct(j)| <= 1e-40 t_j for j <= j_max,
+    Verifies |t_bessel(j) - t_direct(j)| <= 10^-digits t_j for j <= j_max,
     and the general identity
     T_j(z) = sqrt(pi)/(j! 2^(j+1/2)) z^(1/4-j/2) J_{j-1/2}(sqrt(z))
-    at the requested z values for j <= z_j_max.
+    at the requested z values for j <= z_j_max, to the same relative
+    tolerance.
     """
     require_digits(digits)
-    tol = mpf(10) ** -40
     worst = _Worst()
     with working(digits):
+        tol = mpf(10) ** -digits
         for j in range(1, j_max + 1):
             direct, _ = coeff_direct(j, digits)
             via_bessel = coeff_bessel(j, digits)
@@ -271,7 +385,7 @@ def check_bessel_identity(
         "bessel_identity",
         mpf(0),
         {"j_max": j_max, "z_values": list(z_values), "z_j_max": z_j_max,
-         "tolerance": "1e-40 relative"},
+         "digits": digits, "tolerance": f"1e-{digits} relative"},
     )
 
 
@@ -281,34 +395,51 @@ def check_maclaurin_interleaving(
     """Alternating Maclaurin brackets for sin(pi*x) on (0, 1].
 
     Asserts the sub-chains that hold on the whole interval:
-    S_2j < S_{2j+2} < sin(pi x) < S_{2j+1} and sin(pi x) < S_{2j-1}.
-    The five-way chain with S_{2j-1} < S_{2j+1} needs
-    (pi x)^2 > 4j(4j+1) and so holds for no x in (0, 1]; its empirical
-    validity threshold is measured on a wider grid and reported in the
-    metadata instead of being asserted.
+    S_2j < S_{2j+2} < sin(pi x) < S_{2j+1} and sin(pi x) < S_{2j-1},
+    each margin scaled by the first term its lower side drops.  The
+    five-way chain with S_{2j-1} < S_{2j+1} needs (pi x)^2 > 4j(4j+1)
+    and so holds for no x in (0, 1]; its empirical validity threshold is
+    measured on a wider grid and reported in the metadata instead of
+    being asserted.
     """
     require_digits(digits)
-    worst = _Worst()
-    n_sums = 2 * j_max + 2
+
+    labels = []
+    for j in range(1, j_max + 1):
+        labels += [("j={} x={} " + kind, j)
+                   for kind in ("even-step", "even-below", "odd-above", "prev-odd-above")]
+
+    def evaluate(p, q, bits):
+        sums, mags = fixed_maclaurin(p, q, 2 * j_max + 2, bits)
+        ref = fixed_sin_cos_pi(p, q, bits)
+        # rows (difference lo, hi, leading term lo, hi), in `labels` order
+        rows = []
+        for j in range(1, j_max + 1):
+            rows += [
+                (*_diff(sums[2 * j + 1], sums[2 * j - 1]), *mags[2 * j]),
+                (*_diff(ref, sums[2 * j + 1]), *mags[2 * j + 2]),
+                (*_diff(sums[2 * j], ref), *mags[2 * j + 1]),
+                (*_diff(sums[2 * j - 2], ref), *mags[2 * j - 1]),
+            ]
+        return rows
+
+    def chain_steps(p, q, bits):
+        # S_{2j+1} - S_{2j-1} for j = 1..j_max
+        sums, _ = fixed_maclaurin(p, q, 2 * j_max + 1, bits)
+        return [_diff(sums[2 * j], sums[2 * j - 2]) for j in range(1, j_max + 1)]
+
     with working(digits):
+        sweep = _Sweep(digits)
         for x in _grid(0, 1, grid_size, include_hi=True):
-            ref = mp.sin(mp.pi * x)
-            sums = maclaurin_partial_sums_hp(n_sums, x, digits)
-            for j in range(1, j_max + 1):
-                s_even, s_even2 = sums[2 * j - 1], sums[2 * j + 1]
-                s_odd_lo, s_odd_hi = sums[2 * j - 2], sums[2 * j]
-                worst.update(s_even2 - s_even, "j={} x={} even-step", j, x)
-                worst.update(ref - s_even2, "j={} x={} even-below", j, x)
-                worst.update(s_odd_hi - ref, "j={} x={} odd-above", j, x)
-                worst.update(s_odd_lo - ref, "j={} x={} prev-odd-above", j, x)
+            sweep.margins(evaluate, labels, x)
         # cuts[j]: the largest scan point where S_{2j+1} <= S_{2j-1}; one
         # downward walk settles every j, each at its first such point
         scan = [mpf(3) * i / 600 for i in range(1, 601)]
         cuts = {}
         for x in reversed(scan):
-            sums = maclaurin_partial_sums_hp(2 * j_max + 1, x, digits)
+            steps = sweep.settle(chain_steps, x)
             for j in range(1, j_max + 1):
-                if j not in cuts and sums[2 * j] <= sums[2 * j - 2]:
+                if j not in cuts and steps[j - 1][1] < 0:
                     cuts[j] = x
             if len(cuts) == j_max:
                 break
@@ -322,9 +453,8 @@ def check_maclaurin_interleaving(
                 "empirical_x_above": float(cut) if found else None,
                 "theoretical_x": float(theo),
             }
-    return worst.report(
+    return sweep.report(
         "maclaurin_interleaving",
-        _slack(digits),
         {
             "j_max": j_max,
             "grid_size": grid_size,
@@ -337,16 +467,17 @@ def check_maclaurin_interleaving(
 def check_taylor_exactness(m_max: int, digits: int = DEFAULT_DIGITS) -> PropertyReport:
     """The sine approximant agrees with sin's Maclaurin coefficients to order m.
 
+    Coefficients must agree to 10^-digits relative to max(1, |coefficient|).
     Also spot-checks the mirrored contact point by confirming that the
     error near x=1 decays like h^(m+1).
     """
     require_digits(digits)
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
-    tol = mpf(10) ** -40
     worst = _Worst()
     slopes = {}
     with working(digits):
+        tol = mpf(10) ** -digits
         for m in range(1, m_max + 1):
             poly = build_poly(SIN_PI_X, m, digits)
             coeffs = taylor_coeffs_at_zero(poly)
@@ -364,7 +495,8 @@ def check_taylor_exactness(m_max: int, digits: int = DEFAULT_DIGITS) -> Property
     return worst.report(
         "taylor_exactness",
         mpf(0),
-        {"m_max": m_max, "decay_slopes_near_x1": slopes, "tolerance": "1e-40"},
+        {"m_max": m_max, "digits": digits, "decay_slopes_near_x1": slopes,
+         "tolerance": f"1e-{digits} relative to max(1, |coefficient|)"},
     )
 
 
@@ -497,20 +629,67 @@ def prove_example_inequality(
     )
 
 
+def _fixed_float(enc, bits: int) -> float | None:
+    """The correctly rounded float of the value enclosed, or None if enc straddles two."""
+    lo, hi = enc[0] / (1 << bits), enc[1] / (1 << bits)  # int division rounds correctly
+    if lo == hi and math.copysign(1, lo) == math.copysign(1, hi):
+        return lo
+    return None
+
+
+def _fixed_mul(a, b, bits: int) -> tuple[int, int]:
+    prods = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
+    return min(prods) >> bits, -(-max(prods) >> bits)
+
+
+def _fixed_square(a, bits: int) -> tuple[int, int]:
+    lo, hi = a
+    if lo >= 0:
+        return lo * lo >> bits, -(-(hi * hi) >> bits)
+    if hi <= 0:
+        return hi * hi >> bits, -(-(lo * lo) >> bits)
+    return 0, -(-max(lo * lo, hi * hi) >> bits)
+
+
+def _curve_row(i: int, grid_size: int, bits: int):
+    """Enclosures of f and f - f4 at x = i / (2 grid_size)."""
+    q = 2 * grid_size
+    coeffs = _fixed_coefficients(4, bits)
+    # sin^2(pi u) and Q(u)^2 at u = x and u = 2x
+    (s1, q1), (s2, q2) = [
+        (_fixed_square(fixed_sin_cos_pi(p, q, bits), bits),
+         _fixed_square(fixed_partial_sums(coeffs, fixed_y(p, q, bits, False), bits)[0][-1], bits))
+        for p in (i, 2 * i)
+    ]
+    trig = (2 * s1[0] + s2[0], 2 * s1[1] + s2[1])
+    gap = (2 * (s1[0] - q1[1]) + s2[0] - q2[1], 2 * (s1[1] - q1[0]) + s2[1] - q2[0])
+    pi_lo, pi_hi = fixed_pi(bits)
+    four_over_pi2 = ((4 << 3 * bits) // (pi_hi * pi_hi), -((-4 << 3 * bits) // (pi_lo * pi_lo)))
+    # 4/9 - 8x + 15x^2 = (4q^2 - 72iq + 135i^2) / (9q^2)
+    base = fixed_ratio(4 * q * q - 72 * i * q + 135 * i * i, 9 * q * q, bits)
+    f = _fixed_mul(four_over_pi2, trig, bits)
+    return (base[0] + f[0], base[1] + f[1]), _fixed_mul(four_over_pi2, gap, bits)
+
+
 def example_curve(grid_size: int = 2048, digits: int = DEFAULT_DIGITS):
-    """Rows (x, f(x), f(x) - f4(x)) over [0, 1/2] for external plotting."""
+    """Rows (x, f(x), f(x) - f4(x)) over [0, 1/2] for external plotting.
+
+    f and f - f4 are enclosed with the fixed-point kernel, the bits
+    doubled until each enclosure rounds to a single float, so every
+    value is the correctly rounded one.
+    """
     require_digits(digits)
-    poly = build_poly(SIN_PI_X, 4, digits)
+    base = fixed_bits(digits)
     rows = []
-    with working(digits):
-        for i in range(grid_size + 1):
-            x = mpf(i) / (2 * grid_size)
-            base = mpf(4) / 9 + 15 * x ** 2 - 8 * x
-            s1 = mp.sin(mp.pi * x)
-            s2 = mp.sin(2 * mp.pi * x)
-            q1 = poly.eval_hp(x)
-            q2 = poly.eval_hp(2 * x)
-            f_val = base + 4 * (2 * s1 ** 2 + s2 ** 2) / mp.pi ** 2
-            f4_val = base + 4 * (2 * q1 ** 2 + q2 ** 2) / mp.pi ** 2
-            rows.append((float(x), float(f_val), float(f_val - f4_val)))
+    for i in range(grid_size + 1):
+        bits = base
+        while True:
+            f_enc, gap_enc = _curve_row(i, grid_size, bits)
+            f_val, gap = _fixed_float(f_enc, bits), _fixed_float(gap_enc, bits)
+            if f_val is not None and gap is not None:
+                break
+            if bits >= base << _MAX_DOUBLINGS:  # pragma: no cover
+                raise ArithmeticError(f"curve value at i={i} not settled at {bits} bits")
+            bits *= 2
+        rows.append((i / (2 * grid_size), f_val, gap))
     return rows

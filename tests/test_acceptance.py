@@ -24,7 +24,6 @@ from trigpoly.coeffs import (
 from trigpoly.precision import working
 from trigpoly.verify import (
     _grid,
-    _partial_sums_at,
     check_bessel_identity,
     check_bracketing,
     check_coefficient_bounds,
@@ -91,6 +90,18 @@ def test_criterion_03_monotone_bracketing():
             report = check_bracketing(func, 10, 2048, DIGITS)
             assert report.passed, report.worst_case
     _run(3, "monotone-bracketing", body, limit=60.0)
+
+
+def _partial_sums_at(poly_coeffs, y):
+    """Partial sums sum_{j<=m} c_j y^j for m = 1..len(coeffs), in mpf."""
+    sums = []
+    acc = mpf(0)
+    ypow = mpf(1)
+    for c in poly_coeffs:
+        ypow *= y
+        acc += c * ypow
+        sums.append(acc)
+    return sums
 
 
 def _bound_validity_sweep(func, m_max, grid_size):

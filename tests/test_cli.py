@@ -258,6 +258,13 @@ def test_verify_bessel_suite_quick(capsys):
     assert capsys.readouterr().out.startswith("bessel_identity,pass,")
 
 
+def test_verify_bessel_suite_at_thirty_digits(capsys):
+    # the routes agree to about 10^-(digits+5); the tolerance follows --digits
+    code = run_cli("verify", "--suite", "bessel", "--digits", "30")
+    assert code == 0
+    assert capsys.readouterr().out.startswith("bessel_identity,pass,")
+
+
 # --- bench --------------------------------------------------------------------------
 
 def test_bench_csv(tmp_path):

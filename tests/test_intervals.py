@@ -5,8 +5,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
+from trigpoly.coeffs import coeff_symbolic
 from trigpoly.intervals import (
     IntervalValue,
+    exact_ratio,
+    fixed_bits,
+    fixed_digits,
+    fixed_from_interval,
+    fixed_maclaurin,
+    fixed_partial_sums,
+    fixed_pi,
+    fixed_sin_cos_pi,
+    fixed_y,
     interval_dps,
     pi_interval,
     poly_deriv,
@@ -126,3 +136,79 @@ def test_interval_dps_restores_context():
     with interval_dps(60):
         assert iv.dps == 80
     assert iv.dps == old
+
+
+# --- fixed-point kernel -----------------------------------------------------------
+
+def _encloses(enc, value, bits) -> bool:
+    return enc[0] <= value * 2 ** bits <= enc[1]
+
+
+CLUSTER = 1e-6 * 2.0 ** -31
+
+
+@given(x=st.floats(0, 1), scale=st.sampled_from([1, 2, 4]))
+@example(x=0.0, scale=1)
+@example(x=1.0, scale=1)
+@example(x=CLUSTER, scale=1)
+@example(x=1 - CLUSTER, scale=1)
+@example(x=CLUSTER, scale=4)
+@settings(max_examples=60, deadline=None)
+def test_fixed_point_enclosures_contain_high_precision_values(x, scale):
+    """Each kernel enclosure holds mpmath's value at 3x the working bits."""
+    bits = fixed_bits(50) * scale
+    p, q = exact_ratio(Fraction(x))
+    half = (2 * p - q, 2 * q)  # x - 1/2, in the cosine's domain
+    coeffs = [fixed_from_interval(s.y_coefficient_interval(fixed_digits(bits)), bits)
+              for s in coeff_symbolic(12)]
+    with mp.workprec(3 * bits):
+        xv, hv = mpf(p) / q, mpf(half[0]) / half[1]
+        assert _encloses(fixed_pi(bits), mp.pi, bits)
+        assert _encloses(fixed_sin_cos_pi(p, q, bits), mp.sinpi(xv), bits)
+        assert _encloses(fixed_sin_cos_pi(*half, bits, cos=True), mp.cospi(hv), bits)
+        pi2 = mp.pi ** 2
+        c = [mp.pi * sum(k * pi2 ** i for i, k in enumerate(s.numerator)) / s.denominator
+             for s in coeff_symbolic(12)]
+        for u, cos in ((xv, False), (hv, True)):
+            y = mpf(1) / 4 - u * u if cos else u * (1 - u)
+            num, den = (half if cos else (p, q))
+            y_enc = fixed_y(num, den, bits, cos)
+            assert _encloses(y_enc, y, bits)
+            sums, terms = fixed_partial_sums(coeffs, y_enc, bits)
+            acc = 0
+            for j, cj in enumerate(c):
+                term = cj * y ** (j + 1)
+                acc += term
+                assert _encloses(terms[j], term, bits)
+                assert _encloses(sums[j], acc, bits)
+        t = mp.pi * xv
+        for odd in (True, False):
+            sums, mags = fixed_maclaurin(p, q, 10, bits, odd=odd)
+            acc = 0
+            for k in range(11):
+                n = 2 * k + odd
+                mag = t ** n / mp.factorial(n)
+                assert _encloses(mags[k], mag, bits)
+                if k < 10:
+                    acc += (-1) ** k * mag
+                    assert _encloses(sums[k], acc, bits)
+
+
+def test_fixed_point_exact_inputs_stay_exact():
+    bits = fixed_bits(50)
+    assert fixed_sin_cos_pi(0, 1, bits) == (0, 0)
+    assert fixed_sin_cos_pi(1, 1, bits) == (0, 0)
+    assert fixed_sin_cos_pi(1, 2, bits, cos=True) == (0, 0)
+    assert fixed_sin_cos_pi(0, 1, bits, cos=True) == (1 << bits, 1 << bits)
+    assert fixed_y(1, 2, bits, False) == (1 << bits - 2, 1 << bits - 2)
+    assert exact_ratio(mpf(0.75)) == (3, 4)
+    with mp.workprec(300):
+        third = mpf(1) / 3
+    p, q = exact_ratio(third)  # at the default context precision: no rounding
+    assert q.bit_length() > 290
+    with mp.workprec(300):
+        assert mpf(p) / q == third
+    with pytest.raises(ValueError):
+        fixed_sin_cos_pi(3, 4, bits, cos=True)
+    with pytest.raises(ValueError):
+        fixed_partial_sums([(-1, 1)], (0, 1), bits)

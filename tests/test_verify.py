@@ -4,11 +4,17 @@ from dataclasses import replace
 
 import pytest
 from mpmath import mp, mpf
+from mpmath.libmp import repr_dps
 
 import trigpoly.verify as verify
 from trigpoly.approx import COS_PI_X, DOMAINS, SIN_PI_X, build_poly, maclaurin_eval
-from trigpoly.coeffs import CoefficientTable, SymbolicCoefficient, coeff_recurrence
-from trigpoly.intervals import IntervalValue, interval_dps, poly_eval
+from trigpoly.coeffs import (
+    CoefficientTable,
+    SymbolicCoefficient,
+    coeff_recurrence,
+    coeff_symbolic,
+)
+from trigpoly.intervals import IntervalValue, fixed_bits, interval_dps, poly_eval
 from trigpoly.precision import ExtReal, working
 from trigpoly.verify import (
     PropertyReport,
@@ -69,7 +75,8 @@ def test_corrupted_coefficient_is_reported(monkeypatch):
 def test_bracketing_sin_small_grid():
     report = check_bracketing(SIN_PI_X, 3, 64, 50)
     assert report.passed
-    assert report.metadata["evidence"] == "extended-precision grid sweep"
+    assert report.metadata["evidence"] == "outward-rounded fixed-point enclosure"
+    assert report.worst_case[1] > 0
 
 
 def test_bracketing_cos_small_grid_and_worked_value():
@@ -91,7 +98,7 @@ def test_bracketing_rejects_tiny_m():
 def test_bessel_identity_small():
     report = check_bessel_identity(5, 50, z_values=(1, 2), z_j_max=5)
     assert report.passed
-    assert report.metadata["tolerance"] == "1e-40 relative"
+    assert report.metadata["tolerance"] == "1e-50 relative"
 
 
 # --- Maclaurin interleaving -------------------------------------------------------
@@ -248,7 +255,7 @@ def test_reports_are_deterministic():
     assert a.worst_case == b.worst_case
 
 
-# --- one-pass sweeps report what a per-comparison sweep reports ---------------
+# --- grid reports, brute force and fixed-point enclosures ---------------------
 
 def _maclaurin_from_scratch(m, x):
     # the m-term sum built on its own, as the grid checks once did per m
@@ -261,30 +268,93 @@ def _maclaurin_from_scratch(m, x):
     return +acc
 
 
-def _brute_worst(rows):
-    # first strict minimum, with every label formatted up front
-    worst = None
-    for margin, where in rows:
-        if worst is None or margin < worst[0]:
-            worst = (margin, where)
-    return worst[1], float(worst[0])
+# high-precision brute force of the grid reports' relative margins: every
+# value comes from mpmath at three times the most fractional bits the
+# checks may use, enough for the cancellation near the domain ends
+BRUTE_PREC = 3 * (fixed_bits(50) << verify._MAX_DOUBLINGS)
+
+
+def _grid_points(lo, hi, n, include_hi=False):
+    # the checks' grid at 50 digits, each point with its label text
+    with working(50):
+        digits = repr_dps(mp.prec)
+        return [(x, mp.nstr(x, digits)) for x in verify._grid(lo, hi, n, include_hi)]
+
+
+def _brute_y_coefficients(n):
+    # c_j = pi N_j(pi^2) / D_j from the exact forms
+    pi2 = mp.pi ** 2
+    return [mp.pi * sum(k * pi2 ** i for i, k in enumerate(s.numerator)) / s.denominator
+            for s in coeff_symbolic(n)]
+
+
+def _check_against_brute(report, rows):
+    assert report.passed
+    where, margin = report.worst_case
+    true_min = min(rows.values())
+    # every enclosure's lower end lies below the value it encloses
+    assert 0 < margin <= true_min
+    assert where in rows
+    assert margin <= rows[where]
+    return where, margin, true_min
 
 
 def test_maclaurin_worst_case_matches_brute_force():
     j_max, grid = 4, 64
-    rows = []
-    with working(50):
-        for x in verify._grid(0, 1, grid, include_hi=True):
-            ref = mp.sin(mp.pi * x)
-            sums = [_maclaurin_from_scratch(m, x) for m in range(1, 2 * j_max + 3)]
+    rows = {}
+    with mp.workprec(BRUTE_PREC):
+        for x, xs in _grid_points(0, 1, grid, include_hi=True):
+            t = mp.pi * x
+            terms = [(-1) ** k * t ** (2 * k + 1) / mp.factorial(2 * k + 1)
+                     for k in range(2 * j_max + 3)]
+            sums = [mp.fsum(terms[:k + 1]) for k in range(len(terms))]  # sums[k] = S_{k+1}
+            ref = mp.sinpi(x)
             for j in range(1, j_max + 1):
-                tag = f"j={j} x={mp.nstr(x, 10)}"
-                rows.append((sums[2 * j + 1] - sums[2 * j - 1], f"{tag} even-step"))
-                rows.append((ref - sums[2 * j + 1], f"{tag} even-below"))
-                rows.append((sums[2 * j] - ref, f"{tag} odd-above"))
-                rows.append((sums[2 * j - 2] - ref, f"{tag} prev-odd-above"))
+                tag = f"j={j} x={xs}"
+                rows[f"{tag} even-step"] = (sums[2 * j + 1] - sums[2 * j - 1]) / abs(terms[2 * j])
+                rows[f"{tag} even-below"] = (ref - sums[2 * j + 1]) / abs(terms[2 * j + 2])
+                rows[f"{tag} odd-above"] = (sums[2 * j] - ref) / abs(terms[2 * j + 1])
+                rows[f"{tag} prev-odd-above"] = (sums[2 * j - 2] - ref) / abs(terms[2 * j - 1])
     report = check_maclaurin_interleaving(j_max, grid, 50)
-    assert report.worst_case == _brute_worst(rows)
+    where, margin, true_min = _check_against_brute(report, rows)
+    # at the true minimum (S_1 - sin(pi) over pi^3/6 at x = 1) the enclosure is tight
+    assert where == min(rows, key=rows.get) == "j=1 x=1.0 prev-odd-above"
+    assert margin == pytest.approx(float(true_min), rel=1e-12)
+    assert true_min == pytest.approx(6 / math.pi ** 2, rel=1e-15)
+
+
+@pytest.mark.parametrize("func", [SIN_PI_X, COS_PI_X])
+def test_bracketing_worst_case_matches_brute_force(func):
+    m_max, grid = 10, 64
+    rows = {}
+    with mp.workprec(BRUTE_PREC):
+        c = _brute_y_coefficients(m_max + 2)
+        for x, xs in _grid_points(*DOMAINS[func], grid):
+            y = mp.mpf(1) / 4 - x * x if func == COS_PI_X else x * (1 - x)
+            terms = [cj * y ** (j + 1) for j, cj in enumerate(c)]  # terms[j] = c_{j+1} y^{j+1}
+            sums = [mp.fsum(terms[:j + 1]) for j in range(len(terms))]
+            ref = mp.cospi(x) if func == COS_PI_X else mp.sinpi(x)
+            rows[f"m=1 x={xs} delta"] = (ref - sums[0]) / terms[1]
+            for m in range(1, m_max + 1):
+                rows[f"m={m} x={xs} chain"] = (sums[m] - sums[m - 1]) / terms[m]
+                rows[f"m={m + 1} x={xs} delta"] = (ref - sums[m]) / terms[m + 1]
+        chains = [v for k, v in rows.items() if k.endswith("chain")]
+        deltas = [v for k, v in rows.items() if k.endswith("delta")]
+        # P_{m+1} - P_m is its own leading term; the tail is at least its first term
+        assert max(abs(v - 1) for v in chains) < mpf(2) ** (-BRUTE_PREC // 2)
+        assert min(deltas) > 1
+    report = check_bracketing(func, m_max, grid, 50)
+    _, margin, _ = _check_against_brute(report, rows)
+    assert margin > 0.99
+
+
+def test_grid_reports_print_x_in_full():
+    report = check_bracketing(SIN_PI_X, 10, 64, 50)
+    x_text = report.worst_case[0].split("x=")[1].split()[0]
+    points = [x for x, _ in _grid_points(*DOMAINS[SIN_PI_X], 64)]
+    with working(50):
+        assert mpf(x_text) in points
+    assert len(x_text) > 60
 
 
 def test_maclaurin_thresholds_match_per_j_scan():
@@ -302,28 +372,6 @@ def test_maclaurin_thresholds_match_per_j_scan():
             found = cut is not None and cut < scan[-1]
             assert info[f"j={j}"]["empirical_x_above"] == (float(cut) if found else None)
     assert info["j=1"]["empirical_x_above"] is not None
-
-
-@pytest.mark.parametrize("func", [SIN_PI_X, COS_PI_X])
-def test_bracketing_worst_case_matches_brute_force(func):
-    m_max, grid = 10, 64
-    top = build_poly(func, m_max + 1, 50)
-    rows = []
-    with working(50):
-        for x in verify._grid(*DOMAINS[func], grid):
-            y = top.y_of_hp(x)
-            sums, acc, ypow = [], mpf(0), mpf(1)
-            for c in top.hp_coeffs:
-                ypow *= y
-                acc += c * ypow
-                sums.append(acc)
-            ref = mp.cos(mp.pi * x) if func == COS_PI_X else mp.sin(mp.pi * x)
-            rows.append((ref - sums[0], f"m=1 x={mp.nstr(x, 10)} delta"))
-            for m in range(1, m_max + 1):
-                rows.append((sums[m] - sums[m - 1], f"m={m} x={mp.nstr(x, 10)} chain"))
-                rows.append((ref - sums[m], f"m={m + 1} x={mp.nstr(x, 10)} delta"))
-    report = check_bracketing(func, m_max, grid, 50)
-    assert report.worst_case == _brute_worst(rows)
 
 
 def test_worst_keeps_the_first_of_equal_margins():
@@ -348,3 +396,112 @@ def test_example_polynomial_builds_each_y_coefficient_once(monkeypatch):
     _, c_intervals = example_inequality_polynomial(50)
     assert calls == [1, 2, 3, 4]
     assert len(c_intervals) == 4
+
+
+def test_nudged_coefficient_fails_bracketing(monkeypatch):
+    # c_3 raised by 1e-30: P_m then exceeds the target wherever the tail
+    # c_{m+1} y^{m+1} drops below 1e-30 y^3, which the endpoint cluster reaches
+    original = verify._fixed_coefficients
+
+    def nudged(n, bits):
+        coeffs = list(original(n, bits))
+        bump = (1 << bits) // 10 ** 30 + 1
+        coeffs[2] = (coeffs[2][0] + bump, coeffs[2][1] + bump)
+        return tuple(coeffs)
+
+    monkeypatch.setattr(verify, "_fixed_coefficients", nudged)
+    for func in (SIN_PI_X, COS_PI_X):
+        report = check_bracketing(func, 10, 64, 50)
+        assert report.status == "fail"
+        assert report.worst_case[1] < 0
+        assert " delta" in report.worst_case[0]
+
+
+def test_unsettled_enclosure_is_counted_not_passed(monkeypatch):
+    # c_1 known only to within 1e-9: no precision settles P_m < target near
+    # the ends, so those points must be counted as unresolved
+    original = verify._fixed_coefficients
+
+    def blurred(n, bits):
+        coeffs = list(original(n, bits))
+        lo, hi = coeffs[0]
+        coeffs[0] = (lo - lo // 10 ** 9, hi + hi // 10 ** 9)
+        return tuple(coeffs)
+
+    monkeypatch.setattr(verify, "_fixed_coefficients", blurred)
+    report = check_bracketing(SIN_PI_X, 3, 16, 50)
+    assert report.status == "fail"
+    assert report.metadata["unresolved_points"] > 0
+    assert report.metadata["max_bits"] == fixed_bits(50) << verify._MAX_DOUBLINGS
+    assert report.worst_case[1] <= 0
+
+
+def test_escalation_cap_counts_unresolved_points(monkeypatch):
+    full = check_maclaurin_interleaving(2, 32, 50)
+    assert full.passed and full.metadata["escalated_points"] > 0
+    monkeypatch.setattr(verify, "_MAX_DOUBLINGS", 0)
+    capped = check_maclaurin_interleaving(2, 32, 50)
+    assert capped.status == "fail"
+    assert capped.metadata["unresolved_points"] == full.metadata["escalated_points"]
+    assert capped.metadata["max_bits"] == capped.metadata["base_bits"] == fixed_bits(50)
+
+
+def test_every_report_records_digits_and_grid_reports_their_evidence():
+    reports = [
+        check_coefficient_bounds(5, 40),
+        check_bracketing(SIN_PI_X, 2, 16, 40),
+        check_bracketing(COS_PI_X, 2, 16, 40),
+        check_bessel_identity(3, 40, z_values=(1,), z_j_max=3),
+        check_maclaurin_interleaving(1, 16, 40),
+        check_taylor_exactness(2, 40),
+    ]
+    assert all(r.metadata["digits"] == 40 for r in reports)
+    for r in reports[1:3] + reports[4:5]:
+        meta = r.metadata
+        assert meta["evidence"] == "outward-rounded fixed-point enclosure"
+        assert meta["base_bits"] == fixed_bits(40) <= meta["max_bits"]
+        assert meta["unresolved_points"] == 0
+        assert meta["escalated_points"] > 0
+        assert r.passed and r.worst_case[1] > 0
+
+
+def test_example_curve_values_are_correctly_rounded():
+    rows = example_curve(64, 50)
+    with mp.workprec(3 * fixed_bits(50)):
+        pi2 = mp.pi ** 2
+        cs = _brute_y_coefficients(4)
+
+        def q(u):
+            y = u * (1 - u)
+            return sum(cj * y ** (j + 1) for j, cj in enumerate(cs))
+
+        for i, (x, f, gap) in enumerate(rows):
+            u = mpf(i) / 128
+            base = mpf(4) / 9 + 15 * u ** 2 - 8 * u
+            s1, s2 = mp.sinpi(u), mp.sinpi(2 * u)
+            f_ref = base + 4 * (2 * s1 ** 2 + s2 ** 2) / pi2
+            gap_ref = 4 * (2 * (s1 ** 2 - q(u) ** 2) + (s2 ** 2 - q(2 * u) ** 2)) / pi2
+            assert (x, f, gap) == (float(u), float(f_ref), float(gap_ref))
+    assert rows[0] == (0.0, 4 / 9, 0.0)
+    assert all(gap >= 0 for _, _, gap in rows)
+
+
+def test_sweep_reports_the_lower_end_and_counts_open_points():
+    labels = [("x={} first",), ("x={} second",)]
+    with working(50):
+        sweep = verify._Sweep(50)
+        # settled at the base bits: [1, 3] / [1, 2] has lower end 1/2
+        sweep.margins(lambda p, q, bits: [(5, 6, 1, 1), (1, 3, 1, 2)], labels, mpf(1) / 4)
+        assert (sweep.escalated, sweep.unresolved) == (0, 0)
+        assert sweep.worst.margin == math.nextafter(0.5, 0) and sweep.report("t", {}).passed
+        # open at every precision: counted, and the report fails
+        sweep.margins(lambda p, q, bits: [(-1, 1, 1, 1), (1, 1, 1, 1)], labels, mpf(1) / 8)
+        assert (sweep.escalated, sweep.unresolved) == (1, 1)
+        assert sweep.top == sweep.cap == fixed_bits(50) << verify._MAX_DOUBLINGS
+        report = sweep.report("t", {})
+        assert report.status == "fail" and report.metadata["unresolved_points"] == 1
+        assert report.worst_case == ("x=0.125 first", math.nextafter(-1.0, -math.inf))
+    # settled negative: no escalation; [-3, -1] / [2, 4] has lower end -3/2
+    assert verify._relative((-3, -1, 2, 4)) == -1.5
+    assert verify._relative((-3, 1, 0, 4)) == -math.inf
+    assert verify._relative((3, 5, 2, 4)) == 0.75
