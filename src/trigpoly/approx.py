@@ -23,7 +23,7 @@ from typing import Literal
 
 from mpmath import mp, mpf
 
-from .coeffs import coeff_recurrence
+from .coeffs import coefficient_table
 from .precision import (
     DEFAULT_DIGITS,
     DEFAULT_INDEX_LIMIT,
@@ -119,12 +119,12 @@ class ApproxPolynomial:
 
 
 def build_poly(func: FuncTag, m: int, digits: int = DEFAULT_DIGITS) -> ApproxPolynomial:
-    """Construct the degree-m approximant; c_j = t_j pi^(2j) in extended precision."""
+    """The degree-m approximant; c_j = t_j pi^(2j), t_j the midpoint of its enclosure."""
     _check_func(func)
     require_digits(digits)
     if m < 1:
         raise ValueError("m must be >= 1")
-    table = coeff_recurrence(m, digits)
+    table = coefficient_table(m, digits, route="direct")
     with working(digits):
         pi2 = mp.pi ** 2
         hp = []
@@ -132,8 +132,6 @@ def build_poly(func: FuncTag, m: int, digits: int = DEFAULT_DIGITS) -> ApproxPol
         for j in range(1, m + 1):
             p *= pi2
             hp.append(+(table.value(j).value * p))
-        if not all(c > 0 for c in hp):  # pragma: no cover
-            raise ArithmeticError("expansion coefficients must be positive")
     return ApproxPolynomial(
         func=func,
         degree_m=m,

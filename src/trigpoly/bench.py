@@ -92,7 +92,7 @@ def run_bench(cfg: BenchConfig) -> list[BenchRow]:
     xs = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
     digits = cfg.digits
     with working(digits):
-        refs = [mp.sin(mp.pi * x) for x in xs]
+        refs = [mp.sinpi(x) for x in xs]
     rows = []
 
     for m in cfg.m_list:

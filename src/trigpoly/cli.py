@@ -9,6 +9,7 @@ TRIGPOLY_DIGITS overrides the default working precision (50 digits).
 from __future__ import annotations
 
 import argparse
+import decimal
 import math
 import os
 import random
@@ -18,6 +19,7 @@ from mpmath import mp
 
 from . import approx, bench, coeffs, verify
 from .approx import COS_PI_X, SIN_PI_X, DomainError
+from .intervals import exact_ratio
 from .precision import IndexLimitError, PrecisionError, working
 
 EXIT_OK = 0
@@ -93,6 +95,13 @@ def _open_out(path: str | None):
     return open(path, "w", encoding="utf-8", newline="\n"), True
 
 
+def _round_up_3(x) -> str:
+    """x > 0 rounded up to 3 significant digits, in exact decimal arithmetic."""
+    p, q = exact_ratio(x)
+    with decimal.localcontext(prec=3, rounding=decimal.ROUND_CEILING):
+        return f"{decimal.Decimal(p) / q:.2e}"
+
+
 # --- subcommands -----------------------------------------------------------
 
 def cmd_coeffs(args) -> int:
@@ -101,17 +110,15 @@ def cmd_coeffs(args) -> int:
             print(f"t_{sym.index} = {sym.as_string()}")
         return EXIT_OK
     table = coeffs.coefficient_table(args.max_j, args.digits, route=args.route)
+    rows = [(e.j, e.value.to_str(args.digits), _round_up_3(e.trunc_bound.value)) for e in table]
     if args.format == "csv":
         print("j,t_j,trunc_bound")
-        for entry in table:
-            print(f"{entry.j},{entry.value.to_str(args.digits)},{entry.trunc_bound.to_str(3)}")
+        for j, value, bound in rows:
+            print(f"{j},{value},{bound}")
     else:
         print(f"{'j':>4}  {'t_j':<{args.digits + 8}}  trunc_bound")
-        for entry in table:
-            print(
-                f"{entry.j:>4}  {entry.value.to_str(args.digits):<{args.digits + 8}}  "
-                f"{entry.trunc_bound.to_str(3)}"
-            )
+        for j, value, bound in rows:
+            print(f"{j:>4}  {value:<{args.digits + 8}}  {bound}")
     return EXIT_OK
 
 
@@ -120,7 +127,7 @@ def cmd_eval(args) -> int:
     poly = approx.build_poly(func, args.m, args.digits)
     value = poly.eval(args.x)
     with working(args.digits):
-        ref = mp.cos(mp.pi * args.x) if func == COS_PI_X else mp.sin(mp.pi * args.x)
+        ref = mp.cospi(args.x) if func == COS_PI_X else mp.sinpi(args.x)
         err = abs(ref - value)
         print(f"value={value!r}")
         print(f"reference={mp.nstr(ref, min(args.digits, 30))}")
@@ -178,7 +185,7 @@ def cmd_compare(args) -> int:
         out.write(",".join(header) + "\n")
         with working(args.digits):
             for x in xs:
-                ref = float(mp.sin(mp.pi * x)) if is_sin else float(mp.cos(mp.pi * x))
+                ref = float(mp.sinpi(x)) if is_sin else float(mp.cospi(x))
                 row = [repr(x), repr(ref)]
                 row += [repr(polys[m].eval(x)) for m in args.m_list]
                 row += [repr(approx.maclaurin_eval(m, x, func)) for m in args.m_list]

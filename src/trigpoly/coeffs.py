@@ -8,10 +8,14 @@ where each weight t_j is given by the alternating series
 
     t_j = sum_{k>=0} (-pi^2/4)^k * binom(j+k, j) / (2j+2k)!
 
-and satisfies 0 < t_j < 1/(2j)!.  This module computes t_j by three
-independent routes -- the series itself, a three-term recurrence, and a
-half-integer Bessel-function identity -- plus an exact symbolic form,
-each with a rigorous truncation/rounding certificate.
+and satisfies 0 < t_j < 1/(2j)!.  The series' terms decrease from the
+first, so `t_enclosure` encloses t_j with outward rounding (the
+fixed-point kernel `intervals.fixed_t_scaled`, then one outward division
+by (2j)!).  This module computes t_j by three routes -- the series
+itself (the enclosure's midpoint), a three-term recurrence, and a
+half-integer Bessel-function identity -- plus an exact symbolic form.
+Every route's certificate comes from that one enclosure by one rule:
+trunc_bound = max(hi - v, v - lo), rounded up, for the route's value v.
 
 The generalized series T_j(z) = sum_k (-z)^k binom(j+k,j)/(2j+2k)!
 recovers t_j at z = pi^2/4 and is exposed for cross-checks.
@@ -26,8 +30,18 @@ from functools import lru_cache
 from typing import Literal
 
 from mpmath import mp, mpf
+from mpmath.libmp import mpf_sub, round_ceiling
 
-from .intervals import IntervalValue, interval_dps, pi_interval, poly_eval
+from .intervals import (
+    IntervalValue,
+    exact_ratio,
+    fixed_bits,
+    fixed_t_scaled,
+    interval_dps,
+    interval_from_fixed,
+    pi_interval,
+    poly_eval,
+)
 from .precision import (
     DEFAULT_DIGITS,
     DEFAULT_INDEX_LIMIT,
@@ -55,6 +69,7 @@ __all__ = [
     "general_series_recurrence",
     "pi_interval",
     "series_terms",
+    "t_enclosure",
 ]
 
 Route = Literal["recurrence", "direct", "bessel"]
@@ -82,24 +97,25 @@ class CoefficientTable:
     """Immutable table of weights t_1..t_J with per-entry certificates.
 
     trunc_bound is an upper bound on |stored - exact| for each entry and
-    is kept below 10**-precision_digits relative to the value.
+    is kept below 10**-precision_digits relative to the value; a table
+    that misses this raises ValueError.
     """
 
     entries: tuple[CoefficientEntry, ...]
     precision_digits: int
 
     def __post_init__(self):
+        digits = self.precision_digits
         for pos, entry in enumerate(self.entries, start=1):
             if entry.j != pos:
                 raise ValueError("entries must be contiguous in j starting at 1")
-            if not entry.value.value > 0:
-                raise ValueError(f"coefficient {entry.j} not positive")
-        with working(self.precision_digits):
-            for entry in self.entries:
-                if not entry.value.value * mpf(math.factorial(2 * entry.j)) < 1:
-                    raise ValueError(
-                        f"coefficient {entry.j} violates the 1/(2j)! upper bound"
-                    )
+            # exact integer comparisons of v = v_num/v_den and bound = b_num/b_den
+            v_num, v_den = exact_ratio(entry.value.value)
+            b_num, b_den = exact_ratio(entry.trunc_bound.value)
+            if not 0 < v_num * math.factorial(2 * pos) < v_den:
+                raise ValueError(f"coefficient {pos} outside (0, 1/(2j)!)")
+            if not b_num * v_den * 10 ** digits < v_num * b_den:
+                raise ValueError(f"coefficient {pos} certificate not below 10^-{digits} relative")
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -109,18 +125,6 @@ class CoefficientTable:
 
     def value(self, j: int) -> ExtReal:
         return self.entries[j - 1].value
-
-    def bound(self, j: int) -> ExtReal:
-        return self.entries[j - 1].trunc_bound
-
-
-def _rel_threshold(digits: int) -> mpf:
-    return mpf(10) ** (-(digits + 5))
-
-
-def _work_eps() -> mpf:
-    # one-ulp relative rounding bound at the current working precision
-    return mpf(10) ** (1 - mp.dps)
 
 
 def series_terms(j: int, count: int, digits: int = DEFAULT_DIGITS) -> list[SeriesTerm]:
@@ -140,20 +144,16 @@ def series_terms(j: int, count: int, digits: int = DEFAULT_DIGITS) -> list[Serie
     return out
 
 
-def _alternating_sum(first_mag: mpf, ratio_at, digits: int) -> tuple[mpf, mpf]:
-    """Sum an alternating series given |term_0| and k -> |t_{k+1}|/|t_k|.
+def _alternating_sum(first_mag: mpf, ratio_at, digits: int) -> mpf:
+    """Value of an alternating series given |term_0| and k -> |t_{k+1}|/|t_k|.
 
     Terms may grow while the ratio is >= 1; once it drops below 1 it
-    stays below 1 (the ratios here are decreasing in k), so the first
-    omitted term bounds the tail.  Returns (sum, certificate), where the
-    certificate covers truncation plus summation rounding.
-
-    Stops when the next term is below 10**-(digits+5) relative to the
-    running sum; a tiny absolute floor keeps this terminating when the
-    exact sum is zero (e.g. the j=0 series at z = pi^2/4, which sums to
-    cos(pi/2)).
+    stays below 1 (the ratios here are decreasing in k).  Stops when the
+    next term is below 10**-(digits+5) relative to the running sum; a
+    tiny absolute floor keeps this terminating when the exact sum is zero
+    (e.g. the j=0 series at z = pi^2/4, which sums to cos(pi/2)).
     """
-    thresh = _rel_threshold(digits)
+    thresh = mpf(10) ** (-(digits + 5))
     floor = first_mag * thresh
     s = mpf(0)
     mag = first_mag
@@ -164,14 +164,33 @@ def _alternating_sum(first_mag: mpf, ratio_at, digits: int) -> tuple[mpf, mpf]:
         ratio = ratio_at(k)
         nxt = mag * ratio
         if ratio < 1 and nxt <= thresh * max(abs(s), floor):
-            break
+            return s
         mag = nxt
         sign = -sign
         k += 1
         if k > 100000:  # pragma: no cover
             raise ArithmeticError("alternating series failed to terminate")
-    rounding = (k + 3) * _work_eps() * max(abs(s), first_mag)
-    return s, nxt + rounding
+
+
+def t_enclosure(j: int, digits: int = DEFAULT_DIGITS) -> IntervalValue:
+    """Enclosure of t_j: `fixed_t_scaled` at `fixed_bits(digits)` bits, divided outward by (2j)!."""
+    bits = fixed_bits(digits)
+    return interval_from_fixed(fixed_t_scaled(j, bits), bits, math.factorial(2 * j))
+
+
+def _certified(j: int, v: mpf, enc: IntervalValue, digits: int) -> tuple[ExtReal, ExtReal]:
+    """(v, trunc_bound) by the one rule: trunc_bound = max(hi - v, v - lo), rounded up.
+
+    [lo, hi] = enc = t_enclosure(j, digits), so the bound covers |v - t_j| wherever v lies.
+    """
+    bound = max(mp.make_mpf(mpf_sub(enc.hi._mpf_, v._mpf_, 64, round_ceiling)),
+                mp.make_mpf(mpf_sub(v._mpf_, enc.lo._mpf_, 64, round_ceiling)))
+    return ExtReal(v, digits), ExtReal(bound, digits)
+
+
+def _table(route: Route, pairs, digits: int) -> CoefficientTable:
+    entries = (CoefficientEntry(j, v, route, b) for j, (v, b) in enumerate(pairs, start=1))
+    return CoefficientTable(entries=tuple(entries), precision_digits=digits)
 
 
 def coeff_direct(
@@ -179,28 +198,14 @@ def coeff_direct(
     digits: int = DEFAULT_DIGITS,
     limit: int = DEFAULT_INDEX_LIMIT,
 ) -> tuple[ExtReal, ExtReal]:
-    """Weight t_j summed directly from its alternating series.
-
-    Returns (value, trunc_bound); the bound is the first omitted term
-    plus a rounding allowance, valid because the term magnitudes
-    strictly decrease (their ratio is pi^2/(8(k+1)(2j+2k+1)) < 1 for
-    every j >= 1, k >= 0).
-    """
+    """(value, trunc_bound) of t_j from its direct series: the rounded midpoint of `t_enclosure`."""
     require_digits(digits)
     require_index(j, limit)
     if j < 1:
         raise ValueError("j must be >= 1")
+    enc = t_enclosure(j, digits)
     with working(digits):
-        z = mp.pi ** 2 / 4
-
-        def ratio_at(k: int) -> mpf:
-            return z / (2 * (k + 1) * (2 * j + 2 * k + 1))
-
-        first = mpf(1) / mpf(math.factorial(2 * j))
-        s, bound = _alternating_sum(first, ratio_at, digits)
-        if not (0 < s and s * mpf(math.factorial(2 * j)) < 1):  # pragma: no cover
-            raise ArithmeticError(f"computed t_{j} escaped (0, 1/(2j)!)")
-        return ExtReal(+s, digits), ExtReal(+bound, digits)
+        return _certified(j, (enc.lo + enc.hi) / 2, enc, digits)
 
 
 def _cancellation_allowance(j_max: int, z: float) -> int:
@@ -209,7 +214,7 @@ def _cancellation_allowance(j_max: int, z: float) -> int:
     The wanted solution decays like 1/(2j)! while each recurrence step
     combines terms of comparable size, so roughly log10(8 j^2 / z)
     digits cancel per step.  Summing that over the steps (plus slack)
-    bounds the total loss.
+    keeps the recurrence's values accurate; no certificate depends on it.
     """
     loss = sum(max(0.0, math.log10(8.0 * i * i / z)) for i in range(2, j_max + 1))
     return int(math.ceil(loss)) + 10
@@ -227,55 +232,24 @@ def coeff_recurrence(
     seeded with t_0 = 0 and t_1 = 1/pi.  The recurrence tracks the
     minimal (factorially decaying) solution, so forward evaluation
     cancels heavily; the working precision is raised by a per-run
-    allowance and a forward error bound is carried alongside the values
-    (a few ulps per product, compounded through the recurrence).  The
-    certificate stored per entry is that accumulated rounding bound.
+    allowance so the values stay accurate.  Each entry's certificate is
+    the one rule's, from `t_enclosure`.
     """
     require_digits(digits)
     require_index(j_max, limit)
     if j_max < 1:
         raise ValueError("j_max must be >= 1")
-    extra = _cancellation_allowance(j_max, z=math.pi ** 2 / 4)
-    for _ in range(3):
-        result = _recurrence_attempt(j_max, digits, extra)
-        if result is not None:
-            return result
-        extra += max(20, extra // 2)  # pragma: no cover
-    raise ArithmeticError("recurrence error bound failed to converge")  # pragma: no cover
-
-
-def _recurrence_attempt(j_max: int, digits: int, extra: int) -> CoefficientTable | None:
-    budget = mpf(10) ** (-digits)
-    with working(digits, extra=extra):
-        eps = _work_eps()
+    with working(digits, extra=_cancellation_allowance(j_max, z=math.pi ** 2 / 4)):
         pi2 = mp.pi ** 2
         vals = [mpf(0), 1 / mp.pi]
-        errs = [mpf(0), 2 * eps * vals[1]]
         for j in range(2, j_max + 1):
             a = 2 * (2 * j - 3) / (pi2 * j)
             b = 1 / (pi2 * j * (j - 1))
-            v = a * vals[j - 1] - b * vals[j - 2]
-            e = (
-                a * errs[j - 1]
-                + b * errs[j - 2]
-                + 6 * eps * (a * abs(vals[j - 1]) + b * abs(vals[j - 2]))
-            )
-            if not v > 0 or e > abs(v) * budget:
-                return None
-            vals.append(v)
-            errs.append(e)
-    entries = []
+            vals.append(a * vals[j - 1] - b * vals[j - 2])
     with working(digits):
-        for j in range(1, j_max + 1):
-            entries.append(
-                CoefficientEntry(
-                    j=j,
-                    value=ExtReal(+vals[j], digits),
-                    route="recurrence",
-                    trunc_bound=ExtReal(+(errs[j] + abs(vals[j]) * _work_eps()), digits),
-                )
-            )
-    return CoefficientTable(entries=tuple(entries), precision_digits=digits)
+        pairs = [_certified(j, +vals[j], t_enclosure(j, digits), digits)
+                 for j in range(1, j_max + 1)]
+    return _table("recurrence", pairs, digits)
 
 
 # --- exact symbolic forms ------------------------------------------------
@@ -394,7 +368,8 @@ def bessel_j_half_integer(j: int, x, digits: int = DEFAULT_DIGITS) -> ExtReal:
     J_nu(x) = sum_k (-1)^k (x/2)^(nu+2k) / (k! Gamma(nu+k+1)); at
     nu = j - 1/2 the Gamma values are Gamma((j+k) + 1/2), supplied by
     gamma_half.  Terms are summed as given until their ratio drops
-    below 1, after which the alternating tail bound applies.
+    below 1 and the next term is negligible.  The result is a value
+    only; as t_j it is certified against `t_enclosure`.
     """
     require_digits(digits)
     if j < 0:
@@ -411,7 +386,7 @@ def bessel_j_half_integer(j: int, x, digits: int = DEFAULT_DIGITS) -> ExtReal:
             return half2 / ((k + 1) * (nu + k + 1))
 
         first = mp.power(half, nu) / gamma_half(j, digits + 5).value
-        s, _ = _alternating_sum(first, ratio_at, digits)
+        s = _alternating_sum(first, ratio_at, digits)
         return ExtReal(+s, digits)
 
 
@@ -420,7 +395,11 @@ def coeff_bessel(
     digits: int = DEFAULT_DIGITS,
     limit: int = DEFAULT_INDEX_LIMIT,
 ) -> ExtReal:
-    """Weight t_j via the identity t_j = pi^(1-j)/(2 j!) * J_{j-1/2}(pi/2)."""
+    """Weight t_j via the identity t_j = pi^(1-j)/(2 j!) * J_{j-1/2}(pi/2).
+
+    The identity's value, unchanged; `coefficient_table` certifies it
+    by the one rule against `t_enclosure`.
+    """
     require_digits(digits)
     require_index(j, limit)
     if j < 1:
@@ -460,7 +439,7 @@ def general_series_direct(
             return zv / (2 * (k + 1) * (2 * j + 2 * k + 1))
 
         first = mpf(1) / mpf(math.factorial(2 * j))
-        s, _ = _alternating_sum(first, ratio_at, digits)
+        s = _alternating_sum(first, ratio_at, digits)
         return ExtReal(+s, digits)
 
 
@@ -509,16 +488,10 @@ def coefficient_table(
     """Build the t_1..t_{j_max} table by the requested route."""
     if route == "recurrence":
         return coeff_recurrence(j_max, digits, limit)
-    entries = []
-    with working(digits):
-        loose = mpf(10) ** (-(digits + 4))
-        for j in range(1, j_max + 1):
-            if route == "direct":
-                value, bound = coeff_direct(j, digits, limit)
-            elif route == "bessel":
-                value = coeff_bessel(j, digits, limit)
-                bound = ExtReal(+(abs(value.value) * loose), digits)
-            else:
-                raise ValueError(f"unknown route {route!r}")
-            entries.append(CoefficientEntry(j=j, value=value, route=route, trunc_bound=bound))
-    return CoefficientTable(entries=tuple(entries), precision_digits=digits)
+    if route == "direct":
+        return _table(route, [coeff_direct(j, digits, limit) for j in range(1, j_max + 1)], digits)
+    if route == "bessel":
+        pairs = [_certified(j, coeff_bessel(j, digits, limit).value, t_enclosure(j, digits), digits)
+                 for j in range(1, j_max + 1)]
+        return _table(route, pairs, digits)
+    raise ValueError(f"unknown route {route!r}")

@@ -5,10 +5,11 @@ interval context's working precision, so every operation returns an
 enclosure of the exact result.  Precision only affects tightness, never
 containment.
 
-The fixed-point kernel at the end serves the grid checks: it encloses
-the y-map, the partial sums sum c_j y^j and the Maclaurin partial sums
-of sin/cos(pi x) with plain Python ints, which is much cheaper than mpf
-objects at the same precision.
+The fixed-point kernel at the end serves the coefficient tables and the
+grid checks: it encloses the weights t_j (2j)!, the y-map, the partial
+sums sum c_j y^j and the Maclaurin partial sums of sin/cos(pi x) with
+plain Python ints, which is much cheaper than mpf objects at the same
+precision.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from mpmath import iv, mp, mpf
-from mpmath.libmp import dps_to_prec, mpf_sub, prec_to_dps, round_ceiling
+from mpmath.libmp import (dps_to_prec, from_int, from_man_exp, mpf_div, mpf_sub, prec_to_dps,
+                          round_ceiling, round_floor)
 
 from .precision import DEFAULT_DIGITS, GUARD_DIGITS, PRECISION_LOCK
 
@@ -214,6 +216,14 @@ def fixed_from_interval(enc: IntervalValue, bits: int) -> tuple[int, int]:
     return _scaled(enc.lo, bits, False), _scaled(enc.hi, bits, True)
 
 
+def interval_from_fixed(enc: tuple[int, int], bits: int, den: int = 1) -> IntervalValue:
+    """The IntervalValue of enc / den (den > 0), each end divided once and rounded outward."""
+    d = from_int(den)
+    lo = mpf_div(from_man_exp(enc[0], -bits), d, bits, round_floor)
+    hi = mpf_div(from_man_exp(enc[1], -bits), d, bits, round_ceiling)
+    return IntervalValue._wrap(iv.make_mpf((lo, hi)))
+
+
 def fixed_digits(bits: int) -> int:
     """Decimal digits whose interval enclosures are tighter than one unit at `bits`."""
     return prec_to_dps(bits) + 2
@@ -296,6 +306,27 @@ def fixed_maclaurin(p: int, q: int, n: int, bits: int, odd: bool = True):
         a_hi = -((-(a_hi * t2_hi) >> bits) // d)
         mags.append((a_lo, a_hi))
     return sums, mags
+
+
+def fixed_t_scaled(j: int, bits: int) -> tuple[int, int]:
+    """Enclosure of s_j = t_j (2j)! = sum_k (-z)^k binom(j+k, j) (2j)!/(2j+2k)!, z = pi^2/4.
+
+    The term ratio z/(2(k+1)(2j+2k+1)) is below 1 from k = 0, so the terms
+    decrease from the first: the sum stops at a term below one unit, and
+    the alternating tail from there lies between 0 and that term.
+    """
+    if j < 1:
+        raise ValueError("j must be >= 1")
+    _, _, z_lo, z_hi = _fixed_t(1, 2, bits)  # (pi/2)^2
+    a_lo = a_hi = 1 << bits
+    s_lo = s_hi = k = 0
+    while a_hi > 1:
+        s_lo, s_hi = (s_lo - a_hi, s_hi - a_lo) if k % 2 else (s_lo + a_lo, s_hi + a_hi)
+        d = 2 * (k + 1) * (2 * j + 2 * k + 1) << bits
+        a_lo, a_hi = a_lo * z_lo // d, -(-(a_hi * z_hi) // d)
+        k += 1
+    # the tail from term k has term k's sign, (-1)^k
+    return (s_lo - a_hi, s_hi) if k % 2 else (s_lo, s_hi + a_hi)
 
 
 def fixed_sin_cos_pi(p: int, q: int, bits: int, cos: bool = False) -> tuple[int, int]:

@@ -2,9 +2,9 @@
 
 All real-valued computation in this package runs through mpmath at a
 working precision of ``requested digits + GUARD_DIGITS``.  The guard
-digits absorb rounding in series summation and coefficient products;
-routines that lose more than that (the three-term recurrences) add
-their own cancellation allowance on top.
+digits keep values accurate (the three-term recurrences add their own
+cancellation allowance on top); no certificate rests on them, since
+certificates come from the outward-rounded enclosures of `intervals`.
 
 mpmath's context precision is process-global, so precision-sensitive
 sections are serialized with a reentrant lock; results are pure

@@ -11,10 +11,11 @@ up to eight times the base; points still open there are counted as
 unresolved.  A grid report passes only if every margin's enclosure is
 positive, so no pass rests on rounding noise.
 
-The coefficient check runs in extended precision with a slack of
-10**-(digits-10); the Bessel and Taylor checks compare routes to a
-relative tolerance of 10**-digits.  They are evidence, not proofs.  The
-interval positivity prover establishes the worked inequality example by
+The coefficient check reads the same kernel's enclosures of
+t_j (2j)! (`fixed_t_scaled`) and reports their lower ends, with no
+slack.  The Bessel and Taylor checks compare routes to a relative
+tolerance of 10**-digits; they are evidence, not proofs.  The interval
+positivity prover establishes the worked inequality example by
 adaptive bisection with outward-rounded arithmetic and can return
 "inconclusive" but never a false positive.  `example_curve` samples that
 example on the fixed-point kernel and returns correctly rounded floats.
@@ -44,7 +45,6 @@ from .approx import (
 from .coeffs import (
     coeff_bessel,
     coeff_direct,
-    coeff_recurrence,
     coeff_symbolic,
     bessel_j_half_integer,
     general_series_direct,
@@ -60,6 +60,7 @@ from .intervals import (
     fixed_pi,
     fixed_ratio,
     fixed_sin_cos_pi,
+    fixed_t_scaled,
     fixed_y,
     interval_dps,
     pi_interval,
@@ -87,6 +88,7 @@ __all__ = [
 
 # endpoint-clustered sample count per side, on top of the uniform grid
 _CLUSTER = 32
+_EVIDENCE = "outward-rounded fixed-point enclosure"
 
 
 @dataclass(frozen=True)
@@ -119,10 +121,6 @@ def reports_to_json(reports) -> str:
         for r in reports
     ]
     return json.dumps(docs, indent=2, default=str)
-
-
-def _slack(digits: int) -> mpf:
-    return mpf(10) ** (-(digits - 10))
 
 
 def _grid(lo, hi, n: int, include_hi: bool = False) -> list[mpf]:
@@ -169,8 +167,8 @@ class _Worst:
         return fmt.format(*(mp.nstr(p, self.digits) if isinstance(p, mpf) else p
                             for p in parts))
 
-    def report(self, property_id: str, slack: mpf, metadata: dict) -> PropertyReport:
-        ok = self.margin is not None and self.margin > -slack
+    def report(self, property_id: str, metadata: dict) -> PropertyReport:
+        ok = self.margin is not None and self.margin > 0
         return PropertyReport(
             property_id=property_id,
             status="pass" if ok else "fail",
@@ -182,36 +180,31 @@ class _Worst:
 def check_coefficient_bounds(j_max: int, digits: int = DEFAULT_DIGITS) -> PropertyReport:
     """0 < t_j < 1/(2j)! and the two-term bracket 1 - pi^2/(8(2j+1)) < t_j (2j)! < 1.
 
-    Uses the table values with their certificates folded in, so the
-    checks hold for the exact coefficients, not just the stored ones.
+    The margins are the lower ends, rounded down, of outward enclosures of
+    s_j = t_j (2j)!, 1 - s_j and s_j - (1 - pi^2/(8(2j+1))); a pass needs
+    every one positive, so it holds for the exact coefficients.
     """
     require_digits(digits)
-    table = coeff_recurrence(j_max, digits)
+    bits = fixed_bits(digits)
+    one = 1 << bits
+    pi2_lo = fixed_pi(bits)[0] ** 2  # at 2 * bits fractional bits
     worst = _Worst()
-    with working(digits):
-        pi2 = mp.pi ** 2
-        for entry in table:
-            j = entry.j
-            v = entry.value.value
-            b = entry.trunc_bound.value
-            fact = mpf(math.factorial(2 * j))
-            lo_scaled = (v - b) * fact
-            hi_scaled = (v + b) * fact
-            bracket_lo = 1 - pi2 / (8 * (2 * j + 1))
-            worst.update(lo_scaled - 0, "j={} positivity", j)
-            worst.update(1 - hi_scaled, "j={} upper", j)
-            worst.update(lo_scaled - bracket_lo, "j={} bracket", j)
+    for j in range(1, j_max + 1):
+        s_lo, s_hi = fixed_t_scaled(j, bits)
+        bracket_hi = one - pi2_lo // (8 * (2 * j + 1) << bits)
+        for margin, what in ((s_lo, "positivity"), (one - s_hi, "upper"),
+                             (s_lo - bracket_hi, "bracket")):
+            # rounding the nearest quotient down one step gives a lower bound
+            worst.update(math.nextafter(margin / one, -math.inf), "j={} " + what, j)
     return worst.report(
         "coeff_bounds",
-        _slack(digits),
-        {"j_max": j_max, "digits": digits, "evidence": "extended-precision sweep"},
+        {"j_max": j_max, "digits": digits, "evidence": _EVIDENCE, "base_bits": bits},
     )
 
 
 # --- grid checks on fixed-point enclosures ---------------------------------
 
 _MAX_DOUBLINGS = 3  # escalation stops at fixed_bits(digits) * 2**3 bits
-_EVIDENCE = "outward-rounded fixed-point enclosure"
 
 
 @lru_cache(maxsize=32)
@@ -282,13 +275,9 @@ class _Sweep:
         self.worst.update(math.nextafter(rel[i], -math.inf), *labels[i], x)
 
     def report(self, property_id: str, metadata: dict) -> PropertyReport:
-        worst = self.worst
-        ok = worst.margin is not None and worst.margin > 0 and not self.unresolved
-        return PropertyReport(
-            property_id=property_id,
-            status="pass" if ok else "fail",
-            worst_case=(worst.where, worst.margin),
-            metadata={
+        report = self.worst.report(
+            property_id,
+            {
                 **metadata,
                 "digits": self.digits,
                 "evidence": _EVIDENCE,
@@ -299,6 +288,7 @@ class _Sweep:
                 "unresolved_points": self.unresolved,
             },
         )
+        return dataclasses.replace(report, status="fail") if self.unresolved else report
 
 
 def check_bracketing(
@@ -383,7 +373,6 @@ def check_bessel_identity(
                 worst.update(tol - rel, "j={} z={} general", j, str(z))
     return worst.report(
         "bessel_identity",
-        mpf(0),
         {"j_max": j_max, "z_values": list(z_values), "z_j_max": z_j_max,
          "digits": digits, "tolerance": f"1e-{digits} relative"},
     )
@@ -494,7 +483,6 @@ def check_taylor_exactness(m_max: int, digits: int = DEFAULT_DIGITS) -> Property
             worst.update(mpf(1) / 2 - abs(slope - (m + 1)), "m={} decay-order", m)
     return worst.report(
         "taylor_exactness",
-        mpf(0),
         {"m_max": m_max, "digits": digits, "decay_slopes_near_x1": slopes,
          "tolerance": f"1e-{digits} relative to max(1, |coefficient|)"},
     )

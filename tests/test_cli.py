@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,8 @@ from mpmath import mp, mpf
 import trigpoly
 import trigpoly.cli as cli
 from trigpoly.approx import COS_PI_X, maclaurin_eval
+from trigpoly.coeffs import coefficient_table
+from trigpoly.intervals import exact_ratio
 from trigpoly.verify import PositivityProof
 
 
@@ -31,6 +34,20 @@ def test_coeffs_csv_thirty_digits(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "j,t_j,trunc_bound"
     assert lines[1].startswith("1,0.318309886183790671537767526745,")
+
+
+@pytest.mark.parametrize("route", ["recurrence", "direct", "bessel"])
+@pytest.mark.parametrize("max_j,digits", [(12, 50), (200, 30)])
+def test_printed_bounds_cover_the_stored_ones(capsys, route, max_j, digits):
+    stored = coefficient_table(max_j, digits, route=route)
+    for fmt in ("csv", "table"):
+        assert run_cli("coeffs", "--max-j", str(max_j), "--digits", str(digits),
+                       "--route", route, "--format", fmt) == 0
+        lines = capsys.readouterr().out.splitlines()[1:]
+        for entry, line in zip(stored, lines, strict=True):
+            printed = line.split(",")[-1] if fmt == "csv" else line.split()[-1]
+            assert len(printed.split("e")[0].replace(".", "")) == 3
+            assert Fraction(printed) >= Fraction(*exact_ratio(entry.trunc_bound.value))
 
 
 def test_coeffs_table_format(capsys):
@@ -75,6 +92,13 @@ def test_eval_at_zero_exact(capsys):
     assert run_cli("eval", "--func", "sin", "--m", "3", "--x", "0") == 0
     out = capsys.readouterr().out
     assert "value=0.0" in out
+
+
+@pytest.mark.parametrize("func,x", [("cos", "0.5"), ("sin", "1")])
+def test_eval_exact_zero_reference(capsys, func, x):
+    assert run_cli("eval", "--func", func, "--m", "3", "--x", x) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[:3] == ["value=0.0", "reference=0.0", "error=0.0"]
 
 
 def test_bound_fields(capsys):
@@ -126,6 +150,12 @@ def test_compare_shape_and_zero_row(tmp_path, capsys):
     q_cols = [float(v) for v in mid[2:6]]
     assert q_cols == sorted(q_cols)  # monotone in m toward the reference
     assert all(q < float(mid[1]) for q in q_cols)
+
+
+def test_compare_exact_zero_references(capsys):
+    assert run_cli("compare", "--func", "cos", "--grid", "3", "--m-list", "2") == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert [(r[0], r[1]) for r in rows] == [("-0.5", "0.0"), ("0.0", "1.0"), ("0.5", "0.0")]
 
 
 def test_compare_cos_headers(capsys):

@@ -1,12 +1,15 @@
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
+import trigpoly.coeffs as coeffs
 from trigpoly.coeffs import (
+    CoefficientEntry,
     CoefficientTable,
     coeff_bessel,
     coeff_direct,
@@ -18,8 +21,10 @@ from trigpoly.coeffs import (
     general_series_direct,
     general_series_recurrence,
     series_terms,
+    t_enclosure,
 )
-from trigpoly.precision import IndexLimitError, PrecisionError, working
+from trigpoly.intervals import fixed_t_scaled
+from trigpoly.precision import ExtReal, IndexLimitError, PrecisionError, working
 
 # 1/pi to 50 significant digits
 INV_PI_50 = "0.31830988618379067153776752674502872406891929148091"
@@ -306,3 +311,80 @@ def test_coefficient_table_routes():
         table = coefficient_table(4, 50, route=route)
         assert [e.route for e in table] == [route] * 4
         assert all(e.trunc_bound.value < mpf(10) ** -50 * e.value.value for e in table)
+
+
+# --- the one enclosure and the one certificate rule ---------------------------
+
+ROUTES = ("recurrence", "direct", "bessel")
+SOUNDNESS_DIGITS = (30, 50, 100, 200)
+
+
+@lru_cache(maxsize=None)
+def besselj_reference(digits: int) -> tuple:
+    """t_0..t_200 = pi^(1-j)/(2 j!) J_{j-1/2}(pi/2) by mpmath's besselj, at 3x the digits."""
+    with mp.workdps(3 * digits):
+        return (mpf(0),) + tuple(
+            mp.pi ** (1 - j) / (2 * mp.factorial(j)) * mp.besselj(j - mpf(1) / 2, mp.pi / 2)
+            for j in range(1, 201)
+        )
+
+
+@pytest.mark.parametrize("digits", SOUNDNESS_DIGITS)
+def test_enclosures_contain_t_and_are_narrow(digits):
+    ref = besselj_reference(digits)
+    with mp.workdps(3 * digits):
+        for j in range(1, 201):
+            enc = t_enclosure(j, digits)
+            assert enc.lo <= ref[j] <= enc.hi, j
+            assert enc.width <= ref[j] * mpf(10) ** -(digits + 5), j
+
+
+@pytest.mark.parametrize("digits", SOUNDNESS_DIGITS)
+def test_every_route_certificate_covers_t(digits):
+    ref = besselj_reference(digits)
+    for route in ROUTES:
+        table = coefficient_table(200, digits, route=route)
+        with mp.workdps(3 * digits):
+            for entry in table:
+                err = abs(entry.value.value - ref[entry.j])
+                assert err <= entry.trunc_bound.value, (route, entry.j)
+
+
+def test_kernel_encloses_at_low_bits():
+    """At a few bits every rounding and the tail term are a large share of
+    the enclosure, so one rounded the wrong way shows up as a miss."""
+    ref = besselj_reference(30)
+    with mp.workdps(90):
+        for bits in range(4, 65):
+            for j in range(1, 41):
+                lo, hi = fixed_t_scaled(j, bits)
+                assert lo <= ref[j] * math.factorial(2 * j) * 2 ** bits <= hi, (j, bits)
+    with pytest.raises(ValueError):
+        fixed_t_scaled(0, 64)
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_nudged_route_value_is_refused(monkeypatch, route):
+    # t_3 moved by 10^-(digits-3) relative: its certificate can no longer
+    # stay below 10^-digits relative, and the table refuses it
+    certified = coeffs._certified
+
+    def nudged(j, v, enc, digits):
+        if j == 3:
+            with working(digits):
+                v = v * (1 + mpf(10) ** -(digits - 3))
+        return certified(j, v, enc, digits)
+
+    monkeypatch.setattr(coeffs, "_certified", nudged)
+    with pytest.raises(ValueError, match="coefficient 3 certificate"):
+        coefficient_table(5, 50, route=route)
+
+
+def test_table_refuses_a_bound_just_over_the_invariant():
+    good = coeff_recurrence(3, 50)
+    entry = good.entries[1]
+    with working(50):
+        over = entry.value.value * mpf(10) ** -50 * (1 + mpf(10) ** -10)
+    bad = CoefficientEntry(entry.j, entry.value, entry.route, ExtReal(over, 50))
+    with pytest.raises(ValueError, match="coefficient 2 certificate"):
+        CoefficientTable(entries=(good.entries[0], bad, good.entries[2]), precision_digits=50)

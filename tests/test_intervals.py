@@ -18,6 +18,7 @@ from trigpoly.intervals import (
     fixed_sin_cos_pi,
     fixed_y,
     interval_dps,
+    interval_from_fixed,
     pi_interval,
     poly_deriv,
     poly_eval,
@@ -212,3 +213,15 @@ def test_fixed_point_exact_inputs_stay_exact():
         fixed_sin_cos_pi(3, 4, bits, cos=True)
     with pytest.raises(ValueError):
         fixed_partial_sums([(-1, 1)], (0, 1), bits)
+
+
+def test_interval_from_fixed_rounds_each_end_outward():
+    bits = fixed_bits(30)
+    for enc, den in (((1, 1), 3), ((-5, 7), 7), ((2, 3), 3628800), ((10 ** 40, 10 ** 40 + 1), 11)):
+        got = interval_from_fixed(enc, bits, den)
+        lo, hi = Fraction(enc[0], den << bits), Fraction(enc[1], den << bits)
+        got_lo, got_hi = Fraction(*exact_ratio(got.lo)), Fraction(*exact_ratio(got.hi))
+        assert got_lo <= lo and hi <= got_hi
+        # each end moves by less than one unit in its last place
+        assert lo - got_lo < abs(lo) / 2 ** (bits - 1) and got_hi - hi < abs(hi) / 2 ** (bits - 1)
+    assert interval_from_fixed((3, 4), bits).lo == mpf(3) / 2 ** bits  # exact when den = 1

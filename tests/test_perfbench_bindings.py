@@ -1,14 +1,19 @@
-"""The benchmark's tracer still finds every function it wraps.
+"""The benchmark's tracer still finds every function it wraps, and its checks pass.
 
 perfbench/tracing.py names its targets as (module, dotted attribute)
 pairs; renaming or removing one of them would only surface as a crash of
-a traced benchmark run.  This test installs and removes the tracer.
+a traced benchmark run.  These tests install and remove the tracer, and
+run the coeff-tables workload's coefficient check on fresh tables, so a
+certificate regression fails here rather than as failed benchmark
+operations.
 """
 
 import sys
 from pathlib import Path
 
 import pytest
+
+from trigpoly.coeffs import coefficient_table
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -43,3 +48,22 @@ def test_uninstall_restores_every_binding(tracing):
     assert approx.maclaurin_eval_hp is not before[0]
     tracer.uninstall()
     assert (approx.maclaurin_eval_hp, verify.build_poly, approx.error_bound) == before
+
+
+@pytest.fixture
+def checks(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import checks
+
+    yield checks
+    sys.modules.pop("checks", None)
+
+
+@pytest.mark.parametrize("digits", [30, 100])
+@pytest.mark.parametrize("route", ["recurrence", "direct", "bessel"])
+def test_tables_pass_the_benchmark_coefficient_check(checks, route, digits):
+    """coeff-tables' check on the stored certificates, without the CLI check's print slack."""
+    ref = checks.t_reference(60, 3 * digits)
+    for entry in coefficient_table(60, digits, route=route):
+        checks.check_t_value(entry.j, entry.value.value, entry.trunc_bound.value, digits,
+                             ref[entry.j], f"{route} table J=60 digits={digits}")

@@ -1,6 +1,5 @@
 import json
 import math
-from dataclasses import replace
 
 import pytest
 from mpmath import mp, mpf
@@ -9,13 +8,12 @@ from mpmath.libmp import repr_dps
 import trigpoly.verify as verify
 from trigpoly.approx import COS_PI_X, DOMAINS, SIN_PI_X, build_poly, maclaurin_eval
 from trigpoly.coeffs import (
-    CoefficientTable,
     SymbolicCoefficient,
     coeff_recurrence,
     coeff_symbolic,
 )
 from trigpoly.intervals import IntervalValue, fixed_bits, interval_dps, poly_eval
-from trigpoly.precision import ExtReal, working
+from trigpoly.precision import working
 from trigpoly.verify import (
     PropertyReport,
     check_bessel_identity,
@@ -38,6 +36,8 @@ def test_coefficient_bounds_pass_small():
     report = check_coefficient_bounds(5, 50)
     assert report.passed
     assert report.metadata["j_max"] == 5
+    assert report.metadata["evidence"] == "outward-rounded fixed-point enclosure"
+    assert report.metadata["base_bits"] == fixed_bits(50)
 
 
 def test_coefficient_bounds_worked_arithmetic():
@@ -59,15 +59,44 @@ def test_coefficient_bounds_full_hundred():
 
 
 def test_corrupted_coefficient_is_reported(monkeypatch):
-    good = coeff_recurrence(5, 50)
-    bad_value = ExtReal.from_value(mpf(0.5) / math.factorial(6), 50)
-    entries = list(good.entries)
-    entries[2] = replace(entries[2], value=bad_value)
-    corrupted = CoefficientTable(entries=tuple(entries), precision_digits=50)
-    monkeypatch.setattr(verify, "coeff_recurrence", lambda j, d: corrupted)
+    # t_3 * 6! enclosed near 1/2, below the bracket's lower end 1 - pi^2/56
+    original = verify.fixed_t_scaled
+
+    def corrupted(j, bits):
+        return (1 << bits - 1, (1 << bits - 1) + 1) if j == 3 else original(j, bits)
+
+    monkeypatch.setattr(verify, "fixed_t_scaled", corrupted)
     report = check_coefficient_bounds(5, 50)
     assert not report.passed
-    assert "j=3" in report.worst_case[0]
+    assert report.worst_case[0] == "j=3 bracket"
+
+
+def test_coefficient_bounds_have_no_slack(monkeypatch):
+    # an enclosure that touches 1 leaves the upper margin's lower end at 0: a failure
+    original = verify.fixed_t_scaled
+
+    def touching(j, bits):
+        lo, _ = original(j, bits)
+        return (lo, 1 << bits) if j == 2 else original(j, bits)
+
+    monkeypatch.setattr(verify, "fixed_t_scaled", touching)
+    report = check_coefficient_bounds(5, 50)
+    assert not report.passed
+    assert report.worst_case == ("j=2 upper", -5e-324)
+
+
+def test_coefficient_bounds_fail_at_the_bracket(monkeypatch):
+    # a lower end at the bracket 1 - pi^2/(8(2j+1)), rounded down, leaves the
+    # bracket margin's lower end at or below 0 for every j
+    original, bits = verify.fixed_t_scaled, fixed_bits(30)
+    with mp.workdps(200):
+        at_bracket = [int(mp.floor((1 - mp.pi ** 2 / (8 * (2 * j + 1))) * 2 ** bits))
+                      for j in range(31)]
+    for j in range(1, 31):
+        monkeypatch.setattr(verify, "fixed_t_scaled", lambda i, b, j=j: (
+            (at_bracket[j], original(i, b)[1]) if i == j else original(i, b)))
+        report = check_coefficient_bounds(j, 30)
+        assert not report.passed and report.worst_case[0] == f"j={j} bracket", j
 
 
 # --- bracketing -----------------------------------------------------------------
@@ -380,7 +409,7 @@ def test_worst_keeps_the_first_of_equal_margins():
     worst.update(mpf(1), "j={} x={} b", 2, mpf(1) / 3)
     worst.update(mpf(1), "j={} c", 3)
     assert worst.where == "j=2 x=0.3333333333 b"
-    report = worst.report("demo", mpf(0), {})
+    report = worst.report("demo", {})
     assert report.worst_case == ("j=2 x=0.3333333333 b", 1.0)
 
 
