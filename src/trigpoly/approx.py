@@ -22,8 +22,10 @@ from functools import lru_cache
 from typing import Literal
 
 from mpmath import mp, mpf
+from mpmath.libmp import mpf_mul, mpf_shift, round_ceiling, round_floor
 
 from .coeffs import coefficient_table
+from .intervals import exact_ratio, fixed_bits, interval_dps, pi_interval, positive_double, y_ratio
 from .precision import (
     DEFAULT_DIGITS,
     DEFAULT_INDEX_LIMIT,
@@ -93,19 +95,22 @@ class ApproxPolynomial:
     hp_coeffs: tuple[mpf, ...]
     precision_digits: int = DEFAULT_DIGITS
 
+    def __post_init__(self):
+        # eval's set-up, done once: the Horner order and the y-map
+        object.__setattr__(self, "_horner", self.y_coeffs[::-1])
+        object.__setattr__(self, "_cos", self.func == COS_PI_X)
+
     def y_of(self, x: float) -> float:
-        if self.func == COS_PI_X:
-            return 0.25 - x * x
-        return x * (1.0 - x)
+        return 0.25 - x * x if self._cos else x * (1.0 - x)
 
     def y_of_hp(self, x) -> mpf:
         return _y_hp(self.func, x)
 
     def eval(self, x: float) -> float:
         """Machine-precision Horner evaluation in y."""
-        y = self.y_of(x)
+        y = 0.25 - x * x if self._cos else x * (1.0 - x)
         acc = 0.0
-        for c in reversed(self.y_coeffs):
+        for c in self._horner:
             acc = acc * y + c
         return acc * y
 
@@ -148,7 +153,10 @@ class ErrorCertificate:
     bound = leading_term / (1 - q_m) with
     leading_term = pi^(2m+2) y^(m+1) / (2m+2)! and
     q_m = (pi^2/4) / ((2m+4)(2m+3)); valid for x inside `domain`, where
-    0 < reference - approximant < bound.
+    0 < reference - approximant < bound.  bound_hp is an upper bound on
+    the exact value, within 10^-digits of it, and bound is the least
+    double >= bound_hp; leading_term, q_m and tail_factor are the doubles
+    nearest to their exact values.
     """
 
     func: FuncTag
@@ -161,36 +169,82 @@ class ErrorCertificate:
     bound_hp: mpf = field(repr=False, compare=False, default=None)
 
 
-@lru_cache(maxsize=1024)
-def _bound_constants(m: int, prec: int) -> tuple[mpf, mpf, mpf, mpf]:
-    """pi^(2m+2), (2m+2)!, q_m and 1 - q_m, rounded at binary precision `prec`.
+@dataclass(frozen=True)
+class _TailConstants:
+    """The parts of the bound that do not depend on x, at degree m and `digits`.
 
-    They do not depend on x, so `error_bound` computes them once per
-    (m, precision); the precision is part of the key because every value
-    is rounded to it.
+    `lead` and `k` are outward-rounded enclosures, as raw mpf (lo, hi)
+    pairs, of L_m = pi^(2m+2)/(2m+2)! and K_m = L_m/(1 - q_m); `prec` is
+    their working precision in bits.  q_m and tail_factor = 1/(1 - q_m)
+    are the doubles nearest to the exact values.
     """
-    with mp.workprec(prec):
-        q = (mp.pi ** 2 / 4) / ((2 * m + 4) * (2 * m + 3))
-        return mp.pi ** (2 * m + 2), mpf(math.factorial(2 * m + 2)), q, 1 - q
+
+    prec: int
+    lead: tuple
+    k: tuple
+    q_m: float
+    tail_factor: float
 
 
-def _bound_parts(m: int, y) -> tuple[mpf, mpf, mpf]:
-    pi_pow, fact, q, one_minus_q = _bound_constants(m, mp.prec)
-    lead = pi_pow * y ** (m + 1) / fact
-    return lead, q, lead / one_minus_q
+def _nearest(lo, hi) -> float | None:
+    """The double nearest to every value in [lo, hi], or None if the ends round apart."""
+    a = positive_double(lo)
+    return a if a == positive_double(hi) else None
 
 
-def _round_up(x_hp: mpf) -> float:
-    out = float(x_hp)
-    if mpf(out) < x_hp:
-        out = math.nextafter(out, math.inf)
-    return out
+@lru_cache(maxsize=1024)
+def _tail_constants(m: int, digits: int) -> _TailConstants:
+    """One enclosure of L_m and K_m per (m, digits), from `pi_interval`.
+
+    Where the enclosure of q_m or 1/(1 - q_m) straddles a rounding
+    boundary of the doubles, its double comes from twice the digits.
+    """
+    with interval_dps(digits):
+        pi2 = pi_interval(digits) ** 2
+        q = pi2 / (4 * (2 * m + 4) * (2 * m + 3))
+        lead = pi2 ** (m + 1) / math.factorial(2 * m + 2)
+        k = lead / (1 - q)
+        tail = 1 / (1 - q)
+    lead, k, q, tail = ((v.lo._mpf_, v.hi._mpf_) for v in (lead, k, q, tail))
+    floats = _nearest(*q), _nearest(*tail)
+    if None in floats:
+        finer = _tail_constants(m, 2 * digits)
+        floats = finer.q_m, finer.tail_factor
+    return _TailConstants(fixed_bits(digits), lead, k, *floats)
+
+
+def _y_power(func: str, x, n: int) -> tuple:
+    """y(x)^n exactly, as a raw mpf: a binary x makes y a dyadic rational a/2^e."""
+    p, q = x.as_integer_ratio() if isinstance(x, (int, float)) else exact_ratio(x)
+    num, den = y_ratio(p, q, func == COS_PI_X)
+    if den & (den - 1):
+        raise TypeError(f"x must be a binary floating-point number, got {x!r}")
+    tz = (num & -num).bit_length() - 1  # an odd mantissa keeps the raw mpf normalized
+    man = (num >> tz) ** n
+    return 0, man, (tz - den.bit_length() + 1) * n, man.bit_length()
+
+
+def _leading_term(m: int, digits: int, ypow: tuple) -> float:
+    """The double nearest to L_m y^(m+1), from the enclosure of L_m (refined if it straddles)."""
+    while True:
+        c = _tail_constants(m, digits)
+        lo, hi = c.lead
+        out = _nearest(mpf_mul(lo, ypow, c.prec, round_floor),
+                       mpf_mul(hi, ypow, c.prec, round_ceiling))
+        if out is not None:
+            return out
+        digits *= 2
 
 
 def error_bound(
     func: FuncTag, m: int, x: float, digits: int = DEFAULT_DIGITS
 ) -> ErrorCertificate:
-    """Certified truncation bound at x; x must lie in the open canonical domain."""
+    """Certified truncation bound at x; x must lie in the open canonical domain.
+
+    y^(m+1) is exact in integers, so the one rounding in `bound_hp` is
+    the product with the upper end of K_m, rounded up at the working
+    precision; `bound` is the least double >= bound_hp.
+    """
     _check_func(func)
     require_digits(digits)
     if m < 1:
@@ -198,25 +252,27 @@ def error_bound(
     lo, hi = DOMAINS[func]
     if not (lo < x < hi):
         raise DomainError(f"{func} bound only asserted on ({lo}, {hi}); got x={x}")
-    with working(digits):
-        lead, q, bound = _bound_parts(m, _y_hp(func, x))
-        return ErrorCertificate(
-            func=func,
-            m=m,
-            leading_term=float(lead),
-            q_m=float(q),
-            tail_factor=float(1 / (1 - q)),
-            bound=_round_up(bound),
-            domain=(lo, hi),
-            bound_hp=+bound,
-        )
+    c = _tail_constants(m, digits)
+    ypow = _y_power(func, x, m + 1)
+    bound = mpf_mul(c.k[1], ypow, c.prec, round_ceiling)
+    return ErrorCertificate(
+        func=func,
+        m=m,
+        leading_term=_leading_term(m, digits, ypow),
+        q_m=c.q_m,
+        tail_factor=c.tail_factor,
+        bound=positive_double(bound, up=True),
+        domain=(lo, hi),
+        bound_hp=mp.make_mpf(bound),
+    )
 
 
 def bound_sup(m: int, digits: int = DEFAULT_DIGITS) -> mpf:
-    """Supremum of the certified bound over the domain (attained at y = 1/4)."""
-    with working(digits):
-        _, _, bound = _bound_parts(m, mpf(1) / 4)
-        return +bound
+    """Supremum of the certified bound over the domain: the upper end of K_m times (1/4)^(m+1).
+
+    It is attained at y = 1/4, where it equals `error_bound`'s bound_hp.
+    """
+    return mp.make_mpf(mpf_shift(_tail_constants(m, digits).k[1], -2 * (m + 1)))
 
 
 def select_degree(

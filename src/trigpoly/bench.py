@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from mpmath import mp, mpf
 
 from .approx import DOMAINS, SIN_PI_X, build_poly, bound_sup, maclaurin_eval, maclaurin_eval_hp
+from .intervals import positive_double
 from .precision import DEFAULT_DIGITS, working
 
 __all__ = ["BenchConfig", "BenchRow", "run_bench", "rows_to_csv"]
@@ -85,6 +86,11 @@ def _time_per_eval(fn, xs, repetitions: int) -> float:
     return statistics.median(times) / (batches * len(xs))
 
 
+def _certified_bound(m: int, digits: int = DEFAULT_DIGITS) -> float:
+    """The least double >= the upper end of the enclosure of the bound's supremum."""
+    return positive_double(bound_sup(m, digits)._mpf_, up=True)
+
+
 def run_bench(cfg: BenchConfig) -> list[BenchRow]:
     """One row per method: approximants for each m, matched Maclaurin sums, native sin."""
     n = cfg.grid_size
@@ -100,7 +106,6 @@ def run_bench(cfg: BenchConfig) -> list[BenchRow]:
         with working(digits):
             errs = [abs(poly.eval_hp(x) - r) for x, r in zip(xs, refs)]
             max_err, mean_err = max(errs), sum(errs) / len(errs)
-            certified = float(bound_sup(m, digits))
         rows.append(
             BenchRow(
                 method="Q_m",
@@ -108,7 +113,7 @@ def run_bench(cfg: BenchConfig) -> list[BenchRow]:
                 ns_per_eval=_time_per_eval(poly.eval, xs, cfg.repetitions),
                 max_abs_err=float(max_err),
                 mean_abs_err=float(mean_err),
-                certified_bound=certified,
+                certified_bound=_certified_bound(m, digits),
             )
         )
 

@@ -14,13 +14,14 @@ precision.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
 
 from mpmath import iv, mp, mpf
-from mpmath.libmp import (dps_to_prec, from_int, from_man_exp, mpf_div, mpf_sub, prec_to_dps,
-                          round_ceiling, round_floor)
+from mpmath.libmp import (dps_to_prec, from_int, from_man_exp, mpf_add, mpf_div, mpf_shift,
+                          mpf_sub, prec_to_dps, round_ceiling, round_floor)
 
 from .precision import DEFAULT_DIGITS, GUARD_DIGITS, PRECISION_LOCK
 
@@ -79,8 +80,8 @@ class IntervalValue:
 
     @property
     def mid(self) -> mpf:
-        with PRECISION_LOCK, mp.workdps(iv.dps + 10):
-            return (self.lo + self.hi) / 2
+        a, b = self._iv._mpi_
+        return mp.make_mpf(mpf_shift(mpf_add(a, b), -1))  # exact: no rounding
 
     @property
     def width(self) -> mpf:
@@ -211,6 +212,27 @@ def _scaled(v: mpf, bits: int, up: bool) -> int:
     return -((-man) >> -shift) if up else man >> -shift
 
 
+def positive_double(v, up: bool = False) -> float:
+    """The raw mpf v > 0 rounded once to a double: to nearest (ties to even), or up.
+
+    Below the normal range the last bit kept is 2**-1074, so subnormal
+    results are rounded once and exactly too (mpmath's `to_float` rounds
+    to 53 bits first there).
+    """
+    _, man, exp, bc = v
+    lsb = max(exp + bc - 53, -1074)
+    r = lsb - exp
+    if r <= 0:
+        return math.ldexp(man, exp)
+    n, rem = man >> r, man & ((1 << r) - 1)
+    if up:
+        n += rem > 0
+    else:
+        half = 1 << (r - 1)
+        n += rem > half or (rem == half and n & 1)
+    return math.ldexp(n, lsb)
+
+
 def fixed_from_interval(enc: IntervalValue, bits: int) -> tuple[int, int]:
     """The fixed-point enclosure of an IntervalValue, rounded outward."""
     return _scaled(enc.lo, bits, False), _scaled(enc.hi, bits, True)
@@ -240,14 +262,20 @@ def fixed_ratio(num: int, den: int, bits: int) -> tuple[int, int]:
     return (num << bits) // den, -((-num << bits) // den)
 
 
-def fixed_y(p: int, q: int, bits: int, cos: bool) -> tuple[int, int]:
-    """The shifted variable at x = p/q: 1/4 - x^2 (cos) or x(1 - x) (sin).
+def y_ratio(p: int, q: int, cos: bool) -> tuple[int, int]:
+    """The shifted variable at x = p/q as an exact ratio (num, den), den > 0.
 
-    y is formed exactly as a rational and rounded once.
+    y = 1/4 - x^2 = (q^2 - 4p^2)/(4q^2) (cos) or x(1 - x) = p(q - p)/q^2
+    (sin); den is a power of two whenever q is.
     """
     if cos:
-        return fixed_ratio(q * q - 4 * p * p, 4 * q * q, bits)
-    return fixed_ratio(p * (q - p), q * q, bits)
+        return q * q - 4 * p * p, 4 * q * q
+    return p * (q - p), q * q
+
+
+def fixed_y(p: int, q: int, bits: int, cos: bool) -> tuple[int, int]:
+    """The shifted variable at x = p/q, formed exactly and rounded once."""
+    return fixed_ratio(*y_ratio(p, q, cos), bits)
 
 
 def fixed_partial_sums(coeffs, y, bits: int):

@@ -1,4 +1,7 @@
 import math
+import struct
+import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -320,28 +323,142 @@ def test_error_bound_cache_is_per_precision():
              for digits in (50, 80)]
     fresh = {}
     for case in cases:
-        approx._bound_constants.cache_clear()
+        approx._tail_constants.cache_clear()
         fresh[case] = _certificate_bits(error_bound(*case))
-    approx._bound_constants.cache_clear()
+    approx._tail_constants.cache_clear()
     for _ in range(2):  # interleave the precisions on a warm cache
         for case in cases:
             assert _certificate_bits(error_bound(*case)) == fresh[case]
 
 
+def _fraction(v) -> Fraction:
+    sign, man, exp, _ = v._mpf_
+    return (-1) ** sign * Fraction(man) * Fraction(2) ** exp
+
+
+def _least_double_at_least(f: Fraction) -> float:
+    d = float(f)  # int / int: correctly rounded, subnormals included
+    return d if Fraction(d) >= f else math.nextafter(d, math.inf)
+
+
+def _exact_y(func, x) -> Fraction:
+    xf = Fraction(x)
+    return Fraction(1, 4) - xf * xf if func == COS_PI_X else xf * (1 - xf)
+
+
+def _closed_form(m, y: Fraction, dps):
+    """(lead, q_m, 1/(1 - q_m), bound) by mpmath at dps digits, as Fractions."""
+    with mp.workdps(dps):
+        q = (mp.pi ** 2 / 4) / ((2 * m + 4) * (2 * m + 3))
+        lead = mp.pi ** (2 * m + 2) / mp.factorial(2 * m + 2) * (
+            mpf(y.numerator) / y.denominator) ** (m + 1)
+        return tuple(_fraction(v) for v in (lead, q, 1 / (1 - q), lead / (1 - q)))
+
+
 def test_error_bound_matches_uncached_formula():
+    """The closed form at 3x the digits: bound_hp above it within 10^-digits, floats exact."""
     for func, x in ((COS_PI_X, -0.45), (SIN_PI_X, 0.125)):
         for m in (2, 7):
             for digits in (50, 80):
                 cert = error_bound(func, m, x, digits)
-                with working(digits):
-                    xv = mpf(x)
-                    y = mpf(1) / 4 - xv * xv if func == COS_PI_X else xv * (1 - xv)
-                    lead = mp.pi ** (2 * m + 2) * y ** (m + 1) / mpf(math.factorial(2 * m + 2))
-                    q = (mp.pi ** 2 / 4) / ((2 * m + 4) * (2 * m + 3))
-                    bound = lead / (1 - q)
-                assert cert.bound_hp._mpf_ == bound._mpf_
+                lead, q, tail, bound = _closed_form(m, _exact_y(func, x), 3 * digits)
+                hp = _fraction(cert.bound_hp)
+                assert bound <= hp <= bound * (1 + Fraction(1, 10 ** digits))
                 assert cert.leading_term == float(lead)
                 assert cert.q_m == float(q)
+                assert cert.tail_factor == float(tail)
+                assert cert.bound == _least_double_at_least(bound)
+
+
+_SOUNDNESS_M = tuple(range(1, 15)) + (40, 100, 200)
+
+
+def _subnormal_points(m):
+    """sin points whose bound lands in the subnormal range (x ~ y for small y), if any."""
+    with mp.workdps(60):
+        k = mp.pi ** (2 * m + 2) / mp.factorial(2 * m + 2)
+        xs = [float((mpf(t) / k) ** (mpf(1) / (m + 1))) for t in ("1e-310", "3e-318", "1e-322")]
+    return [x for x in xs if x < 0.25]
+
+
+def _soundness_points(func, m):
+    lo, hi = approx.DOMAINS[func]
+    xs = [lo + (hi - lo) * i / 16 for i in range(1, 16)]
+    xs += [math.nextafter(lo, hi), math.nextafter(hi, lo), lo + (hi - lo) * 1e-9,
+           hi - (hi - lo) * 1e-9, lo + (hi - lo) / 3]
+    if func == SIN_PI_X:
+        xs += _subnormal_points(m)
+    return [x for x in xs if lo < x < hi]
+
+
+@pytest.mark.parametrize("digits", [30, 50])
+@pytest.mark.parametrize("func", [COS_PI_X, SIN_PI_X])
+def test_error_bound_is_outward_rounded(func, digits):
+    """exact <= bound_hp <= exact (1 + 10^-digits); bound the least double >= exact; floats nearest."""
+    for m in _SOUNDNESS_M:
+        for x in _soundness_points(func, m):
+            cert = error_bound(func, m, x, digits)
+            lead, q, tail, bound = _closed_form(m, _exact_y(func, x), 3 * digits)
+            where = (func, m, x)
+            hp = _fraction(cert.bound_hp)
+            assert bound <= hp <= bound * (1 + Fraction(1, 10 ** digits)), where
+            assert cert.bound == _least_double_at_least(bound), where
+            assert cert.leading_term == float(lead), where
+            assert (cert.q_m, cert.tail_factor) == (float(q), float(tail)), where
+
+
+def test_error_bound_reaches_the_subnormal_range():
+    bounds = [error_bound(SIN_PI_X, m, x).bound for m in (5, 14, 40) for x in _subnormal_points(m)]
+    assert len(bounds) == 9 and all(0 < b < sys.float_info.min for b in bounds)
+    assert max(bounds) > 1e-311
+    assert error_bound(SIN_PI_X, 200, math.nextafter(0.0, 1.0)).bound == 5e-324
+
+
+def test_bound_hp_is_the_upper_end_times_y_power_rounded_up():
+    """bound_hp = ceil(upper end of K_m * y^(m+1)) at the working precision, exactly."""
+    for func, x in ((COS_PI_X, -0.3), (COS_PI_X, 0.0), (SIN_PI_X, 0.61), (SIN_PI_X, 1e-5)):
+        for m in (1, 5, 13, 40):
+            c = approx._tail_constants(m, 50)
+            k_lo, k_hi = (_fraction(mp.make_mpf(v)) for v in c.k)
+            product = k_hi * _exact_y(func, x) ** (m + 1)
+            hp = error_bound(func, m, x, 50).bound_hp
+            assert product <= _fraction(hp) < product * (1 + Fraction(2) ** (1 - c.prec))
+            assert hp.man.bit_length() <= c.prec
+            assert k_lo < k_hi
+    for m in (1, 7, 30):
+        k_hi = _fraction(mp.make_mpf(approx._tail_constants(m, 50).k[1]))
+        assert _fraction(bound_sup(m, 50)) == k_hi / 4 ** (m + 1)
+        assert bound_sup(m, 50) == error_bound(COS_PI_X, m, 0.0, 50).bound_hp
+
+
+def test_error_bound_rejects_a_non_binary_x():
+    with pytest.raises(TypeError):
+        error_bound(SIN_PI_X, 3, Fraction(1, 3))
+    assert error_bound(SIN_PI_X, 3, mpf(0.375)) == error_bound(SIN_PI_X, 3, 0.375)
+
+
+# --- float eval keeps its operations ------------------------------------------
+
+def _eval_reference(poly, x):
+    y = 0.25 - x * x if poly.func == COS_PI_X else x * (1.0 - x)
+    acc = 0.0
+    for c in reversed(poly.y_coeffs):
+        acc = acc * y + c
+    return acc * y
+
+
+def test_float_eval_is_bit_identical_to_the_reversed_loop():
+    pts = [-0.5, 0.5, 0.0, -0.0, 1.0, 0.25, -0.3, 0.7, 1e-300, 5e-324,
+           math.nextafter(-0.5, 0), math.nextafter(0.5, 0), math.nextafter(0.0, 1),
+           math.nextafter(1.0, 0), 1.25, -3.0, 2.0, 1e10, -1e200, 1e300,
+           math.inf, -math.inf, math.nan]
+    for func in (COS_PI_X, SIN_PI_X):
+        for m in range(1, 15):
+            poly = build_poly(func, m, 50)
+            for x in pts:
+                got, want = poly.eval(x), _eval_reference(poly, x)
+                assert struct.pack("<d", got) == struct.pack("<d", want), (func, m, x)
+                assert struct.pack("<d", poly(x)) == struct.pack("<d", want)
 
 
 def test_mpf_horner_keeps_the_loop_order():

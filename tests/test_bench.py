@@ -1,8 +1,10 @@
 import math
+from fractions import Fraction
 
 import pytest
+from mpmath import mp
 
-from trigpoly.bench import CSV_HEADER, BenchConfig, BenchRow, rows_to_csv, run_bench
+from trigpoly.bench import CSV_HEADER, BenchConfig, BenchRow, _certified_bound, rows_to_csv, run_bench
 
 
 @pytest.fixture(scope="module")
@@ -79,3 +81,22 @@ def test_error_columns_are_deterministic():
 def test_row_is_plain_record():
     row = BenchRow(method="Q_m", m=2, ns_per_eval=1.0, max_abs_err=0.0, mean_abs_err=0.0)
     assert row.certified_bound is None
+
+
+def _least_double_above_sup(m: int, dps: int) -> float:
+    """The least double >= pi^(2m+2) (1/4)^(m+1) / ((2m+2)! (1 - q_m)), from mpmath at dps digits."""
+    with mp.workdps(dps):
+        q = (mp.pi ** 2 / 4) / ((2 * m + 4) * (2 * m + 3))
+        sup = mp.pi ** (2 * m + 2) / mp.factorial(2 * m + 2) / 4 ** (m + 1) / (1 - q)
+    _, man, exp, _ = sup._mpf_
+    exact = Fraction(man) * Fraction(2) ** exp
+    d = float(exact)
+    return d if Fraction(d) >= exact else math.nextafter(d, math.inf)
+
+
+def test_certified_bound_is_the_supremum_rounded_up(rows):
+    q_rows = [r for r in rows if r.method == "Q_m"]
+    for row in q_rows:
+        assert row.certified_bound == _least_double_above_sup(row.m, 150)
+    for m in range(1, 41):
+        assert _certified_bound(m, 50) == _least_double_above_sup(m, 150), m

@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from trigpoly.coeffs import coeff_symbolic
+from trigpoly.coeffs import coeff_symbolic, t_enclosure
 from trigpoly.intervals import (
     IntervalValue,
     exact_ratio,
@@ -24,6 +26,8 @@ from trigpoly.intervals import (
     poly_eval,
     poly_eval_centered,
     poly_mul,
+    positive_double,
+    y_ratio,
 )
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
@@ -225,3 +229,53 @@ def test_interval_from_fixed_rounds_each_end_outward():
         # each end moves by less than one unit in its last place
         assert lo - got_lo < abs(lo) / 2 ** (bits - 1) and got_hi - hi < abs(hi) / 2 ** (bits - 1)
     assert interval_from_fixed((3, 4), bits).lo == mpf(3) / 2 ** bits  # exact when den = 1
+
+
+def _fraction(v) -> Fraction:
+    return Fraction(*exact_ratio(v))
+
+
+def test_mid_is_exact_whatever_the_context_precision():
+    cases = [t_enclosure(1, 50), t_enclosure(7, 100), pi_interval(200)]
+    with interval_dps(40):
+        cases.append(IntervalValue(mpf(1) / 3, 1) * IntervalValue(Fraction(2, 7)))
+    cases.append(IntervalValue(mpf(2) ** -1000, 3))
+    for enc in cases:
+        outside = enc.mid
+        with interval_dps(50):
+            inside = enc.mid
+        assert outside._mpf_ == inside._mpf_
+        assert _fraction(outside) == (_fraction(enc.lo) + _fraction(enc.hi)) / 2
+    assert t_enclosure(1, 50).mid.man.bit_length() > 200  # not cut to the ambient 25 digits
+
+
+def _nearest_reference(f: Fraction) -> float:
+    return float(f)  # int / int rounds correctly, subnormals included
+
+
+def test_positive_double_rounds_once_to_nearest_or_up():
+    tiny = Fraction(1, 2 ** 1074)
+    cases = [Fraction(2 ** 53 + 1, 2 ** 53), Fraction(2 ** 53 + 3, 2 ** 53),  # ties to even
+             tiny / 2, tiny * 3 / 2, tiny * 5 / 2, tiny / 3, tiny * 2 ** 52 - tiny / 2,
+             Fraction(1, 3), Fraction(2 ** 60 - 1), Fraction(1, 10 ** 320), Fraction(1, 10 ** 330)]
+    rng = random.Random(8)
+    cases += [Fraction(rng.getrandbits(120) | 1, 2 ** rng.randrange(60, 1250)) for _ in range(400)]
+    for f in cases:
+        with mp.workprec(300):
+            v = (mpf(f.numerator) / f.denominator)._mpf_
+        f = _fraction(mp.make_mpf(v))
+        near, up = positive_double(v), positive_double(v, up=True)
+        assert near == _nearest_reference(f), f
+        assert Fraction(up) >= f and (up == 0 or Fraction(math.nextafter(up, 0)) < f), f
+    assert positive_double(mpf(0.1)._mpf_) == 0.1 == positive_double(mpf(0.1)._mpf_, up=True)
+    assert positive_double((0, 1, -1075, 1)) == 0.0
+    assert positive_double((0, 1, -1075, 1), up=True) == 5e-324
+
+
+def test_y_ratio_is_the_exact_shifted_variable():
+    for p, q in ((1, 4), (-3, 8), (0, 1), (5, 7)):
+        x = Fraction(p, q)
+        num, den = y_ratio(p, q, True)
+        assert Fraction(num, den) == Fraction(1, 4) - x * x
+        num, den = y_ratio(p, q, False)
+        assert Fraction(num, den) == x * (1 - x)

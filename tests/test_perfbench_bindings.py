@@ -3,16 +3,19 @@
 perfbench/tracing.py names its targets as (module, dotted attribute)
 pairs; renaming or removing one of them would only surface as a crash of
 a traced benchmark run.  These tests install and remove the tracer, and
-run the coeff-tables workload's coefficient check on fresh tables, so a
-certificate regression fails here rather than as failed benchmark
-operations.
+run the coeff-tables and eval-stream workloads' certificate checks on
+fresh results, so a certificate regression fails here rather than as
+failed benchmark operations.
 """
 
+import random
 import sys
 from pathlib import Path
 
 import pytest
+from mpmath import mp, mpf
 
+from trigpoly.approx import DOMAINS, error_bound
 from trigpoly.coeffs import coefficient_table
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -67,3 +70,19 @@ def test_tables_pass_the_benchmark_coefficient_check(checks, route, digits):
     for entry in coefficient_table(60, digits, route=route):
         checks.check_t_value(entry.j, entry.value.value, entry.trunc_bound.value, digits,
                              ref[entry.j], f"{route} table J=60 digits={digits}")
+
+
+@pytest.mark.parametrize("func", sorted(DOMAINS))
+def test_error_bounds_pass_the_benchmark_certificate_check(checks, func):
+    """eval-stream's check of error_bound on 14 approximants x 16 seeded points."""
+    rng = random.Random(f"bindings/{func}")
+    lo, hi = DOMAINS[func]
+    points = [lo + (hi - lo) * rng.random() for _ in range(16)]
+    for m in range(1, 15):
+        for x in points:
+            cert = error_bound(func, m, x)
+            exact = checks.closed_bound(m, checks.exact_y(func, x), dps=80)[2]
+            where = f"{func} m={m} x={x!r}"
+            assert exact <= cert.bound <= exact * (1 + 4 * checks.U), where
+            with mp.workdps(90):
+                assert abs(cert.bound_hp - exact) <= exact * mpf(10) ** -40, where
