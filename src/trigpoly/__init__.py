@@ -26,7 +26,6 @@ from .approx import (
 from .bench import BenchConfig, BenchRow, run_bench
 from .coeffs import (
     CoefficientTable,
-    SeriesTerm,
     SymbolicCoefficient,
     coeff_bessel,
     coeff_direct,
@@ -36,7 +35,6 @@ from .coeffs import (
     gamma_half,
     general_series_direct,
     general_series_recurrence,
-    series_terms,
 )
 from .intervals import IntervalValue, pi_interval
 from .precision import (

@@ -30,6 +30,7 @@ from .precision import (
     DEFAULT_DIGITS,
     DEFAULT_INDEX_LIMIT,
     IndexLimitError,
+    alternating_series,
     horner,
     require_digits,
     to_mpf,
@@ -48,7 +49,6 @@ __all__ = [
     "error_bound",
     "maclaurin_eval",
     "maclaurin_eval_hp",
-    "maclaurin_partial_sums_hp",
     "select_degree",
     "sin_taylor_coefficient",
     "sine_monomials",
@@ -99,9 +99,6 @@ class ApproxPolynomial:
         # eval's set-up, done once: the Horner order and the y-map
         object.__setattr__(self, "_horner", self.y_coeffs[::-1])
         object.__setattr__(self, "_cos", self.func == COS_PI_X)
-
-    def y_of(self, x: float) -> float:
-        return 0.25 - x * x if self._cos else x * (1.0 - x)
 
     def y_of_hp(self, x) -> mpf:
         return _y_hp(self.func, x)
@@ -317,30 +314,12 @@ def maclaurin_eval(m: int, x: float, func: FuncTag = SIN_PI_X) -> float:
 
 
 def maclaurin_eval_hp(m: int, x, digits: int = DEFAULT_DIGITS) -> mpf:
-    """S_m(x) in extended precision."""
+    """S_m(x), the m-term Maclaurin partial sum of sin(pi*x), in extended precision."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    return maclaurin_partial_sums_hp(m, x, digits)[-1]
-
-
-def maclaurin_partial_sums_hp(n: int, x, digits: int = DEFAULT_DIGITS) -> list[mpf]:
-    """[S_1(x), ..., S_n(x)] for sin(pi*x) in extended precision, in one pass.
-
-    Each S_m is the running sum after its m-th term, so it equals the
-    m-term sum computed on its own, bit for bit.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
     with working(digits):
         t = mp.pi * to_mpf(x)
-        term = t
-        acc = +t
-        sums = [acc]
-        for j in range(1, n):
-            term *= -t * t / ((2 * j) * (2 * j + 1))
-            acc += term
-            sums.append(acc)
-        return sums
+        return alternating_series(t, t * t, 2, 3, digits, n=m)
 
 
 def taylor_coeffs_at_zero(poly: ApproxPolynomial) -> list[mpf]:

@@ -18,7 +18,10 @@ Every route's certificate comes from that one enclosure by one rule:
 trunc_bound = max(hi - v, v - lo), rounded up, for the route's value v.
 
 The generalized series T_j(z) = sum_k (-z)^k binom(j+k,j)/(2j+2k)!
-recovers t_j at z = pi^2/4 and is exposed for cross-checks.
+recovers t_j at z = pi^2/4 and is exposed for cross-checks.  It and
+J_{j-1/2} are the same alternating series, each term the last times
+z/((2k+2)(2k+2j+1)) (z = x^2 for the Bessel function); both are summed
+by `precision.alternating_series`.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ from .precision import (
     DEFAULT_DIGITS,
     DEFAULT_INDEX_LIMIT,
     ExtReal,
+    alternating_series,
     horner,
     require_digits,
     require_index,
@@ -56,7 +60,6 @@ from .precision import (
 __all__ = [
     "CoefficientEntry",
     "CoefficientTable",
-    "SeriesTerm",
     "SymbolicCoefficient",
     "coeff_bessel",
     "coeff_direct",
@@ -68,20 +71,10 @@ __all__ = [
     "general_series_direct",
     "general_series_recurrence",
     "pi_interval",
-    "series_terms",
     "t_enclosure",
 ]
 
 Route = Literal["recurrence", "direct", "bessel"]
-
-
-@dataclass(frozen=True)
-class SeriesTerm:
-    """One alternating term a_{j,k} = (-pi^2/4)^k binom(j+k,j)/(2j+2k)!."""
-
-    j: int
-    k: int
-    a_jk: ExtReal
 
 
 @dataclass(frozen=True)
@@ -125,51 +118,6 @@ class CoefficientTable:
 
     def value(self, j: int) -> ExtReal:
         return self.entries[j - 1].value
-
-
-def series_terms(j: int, count: int, digits: int = DEFAULT_DIGITS) -> list[SeriesTerm]:
-    """The first `count` alternating terms of the series for t_j."""
-    require_digits(digits)
-    if j < 1 or count < 1:
-        raise ValueError("j and count must be >= 1")
-    out = []
-    with working(digits):
-        z = mp.pi ** 2 / 4
-        zpow = mpf(1)
-        for k in range(count):
-            mag = zpow * mpf(math.comb(j + k, j)) / mpf(math.factorial(2 * j + 2 * k))
-            sign = 1 if k % 2 == 0 else -1
-            out.append(SeriesTerm(j, k, ExtReal(sign * mag, digits)))
-            zpow *= z
-    return out
-
-
-def _alternating_sum(first_mag: mpf, ratio_at, digits: int) -> mpf:
-    """Value of an alternating series given |term_0| and k -> |t_{k+1}|/|t_k|.
-
-    Terms may grow while the ratio is >= 1; once it drops below 1 it
-    stays below 1 (the ratios here are decreasing in k).  Stops when the
-    next term is below 10**-(digits+5) relative to the running sum; a
-    tiny absolute floor keeps this terminating when the exact sum is zero
-    (e.g. the j=0 series at z = pi^2/4, which sums to cos(pi/2)).
-    """
-    thresh = mpf(10) ** (-(digits + 5))
-    floor = first_mag * thresh
-    s = mpf(0)
-    mag = first_mag
-    sign = 1
-    k = 0
-    while True:
-        s += sign * mag
-        ratio = ratio_at(k)
-        nxt = mag * ratio
-        if ratio < 1 and nxt <= thresh * max(abs(s), floor):
-            return s
-        mag = nxt
-        sign = -sign
-        k += 1
-        if k > 100000:  # pragma: no cover
-            raise ArithmeticError("alternating series failed to terminate")
 
 
 def t_enclosure(j: int, digits: int = DEFAULT_DIGITS) -> IntervalValue:
@@ -378,16 +326,8 @@ def bessel_j_half_integer(j: int, x, digits: int = DEFAULT_DIGITS) -> ExtReal:
         xv = to_mpf(x)
         if not xv > 0:
             raise ValueError("x must be positive")
-        half = xv / 2
-        half2 = half * half
-        nu = j - mpf(1) / 2
-
-        def ratio_at(k: int) -> mpf:
-            return half2 / ((k + 1) * (nu + k + 1))
-
-        first = mp.power(half, nu) / gamma_half(j, digits + 5).value
-        s = _alternating_sum(first, ratio_at, digits)
-        return ExtReal(+s, digits)
+        first = mp.power(xv / 2, j - mpf(1) / 2) / gamma_half(j, digits + 5).value
+        return ExtReal(+alternating_series(first, xv * xv, 2, 2 * j + 1, digits), digits)
 
 
 def coeff_bessel(
@@ -434,13 +374,8 @@ def general_series_direct(
         zv = to_mpf(z)
         if not zv > 0:
             raise ValueError("z must be positive")
-
-        def ratio_at(k: int) -> mpf:
-            return zv / (2 * (k + 1) * (2 * j + 2 * k + 1))
-
         first = mpf(1) / mpf(math.factorial(2 * j))
-        s = _alternating_sum(first, ratio_at, digits)
-        return ExtReal(+s, digits)
+        return ExtReal(+alternating_series(first, zv, 2, 2 * j + 1, digits), digits)
 
 
 def general_series_recurrence(

@@ -9,7 +9,10 @@ The fixed-point kernel at the end serves the coefficient tables and the
 grid checks: it encloses the weights t_j (2j)!, the y-map, the partial
 sums sum c_j y^j and the Maclaurin partial sums of sin/cos(pi x) with
 plain Python ints, which is much cheaper than mpf objects at the same
-precision.
+precision.  The weights and sin/cos are one alternating series, each
+term the last times z/((2k+a)(2k+b)), summed by the one loop
+`fixed_series`; `fixed_t_scaled`, `fixed_maclaurin` and
+`fixed_sin_cos_pi` only set up its arguments.
 """
 
 from __future__ import annotations
@@ -120,9 +123,6 @@ class IntervalValue:
 
     def __neg__(self):
         return IntervalValue._wrap(-self._iv)
-
-    def sqrt(self):
-        return IntervalValue._wrap(iv.sqrt(self._iv))
 
     def __repr__(self):
         return f"IntervalValue({self._iv.a!s}, {self._iv.b!s})"
@@ -303,11 +303,52 @@ def fixed_partial_sums(coeffs, y, bits: int):
     return sums, terms
 
 
-def _fixed_t(p: int, q: int, bits: int):
-    # pi * p/q (p >= 0) and its square
+def fixed_series(first, z, a: int, b: int, bits: int, n: int | None = None):
+    """The alternating series sum_k (-1)^k u_k, u_0 = first, u_{k+1} = u_k z/((2k+a)(2k+b)).
+
+    `first` and `z` are non-negative fixed-point enclosures.  Each step
+    rounds as (u z >> bits) // d, floor for the lower end and ceiling for
+    the upper, so every term's enclosure holds the exact term.
+
+    With n, returns (sums, mags): sums[k] encloses the sum of the terms
+    0..k, for k < n, and mags[k] the magnitude u_k, for k <= n.  Without
+    n, returns the enclosure of the whole sum: it stops at a term below
+    one unit, and the alternating tail from there lies between 0 and that
+    term.  That needs terms that decrease from the first; the ratios
+    decrease in k, so the first, z/(ab), must be below 1 (else ValueError).
+    """
+    u_lo, u_hi = first
+    z_lo, z_hi = z
+    converge = n is None
+    if converge:
+        if z_hi >= (a * b) << bits:
+            raise ValueError("the terms must decrease from the first: need z < a*b")
+    else:
+        sums, mags = [], [(u_lo, u_hi)]
+    s_lo = s_hi = k = 0
+    while u_hi > 1 if converge else k < n:
+        if k % 2:
+            s_lo, s_hi = s_lo - u_hi, s_hi - u_lo
+        else:
+            s_lo, s_hi = s_lo + u_lo, s_hi + u_hi
+        d = (2 * k + a) * (2 * k + b)
+        u_lo, u_hi = (u_lo * z_lo >> bits) // d, -((-(u_hi * z_hi) >> bits) // d)
+        k += 1
+        if not converge:
+            sums.append((s_lo, s_hi))
+            mags.append((u_lo, u_hi))
+    if not converge:
+        return sums, mags
+    # the tail from term k has term k's sign, (-1)^k
+    return (s_lo - u_hi, s_hi) if k % 2 else (s_lo, s_hi + u_hi)
+
+
+def _fixed_sin_cos_args(p: int, q: int, bits: int, odd: bool):
+    # (first term, t^2, a, b) of the Maclaurin series of sin t (odd) or cos t, t = pi p/q >= 0
     pi_lo, pi_hi = fixed_pi(bits)
     t_lo, t_hi = pi_lo * p // q, -(-pi_hi * p // q)
-    return t_lo, t_hi, t_lo * t_lo >> bits, -(-(t_hi * t_hi) >> bits)
+    t2 = t_lo * t_lo >> bits, -(-(t_hi * t_hi) >> bits)
+    return ((t_lo, t_hi), t2, 2, 3) if odd else ((1 << bits, 1 << bits), t2, 1, 2)
 
 
 def fixed_maclaurin(p: int, q: int, n: int, bits: int, odd: bool = True):
@@ -319,42 +360,19 @@ def fixed_maclaurin(p: int, q: int, n: int, bits: int, odd: bool = True):
     """
     if p < 0:
         raise ValueError("the series are summed for x >= 0")
-    t_lo, t_hi, t2_lo, t2_hi = _fixed_t(p, q, bits)
-    a_lo, a_hi = (t_lo, t_hi) if odd else (1 << bits, 1 << bits)
-    s_lo = s_hi = 0
-    sums, mags = [], [(a_lo, a_hi)]
-    for k in range(n):
-        if k % 2:
-            s_lo, s_hi = s_lo - a_hi, s_hi - a_lo
-        else:
-            s_lo, s_hi = s_lo + a_lo, s_hi + a_hi
-        sums.append((s_lo, s_hi))
-        d = (2 * k + 1 + odd) * (2 * k + 2 + odd)
-        a_lo = (a_lo * t2_lo >> bits) // d
-        a_hi = -((-(a_hi * t2_hi) >> bits) // d)
-        mags.append((a_lo, a_hi))
-    return sums, mags
+    return fixed_series(*_fixed_sin_cos_args(p, q, bits, odd), bits, n)
 
 
 def fixed_t_scaled(j: int, bits: int) -> tuple[int, int]:
     """Enclosure of s_j = t_j (2j)! = sum_k (-z)^k binom(j+k, j) (2j)!/(2j+2k)!, z = pi^2/4.
 
-    The term ratio z/(2(k+1)(2j+2k+1)) is below 1 from k = 0, so the terms
-    decrease from the first: the sum stops at a term below one unit, and
-    the alternating tail from there lies between 0 and that term.
+    The term ratio z/((2k+2)(2k+2j+1)) is below 1 from k = 0, so
+    `fixed_series` encloses the sum, tail included.
     """
     if j < 1:
         raise ValueError("j must be >= 1")
-    _, _, z_lo, z_hi = _fixed_t(1, 2, bits)  # (pi/2)^2
-    a_lo = a_hi = 1 << bits
-    s_lo = s_hi = k = 0
-    while a_hi > 1:
-        s_lo, s_hi = (s_lo - a_hi, s_hi - a_lo) if k % 2 else (s_lo + a_lo, s_hi + a_hi)
-        d = 2 * (k + 1) * (2 * j + 2 * k + 1) << bits
-        a_lo, a_hi = a_lo * z_lo // d, -(-(a_hi * z_hi) // d)
-        k += 1
-    # the tail from term k has term k's sign, (-1)^k
-    return (s_lo - a_hi, s_hi) if k % 2 else (s_lo, s_hi + a_hi)
+    z = _fixed_sin_cos_args(1, 2, bits, True)[1]  # (pi/2)^2
+    return fixed_series((1 << bits, 1 << bits), z, 2, 2 * j + 1, bits)
 
 
 def fixed_sin_cos_pi(p: int, q: int, bits: int, cos: bool = False) -> tuple[int, int]:
@@ -362,9 +380,8 @@ def fixed_sin_cos_pi(p: int, q: int, bits: int, cos: bool = False) -> tuple[int,
 
     The argument is reduced exactly to u in [0, 1/4], using
     sin(pi x) = sin(pi (1 - x)) and sin/cos(pi x) = cos/sin(pi (1/2 - x)).
-    Then t = pi u < 1, so the series' terms decrease from the first: the
-    Maclaurin sum stops at a term below one unit, and the alternating tail
-    from there lies between 0 and that term.
+    Then t = pi u < 1, so the series' terms decrease from the first and
+    `fixed_series` encloses the Maclaurin sum, tail included.
     """
     if cos:
         p = abs(p)
@@ -377,18 +394,4 @@ def fixed_sin_cos_pi(p: int, q: int, bits: int, cos: bool = False) -> tuple[int,
     odd = not cos
     if 4 * p > q:
         p, q, odd = q - 2 * p, 2 * q, not odd
-    t_lo, t_hi, t2_lo, t2_hi = _fixed_t(p, q, bits)
-    a_lo, a_hi = (t_lo, t_hi) if odd else (1 << bits, 1 << bits)
-    s_lo = s_hi = 0
-    d = odd  # 2k + odd for the even-indexed term k in hand
-    while a_hi > 1:  # two terms per turn: +a, then -a
-        s_lo, s_hi = s_lo + a_lo, s_hi + a_hi
-        den = (d + 1) * (d + 2)
-        a_lo = (a_lo * t2_lo >> bits) // den
-        a_hi = -((-(a_hi * t2_hi) >> bits) // den)
-        s_lo, s_hi = s_lo - a_hi, s_hi - a_lo
-        den = (d + 3) * (d + 4)
-        a_lo = (a_lo * t2_lo >> bits) // den
-        a_hi = -((-(a_hi * t2_hi) >> bits) // den)
-        d += 4
-    return s_lo, s_hi + a_hi
+    return fixed_series(*_fixed_sin_cos_args(p, q, bits, odd), bits)

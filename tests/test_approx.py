@@ -18,14 +18,12 @@ from trigpoly.approx import (
     error_bound,
     maclaurin_eval,
     maclaurin_eval_hp,
-    maclaurin_partial_sums_hp,
     select_degree,
     sin_taylor_coefficient,
     taylor_coeffs_at_zero,
 )
 from trigpoly.coeffs import coeff_symbolic
 from trigpoly.precision import IndexLimitError, horner, working
-from trigpoly.verify import _grid
 
 
 # --- coefficient construction ----------------------------------------------
@@ -294,23 +292,7 @@ def test_sine_form_is_shifted_cosine_form():
             assert abs(q.eval_hp(x) - p.eval_hp(x - mpf(1) / 2)) < mpf(10) ** -60
 
 
-# --- one-pass Maclaurin sums and cached bound constants -----------------------
-
-def test_maclaurin_partial_sums_match_single_sums_bitwise():
-    with working(50):
-        points = _grid(0, 1, 64, include_hi=True)
-    for x in points:
-        sums = maclaurin_partial_sums_hp(12, x, 50)
-        assert len(sums) == 12
-        for m in range(1, 13):
-            assert sums[m - 1]._mpf_ == maclaurin_eval_hp(m, x, 50)._mpf_
-            assert maclaurin_partial_sums_hp(m, x, 50)[-1]._mpf_ == sums[m - 1]._mpf_
-
-
-def test_maclaurin_partial_sums_reject_empty():
-    with pytest.raises(ValueError):
-        maclaurin_partial_sums_hp(0, 0.5)
-
+# --- cached bound constants ---------------------------------------------------
 
 def _certificate_bits(cert):
     return (cert.leading_term, cert.q_m, cert.tail_factor, cert.bound, cert.bound_hp._mpf_)

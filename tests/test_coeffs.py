@@ -20,10 +20,9 @@ from trigpoly.coeffs import (
     gamma_half,
     general_series_direct,
     general_series_recurrence,
-    series_terms,
     t_enclosure,
 )
-from trigpoly.intervals import fixed_t_scaled
+from trigpoly.intervals import fixed_bits, fixed_pi, fixed_series, fixed_t_scaled
 from trigpoly.precision import ExtReal, IndexLimitError, PrecisionError, working
 
 # 1/pi to 50 significant digits
@@ -54,10 +53,19 @@ def test_direct_j1_is_inverse_pi_to_50_digits():
     assert bound.value < mpf(10) ** -50 * value.value
 
 
+def t_terms(j: int, count: int, bits: int):
+    """The kernel's enclosures of the first terms of t_j (2j)!, as (sums, mags)."""
+    pi_lo, pi_hi = fixed_pi(bits)
+    z = pi_lo * pi_lo >> bits + 2, -(-(pi_hi * pi_hi) >> bits + 2)  # (pi/2)^2
+    return fixed_series((1 << bits, 1 << bits), z, 2, 2 * j + 1, bits, n=count)
+
+
 def test_first_series_term_is_alternating_upper_bound():
     # truncating at K=0 leaves a_{1,0} = 1/2! = 0.5, an upper bound on t_1
-    terms = series_terms(1, 1, 50)
-    assert float(terms[0].a_jk) == 0.5
+    bits = fixed_bits(50)
+    _, mags = t_terms(1, 1, bits)
+    assert mags[0] == (1 << bits, 1 << bits)  # a_{1,0} (2j)! = 1 exactly
+    assert Fraction(mags[0][1], math.factorial(2) << bits) == Fraction(1, 2)
     value, _ = coeff_direct(1, 50)
     assert value.value < 0.5
 
@@ -81,15 +89,18 @@ def test_direct_rejects_low_precision_and_large_index():
 
 
 def test_series_terms_alternate_and_follow_ratio_law():
-    terms = series_terms(3, 8, 50)
-    with working(50):
-        for prev, nxt in zip(terms, terms[1:]):
-            k = prev.k
-            assert (-1) ** k * prev.a_jk.value > 0
-            expected = mp.pi ** 2 / (8 * (k + 1) * (2 * 3 + 2 * k + 1))
-            assert expected < 1
-            got = abs(nxt.a_jk.value / prev.a_jk.value)
-            assert rel_diff(got, expected) < mpf(10) ** -45
+    # the kernel's ratio steps enclose the closed form a_{j,k} of every term
+    j, bits = 3, fixed_bits(50)
+    sums, mags = t_terms(j, 8, bits)
+    with mp.workprec(3 * bits):
+        for k, (lo, hi) in enumerate(mags):
+            a_jk = (mp.pi ** 2 / 4) ** k * math.comb(j + k, j) / mp.factorial(2 * j + 2 * k)
+            assert lo <= a_jk * math.factorial(2 * j) * 2 ** bits <= hi, k
+            assert hi - lo <= 2 * k + 2, k  # a few units: each step rounds once per end
+    # the partial sums alternate: each term moves the sum by its sign, (-1)^k
+    for k in range(1, len(sums)):
+        step = sums[k][0] - sums[k - 1][0]
+        assert (step > 0) == (k % 2 == 0), k
 
 
 @given(j=st.integers(1, 40), k=st.integers(0, 20))

@@ -17,6 +17,7 @@ from trigpoly.intervals import (
     fixed_maclaurin,
     fixed_partial_sums,
     fixed_pi,
+    fixed_series,
     fixed_sin_cos_pi,
     fixed_y,
     interval_dps,
@@ -106,11 +107,6 @@ def test_power_containment_even():
     assert sq.lo <= 0 and sq.hi >= 9
 
 
-def test_sqrt():
-    v = IntervalValue(4, 9).sqrt()
-    assert v.contains(2) and v.contains(3)
-
-
 def test_poly_eval_contains_point_value():
     # p(x) = 1 - 2x + x^2 on [0.5, 1.5]
     coeffs = [IntervalValue(1), IntervalValue(-2), IntervalValue(1)]
@@ -197,6 +193,83 @@ def test_fixed_point_enclosures_contain_high_precision_values(x, scale):
                 if k < 10:
                     acc += (-1) ** k * mag
                     assert _encloses(sums[k], acc, bits)
+
+
+def _series_reference(first, z, a, b, bits, n=None):
+    """`fixed_series`'s documented steps in exact rationals: each term is
+    u z / (d 2^bits) rounded by Fraction floor (lower end) and ceiling (upper)."""
+    unit = 2 ** bits
+    (u_lo, u_hi), (s_lo, s_hi) = first, (0, 0)
+    sums, mags = [], [first]
+    k = 0
+    while (k < n) if n is not None else u_hi > 1:
+        if k % 2 == 0:
+            s_lo, s_hi = s_lo + u_lo, s_hi + u_hi
+        else:
+            s_lo, s_hi = s_lo - u_hi, s_hi - u_lo
+        d = (2 * k + a) * (2 * k + b) * unit
+        u_lo = math.floor(Fraction(u_lo * z[0], d))
+        u_hi = math.ceil(Fraction(u_hi * z[1], d))
+        sums.append((s_lo, s_hi))
+        mags.append((u_lo, u_hi))
+        k += 1
+    if n is not None:
+        return sums, mags
+    return (s_lo - u_hi, s_hi) if k % 2 else (s_lo, s_hi + u_hi)
+
+
+def _enclosure(rng, top):
+    lo = rng.randint(0, top)
+    return lo, lo + rng.randint(0, max(1, top >> 20))
+
+
+def test_fixed_series_matches_exact_rational_steps():
+    rng = random.Random(9)
+    shapes = [(1, 2), (2, 3)] + [(2, 2 * j + 1) for j in (1, 2, 5, 40)]
+    for bits in range(8, 65, 4):
+        unit = 1 << bits
+        for a, b in shapes:
+            for _ in range(12):
+                first = _enclosure(rng, 4 * unit)
+                z = _enclosure(rng, a * b * unit - 1)
+                z = (min(z), min(z[1], a * b * unit - 1))
+                assert fixed_series(first, z, a, b, bits) == _series_reference(first, z, a, b, bits)
+                n = rng.randint(1, 12)
+                z = _enclosure(rng, 4 * a * b * unit)  # growing terms are fine with n
+                assert fixed_series(first, z, a, b, bits, n) == _series_reference(first, z, a, b, bits, n)
+
+
+def test_fixed_series_refuses_terms_that_do_not_decrease():
+    # cos 10 < 0, but the tail rule [0, u_k] would return (0, 1) at 8 bits
+    with pytest.raises(ValueError):
+        fixed_series((1, 1), (100 << 8, 100 << 8), 1, 2, 8)
+    # the first ratio z/(ab) must be below 1; at exactly 1 it is refused
+    with pytest.raises(ValueError):
+        fixed_series((1 << 8, 1 << 8), (5 << 8, 6 << 8), 2, 3, 8)
+    assert fixed_series((1 << 8, 1 << 8), (5 << 8, (6 << 8) - 1), 2, 3, 8)
+    # the partial sums have no tail to enclose, so growing terms are allowed
+    sums, mags = fixed_series((1, 1), (100 << 8, 100 << 8), 1, 2, 8, n=3)
+    assert len(sums) == 3 and len(mags) == 4
+
+
+def test_fixed_series_encloses_t_sin_and_cos():
+    """Each convergent enclosure holds mpmath's sum at 3x the bits."""
+    for bits in range(8, 65, 4):
+        pi_lo, pi_hi = fixed_pi(bits)
+        with mp.workprec(3 * bits):
+            z = (pi_lo * pi_lo >> bits + 2, -(-(pi_hi * pi_hi) >> bits + 2))  # (pi/2)^2
+            for j in (1, 2, 3, 10, 40):
+                one = (1 << bits, 1 << bits)
+                t_scaled = mp.factorial(2 * j) / (2 * mp.factorial(j)) * mp.pi ** (1 - j) \
+                    * mp.besselj(j - mpf(1) / 2, mp.pi / 2)
+                assert _encloses(fixed_series(one, z, 2, 2 * j + 1, bits), t_scaled, bits), (j, bits)
+            for p, q in ((0, 1), (1, 4), (1, 8), (3, 16), (1, 5)):
+                t = pi_lo * p // q, -(-pi_hi * p // q)
+                t2 = t[0] * t[0] >> bits, -(-(t[1] * t[1]) >> bits)
+                x = mpf(p) / q
+                assert _encloses(fixed_series(t, t2, 2, 3, bits), mp.sinpi(x), bits), (p, q, bits)
+                one = (1 << bits, 1 << bits)
+                assert _encloses(fixed_series(one, t2, 1, 2, bits), mp.cospi(x), bits), (p, q, bits)
 
 
 def test_fixed_point_exact_inputs_stay_exact():
