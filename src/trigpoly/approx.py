@@ -72,14 +72,6 @@ def _check_func(func: str) -> None:
         raise ValueError(f"func must be {COS_PI_X!r} or {SIN_PI_X!r}, got {func!r}")
 
 
-def _y_hp(func: str, x) -> mpf:
-    """The shifted variable y at the current working precision."""
-    xv = to_mpf(x)
-    if func == COS_PI_X:
-        return mpf(1) / 4 - xv * xv
-    return xv * (1 - xv)
-
-
 @dataclass(frozen=True)
 class ApproxPolynomial:
     """Degree-m approximant in the shifted basis (powers of y).
@@ -101,7 +93,9 @@ class ApproxPolynomial:
         object.__setattr__(self, "_cos", self.func == COS_PI_X)
 
     def y_of_hp(self, x) -> mpf:
-        return _y_hp(self.func, x)
+        """The shifted variable y at the current working precision."""
+        xv = to_mpf(x)
+        return mpf(1) / 4 - xv * xv if self._cos else xv * (1 - xv)
 
     def eval(self, x: float) -> float:
         """Machine-precision Horner evaluation in y."""
@@ -272,17 +266,13 @@ def bound_sup(m: int, digits: int = DEFAULT_DIGITS) -> mpf:
     return mp.make_mpf(mpf_shift(_tail_constants(m, digits).k[1], -2 * (m + 1)))
 
 
-def select_degree(
-    func: FuncTag,
-    tol,
-    digits: int = DEFAULT_DIGITS,
-    limit: int = DEFAULT_INDEX_LIMIT,
-) -> int:
+def select_degree(func: FuncTag, tol, digits: int = DEFAULT_DIGITS) -> int:
     """Minimal m whose certified bound is <= tol everywhere on the domain.
 
     The sup of the bound sits at y = 1/4 (x = 0 for cosine, x = 1/2 for
     sine), since y^(m+1) is increasing in y and y <= 1/4; the answer is
-    therefore identical for both function tags.
+    therefore identical for both function tags.  No m <= DEFAULT_INDEX_LIMIT
+    meeting tol raises IndexLimitError.
     """
     _check_func(func)
     require_digits(digits)
@@ -290,12 +280,10 @@ def select_degree(
         tol_v = to_mpf(tol)
         if not tol_v > 0:
             raise ValueError("tol must be positive")
-        for m in range(1, limit + 1):
+        for m in range(1, DEFAULT_INDEX_LIMIT + 1):
             if bound_sup(m, digits) <= tol_v:
                 return m
-    raise IndexLimitError(
-        f"no degree <= {limit} meets tol={tol}; raise the index limit"
-    )
+    raise IndexLimitError(f"no degree <= {DEFAULT_INDEX_LIMIT} meets tol={tol}")
 
 
 def maclaurin_eval(m: int, x: float, func: FuncTag = SIN_PI_X) -> float:

@@ -63,25 +63,22 @@ _sink = 0.0
 
 def _time_per_eval(fn, xs, repetitions: int) -> float:
     global _sink
-    batches = 1
-    while True:
+
+    def run(batches: int) -> tuple[int, float]:
         t0 = time.perf_counter_ns()
         acc = 0.0
         for _ in range(batches):
             for x in xs:
                 acc += fn(x)
-        elapsed = time.perf_counter_ns() - t0
-        if elapsed >= _MIN_REP_NS:
-            break
+        return time.perf_counter_ns() - t0, acc
+
+    batches = 1
+    while run(batches)[0] < _MIN_REP_NS:
         batches *= 2
     times = []
     for _ in range(repetitions):
-        t0 = time.perf_counter_ns()
-        acc = 0.0
-        for _ in range(batches):
-            for x in xs:
-                acc += fn(x)
-        times.append(time.perf_counter_ns() - t0)
+        elapsed, acc = run(batches)
+        times.append(elapsed)
         _sink += acc
     return statistics.median(times) / (batches * len(xs))
 
@@ -101,48 +98,20 @@ def run_bench(cfg: BenchConfig) -> list[BenchRow]:
         refs = [mp.sinpi(x) for x in xs]
     rows = []
 
+    def row(method: str, m: int | None, exact, fast, certified_bound: float | None = None):
+        """Append one row: the error columns from `exact`, extended precision; `fast` is timed."""
+        with working(digits):
+            errs = [abs(exact(x) - r) for x, r in zip(xs, refs)]
+            max_err, mean_err = max(errs), sum(errs) / len(errs)
+        ns = _time_per_eval(fast, xs, cfg.repetitions)
+        rows.append(BenchRow(method, m, ns, float(max_err), float(mean_err), certified_bound))
+
     for m in cfg.m_list:
         poly = build_poly(SIN_PI_X, m, digits)
-        with working(digits):
-            errs = [abs(poly.eval_hp(x) - r) for x, r in zip(xs, refs)]
-            max_err, mean_err = max(errs), sum(errs) / len(errs)
-        rows.append(
-            BenchRow(
-                method="Q_m",
-                m=m,
-                ns_per_eval=_time_per_eval(poly.eval, xs, cfg.repetitions),
-                max_abs_err=float(max_err),
-                mean_abs_err=float(mean_err),
-                certified_bound=_certified_bound(m, digits),
-            )
-        )
-
+        row("Q_m", m, poly.eval_hp, poly.eval, _certified_bound(m, digits))
     for m in cfg.m_list:
-        with working(digits):
-            errs = [abs(maclaurin_eval_hp(m, x, digits) - r) for x, r in zip(xs, refs)]
-            max_err, mean_err = max(errs), sum(errs) / len(errs)
-        rows.append(
-            BenchRow(
-                method="S_m",
-                m=m,
-                ns_per_eval=_time_per_eval(lambda x, m=m: maclaurin_eval(m, x), xs, cfg.repetitions),
-                max_abs_err=float(max_err),
-                mean_abs_err=float(mean_err),
-            )
-        )
-
-    with working(digits):
-        errs = [abs(mpf(math.sin(math.pi * x)) - r) for x, r in zip(xs, refs)]
-        max_err, mean_err = max(errs), sum(errs) / len(errs)
-    rows.append(
-        BenchRow(
-            method="native_sin",
-            m=None,
-            ns_per_eval=_time_per_eval(lambda x: math.sin(math.pi * x), xs, cfg.repetitions),
-            max_abs_err=float(max_err),
-            mean_abs_err=float(mean_err),
-        )
-    )
+        row("S_m", m, lambda x: maclaurin_eval_hp(m, x, digits), lambda x: maclaurin_eval(m, x))
+    row("native_sin", None, lambda x: mpf(math.sin(math.pi * x)), lambda x: math.sin(math.pi * x))
     return rows
 
 

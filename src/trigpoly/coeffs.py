@@ -14,6 +14,8 @@ fixed-point kernel `intervals.fixed_t_scaled`, then one outward division
 by (2j)!).  This module computes t_j by three routes -- the series
 itself (the enclosure's midpoint), a three-term recurrence, and a
 half-integer Bessel-function identity -- plus an exact symbolic form.
+The recurrence, shared with T_j(z) below, runs forward in mpf in one
+loop, `_forward`; the symbolic form runs it over Fractions.
 Every route's certificate comes from that one enclosure by one rule:
 trunc_bound = max(hi - v, v - lo), rounded up, for the route's value v.
 
@@ -47,7 +49,6 @@ from .intervals import (
 )
 from .precision import (
     DEFAULT_DIGITS,
-    DEFAULT_INDEX_LIMIT,
     ExtReal,
     alternating_series,
     horner,
@@ -141,14 +142,10 @@ def _table(route: Route, pairs, digits: int) -> CoefficientTable:
     return CoefficientTable(entries=tuple(entries), precision_digits=digits)
 
 
-def coeff_direct(
-    j: int,
-    digits: int = DEFAULT_DIGITS,
-    limit: int = DEFAULT_INDEX_LIMIT,
-) -> tuple[ExtReal, ExtReal]:
+def coeff_direct(j: int, digits: int = DEFAULT_DIGITS) -> tuple[ExtReal, ExtReal]:
     """(value, trunc_bound) of t_j from its direct series: the rounded midpoint of `t_enclosure`."""
     require_digits(digits)
-    require_index(j, limit)
+    require_index(j)
     if j < 1:
         raise ValueError("j must be >= 1")
     enc = t_enclosure(j, digits)
@@ -168,12 +165,21 @@ def _cancellation_allowance(j_max: int, z: float) -> int:
     return int(math.ceil(loss)) + 10
 
 
-def coeff_recurrence(
-    j_max: int,
-    digits: int = DEFAULT_DIGITS,
-    limit: int = DEFAULT_INDEX_LIMIT,
-) -> CoefficientTable:
-    """Weights t_1..t_{j_max} by the three-term recurrence.
+def _forward(t0: mpf, t1: mpf, w: mpf, j_max: int) -> list[mpf]:
+    """T_0..T_{j_max} by T_j = 2(2j-3)/(w j) T_{j-1} - 1/(w j (j-1)) T_{j-2}, w = 4z.
+
+    The one mpf recurrence loop, at the caller's working precision; the
+    caller holds the `working` section and its cancellation allowance.
+    """
+    vals = [t0, t1]
+    for j in range(2, j_max + 1):
+        wj = w * j
+        vals.append(2 * (2 * j - 3) / wj * vals[j - 1] - 1 / (wj * (j - 1)) * vals[j - 2])
+    return vals
+
+
+def coeff_recurrence(j_max: int, digits: int = DEFAULT_DIGITS) -> CoefficientTable:
+    """Weights t_1..t_{j_max} by `_forward` at z = pi^2/4 (w = pi^2).
 
         t_j = 2(2j-3)/(pi^2 j) * t_{j-1} - 1/(pi^2 j (j-1)) * t_{j-2},
 
@@ -184,16 +190,11 @@ def coeff_recurrence(
     the one rule's, from `t_enclosure`.
     """
     require_digits(digits)
-    require_index(j_max, limit)
+    require_index(j_max)
     if j_max < 1:
         raise ValueError("j_max must be >= 1")
     with working(digits, extra=_cancellation_allowance(j_max, z=math.pi ** 2 / 4)):
-        pi2 = mp.pi ** 2
-        vals = [mpf(0), 1 / mp.pi]
-        for j in range(2, j_max + 1):
-            a = 2 * (2 * j - 3) / (pi2 * j)
-            b = 1 / (pi2 * j * (j - 1))
-            vals.append(a * vals[j - 1] - b * vals[j - 2])
+        vals = _forward(mpf(0), 1 / mp.pi, mp.pi ** 2, j_max)
     with working(digits):
         pairs = [_certified(j, +vals[j], t_enclosure(j, digits), digits)
                  for j in range(1, j_max + 1)]
@@ -311,7 +312,7 @@ def gamma_half(n: int, digits: int = DEFAULT_DIGITS) -> ExtReal:
 
 
 def bessel_j_half_integer(j: int, x, digits: int = DEFAULT_DIGITS) -> ExtReal:
-    """J_{j-1/2}(x) for x > 0 by the defining power series.
+    """J_{j-1/2}(x) for finite x > 0 by the defining power series.
 
     J_nu(x) = sum_k (-1)^k (x/2)^(nu+2k) / (k! Gamma(nu+k+1)); at
     nu = j - 1/2 the Gamma values are Gamma((j+k) + 1/2), supplied by
@@ -324,24 +325,20 @@ def bessel_j_half_integer(j: int, x, digits: int = DEFAULT_DIGITS) -> ExtReal:
         raise ValueError("j must be >= 0")
     with working(digits, extra=5):
         xv = to_mpf(x)
-        if not xv > 0:
-            raise ValueError("x must be positive")
+        if not 0 < xv < mp.inf:
+            raise ValueError("x must be positive and finite")
         first = mp.power(xv / 2, j - mpf(1) / 2) / gamma_half(j, digits + 5).value
         return ExtReal(+alternating_series(first, xv * xv, 2, 2 * j + 1, digits), digits)
 
 
-def coeff_bessel(
-    j: int,
-    digits: int = DEFAULT_DIGITS,
-    limit: int = DEFAULT_INDEX_LIMIT,
-) -> ExtReal:
+def coeff_bessel(j: int, digits: int = DEFAULT_DIGITS) -> ExtReal:
     """Weight t_j via the identity t_j = pi^(1-j)/(2 j!) * J_{j-1/2}(pi/2).
 
     The identity's value, unchanged; `coefficient_table` certifies it
     by the one rule against `t_enclosure`.
     """
     require_digits(digits)
-    require_index(j, limit)
+    require_index(j)
     if j < 1:
         raise ValueError("j must be >= 1")
     with working(digits, extra=5):
@@ -353,13 +350,8 @@ def coeff_bessel(
 
 # --- generalized series T_j(z) -------------------------------------------
 
-def general_series_direct(
-    j: int,
-    z,
-    digits: int = DEFAULT_DIGITS,
-    limit: int = DEFAULT_INDEX_LIMIT,
-) -> ExtReal:
-    """T_j(z) = sum_k (-z)^k binom(j+k,j)/(2j+2k)! for z > 0.
+def general_series_direct(j: int, z, digits: int = DEFAULT_DIGITS) -> ExtReal:
+    """T_j(z) = sum_k (-z)^k binom(j+k,j)/(2j+2k)! for finite z > 0.
 
     j = 0 is permitted (T_0(z) = cos(sqrt(z))); it seeds the recurrence
     route.  Successive term magnitudes have ratio z/(2(k+1)(2j+2k+1)),
@@ -367,66 +359,54 @@ def general_series_direct(
     alternating tail bound takes over.
     """
     require_digits(digits)
-    require_index(j, limit)
+    require_index(j)
     if j < 0:
         raise ValueError("j must be >= 0")
     with working(digits, extra=5):
         zv = to_mpf(z)
-        if not zv > 0:
-            raise ValueError("z must be positive")
+        if not 0 < zv < mp.inf:
+            raise ValueError("z must be positive and finite")
         first = mpf(1) / mpf(math.factorial(2 * j))
         return ExtReal(+alternating_series(first, zv, 2, 2 * j + 1, digits), digits)
 
 
-def general_series_recurrence(
-    j_max: int,
-    z,
-    digits: int = DEFAULT_DIGITS,
-    limit: int = DEFAULT_INDEX_LIMIT,
-) -> list[ExtReal]:
-    """T_1(z)..T_{j_max}(z) by the recurrence
+def general_series_recurrence(j_max: int, z, digits: int = DEFAULT_DIGITS) -> list[ExtReal]:
+    """T_1(z)..T_{j_max}(z) by `_forward` with w = 4z,
 
         T_j(z) = (2j-3)/(2jz) T_{j-1}(z) - 1/(4j(j-1)z) T_{j-2}(z),
 
-    seeded with T_0, T_1 from the direct series.  Restricted to z > 0,
-    where the direct series and the Bessel form both converge; the same
-    cancellation allowance as the t_j recurrence applies (scaled by z).
+    seeded with T_0, T_1 from the direct series.  Restricted to finite
+    z > 0, where the direct series and the Bessel form both converge; the
+    same cancellation allowance as the t_j recurrence applies (scaled by z).
     """
     require_digits(digits)
-    require_index(j_max, limit)
+    require_index(j_max)
     if j_max < 1:
         raise ValueError("j_max must be >= 1")
     zf = float(to_mpf(z))
-    if not zf > 0:
-        raise ValueError("z must be positive")
+    if not 0 < zf < math.inf:
+        raise ValueError("z must be positive and finite")
     extra = _cancellation_allowance(j_max, z=zf) if j_max >= 2 else 0
     seed_digits = digits + extra
-    t0 = general_series_direct(0, z, seed_digits, limit=max(limit, j_max))
-    t1 = general_series_direct(1, z, seed_digits, limit=limit)
+    t0 = general_series_direct(0, z, seed_digits)
+    t1 = general_series_direct(1, z, seed_digits)
     with working(digits, extra=extra):
-        zv = to_mpf(z)
-        vals = [t0.value, t1.value]
-        for j in range(2, j_max + 1):
-            a = mpf(2 * j - 3) / (2 * j * zv)
-            b = mpf(1) / (4 * j * (j - 1) * zv)
-            vals.append(a * vals[j - 1] - b * vals[j - 2])
+        vals = _forward(t0.value, t1.value, 4 * to_mpf(z), j_max)
     with working(digits):
         return [ExtReal(+v, digits) for v in vals[1:]]
 
 
 def coefficient_table(
-    j_max: int,
-    digits: int = DEFAULT_DIGITS,
-    route: Route = "recurrence",
-    limit: int = DEFAULT_INDEX_LIMIT,
+    j_max: int, digits: int = DEFAULT_DIGITS, route: Route = "recurrence"
 ) -> CoefficientTable:
     """Build the t_1..t_{j_max} table by the requested route."""
+    require_index(j_max)
     if route == "recurrence":
-        return coeff_recurrence(j_max, digits, limit)
+        return coeff_recurrence(j_max, digits)
     if route == "direct":
-        return _table(route, [coeff_direct(j, digits, limit) for j in range(1, j_max + 1)], digits)
+        return _table(route, [coeff_direct(j, digits) for j in range(1, j_max + 1)], digits)
     if route == "bessel":
-        pairs = [_certified(j, coeff_bessel(j, digits, limit).value, t_enclosure(j, digits), digits)
+        pairs = [_certified(j, coeff_bessel(j, digits).value, t_enclosure(j, digits), digits)
                  for j in range(1, j_max + 1)]
         return _table(route, pairs, digits)
     raise ValueError(f"unknown route {route!r}")

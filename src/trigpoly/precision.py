@@ -34,7 +34,7 @@ MIN_DIGITS = 30
 DEFAULT_DIGITS = 50
 
 # Coefficients beyond this index underflow any practical use; the exact
-# factorials involved also grow without bound.  Callers may raise it.
+# factorials involved also grow without bound.
 DEFAULT_INDEX_LIMIT = 200
 
 
@@ -43,7 +43,7 @@ class PrecisionError(ValueError):
 
 
 class IndexLimitError(ValueError):
-    """Coefficient index exceeds the configured factorial-growth limit."""
+    """Coefficient index exceeds the factorial-growth cap DEFAULT_INDEX_LIMIT."""
 
 
 def require_digits(digits: int) -> None:
@@ -53,9 +53,9 @@ def require_digits(digits: int) -> None:
         )
 
 
-def require_index(j: int, limit: int = DEFAULT_INDEX_LIMIT) -> None:
-    if j > limit:
-        raise IndexLimitError(f"coefficient index {j} exceeds the configured limit {limit}")
+def require_index(j: int) -> None:
+    if j > DEFAULT_INDEX_LIMIT:
+        raise IndexLimitError(f"coefficient index {j} exceeds the limit {DEFAULT_INDEX_LIMIT}")
 
 
 @contextmanager

@@ -37,6 +37,7 @@ from .approx import (
     COS_PI_X,
     DOMAINS,
     SIN_PI_X,
+    _check_func,
     build_poly,
     sin_taylor_coefficient,
     sine_monomials,
@@ -67,6 +68,7 @@ from .intervals import (
     poly_deriv,
     poly_eval_centered,
     poly_mul,
+    positive_double,
 )
 from .precision import DEFAULT_DIGITS, require_digits, to_mpf, working
 
@@ -304,9 +306,8 @@ def check_bracketing(
     require_digits(digits)
     if m_max < 2:
         raise ValueError("m_max must be >= 2")
+    _check_func(func)
     is_cos = func == COS_PI_X
-    if not is_cos and func != SIN_PI_X:
-        raise ValueError(f"func must be {COS_PI_X!r} or {SIN_PI_X!r}, got {func!r}")
 
     labels = [("m=1 x={} delta",)]
     for m in range(1, m_max + 1):
@@ -498,7 +499,8 @@ class PositivityProof:
     """Certificate that a polynomial is positive on a closed interval.
 
     Accepted subintervals tile the domain exactly (dyadic endpoints) and
-    each records the interval-arithmetic lower bound established there.
+    each records the interval-arithmetic lower bound established there,
+    rounded down to a double.
     When `proved` is False the unresolved subintervals are listed; the
     prover never reports a false positive.
     """
@@ -543,7 +545,10 @@ def prove_polynomial_positive(
             enc = poly_eval_centered(coeffs, dcoeffs, lo, hi)
             deepest = max(deepest, depth)
             if enc.lo > 0:
-                accepted.append((lo, hi, float(enc.lo)))
+                bound = positive_double(enc.lo._mpf_)
+                if bound > enc.lo:
+                    bound = math.nextafter(bound, 0.0)
+                accepted.append((lo, hi, bound))
             elif depth >= max_depth:
                 unresolved.append((lo, hi))
             else:

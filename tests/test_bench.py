@@ -1,9 +1,11 @@
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from mpmath import mp
 
+import trigpoly.bench as bench
 from trigpoly.bench import CSV_HEADER, BenchConfig, BenchRow, _certified_bound, rows_to_csv, run_bench
 
 
@@ -100,3 +102,11 @@ def test_certified_bound_is_the_supremum_rounded_up(rows):
         assert row.certified_bound == _least_double_above_sup(row.m, 150)
     for m in range(1, 41):
         assert _certified_bound(m, 50) == _least_double_above_sup(m, 150), m
+
+
+def test_accuracy_columns_match_golden(monkeypatch):
+    # timing pinned to 1 ns, so the CSV holds only the deterministic columns
+    monkeypatch.setattr(bench, "_time_per_eval", lambda fn, xs, repetitions: 1.0)
+    rows = run_bench(BenchConfig(grid_size=1000, m_list=(1, 2, 5, 9), repetitions=3))
+    golden = Path(__file__).parent / "golden" / "bench_accuracy.csv"
+    assert rows_to_csv(rows) == golden.read_text()

@@ -83,9 +83,19 @@ def test_direct_rejects_low_precision_and_large_index():
         coeff_direct(1, 29)
     with pytest.raises(IndexLimitError):
         coeff_direct(201, 50)
-    # the limit is configurable
-    value, _ = coeff_direct(201, 50, limit=210)
-    assert value.value > 0
+
+
+@pytest.mark.parametrize("route", ["recurrence", "direct", "bessel"])
+def test_table_refuses_an_index_over_the_cap(route):
+    with pytest.raises(IndexLimitError):
+        coefficient_table(201, 30, route=route)
+
+
+def test_general_series_refuse_an_index_over_the_cap():
+    with pytest.raises(IndexLimitError):
+        general_series_recurrence(201, 1, 30)
+    with pytest.raises(IndexLimitError):
+        general_series_direct(201, 1, 30)
 
 
 def test_series_terms_alternate_and_follow_ratio_law():
@@ -112,6 +122,23 @@ def test_term_ratio_below_one_everywhere(j, k):
 
 
 # --- recurrence ------------------------------------------------------------
+
+@pytest.mark.parametrize("digits", [30, 50, 100, 200])
+def test_recurrence_values_bitwise_equal_the_hand_written_loop(digits):
+    j_max = 200
+    with working(digits, extra=coeffs._cancellation_allowance(j_max, z=math.pi ** 2 / 4)):
+        pi2 = mp.pi ** 2
+        vals = [mpf(0), 1 / mp.pi]
+        for j in range(2, j_max + 1):
+            a = 2 * (2 * j - 3) / (pi2 * j)
+            b = 1 / (pi2 * j * (j - 1))
+            vals.append(a * vals[j - 1] - b * vals[j - 2])
+        forward = coeffs._forward(mpf(0), 1 / mp.pi, pi2, j_max)
+        assert [v._mpf_ for v in forward] == [v._mpf_ for v in vals]
+    with working(digits):
+        expected = [(+v)._mpf_ for v in vals[1:]]
+    assert [e.value.value._mpf_ for e in coeff_recurrence(j_max, digits)] == expected
+
 
 def test_recurrence_seed_only():
     table = coeff_recurrence(1, 50)
@@ -222,6 +249,16 @@ def test_bessel_j10_matches_direct_to_40_digits():
 def test_bessel_j_half_integer_validates_argument():
     with pytest.raises(ValueError):
         bessel_j_half_integer(1, -1, 50)
+
+
+@pytest.mark.parametrize("bad", ["inf", "nan"])
+def test_non_finite_arguments_are_refused(bad):
+    with pytest.raises(ValueError, match="finite"):
+        bessel_j_half_integer(1, bad, 30)
+    with pytest.raises(ValueError, match="finite"):
+        general_series_direct(1, bad, 30)
+    with pytest.raises(ValueError, match="finite"):
+        general_series_recurrence(3, bad, 30)
 
 
 # --- generalized series ----------------------------------------------------

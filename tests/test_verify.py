@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpf
@@ -12,7 +13,15 @@ from trigpoly.coeffs import (
     coeff_recurrence,
     coeff_symbolic,
 )
-from trigpoly.intervals import IntervalValue, fixed_bits, interval_dps, poly_eval
+from trigpoly.intervals import (
+    IntervalValue,
+    exact_ratio,
+    fixed_bits,
+    interval_dps,
+    poly_deriv,
+    poly_eval,
+    poly_eval_centered,
+)
 from trigpoly.precision import working
 from trigpoly.verify import (
     PropertyReport,
@@ -180,6 +189,17 @@ def test_prove_example_succeeds_with_defaults():
     assert proof.preconditions["positive_y_coefficients"] is True
     assert all(lb > 0 for _, _, lb in proof.subintervals)
     assert proof.min_lower_bound > 0
+
+
+@pytest.mark.parametrize("digits", [50, 80])
+def test_proof_lower_bounds_are_the_enclosures_rounded_down(digits):
+    proof = prove_example_inequality(digits=digits)
+    coeffs = proof.target_coefficients
+    with interval_dps(digits):
+        dcoeffs = poly_deriv(coeffs)
+        for lo, hi, bound in proof.subintervals:
+            end = Fraction(*exact_ratio(poly_eval_centered(coeffs, dcoeffs, lo, hi).lo))
+            assert Fraction(bound) <= end < Fraction(math.nextafter(bound, math.inf))
 
 
 def test_proof_subintervals_tile_domain_exactly():
