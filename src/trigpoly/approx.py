@@ -22,10 +22,11 @@ from functools import lru_cache
 from typing import Literal
 
 from mpmath import mp, mpf
-from mpmath.libmp import mpf_mul, mpf_shift, round_ceiling, round_floor
+from mpmath.libmp import (fone, from_int, mpf_div, mpf_mul, mpf_pow_int, mpf_shift, mpf_sub,
+                          round_ceiling, round_floor)
 
 from .coeffs import coefficient_table
-from .intervals import exact_ratio, fixed_bits, interval_dps, pi_interval, positive_double, y_ratio
+from .intervals import exact_ratio, fixed_bits, pi_interval, positive_double, y_ratio
 from .precision import (
     DEFAULT_DIGITS,
     DEFAULT_INDEX_LIMIT,
@@ -187,21 +188,27 @@ def _nearest(lo, hi) -> float | None:
 def _tail_constants(m: int, digits: int) -> _TailConstants:
     """One enclosure of L_m and K_m per (m, digits), from `pi_interval`.
 
-    Where the enclosure of q_m or 1/(1 - q_m) straddles a rounding
-    boundary of the doubles, its double comes from twice the digits.
+    Each end rounds down (lower) or up (upper) at `fixed_bits(digits)`
+    bits; (2m+2)! is exact, so dividing by it rounds once.  Where q_m or
+    1/(1 - q_m) straddles a rounding boundary of the doubles, its double
+    comes from twice the digits.
     """
-    with interval_dps(digits):
-        pi2 = pi_interval(digits) ** 2
-        q = pi2 / (4 * (2 * m + 4) * (2 * m + 3))
-        lead = pi2 ** (m + 1) / math.factorial(2 * m + 2)
-        k = lead / (1 - q)
-        tail = 1 / (1 - q)
-    lead, k, q, tail = ((v.lo._mpf_, v.hi._mpf_) for v in (lead, k, q, tail))
+    prec = fixed_bits(digits)
+    pi = pi_interval(digits)
+    ends = (round_floor, round_ceiling)
+    pi2 = [mpf_mul(p, p, prec, r) for p, r in zip((pi.lo._mpf_, pi.hi._mpf_), ends)]
+    q = [mpf_div(v, from_int(4 * (2 * m + 4) * (2 * m + 3)), prec, r) for v, r in zip(pi2, ends)]
+    fact = from_int(math.factorial(2 * m + 2))
+    lead = [mpf_div(mpf_pow_int(v, m + 1, prec, r), fact, prec, r) for v, r in zip(pi2, ends)]
+    # the divisors 1 - q: its upper end for a lower end, its lower end for an upper end
+    den = mpf_sub(fone, q[0], prec, round_ceiling), mpf_sub(fone, q[1], prec, round_floor)
+    k, tail = ([mpf_div(v, d, prec, r) for v, d, r in zip(num, den, ends)]
+               for num in (lead, (fone, fone)))
     floats = _nearest(*q), _nearest(*tail)
     if None in floats:
         finer = _tail_constants(m, 2 * digits)
         floats = finer.q_m, finer.tail_factor
-    return _TailConstants(fixed_bits(digits), lead, k, *floats)
+    return _TailConstants(prec, tuple(lead), tuple(k), *floats)
 
 
 def _y_power(func: str, x, n: int) -> tuple:
@@ -315,18 +322,17 @@ def taylor_coeffs_at_zero(poly: ApproxPolynomial) -> list[mpf]:
     if poly.func != SIN_PI_X:
         raise ValueError("monomial expansion is defined for the sine form")
     with working(poly.precision_digits):
-        return [+v for v in sine_monomials(poly.hp_coeffs, mpf(0))]
+        return [+v for v in sine_monomials(poly.hp_coeffs)]
 
 
-def sine_monomials(y_coeffs, zero) -> list:
-    """Monomial coefficients, orders 0..2m, of sum_j y_coeffs[j-1] (x(1-x))^j.
+def sine_monomials(y_coeffs) -> list[mpf]:
+    """Monomial coefficients, orders 0..2m, of sum_j y_coeffs[j-1] (x(1-x))^j, in mpf.
 
     The x^n coefficient is sum_j c_j (-1)^(n-j) binom(j, n-j); the
-    binomials are exact integers, so the coefficient type (mpf or
-    IntervalValue, given by `zero`) sets the arithmetic.
+    binomials are exact integers.  Callers hold the `working` section.
     """
     m = len(y_coeffs)
-    out = [zero] * (2 * m + 1)
+    out = [mpf(0)] * (2 * m + 1)
     for j in range(1, m + 1):
         c = y_coeffs[j - 1]
         for i in range(0, j + 1):

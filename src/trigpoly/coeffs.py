@@ -35,23 +35,23 @@ from functools import lru_cache
 from typing import Literal
 
 from mpmath import mp, mpf
-from mpmath.libmp import mpf_sub, round_ceiling
+from mpmath.libmp import (from_int, from_man_exp, mpf_div, mpf_mul, mpf_pow_int, mpf_sub,
+                          round_ceiling, round_floor)
 
 from .intervals import (
     IntervalValue,
     exact_ratio,
     fixed_bits,
+    fixed_horner,
+    fixed_mul,
+    fixed_pi,
     fixed_t_scaled,
-    interval_dps,
     interval_from_fixed,
-    pi_interval,
-    poly_eval,
 )
 from .precision import (
     DEFAULT_DIGITS,
     ExtReal,
     alternating_series,
-    horner,
     require_digits,
     require_index,
     to_mpf,
@@ -71,7 +71,6 @@ __all__ = [
     "gamma_half",
     "general_series_direct",
     "general_series_recurrence",
-    "pi_interval",
     "t_enclosure",
 ]
 
@@ -220,23 +219,55 @@ class SymbolicCoefficient:
     def pi_power(self) -> int:
         return 2 * self.index - 1
 
+    def _numerator(self, bits: int, rel: int):
+        """(N, pi, bits): N_j(pi^2) and pi enclosed at `bits` fractional bits, the
+        bits doubled from the start until N is positive with relative width below
+        1/rel (N_j's terms cancel heavily for large j)."""
+        while True:
+            pi = fixed_pi(bits)
+            n_lo, n_hi = fixed_horner([(n << bits, n << bits) for n in self.numerator],
+                                      fixed_mul(pi, pi, bits), bits)
+            if (n_hi - n_lo) * rel < n_lo:
+                return (n_lo, n_hi), pi, bits
+            bits *= 2
+
+    def _enclosure(self, digits: int, up: int, down: int) -> IntervalValue:
+        """pi^up N_j(pi^2) / (D_j pi^down), N_j within half of 10^-digits relative.
+
+        The numerator is exact and pi^down rounded away from each end; each
+        end is divided once, at `fixed_bits(digits)` bits whatever bits N_j
+        needed, so an enclosure is never tighter than its precision.
+        """
+        prec = fixed_bits(digits)
+        n, pi, bits = self._numerator(prec, 2 * 10 ** digits)
+        ends = []
+        for v, p, q, rnd, away in ((n[0], pi[0], pi[1], round_floor, round_ceiling),
+                                   (n[1], pi[1], pi[0], round_ceiling, round_floor)):
+            power = mpf_pow_int(from_man_exp(q, -bits), down, prec, away)
+            den = mpf_mul(from_int(self.denominator), power)  # exact
+            ends.append(mpf_div(from_man_exp(v * p ** up, -bits * (up + 1)), den, prec, rnd))
+        return IntervalValue._of(*ends)
+
     def evaluate(self, digits: int = DEFAULT_DIGITS) -> ExtReal:
+        """t_j: the midpoint of `evaluate_interval`, at the working precision."""
         require_digits(digits)
+        enc = self.evaluate_interval(digits)
         with working(digits):
-            acc = horner(self.numerator, mp.pi ** 2)
-            return ExtReal(+(acc / self.denominator / mp.pi ** self.pi_power), digits)
+            return ExtReal(+enc.mid, digits)
 
     def evaluate_interval(self, digits: int = DEFAULT_DIGITS) -> IntervalValue:
-        """Enclosure of t_j from an enclosure of pi."""
-        with interval_dps(digits):
-            p = pi_interval(digits)
-            return poly_eval(self.numerator, p ** 2) / self.denominator / p ** self.pi_power
+        """Enclosure of t_j = N_j(pi^2)/(D_j pi^(2j-1)), within 10^-digits relative."""
+        return self._enclosure(digits, 0, self.pi_power)
 
     def y_coefficient_interval(self, digits: int = DEFAULT_DIGITS) -> IntervalValue:
         """Enclosure of the y-basis coefficient c_j = t_j pi^(2j) = pi N_j(pi^2)/D_j."""
-        with interval_dps(digits):
-            p = pi_interval(digits)
-            return poly_eval(self.numerator, p ** 2) * p / self.denominator
+        return self._enclosure(digits, 1, 0)
+
+    def fixed_y_coefficient(self, bits: int) -> tuple[int, int]:
+        """c_j at `bits` fractional bits: N_j within 2^-bits relative, one rounding outward."""
+        (n_lo, n_hi), (pi_lo, pi_hi), b = self._numerator(2 * bits, 1 << bits)
+        den = self.denominator << (2 * b - bits)
+        return pi_lo * n_lo // den, -(-(pi_hi * n_hi) // den)
 
     def as_string(self) -> str:
         terms = []

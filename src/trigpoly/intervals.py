@@ -1,37 +1,43 @@
-"""Rigorous interval arithmetic and enclosure-polynomial helpers.
+"""Outward-rounded enclosures: one fixed-point kernel on Python ints.
 
-IntervalValue wraps mpmath's interval type, which rounds outward at the
-interval context's working precision, so every operation returns an
-enclosure of the exact result.  Precision only affects tightness, never
-containment.
+Every enclosure in the library is computed on plain Python ints or with
+mpmath's directed-rounding primitives (`mpf_pi`, `mpf_mul`, `mpf_div`,
+... with round_floor for a lower end and round_ceiling for an upper
+one), so each result encloses the exact value; precision only affects
+tightness, never containment.  `IntervalValue` is the public form of an
+enclosure: two exact mpf ends, its midpoint, width and membership test.
 
-The fixed-point kernel at the end serves the coefficient tables and the
-grid checks: it encloses the weights t_j (2j)!, the y-map, the partial
-sums sum c_j y^j and the Maclaurin partial sums of sin/cos(pi x) with
-plain Python ints, which is much cheaper than mpf objects at the same
-precision.  The weights and sin/cos are one alternating series, each
-term the last times z/((2k+a)(2k+b)), summed by the one loop
-`fixed_series`; `fixed_t_scaled`, `fixed_maclaurin` and
-`fixed_sin_cos_pi` only set up its arguments.
+The fixed-point kernel encloses pi, the weights t_j (2j)!, the y-map,
+the partial sums sum c_j y^j, the Maclaurin partial sums of
+sin/cos(pi x) and polynomials over dyadic tiles.  The weights and
+sin/cos are one alternating series, each term the last times
+z/((2k+a)(2k+b)), summed by the one loop `fixed_series`;
+`fixed_t_scaled`, `fixed_maclaurin` and `fixed_sin_cos_pi` only set up
+its arguments.  `fixed_horner` is the one Horner loop on enclosures.
 """
 
 from __future__ import annotations
 
 import math
 from contextlib import contextmanager
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from mpmath import iv, mp, mpf
-from mpmath.libmp import (dps_to_prec, from_int, from_man_exp, mpf_add, mpf_div, mpf_shift,
-                          mpf_sub, prec_to_dps, round_ceiling, round_floor)
+from mpmath.libmp import (dps_to_prec, from_float, from_int, from_man_exp, mpf_add, mpf_div,
+                          mpf_pi, mpf_shift, mpf_sub, round_ceiling, round_floor)
 
 from .precision import DEFAULT_DIGITS, GUARD_DIGITS, PRECISION_LOCK
 
 
 @contextmanager
 def interval_dps(digits: int):
-    """Temporarily set the interval context's decimal precision."""
+    """Temporarily set mpmath's interval context's decimal precision.
+
+    Nothing in the library calls it: it stays only for the benchmark's
+    tracer, which counts its calls, until ROADMAP item 6 replaces that.
+    """
     with PRECISION_LOCK:
         old = iv.dps
         iv.dps = digits + GUARD_DIGITS
@@ -41,138 +47,53 @@ def interval_dps(digits: int):
             iv.dps = old
 
 
-def _coerce(x):
-    if isinstance(x, IntervalValue):
-        return x._iv
-    if isinstance(x, Fraction):
-        # exact integer endpoints, one outward-rounded division
-        return iv.mpf(x.numerator) / iv.mpf(x.denominator)
-    if isinstance(x, (int, float, mpf, str)):
-        return iv.mpf(x)
-    raise TypeError(f"cannot build an interval from {type(x).__name__}")
+def _exact(x) -> mpf:
+    """The mpf equal to an int, a float or an mpf, exactly."""
+    if isinstance(x, mpf):
+        return x
+    if isinstance(x, (int, float)):
+        return mp.make_mpf(from_float(x) if isinstance(x, float) else from_int(x))
+    raise TypeError(f"cannot take {type(x).__name__} as an exact interval end; "
+                    "enclose a rational p/q with interval_from_fixed(fixed_ratio(p, q, bits), bits)")
 
 
+@dataclass(frozen=True)
 class IntervalValue:
-    """A closed enclosure [lo, hi] with outward-rounded arithmetic."""
+    """A closed enclosure [lo, hi]; lo and hi are exact mpf ends, never rounded."""
 
-    __slots__ = ("_iv",)
+    lo: mpf
+    hi: mpf = None  # None: the point lo
 
-    def __init__(self, lo, hi=None):
-        if hi is None:
-            self._iv = _coerce(lo)
-        else:
-            lo_iv, hi_iv = _coerce(lo), _coerce(hi)
-            if mp.make_mpf(lo_iv._mpi_[0]) > mp.make_mpf(hi_iv._mpi_[1]):
-                raise ValueError(f"invalid interval endpoints [{lo}, {hi}]")
-            self._iv = iv.mpf([lo_iv.a, hi_iv.b])
+    def __post_init__(self):
+        object.__setattr__(self, "lo", _exact(self.lo))
+        object.__setattr__(self, "hi", self.lo if self.hi is None else _exact(self.hi))
+        if self.hi < self.lo:
+            raise ValueError(f"invalid interval endpoints [{self.lo}, {self.hi}]")
 
     @classmethod
-    def _wrap(cls, ivmpf) -> "IntervalValue":
-        out = cls.__new__(cls)
-        out._iv = ivmpf
-        return out
-
-    # endpoints are returned exactly (no rounding at the ambient precision)
-    @property
-    def lo(self) -> mpf:
-        return mp.make_mpf(self._iv._mpi_[0])
-
-    @property
-    def hi(self) -> mpf:
-        return mp.make_mpf(self._iv._mpi_[1])
+    def _of(cls, lo: tuple, hi: tuple) -> "IntervalValue":
+        """From raw mpf ends."""
+        return cls(mp.make_mpf(lo), mp.make_mpf(hi))
 
     @property
     def mid(self) -> mpf:
-        a, b = self._iv._mpi_
-        return mp.make_mpf(mpf_shift(mpf_add(a, b), -1))  # exact: no rounding
+        return mp.make_mpf(mpf_shift(mpf_add(self.lo._mpf_, self.hi._mpf_), -1))  # exact
 
     @property
     def width(self) -> mpf:
-        a, b = self._iv._mpi_
-        return mp.make_mpf(mpf_sub(b, a, 64, round_ceiling))
+        return mp.make_mpf(mpf_sub(self.hi._mpf_, self.lo._mpf_, 64, round_ceiling))
 
     def contains(self, x) -> bool:
-        return _coerce(x) in self._iv
-
-    def __add__(self, other):
-        return IntervalValue._wrap(self._iv + _coerce(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return IntervalValue._wrap(self._iv - _coerce(other))
-
-    def __rsub__(self, other):
-        return IntervalValue._wrap(_coerce(other) - self._iv)
-
-    def __mul__(self, other):
-        return IntervalValue._wrap(self._iv * _coerce(other))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return IntervalValue._wrap(self._iv / _coerce(other))
-
-    def __rtruediv__(self, other):
-        return IntervalValue._wrap(_coerce(other) / self._iv)
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise TypeError("interval powers must be non-negative integers")
-        return IntervalValue._wrap(self._iv ** n)
-
-    def __neg__(self):
-        return IntervalValue._wrap(-self._iv)
-
-    def __repr__(self):
-        return f"IntervalValue({self._iv.a!s}, {self._iv.b!s})"
+        """Whether the int, float, mpf or Fraction x lies in [lo, hi], compared exactly."""
+        if isinstance(x, Fraction):
+            return Fraction(*exact_ratio(self.lo)) <= x <= Fraction(*exact_ratio(self.hi))
+        return self.lo <= _exact(x) <= self.hi
 
 
 def pi_interval(digits: int = DEFAULT_DIGITS) -> IntervalValue:
-    """An enclosure of pi with width at most 10**-digits."""
-    with interval_dps(digits):
-        enc = IntervalValue._wrap(+iv.pi)
-    if not enc.width <= mpf(10) ** (-digits):
-        raise ArithmeticError("pi enclosure wider than requested")  # pragma: no cover
-    return enc
-
-
-# --- polynomials with interval coefficients (dense, ascending powers) ---
-
-def poly_eval(coeffs, x: IntervalValue) -> IntervalValue:
-    """Horner evaluation of sum coeffs[n] * x**n over an interval."""
-    acc = IntervalValue(0)
-    for a in reversed(coeffs):
-        acc = acc * x + a
-    return acc
-
-
-def poly_eval_centered(coeffs, deriv_coeffs, lo, hi) -> IntervalValue:
-    """Enclosure over [lo, hi]: plain Horner intersected with the centered form.
-
-    The centered form p(mid) + p'(X) * (X - mid) is much tighter on
-    narrow intervals near extrema, where plain Horner's dependency
-    blow-up dominates.
-    """
-    x = IntervalValue(lo, hi)
-    plain = poly_eval(coeffs, x)
-    mid = IntervalValue(x.mid)
-    centered = poly_eval(coeffs, mid) + poly_eval(deriv_coeffs, x) * (x - mid)
-    lo_best = max(plain.lo, centered.lo)
-    hi_best = min(plain.hi, centered.hi)
-    return IntervalValue(lo_best, hi_best)
-
-
-def poly_mul(a, b):
-    out = [IntervalValue(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            out[i + j] = out[i + j] + ai * bj
-    return out
-
-
-def poly_deriv(coeffs):
-    return [coeffs[n] * n for n in range(1, len(coeffs))]
+    """pi enclosed by `mpf_pi` rounded down and up at `fixed_bits(digits)` bits."""
+    bits = fixed_bits(digits)
+    return IntervalValue._of(mpf_pi(bits, round_floor), mpf_pi(bits, round_ceiling))
 
 
 # --- fixed-point enclosures -----------------------------------------------
@@ -202,9 +123,9 @@ def exact_ratio(x) -> tuple[int, int]:
     return (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
 
 
-def _scaled(v: mpf, bits: int, up: bool) -> int:
-    # floor (or ceiling) of v * 2**bits, exactly
-    sign, man, exp, _ = v._mpf_
+def _scaled(v: tuple, bits: int, up: bool) -> int:
+    # floor (or ceiling) of the raw mpf v times 2**bits, exactly
+    sign, man, exp, _ = v
     man = -man if sign else man
     shift = exp + bits
     if shift >= 0:
@@ -235,31 +156,65 @@ def positive_double(v, up: bool = False) -> float:
 
 def fixed_from_interval(enc: IntervalValue, bits: int) -> tuple[int, int]:
     """The fixed-point enclosure of an IntervalValue, rounded outward."""
-    return _scaled(enc.lo, bits, False), _scaled(enc.hi, bits, True)
+    return _scaled(enc.lo._mpf_, bits, False), _scaled(enc.hi._mpf_, bits, True)
 
 
 def interval_from_fixed(enc: tuple[int, int], bits: int, den: int = 1) -> IntervalValue:
-    """The IntervalValue of enc / den (den > 0), each end divided once and rounded outward."""
-    d = from_int(den)
-    lo = mpf_div(from_man_exp(enc[0], -bits), d, bits, round_floor)
-    hi = mpf_div(from_man_exp(enc[1], -bits), d, bits, round_ceiling)
-    return IntervalValue._wrap(iv.make_mpf((lo, hi)))
-
-
-def fixed_digits(bits: int) -> int:
-    """Decimal digits whose interval enclosures are tighter than one unit at `bits`."""
-    return prec_to_dps(bits) + 2
+    """The IntervalValue of enc / den (den > 0): exact for den = 1, else each
+    end divided once and rounded outward at `bits` bits."""
+    lo, hi = from_man_exp(enc[0], -bits), from_man_exp(enc[1], -bits)
+    if den != 1:
+        d = from_int(den)
+        lo, hi = mpf_div(lo, d, bits, round_floor), mpf_div(hi, d, bits, round_ceiling)
+    return IntervalValue._of(lo, hi)
 
 
 @lru_cache(maxsize=16)
 def fixed_pi(bits: int) -> tuple[int, int]:
-    """pi at `bits` fractional bits, from `pi_interval`."""
-    return fixed_from_interval(pi_interval(fixed_digits(bits)), bits)
+    """floor and ceiling of pi * 2**bits, from `mpf_pi` rounded down and up at bits + 2 bits."""
+    return (_scaled(mpf_pi(bits + 2, round_floor), bits, False),
+            _scaled(mpf_pi(bits + 2, round_ceiling), bits, True))
 
 
 def fixed_ratio(num: int, den: int, bits: int) -> tuple[int, int]:
     """The enclosure of the rational num/den (den > 0), rounded once."""
     return (num << bits) // den, -((-num << bits) // den)
+
+
+def fixed_mul(a, b, bits: int) -> tuple[int, int]:
+    """The enclosure of the product of two enclosures of any sign, rounded outward."""
+    if b[0] >= 0:  # then each end of the product is one product of ends
+        lo = a[0] * (b[0] if a[0] >= 0 else b[1])
+        hi = a[1] * (b[1] if a[1] >= 0 else b[0])
+    else:
+        prods = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
+        lo, hi = min(prods), max(prods)
+    return lo >> bits, -(-hi >> bits)
+
+
+def fixed_horner(coeffs, x, bits: int) -> tuple[int, int]:
+    """sum_n coeffs[n] x^n by Horner's rule, for enclosures coeffs (constant term first) and x."""
+    lo = hi = 0
+    for c_lo, c_hi in reversed(coeffs):
+        lo, hi = fixed_mul((lo, hi), x, bits)
+        lo, hi = lo + c_lo, hi + c_hi
+    return lo, hi
+
+
+def poly_eval_centered(coeffs, deriv_coeffs, lo: float, hi: float, bits: int) -> tuple[int, int]:
+    """Enclosure of p over the tile [lo, hi]: plain Horner intersected with the centered form.
+
+    p and p' are given as enclosures at `bits` fractional bits; the ends
+    of a dyadic tile are exact there.  The centered form p(mid) + p'(X) *
+    (X - mid) is much tighter on narrow tiles near extrema, where plain
+    Horner's dependency blow-up dominates.
+    """
+    x = fixed_ratio(*lo.as_integer_ratio(), bits)[0], fixed_ratio(*hi.as_integer_ratio(), bits)[1]
+    mid = (x[0] + x[1]) >> 1  # any point of X serves; this is its midpoint when exact
+    plain = fixed_horner(coeffs, x, bits)
+    at_mid = fixed_horner(coeffs, (mid, mid), bits)
+    slope = fixed_mul(fixed_horner(deriv_coeffs, x, bits), (x[0] - mid, x[1] - mid), bits)
+    return max(plain[0], at_mid[0] + slope[0]), min(plain[1], at_mid[1] + slope[1])
 
 
 def y_ratio(p: int, q: int, cos: bool) -> tuple[int, int]:

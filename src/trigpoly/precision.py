@@ -1,7 +1,7 @@
 """Extended-precision value carrier and working-precision control.
 
-All real-valued computation in this package runs through mpmath at a
-working precision of ``requested digits + GUARD_DIGITS``.  The guard
+Every mpf value in this package is computed at a working precision of
+``requested digits + GUARD_DIGITS``.  The guard
 digits keep values accurate (the three-term recurrences add their own
 cancellation allowance on top); no certificate rests on them, since
 certificates come from the outward-rounded enclosures of `intervals`.
@@ -25,8 +25,8 @@ from fractions import Fraction
 
 from mpmath import mp, mpf
 
-# shared with the interval context manager (same lock: reentrancy keeps
-# nested working()/interval_dps() sections deadlock-free)
+# one reentrant lock for mpmath's process-global precisions: working() and
+# interval_dps() sections nest without deadlock
 PRECISION_LOCK = threading.RLock()
 
 GUARD_DIGITS = 20

@@ -14,11 +14,12 @@ positive, so no pass rests on rounding noise.
 The coefficient check reads the same kernel's enclosures of
 t_j (2j)! (`fixed_t_scaled`) and reports their lower ends, with no
 slack.  The Bessel and Taylor checks compare routes to a relative
-tolerance of 10**-digits; they are evidence, not proofs.  The interval
-positivity prover establishes the worked inequality example by
-adaptive bisection with outward-rounded arithmetic and can return
-"inconclusive" but never a false positive.  `example_curve` samples that
-example on the fixed-point kernel and returns correctly rounded floats.
+tolerance of 10**-digits; they are evidence, not proofs.  The positivity
+prover bisects dyadic tiles on the same kernel: it accepts a tile whose
+enclosure is positive and stops at one whose enclosure is negative.  It
+can return "inconclusive" or a refutation, never a false positive.  The
+worked example's polynomial and `example_curve` share its coefficient
+enclosures; the curve's values are correctly rounded floats.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from .approx import (
     _check_func,
     build_poly,
     sin_taylor_coefficient,
-    sine_monomials,
     taylor_coeffs_at_zero,
 )
 from .coeffs import (
@@ -54,21 +54,17 @@ from .intervals import (
     IntervalValue,
     exact_ratio,
     fixed_bits,
-    fixed_digits,
     fixed_from_interval,
     fixed_maclaurin,
+    fixed_mul,
     fixed_partial_sums,
     fixed_pi,
     fixed_ratio,
     fixed_sin_cos_pi,
     fixed_t_scaled,
     fixed_y,
-    interval_dps,
-    pi_interval,
-    poly_deriv,
+    interval_from_fixed,
     poly_eval_centered,
-    poly_mul,
-    positive_double,
 )
 from .precision import DEFAULT_DIGITS, require_digits, to_mpf, working
 
@@ -212,9 +208,7 @@ _MAX_DOUBLINGS = 3  # escalation stops at fixed_bits(digits) * 2**3 bits
 @lru_cache(maxsize=32)
 def _fixed_coefficients(n: int, bits: int) -> tuple[tuple[int, int], ...]:
     """Enclosures of c_1..c_n at `bits` fractional bits, from the exact symbolic forms."""
-    digits = fixed_digits(bits)
-    return tuple(fixed_from_interval(s.y_coefficient_interval(digits), bits)
-                 for s in coeff_symbolic(n))
+    return tuple(s.fixed_y_coefficient(bits) for s in coeff_symbolic(n))
 
 
 def _diff(a, b) -> tuple[int, int]:
@@ -498,11 +492,11 @@ _MAX_BISECTION_DEPTH = 40  # keeps dyadic endpoints exact in binary floats
 class PositivityProof:
     """Certificate that a polynomial is positive on a closed interval.
 
-    Accepted subintervals tile the domain exactly (dyadic endpoints) and
-    each records the interval-arithmetic lower bound established there,
-    rounded down to a double.
-    When `proved` is False the unresolved subintervals are listed; the
-    prover never reports a false positive.
+    Accepted subintervals tile the domain exactly (dyadic endpoints), each
+    with the lower end of its enclosure rounded down to a double.  When
+    `proved` is False the unresolved subintervals are listed, or
+    `refutation` is a subinterval whose enclosure lies below 0, as (lo,
+    hi, upper end rounded up); there is never a false positive.
     """
 
     target_coefficients: tuple[IntervalValue, ...]
@@ -513,10 +507,18 @@ class PositivityProof:
     unresolved: tuple[tuple[float, float], ...] = ()
     preconditions: dict = field(default_factory=dict)
     metadata: dict = field(default_factory=dict)
+    refutation: tuple[float, float, float] | None = None
 
     @property
     def min_lower_bound(self) -> float:
         return min((s[2] for s in self.subintervals), default=math.nan)
+
+
+def _fixed_double(v: int, bits: int, up: bool) -> float:
+    """v / 2**bits rounded to a double, up or down."""
+    d = v / (1 << bits)  # int / int rounds to nearest
+    off = Fraction(d) - Fraction(v, 1 << bits)
+    return math.nextafter(d, math.inf if up else -math.inf) if (off < 0 if up else off > 0) else d
 
 
 def prove_polynomial_positive(
@@ -525,73 +527,92 @@ def prove_polynomial_positive(
     max_depth: int = 24,
     digits: int = DEFAULT_DIGITS,
 ) -> PositivityProof:
-    """Adaptive bisection with outward-rounded interval evaluation.
+    """Adaptive bisection over dyadic tiles on the fixed-point kernel.
 
-    A subinterval is accepted as soon as interval Horner (intersected
-    with the centered form) returns a positive lower bound; otherwise it
-    is split, up to max_depth.  Exhaustion yields proved=False with the
-    stuck subintervals recorded, never a false claim.
+    The coefficients (IntervalValues) are enclosed at `fixed_bits(digits)`
+    fractional bits.  A tile is accepted as soon as `poly_eval_centered`
+    gives it a positive lower end.  A tile whose upper end is negative
+    refutes positivity and stops the search.  Any other tile is split,
+    up to max_depth; exhaustion yields proved=False with the stuck tiles
+    recorded, never a false claim.  metadata["tiles"] counts the tiles
+    evaluated.
     """
     if not 1 <= max_depth <= _MAX_BISECTION_DEPTH:
         raise ValueError(f"max_depth must be in 1..{_MAX_BISECTION_DEPTH}")
-    with interval_dps(digits):
-        dcoeffs = poly_deriv(coeffs)
-        accepted = []
-        unresolved = []
-        deepest = 0
-        stack = [(float(domain[0]), float(domain[1]), 0)]
-        while stack:
-            lo, hi, depth = stack.pop()
-            enc = poly_eval_centered(coeffs, dcoeffs, lo, hi)
-            deepest = max(deepest, depth)
-            if enc.lo > 0:
-                bound = positive_double(enc.lo._mpf_)
-                if bound > enc.lo:
-                    bound = math.nextafter(bound, 0.0)
-                accepted.append((lo, hi, bound))
-            elif depth >= max_depth:
-                unresolved.append((lo, hi))
-            else:
-                mid = (lo + hi) / 2
-                stack.append((mid, hi, depth + 1))
-                stack.append((lo, mid, depth + 1))
+    bits = fixed_bits(digits)
+    fixed = [fixed_from_interval(c, bits) for c in coeffs]
+    deriv = [(n * lo, n * hi) for n, (lo, hi) in enumerate(fixed)][1:]
+    accepted, unresolved, refutation = [], [], None
+    deepest = tiles = 0
+    stack = [(float(domain[0]), float(domain[1]), 0)]
+    while stack:
+        lo, hi, depth = stack.pop()
+        enc_lo, enc_hi = poly_eval_centered(fixed, deriv, lo, hi, bits)
+        tiles += 1
+        deepest = max(deepest, depth)
+        if enc_lo > 0:
+            accepted.append((lo, hi, _fixed_double(enc_lo, bits, up=False)))
+        elif enc_hi < 0:
+            refutation = (lo, hi, _fixed_double(enc_hi, bits, up=True))
+            break
+        elif depth >= max_depth:
+            unresolved.append((lo, hi))
+        else:
+            mid = (lo + hi) / 2
+            stack.append((mid, hi, depth + 1))
+            stack.append((lo, mid, depth + 1))
     return PositivityProof(
         target_coefficients=tuple(coeffs),
         domain=(float(domain[0]), float(domain[1])),
         subintervals=tuple(sorted(accepted)),
         max_depth_used=deepest,
-        proved=not unresolved,
+        proved=not unresolved and refutation is None,
         unresolved=tuple(sorted(unresolved)),
+        metadata={"tiles": tiles},
+        refutation=refutation,
     )
 
 
+def _four_over_pi2(bits: int) -> tuple[int, int]:
+    pi_lo, pi_hi = fixed_pi(bits)
+    return (4 << 3 * bits) // (pi_hi * pi_hi), -((-4 << 3 * bits) // (pi_lo * pi_lo))
+
+
 def example_inequality_polynomial(digits: int = DEFAULT_DIGITS):
-    """Interval-coefficient polynomial for the worked positivity example.
+    """Enclosures of the coefficients of the worked positivity example.
 
     Builds f4(x) = 4/9 + 15x^2 - 8x + (4/pi^2)(2 Q(x)^2 + Q(2x)^2),
     where Q is the degree-4 sine approximant; f4 underestimates the
     transcendental target because 0 <= Q(u) <= sin(pi u) on [0, 1].
-    Returns (coefficients, q_y_coefficient_intervals).
+    Returns (coefficients, q_y_coefficient_intervals), IntervalValues
+    whose ends are exact at `fixed_bits(digits)` fractional bits.
 
-    Q's y-basis coefficients c_j = pi N_j(pi^2)/D_j come from the exact
-    symbolic forms evaluated over a pi enclosure; the binomial expansion
-    of (x(1-x))^j into monomials is exact integer arithmetic.
+    Q's y-basis coefficients c_j = pi N_j(pi^2)/D_j are the fixed-point
+    enclosures the grid checks and the curve use (`_fixed_coefficients`);
+    the binomial expansion of (x(1-x))^j into monomials is exact integer
+    arithmetic, and each product of enclosures rounds outward.
     """
     require_digits(digits)
-    with interval_dps(digits):
-        c_intervals = [s.y_coefficient_interval(digits) for s in coeff_symbolic(4)]
-        q = sine_monomials(c_intervals, IntervalValue(0))
-        q2x = [q[n] * (2 ** n) for n in range(len(q))]
-        q_sq = poly_mul(q, q)
-        q2x_sq = poly_mul(q2x, q2x)
-        coeffs = [IntervalValue(0)] * 17
-        coeffs[0] = IntervalValue(Fraction(4, 9))
-        coeffs[1] = IntervalValue(-8)
-        coeffs[2] = IntervalValue(15)
-        scale = 4 / pi_interval(digits) ** 2
-        for n in range(17):
-            coeffs[n] = coeffs[n] + scale * (2 * q_sq[n] + q2x_sq[n])
-    return coeffs, c_intervals
+    bits = fixed_bits(digits)
+    c = _fixed_coefficients(4, bits)
+    q = [(0, 0)] * 9
+    for j, (lo, hi) in enumerate(c, start=1):
+        for i in range(j + 1):
+            k = (-1) ** i * math.comb(j, i)
+            a, b = sorted((k * lo, k * hi))
+            q[j + i] = q[j + i][0] + a, q[j + i][1] + b
+    q2x = [(lo << n, hi << n) for n, (lo, hi) in enumerate(q)]
+    squares = [(0, 0)] * 17  # 2 Q(x)^2 + Q(2x)^2
+    for poly, weight in ((q, 2), (q2x, 1)):
+        for i, a in enumerate(poly):
+            for j, b in enumerate(poly):
+                lo, hi = fixed_mul(a, b, bits)
+                squares[i + j] = squares[i + j][0] + weight * lo, squares[i + j][1] + weight * hi
+    base = [fixed_ratio(4, 9, bits), (-8 << bits,) * 2, (15 << bits,) * 2] + [(0, 0)] * 14
+    scale = _four_over_pi2(bits)
+    scaled = (fixed_mul(scale, sq, bits) for sq in squares)
+    coeffs = [interval_from_fixed((b[0] + f[0], b[1] + f[1]), bits) for b, f in zip(base, scaled)]
+    return coeffs, [interval_from_fixed(ci, bits) for ci in c]
 
 
 def prove_example_inequality(
@@ -618,7 +639,7 @@ def prove_example_inequality(
             "positive_y_coefficients": q_positive,
             "envelope": "0 <= Q <= sin(pi u) on [0,1] gives Q^2 <= sin^2",
         },
-        metadata={"digits": digits, "max_depth": max_depth},
+        metadata={**proof.metadata, "digits": digits, "max_depth": max_depth},
     )
 
 
@@ -630,38 +651,24 @@ def _fixed_float(enc, bits: int) -> float | None:
     return None
 
 
-def _fixed_mul(a, b, bits: int) -> tuple[int, int]:
-    prods = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
-    return min(prods) >> bits, -(-max(prods) >> bits)
-
-
-def _fixed_square(a, bits: int) -> tuple[int, int]:
-    lo, hi = a
-    if lo >= 0:
-        return lo * lo >> bits, -(-(hi * hi) >> bits)
-    if hi <= 0:
-        return hi * hi >> bits, -(-(lo * lo) >> bits)
-    return 0, -(-max(lo * lo, hi * hi) >> bits)
-
-
 def _curve_row(i: int, grid_size: int, bits: int):
     """Enclosures of f and f - f4 at x = i / (2 grid_size)."""
     q = 2 * grid_size
     coeffs = _fixed_coefficients(4, bits)
     # sin^2(pi u) and Q(u)^2 at u = x and u = 2x
     (s1, q1), (s2, q2) = [
-        (_fixed_square(fixed_sin_cos_pi(p, q, bits), bits),
-         _fixed_square(fixed_partial_sums(coeffs, fixed_y(p, q, bits, False), bits)[0][-1], bits))
+        [fixed_mul(v, v, bits) for v in (
+            fixed_sin_cos_pi(p, q, bits),
+            fixed_partial_sums(coeffs, fixed_y(p, q, bits, False), bits)[0][-1])]
         for p in (i, 2 * i)
     ]
     trig = (2 * s1[0] + s2[0], 2 * s1[1] + s2[1])
     gap = (2 * (s1[0] - q1[1]) + s2[0] - q2[1], 2 * (s1[1] - q1[0]) + s2[1] - q2[0])
-    pi_lo, pi_hi = fixed_pi(bits)
-    four_over_pi2 = ((4 << 3 * bits) // (pi_hi * pi_hi), -((-4 << 3 * bits) // (pi_lo * pi_lo)))
+    four_over_pi2 = _four_over_pi2(bits)
     # 4/9 - 8x + 15x^2 = (4q^2 - 72iq + 135i^2) / (9q^2)
     base = fixed_ratio(4 * q * q - 72 * i * q + 135 * i * i, 9 * q * q, bits)
-    f = _fixed_mul(four_over_pi2, trig, bits)
-    return (base[0] + f[0], base[1] + f[1]), _fixed_mul(four_over_pi2, gap, bits)
+    f = fixed_mul(four_over_pi2, trig, bits)
+    return (base[0] + f[0], base[1] + f[1]), fixed_mul(four_over_pi2, gap, bits)
 
 
 def example_curve(grid_size: int = 2048, digits: int = DEFAULT_DIGITS):

@@ -2,15 +2,18 @@ import math
 import struct
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
+from mpmath.libmp import mpf_le
 
 import trigpoly.approx as approx
 from trigpoly.approx import (
     COS_PI_X,
+    DOMAINS,
     SIN_PI_X,
     DomainError,
     bound_sup,
@@ -23,6 +26,7 @@ from trigpoly.approx import (
     taylor_coeffs_at_zero,
 )
 from trigpoly.coeffs import coeff_symbolic
+from trigpoly.intervals import fixed_bits, interval_dps
 from trigpoly.precision import IndexLimitError, horner, working
 
 
@@ -453,11 +457,56 @@ def test_mpf_horner_keeps_the_loop_order():
                 acc = acc * y + c
             assert horner(poly.hp_coeffs, y)._mpf_ == acc._mpf_
             assert poly.eval_hp(x)._mpf_ == (acc * y)._mpf_
+    # the symbolic value is its enclosure's midpoint rounded to the working precision
     for s in coeff_symbolic(6):
+        enc = s.evaluate_interval(50)
         with working(50):
-            u = mp.pi ** 2
-            acc = mpf(0)
-            for c in reversed(s.numerator):
-                acc = acc * u + c
-            ref = +(acc / s.denominator / mp.pi ** s.pi_power)
+            ref = +enc.mid
         assert s.evaluate(50).value._mpf_ == ref._mpf_
+
+
+# --- K_m enclosures against mpmath's interval context -------------------------------
+
+@lru_cache(maxsize=None)
+def _iv_tail_constants(m, digits):
+    """The earlier `_tail_constants`, on mpmath's interval context, as the reference."""
+    from mpmath import iv
+
+    with interval_dps(digits):
+        pi2 = (+iv.pi) ** 2
+        q = pi2 / (4 * (2 * m + 4) * (2 * m + 3))
+        lead = pi2 ** (m + 1) / math.factorial(2 * m + 2)
+        k = lead / (1 - q)
+        tail = 1 / (1 - q)
+    lead, k, q, tail = (v._mpi_ for v in (lead, k, q, tail))
+    floats = approx._nearest(*q), approx._nearest(*tail)
+    if None in floats:
+        finer = _iv_tail_constants(m, 2 * digits)
+        floats = finer.q_m, finer.tail_factor
+    return approx._TailConstants(fixed_bits(digits), lead, k, *floats)
+
+
+@pytest.mark.parametrize("digits", [30, 50])
+def test_tail_constants_equal_the_interval_context_for_small_m(digits):
+    for m in range(1, 25):
+        got, ref = approx._tail_constants(m, digits), _iv_tail_constants(m, digits)
+        assert (got.lead, got.k) == (ref.lead, ref.k), m
+        assert (got.q_m, got.tail_factor) == (ref.q_m, ref.tail_factor), m
+
+
+@pytest.mark.parametrize("digits", [30, 50, 100])
+def test_tail_constants_are_never_looser_than_the_interval_context(digits):
+    # the interval context rounds (2m+2)! once more before dividing by it
+    for m in range(1, 201):
+        got, ref = approx._tail_constants(m, digits), _iv_tail_constants(m, digits)
+        for (lo, hi), (ref_lo, ref_hi) in ((got.lead, ref.lead), (got.k, ref.k)):
+            assert mpf_le(ref_lo, lo) and mpf_le(lo, hi) and mpf_le(hi, ref_hi), m
+
+
+def test_error_bound_equals_the_interval_context_on_a_grid(monkeypatch):
+    cases = [(func, m, x) for func in (COS_PI_X, SIN_PI_X) for m in range(1, 15)
+             for x in [DOMAINS[func][0] + (i + 0.5) / 40 * (DOMAINS[func][1] - DOMAINS[func][0])
+                       for i in range(40)]]
+    got = [_certificate_bits(error_bound(*case)) for case in cases]
+    monkeypatch.setattr(approx, "_tail_constants", _iv_tail_constants)
+    assert got == [_certificate_bits(error_bound(*case)) for case in cases]

@@ -210,6 +210,39 @@ def test_symbolic_evaluation_agrees_with_numeric_routes():
             assert enc.width < abs(ev.value) * mpf(10) ** -60
 
 
+def _frac(v) -> Fraction:
+    sign, man, exp, _ = v._mpf_
+    return (-1) ** sign * Fraction(man) * Fraction(2) ** exp
+
+
+@pytest.mark.parametrize("digits", [30, 50, 100])
+def test_symbolic_forms_keep_every_digit_up_to_j_200(digits):
+    """N_j(pi^2)'s terms cancel by hundreds of digits for large j; none may be lost."""
+    tol = Fraction(1, 10 ** digits)
+    for s in coeff_symbolic(200):
+        enc, ref = s.evaluate_interval(digits), t_enclosure(s.index, digits)
+        lo, hi = _frac(enc.lo), _frac(enc.hi)
+        ref_lo, ref_hi = _frac(ref.lo), _frac(ref.hi)
+        assert 0 < lo and hi - lo < lo * tol, s.index
+        assert lo <= ref_hi and ref_lo <= hi, s.index
+        value = _frac(s.evaluate(digits).value)
+        assert ref_lo * (1 - tol) <= value <= ref_hi * (1 + tol), s.index
+
+
+def test_y_coefficient_enclosures_hold_pi_times_the_weight():
+    for s in coeff_symbolic(40):
+        c = s.y_coefficient_interval(60)
+        t = s.evaluate_interval(60)
+        with mp.workdps(200):
+            pi_power = mp.pi ** (2 * s.index)
+            assert c.lo <= t.hi * pi_power and t.lo * pi_power <= c.hi
+        assert c.width < c.lo * mpf(10) ** -60
+        bits = fixed_bits(60)
+        lo, hi = s.fixed_y_coefficient(bits)
+        assert Fraction(lo, 1 << bits) <= _frac(c.hi) and _frac(c.lo) <= Fraction(hi, 1 << bits)
+        assert hi - lo <= 4
+
+
 # --- Bessel route ----------------------------------------------------------
 
 def test_gamma_half_against_recursion_oracle():

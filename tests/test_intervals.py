@@ -12,21 +12,20 @@ from trigpoly.intervals import (
     IntervalValue,
     exact_ratio,
     fixed_bits,
-    fixed_digits,
     fixed_from_interval,
+    fixed_horner,
     fixed_maclaurin,
+    fixed_mul,
     fixed_partial_sums,
     fixed_pi,
+    fixed_ratio,
     fixed_series,
     fixed_sin_cos_pi,
     fixed_y,
     interval_dps,
     interval_from_fixed,
     pi_interval,
-    poly_deriv,
-    poly_eval,
     poly_eval_centered,
-    poly_mul,
     positive_double,
     y_ratio,
 )
@@ -51,9 +50,12 @@ def test_basic_properties():
 
 
 def test_fraction_construction_encloses():
-    v = IntervalValue(Fraction(1, 3))
-    assert v.lo <= mpf(1) / 3 <= v.hi
-    assert v.width < mpf(10) ** -15
+    with pytest.raises(TypeError):
+        IntervalValue(Fraction(1, 3))  # not exact: enclose it at some bits instead
+    bits = fixed_bits(30)
+    v = interval_from_fixed(fixed_ratio(1, 3, bits), bits)
+    assert v.contains(Fraction(1, 3)) and not v.contains(Fraction(1, 3) + Fraction(1, 2 ** bits))
+    assert v.width < mpf(10) ** -45
 
 
 def test_pi_interval_width_and_containment():
@@ -61,6 +63,24 @@ def test_pi_interval_width_and_containment():
     assert enc.width <= mpf(10) ** -50
     with mp.workdps(80):
         assert enc.lo < mp.pi < enc.hi
+
+
+def test_pi_interval_is_mpmath_interval_pi():
+    from mpmath import iv
+
+    for digits in (30, 50, 97, 200):
+        with interval_dps(digits):
+            ref = (+iv.pi)._mpi_
+        enc = pi_interval(digits)
+        assert (enc.lo._mpf_, enc.hi._mpf_) == ref
+
+
+def test_fixed_pi_is_the_floor_and_ceiling():
+    for bits in (1, 8, 53, 166, 1000):
+        lo, hi = fixed_pi(bits)
+        assert hi == lo + 1
+        with mp.workprec(bits + 80):
+            assert lo == int(mp.floor(mp.pi * 2 ** bits))
 
 
 def sample_point(a: float, b: float, t: float) -> float:
@@ -73,61 +93,56 @@ def sample_point(a: float, b: float, t: float) -> float:
     return min(hi, max(lo, lo + t * (hi - lo)))
 
 
+def _pair(a: float, b: float, bits: int) -> tuple[int, int]:
+    return fixed_from_interval(make_interval(a, b), bits)
+
+
+def _holds(enc, value: Fraction, bits: int) -> bool:
+    return Fraction(enc[0], 1 << bits) <= value <= Fraction(enc[1], 1 << bits)
+
+
 @given(a=finite, b=finite, c=finite, d=finite, ta=st.floats(0, 1), tb=st.floats(0, 1))
 @example(a=0.0, b=0.0, c=-1.0, d=-6.038865258794831e-31, ta=0.0, tb=1.0)
 @example(a=0.0, b=0.0, c=-1.0, d=-8.74304699952782e-19, ta=0.0, tb=1.0)
 @settings(max_examples=200, deadline=None)
 def test_arithmetic_containment(a, b, c, d, ta, tb):
-    """Exact results of point operations stay inside interval results."""
-    u = make_interval(a, b)
-    v = make_interval(c, d)
-    pu = sample_point(a, b, ta)
-    pv = sample_point(c, d, tb)
-    with mp.workdps(40):
-        xs, ys = mpf(pu), mpf(pv)
-        assert (u + v).contains(xs + ys)
-        assert (u - v).contains(xs - ys)
-        assert (u * v).contains(xs * ys)
-        assert (u ** 2).contains(xs ** 2)
-        assert (3 * u).contains(3 * xs)
-        if not v.contains(0):
-            assert (u / v).contains(xs / ys)
-
-
-def test_division_by_zero_spanning_interval_yields_whole_line():
-    # dividing by an interval containing zero widens to the whole line,
-    # which is still a sound (if useless) enclosure
-    q = IntervalValue(1) / IntervalValue(-1, 1)
-    assert q.lo == mpf("-inf") and q.hi == mpf("+inf")
+    """Exact results of point operations stay inside the fixed-point enclosures."""
+    bits = 64
+    u, v = _pair(a, b, bits), _pair(c, d, bits)
+    xs, ys = Fraction(sample_point(a, b, ta)), Fraction(sample_point(c, d, tb))
+    assert _holds((u[0] + v[0], u[1] + v[1]), xs + ys, bits)
+    assert _holds((u[0] - v[1], u[1] - v[0]), xs - ys, bits)
+    assert _holds(fixed_mul(u, v, bits), xs * ys, bits)
+    assert _holds(fixed_mul(v, u, bits), xs * ys, bits)
+    assert _holds(fixed_mul(u, u, bits), xs * xs, bits)
+    assert _holds((3 * u[0], 3 * u[1]), 3 * xs, bits)
 
 
 def test_power_containment_even():
-    v = IntervalValue(-2, 3)
-    sq = v ** 2
-    assert sq.lo <= 0 and sq.hi >= 9
+    bits = 16
+    v = _pair(-2, 3, bits)
+    lo, hi = fixed_mul(v, v, bits)
+    assert lo <= 0 and hi >= 9 << bits
+
+
+def _exact_coeffs(values, bits):
+    return [(v << bits, v << bits) for v in values]
 
 
 def test_poly_eval_contains_point_value():
     # p(x) = 1 - 2x + x^2 on [0.5, 1.5]
-    coeffs = [IntervalValue(1), IntervalValue(-2), IntervalValue(1)]
-    enc = poly_eval(coeffs, IntervalValue(0.5, 1.5))
-    assert enc.contains(0.25) and enc.contains(0.0)
+    bits = 64
+    enc = fixed_horner(_exact_coeffs([1, -2, 1], bits), _pair(0.5, 1.5, bits), bits)
+    assert _holds(enc, Fraction(1, 4), bits) and _holds(enc, Fraction(0), bits)
 
 
 def test_centered_form_is_tighter_near_extremum():
-    coeffs = [IntervalValue(1), IntervalValue(-2), IntervalValue(1)]
-    dcoeffs = poly_deriv(coeffs)
-    with interval_dps(50):
-        plain = poly_eval(coeffs, IntervalValue(0.9, 1.1))
-        best = poly_eval_centered(coeffs, dcoeffs, 0.9, 1.1)
-    assert best.width <= plain.width
-    assert best.contains(0.01)  # p(0.9) = 0.01
-
-
-def test_poly_mul_matches_square():
-    coeffs = [IntervalValue(1), IntervalValue(1)]  # 1 + x
-    sq = poly_mul(coeffs, coeffs)  # 1 + 2x + x^2
-    assert [c.mid for c in sq] == [1, 2, 1]
+    bits = fixed_bits(50)
+    coeffs, dcoeffs = _exact_coeffs([1, -2, 1], bits), _exact_coeffs([-2, 2], bits)
+    plain = fixed_horner(coeffs, _pair(0.9, 1.1, bits), bits)
+    best = poly_eval_centered(coeffs, dcoeffs, 0.9, 1.1, bits)
+    assert best[1] - best[0] <= plain[1] - plain[0]
+    assert _holds(best, (Fraction(0.9) - 1) ** 2, bits)  # p at the left end
 
 
 def test_interval_dps_restores_context():
@@ -160,8 +175,7 @@ def test_fixed_point_enclosures_contain_high_precision_values(x, scale):
     bits = fixed_bits(50) * scale
     p, q = exact_ratio(Fraction(x))
     half = (2 * p - q, 2 * q)  # x - 1/2, in the cosine's domain
-    coeffs = [fixed_from_interval(s.y_coefficient_interval(fixed_digits(bits)), bits)
-              for s in coeff_symbolic(12)]
+    coeffs = [s.fixed_y_coefficient(bits) for s in coeff_symbolic(12)]
     with mp.workprec(3 * bits):
         xv, hv = mpf(p) / q, mpf(half[0]) / half[1]
         assert _encloses(fixed_pi(bits), mp.pi, bits)
@@ -310,12 +324,13 @@ def _fraction(v) -> Fraction:
 
 def test_mid_is_exact_whatever_the_context_precision():
     cases = [t_enclosure(1, 50), t_enclosure(7, 100), pi_interval(200)]
-    with interval_dps(40):
-        cases.append(IntervalValue(mpf(1) / 3, 1) * IntervalValue(Fraction(2, 7)))
+    with mp.workdps(40):
+        cases.append(IntervalValue(mpf(1) / 3, 1))
+    cases.append(interval_from_fixed(fixed_ratio(2, 21, 200), 200))
     cases.append(IntervalValue(mpf(2) ** -1000, 3))
     for enc in cases:
         outside = enc.mid
-        with interval_dps(50):
+        with mp.workdps(10):
             inside = enc.mid
         assert outside._mpf_ == inside._mpf_
         assert _fraction(outside) == (_fraction(enc.lo) + _fraction(enc.hi)) / 2

@@ -16,7 +16,7 @@ import pytest
 from mpmath import mp, mpf
 
 from trigpoly.approx import DOMAINS, error_bound
-from trigpoly.coeffs import coefficient_table
+from trigpoly.coeffs import coeff_symbolic, coefficient_table
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -70,6 +70,20 @@ def test_tables_pass_the_benchmark_coefficient_check(checks, route, digits):
     for entry in coefficient_table(60, digits, route=route):
         checks.check_t_value(entry.j, entry.value.value, entry.trunc_bound.value, digits,
                              ref[entry.j], f"{route} table J=60 digits={digits}")
+
+
+def test_symbolic_enclosures_pass_the_benchmark_check(checks):
+    """coeff-tables' check of the symbolic enclosures: j up to 56 at 94-106 digits.
+
+    The reference is good to about 260 digits, so an enclosure rounded
+    tighter than its working precision could miss it.
+    """
+    ref = checks.t_reference(56, 260)
+    forms = coeff_symbolic(56)
+    for digits in range(94, 107):
+        for form in forms:
+            enc = form.evaluate_interval(digits)
+            assert enc.lo <= ref[form.index] <= enc.hi, (form.index, digits)
 
 
 @pytest.mark.parametrize("func", sorted(DOMAINS))

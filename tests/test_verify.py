@@ -15,11 +15,10 @@ from trigpoly.coeffs import (
 )
 from trigpoly.intervals import (
     IntervalValue,
-    exact_ratio,
     fixed_bits,
-    interval_dps,
-    poly_deriv,
-    poly_eval,
+    fixed_from_interval,
+    fixed_horner,
+    interval_from_fixed,
     poly_eval_centered,
 )
 from trigpoly.precision import working
@@ -194,12 +193,12 @@ def test_prove_example_succeeds_with_defaults():
 @pytest.mark.parametrize("digits", [50, 80])
 def test_proof_lower_bounds_are_the_enclosures_rounded_down(digits):
     proof = prove_example_inequality(digits=digits)
-    coeffs = proof.target_coefficients
-    with interval_dps(digits):
-        dcoeffs = poly_deriv(coeffs)
-        for lo, hi, bound in proof.subintervals:
-            end = Fraction(*exact_ratio(poly_eval_centered(coeffs, dcoeffs, lo, hi).lo))
-            assert Fraction(bound) <= end < Fraction(math.nextafter(bound, math.inf))
+    bits = fixed_bits(digits)
+    coeffs = [fixed_from_interval(c, bits) for c in proof.target_coefficients]
+    dcoeffs = [(n * lo, n * hi) for n, (lo, hi) in enumerate(coeffs)][1:]
+    for lo, hi, bound in proof.subintervals:
+        end = Fraction(poly_eval_centered(coeffs, dcoeffs, lo, hi, bits)[0], 1 << bits)
+        assert Fraction(bound) <= end < Fraction(math.nextafter(bound, math.inf))
 
 
 def test_proof_subintervals_tile_domain_exactly():
@@ -232,11 +231,38 @@ def test_engine_trivial_positive_polynomial():
 
 
 def test_engine_touching_zero_is_never_proved():
-    # (x - 1/4)^2 vanishes inside the domain: positivity must not be claimed
+    # (x - 1/4)^2 vanishes inside the domain: positivity must not be claimed,
+    # and nor may it be refuted, since the polynomial is never negative
     coeffs = [IntervalValue(0.0625), IntervalValue(-0.5), IntervalValue(1)]
     proof = prove_polynomial_positive(coeffs, (0.0, 0.5), max_depth=12, digits=50)
     assert not proof.proved
     assert any(lo <= 0.25 <= hi for lo, hi in proof.unresolved)
+    assert proof.refutation is None
+
+
+def test_engine_refutes_a_negative_constant_at_the_first_tile():
+    # bisecting would split all 2^24 tiles; the first enclosure already lies below 0
+    proof = prove_polynomial_positive([IntervalValue(-1)], (0.0, 0.5), max_depth=24, digits=50)
+    assert not proof.proved
+    assert proof.refutation == (0.0, 0.5, -1.0)
+    assert proof.metadata["tiles"] == 1
+    assert proof.subintervals == () and proof.unresolved == ()
+
+
+@pytest.mark.parametrize("digits", [30, 50])
+def test_engine_refutation_bound_is_the_enclosure_rounded_up(digits):
+    # (x - 1/4)^2 - 2^-20 < 0 near 1/4; the first tile found below 0 stops the search
+    coeffs = [IntervalValue(0.0625 - 2.0 ** -20), IntervalValue(-0.5), IntervalValue(1)]
+    proof = prove_polynomial_positive(coeffs, (0.0, 0.5), max_depth=24, digits=digits)
+    assert not proof.proved
+    lo, hi, bound = proof.refutation
+    assert abs(lo - 0.25) < 2.0 ** -10 and abs(hi - 0.25) < 2.0 ** -10 and bound < 0
+    bits = fixed_bits(digits)
+    fixed = [fixed_from_interval(c, bits) for c in coeffs]
+    deriv = [(n * a, n * b) for n, (a, b) in enumerate(fixed)][1:]
+    end = Fraction(poly_eval_centered(fixed, deriv, lo, hi, bits)[1], 1 << bits)
+    assert Fraction(math.nextafter(bound, -math.inf)) < end <= Fraction(bound)
+    assert proof.metadata["tiles"] < 100
 
 
 def test_engine_depth_cap():
@@ -248,26 +274,26 @@ def test_example_polynomial_endpoint_values():
     coeffs, c_intervals = example_inequality_polynomial(50)
     assert len(coeffs) == 17
     assert all(c.lo > 0 for c in c_intervals)
-    with interval_dps(50):
-        at_zero = poly_eval(coeffs, IntervalValue(0))
-        with working(60):
-            four_ninths = mpf(4) / 9
-        assert at_zero.contains(four_ninths)
-        assert at_zero.width < mpf(10) ** -45
-        at_half = poly_eval(coeffs, IntervalValue(0.5))
-        # independent oracle: assemble f4(1/2) from the degree-4 approximant
-        # (the Q(1) term vanishes, leaving 4/9 - 1/4 + (8/pi^2) Q(1/2)^2)
-        from trigpoly.approx import build_poly
-
-        poly4 = build_poly(SIN_PI_X, 4, 60)
-        with working(70):
-            x = mpf(1) / 2
-            q1 = poly4.eval_hp(x)
-            q2 = poly4.eval_hp(2 * x)
-            oracle = mpf(4) / 9 + 15 * x ** 2 - 8 * x + 4 * (2 * q1 ** 2 + q2 ** 2) / mp.pi ** 2
-            assert q2 == 0
-        assert at_half.contains(oracle)
-        assert float(oracle) == pytest.approx(1.0049767248513321, rel=1e-14)
+    bits = fixed_bits(50)
+    fixed = [fixed_from_interval(c, bits) for c in coeffs]
+    at_zero = interval_from_fixed(fixed_horner(fixed, (0, 0), bits), bits)
+    with working(60):
+        four_ninths = mpf(4) / 9
+    assert at_zero.contains(four_ninths)
+    assert at_zero.width < mpf(10) ** -45
+    half = 1 << (bits - 1)
+    at_half = interval_from_fixed(fixed_horner(fixed, (half, half), bits), bits)
+    # independent oracle: assemble f4(1/2) from the degree-4 approximant
+    # (the Q(1) term vanishes, leaving 4/9 - 1/4 + (8/pi^2) Q(1/2)^2)
+    poly4 = build_poly(SIN_PI_X, 4, 60)
+    with working(70):
+        x = mpf(1) / 2
+        q1 = poly4.eval_hp(x)
+        q2 = poly4.eval_hp(2 * x)
+        oracle = mpf(4) / 9 + 15 * x ** 2 - 8 * x + 4 * (2 * q1 ** 2 + q2 ** 2) / mp.pi ** 2
+        assert q2 == 0
+    assert at_half.contains(oracle)
+    assert float(oracle) == pytest.approx(1.0049767248513321, rel=1e-14)
 
 
 def test_example_curve_rows():
@@ -435,13 +461,14 @@ def test_worst_keeps_the_first_of_equal_margins():
 
 def test_example_polynomial_builds_each_y_coefficient_once(monkeypatch):
     calls = []
-    original = SymbolicCoefficient.y_coefficient_interval
+    original = SymbolicCoefficient.fixed_y_coefficient
 
-    def counted(self, digits=50):
+    def counted(self, bits):
         calls.append(self.index)
-        return original(self, digits)
+        return original(self, bits)
 
-    monkeypatch.setattr(SymbolicCoefficient, "y_coefficient_interval", counted)
+    monkeypatch.setattr(SymbolicCoefficient, "fixed_y_coefficient", counted)
+    verify._fixed_coefficients.cache_clear()
     _, c_intervals = example_inequality_polynomial(50)
     assert calls == [1, 2, 3, 4]
     assert len(c_intervals) == 4
