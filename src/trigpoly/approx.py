@@ -19,7 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Literal
+from operator import attrgetter
+from typing import Callable, Literal
 
 from mpmath import mp, mpf
 from mpmath.libmp import (fone, from_int, mpf_div, mpf_mul, mpf_pow_int, mpf_shift, mpf_sub,
@@ -73,6 +74,38 @@ def _check_func(func: str) -> None:
         raise ValueError(f"func must be {COS_PI_X!r} or {SIN_PI_X!r}, got {func!r}")
 
 
+def _compile_horner(func: str, coeffs) -> Callable[[float], float]:
+    """The float Horner recurrence in y for `coeffs`, as one straight-line function.
+
+    One statement per coefficient, highest first, so the operations and
+    their order are those of the loop `acc = acc * y + c`; the only text
+    compiled is the fixed y-map and the `repr`s of finite doubles, which
+    round-trip exactly.  Statements, not one nested expression: the
+    parser caps nesting far below m = DEFAULT_INDEX_LIMIT.
+    """
+    y = "0.25 - x * x" if func == COS_PI_X else "x * (1.0 - x)"
+    lines = ["def horner(x):", f"    y = {y}", "    acc = 0.0"]
+    for c in map(float, reversed(coeffs)):
+        if not math.isfinite(c):
+            raise ValueError(f"y_coeffs must be finite, got {c!r}")
+        lines.append(f"    acc = acc * y + {c!r}")
+    lines.append("    return acc * y")
+    namespace = {}
+    exec(compile("\n".join(lines), f"<{func} Horner, m={len(coeffs)}>", "exec"), namespace)
+    return namespace["horner"]
+
+
+class _Kernel(property):
+    """The class attribute `eval`: read on an instance, its compiled kernel.
+
+    A property, so reading `poly.eval` runs no Python frame; called on the
+    class, `ApproxPolynomial.eval(poly, x)` runs the kernel of `poly`.
+    """
+
+    def __call__(self, poly, x):
+        return poly._kernel(x)
+
+
 @dataclass(frozen=True)
 class ApproxPolynomial:
     """Degree-m approximant in the shifted basis (powers of y).
@@ -80,6 +113,11 @@ class ApproxPolynomial:
     y_coeffs are the machine-precision coefficients used for fast
     evaluation (rounded once from extended precision); hp_coeffs retain
     the extended-precision values for verification work.
+
+    `eval(x)` (also `poly(x)`) is float Horner in y, compiled once per
+    instance into straight-line code: y is formed, then one
+    `acc = acc * y + c_j` per coefficient from c_m down to c_1, then
+    `acc * y` is returned.  A pickle or copy compiles its own kernel.
     """
 
     func: FuncTag
@@ -89,23 +127,19 @@ class ApproxPolynomial:
     precision_digits: int = DEFAULT_DIGITS
 
     def __post_init__(self):
-        # eval's set-up, done once: the Horner order and the y-map
-        object.__setattr__(self, "_horner", self.y_coeffs[::-1])
+        object.__setattr__(self, "_kernel", _compile_horner(self.func, self.y_coeffs))
         object.__setattr__(self, "_cos", self.func == COS_PI_X)
+
+    def __reduce__(self):
+        return ApproxPolynomial, (self.func, self.degree_m, self.y_coeffs, self.hp_coeffs,
+                                  self.precision_digits)
 
     def y_of_hp(self, x) -> mpf:
         """The shifted variable y at the current working precision."""
         xv = to_mpf(x)
         return mpf(1) / 4 - xv * xv if self._cos else xv * (1 - xv)
 
-    def eval(self, x: float) -> float:
-        """Machine-precision Horner evaluation in y."""
-        y = 0.25 - x * x if self._cos else x * (1.0 - x)
-        acc = 0.0
-        for c in self._horner:
-            acc = acc * y + c
-        return acc * y
-
+    eval = _Kernel(attrgetter("_kernel"), doc="Machine-precision Horner evaluation in y.")
     __call__ = eval
 
     def eval_hp(self, x) -> mpf:

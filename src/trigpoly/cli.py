@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success / all checks pass, 1 property failure, 2 usage,
-3 precision too low, 4 I/O failure, 5 inconclusive proof.
+Exit codes: 0 success / all checks pass, 1 property failure or refuted
+proof, 2 usage, 3 precision too low, 4 I/O failure, 5 inconclusive proof.
 
 TRIGPOLY_DIGITS overrides the default working precision (50 digits).
 """
@@ -28,6 +28,7 @@ EXIT_USAGE = 2
 EXIT_PRECISION = 3
 EXIT_IO = 4
 EXIT_INCONCLUSIVE = 5
+_PROOF_EXIT = {"proved": EXIT_OK, "refuted": EXIT_PROPERTY_FAIL, "inconclusive": EXIT_INCONCLUSIVE}
 
 
 def _positive_int(text: str) -> int:
@@ -198,20 +199,21 @@ def cmd_compare(args) -> int:
 
 def cmd_prove_example(args) -> int:
     proof = verify.prove_example_inequality(args.max_depth, args.digits)
-    status = "PROVED" if proof.proved else "INCONCLUSIVE"
-    print(f"{status} target > 0 on [{proof.domain[0]}, {proof.domain[1]}]")
+    print(f"{proof.status.upper()} target > 0 on [{proof.domain[0]}, {proof.domain[1]}]")
     print(f"subintervals={len(proof.subintervals)}")
     print(f"min_lower_bound={proof.min_lower_bound!r}")
     print(f"max_depth_used={proof.max_depth_used}")
-    if not proof.proved:
+    if proof.status == "inconclusive":
         print(f"unresolved={len(proof.unresolved)}")
+    elif proof.status == "refuted":
+        print("refutation={!r},{!r},{!r}".format(*proof.refutation))
     if args.emit_curves:
         rows = verify.example_curve(args.grid, args.digits)
         with open(args.emit_curves, "w", encoding="utf-8", newline="\n") as handle:
             handle.write("x,f,f_minus_f4\n")
             for x, f_val, diff in rows:
                 handle.write(f"{x!r},{f_val!r},{diff!r}\n")
-    return EXIT_OK if proof.proved else EXIT_INCONCLUSIVE
+    return _PROOF_EXIT[proof.status]
 
 
 _SUITES = ("all", "coeffs", "bracketing", "bessel", "maclaurin", "taylor")

@@ -513,6 +513,13 @@ class PositivityProof:
     def min_lower_bound(self) -> float:
         return min((s[2] for s in self.subintervals), default=math.nan)
 
+    @property
+    def status(self) -> str:
+        """"proved", "refuted" (a tile's enclosure lies below 0) or "inconclusive"."""
+        if self.proved:
+            return "proved"
+        return "inconclusive" if self.refutation is None else "refuted"
+
 
 def _fixed_double(v: int, bits: int, up: bool) -> float:
     """v / 2**bits rounded to a double, up or down."""

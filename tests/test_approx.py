@@ -1,4 +1,8 @@
+import copy
+import dataclasses
 import math
+import pickle
+import random
 import struct
 import sys
 from fractions import Fraction
@@ -14,6 +18,7 @@ import trigpoly.approx as approx
 from trigpoly.approx import (
     COS_PI_X,
     DOMAINS,
+    ApproxPolynomial,
     SIN_PI_X,
     DomainError,
     bound_sup,
@@ -27,7 +32,7 @@ from trigpoly.approx import (
 )
 from trigpoly.coeffs import coeff_symbolic
 from trigpoly.intervals import fixed_bits, interval_dps
-from trigpoly.precision import IndexLimitError, horner, working
+from trigpoly.precision import DEFAULT_INDEX_LIMIT, IndexLimitError, horner, working
 
 
 # --- coefficient construction ----------------------------------------------
@@ -433,18 +438,50 @@ def _eval_reference(poly, x):
     return acc * y
 
 
+def _bits(v) -> bytes:
+    return struct.pack("<d", v)
+
+
 def test_float_eval_is_bit_identical_to_the_reversed_loop():
-    pts = [-0.5, 0.5, 0.0, -0.0, 1.0, 0.25, -0.3, 0.7, 1e-300, 5e-324,
-           math.nextafter(-0.5, 0), math.nextafter(0.5, 0), math.nextafter(0.0, 1),
-           math.nextafter(1.0, 0), 1.25, -3.0, 2.0, 1e10, -1e200, 1e300,
-           math.inf, -math.inf, math.nan]
+    # every m up to the index cap: a kernel written as one nested expression
+    # would not even parse at m = 200; the bit patterns also tell apart the
+    # signs of zero
+    special = [-0.5, 0.5, 0.0, -0.0, 1.0, 0.25, -0.3, 0.7, 1e-300, 5e-324,
+               math.nextafter(-0.5, 0), math.nextafter(0.5, 0), math.nextafter(0.0, 1),
+               math.nextafter(1.0, 0), 1.25, -3.0, 2.0, 7.5, 1e10, -1e200, 1e300,
+               math.inf, -math.inf, math.nan]
     for func in (COS_PI_X, SIN_PI_X):
-        for m in range(1, 15):
-            poly = build_poly(func, m, 50)
-            for x in pts:
-                got, want = poly.eval(x), _eval_reference(poly, x)
-                assert struct.pack("<d", got) == struct.pack("<d", want), (func, m, x)
-                assert struct.pack("<d", poly(x)) == struct.pack("<d", want)
+        lo, hi = DOMAINS[func]
+        top = build_poly(func, DEFAULT_INDEX_LIMIT, 50)
+        for m in range(1, DEFAULT_INDEX_LIMIT + 1):
+            poly = ApproxPolynomial(func, m, top.y_coeffs[:m], top.hp_coeffs[:m], 50)
+            if m <= 14 or m % 50 == 0:
+                assert poly == build_poly(func, m, 50)
+            rng = random.Random(f"{func}/{m}")
+            for x in [rng.uniform(lo, hi) for _ in range(500)] + special:
+                want = _bits(_eval_reference(poly, x))
+                assert _bits(poly.eval(x)) == want, (func, m, x)
+            for x in special:
+                want = _bits(poly.eval(x))
+                assert _bits(poly(x)) == want and _bits(ApproxPolynomial.eval(poly, x)) == want
+
+
+def test_kernel_refuses_non_finite_coefficients():
+    for c in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            ApproxPolynomial(SIN_PI_X, 2, (1.0, c), (mpf(1), mpf(1)), 50)
+
+
+def test_approximant_pickles_and_copies_with_its_own_kernel():
+    poly = build_poly(COS_PI_X, 14, 50)
+    xs = [-0.5, -0.3, 0.0, 0.1, 0.49, 2.0]
+    for other in (pickle.loads(pickle.dumps(poly)), copy.deepcopy(poly), copy.copy(poly)):
+        assert other == poly and hash(other) == hash(poly)
+        assert [other.eval(x) for x in xs] == [poly.eval(x) for x in xs]
+    halved = dataclasses.replace(poly, y_coeffs=tuple(c / 2 for c in poly.y_coeffs))
+    assert halved._kernel is not poly._kernel
+    assert [halved(x) for x in xs] == [_eval_reference(halved, x) for x in xs]
+    assert [halved(x) for x in xs] == [poly(x) / 2 for x in xs]
 
 
 def test_mpf_horner_keeps_the_loop_order():

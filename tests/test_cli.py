@@ -12,8 +12,8 @@ import trigpoly
 import trigpoly.cli as cli
 from trigpoly.approx import COS_PI_X, maclaurin_eval
 from trigpoly.coeffs import coefficient_table
-from trigpoly.intervals import exact_ratio
-from trigpoly.verify import PositivityProof
+from trigpoly.intervals import IntervalValue, exact_ratio
+from trigpoly.verify import PositivityProof, prove_polynomial_positive
 
 
 def run_cli(*argv):
@@ -259,6 +259,17 @@ def test_prove_example_inconclusive_wiring(monkeypatch, capsys):
     monkeypatch.setattr(cli.verify, "prove_example_inequality", lambda d, g: fake)
     assert run_cli("prove-example") == cli.EXIT_INCONCLUSIVE
     assert "unresolved=1" in capsys.readouterr().out
+
+
+def test_prove_example_refutation_exits_one(monkeypatch, capsys):
+    refuted = prove_polynomial_positive([IntervalValue(-1)], (0.0, 0.5), 24, 50)
+    assert refuted.status == "refuted"
+    monkeypatch.setattr(cli.verify, "prove_example_inequality", lambda d, g: refuted)
+    assert run_cli("prove-example") == cli.EXIT_PROPERTY_FAIL
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "REFUTED target > 0 on [0.0, 0.5]"
+    assert "refutation=0.0,0.5,-1.0" in out
+    assert not any(line.startswith("unresolved=") for line in out)
 
 
 # --- verify -----------------------------------------------------------------------

@@ -53,6 +53,27 @@ def test_uninstall_restores_every_binding(tracing):
     assert (approx.maclaurin_eval_hp, verify.build_poly, approx.error_bound) == before
 
 
+def test_tracer_counts_every_float_eval(tracing):
+    # the compiled kernel is reached through the class binding, so the tracer's
+    # wrapper sees every call; a kernel bound on the instance would read 0
+    from trigpoly.approx import SIN_PI_X, ApproxPolynomial, build_poly
+
+    original = vars(ApproxPolynomial)["eval"]
+    poly = build_poly(SIN_PI_X, 6)
+    xs = [i / 64 for i in range(65)]
+    want = [poly.eval(x) for x in xs]
+    tracer = tracing.Tracer().install()
+    try:
+        before = tracer.calls["approx.eval"]
+        assert list(map(poly.eval, xs)) == want
+        assert poly.eval(0.25) == poly(0.25) == want[16]
+        assert tracer.calls["approx.eval"] - before == len(xs) + 2
+    finally:
+        tracer.uninstall()
+    assert vars(ApproxPolynomial)["eval"] is original
+    assert vars(ApproxPolynomial)["__call__"] is original
+
+
 @pytest.fixture
 def checks(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))

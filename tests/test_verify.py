@@ -225,7 +225,7 @@ def test_prove_example_exhaustion_is_inconclusive_not_false():
 def test_engine_trivial_positive_polynomial():
     coeffs = [IntervalValue(1), IntervalValue(1)]  # 1 + x
     proof = prove_polynomial_positive(coeffs, (0.0, 0.5), max_depth=10, digits=50)
-    assert proof.proved
+    assert proof.proved and proof.status == "proved"
     assert len(proof.subintervals) == 1
     assert proof.max_depth_used == 0
 
@@ -237,14 +237,14 @@ def test_engine_touching_zero_is_never_proved():
     proof = prove_polynomial_positive(coeffs, (0.0, 0.5), max_depth=12, digits=50)
     assert not proof.proved
     assert any(lo <= 0.25 <= hi for lo, hi in proof.unresolved)
-    assert proof.refutation is None
+    assert proof.refutation is None and proof.status == "inconclusive"
 
 
 def test_engine_refutes_a_negative_constant_at_the_first_tile():
     # bisecting would split all 2^24 tiles; the first enclosure already lies below 0
     proof = prove_polynomial_positive([IntervalValue(-1)], (0.0, 0.5), max_depth=24, digits=50)
     assert not proof.proved
-    assert proof.refutation == (0.0, 0.5, -1.0)
+    assert proof.refutation == (0.0, 0.5, -1.0) and proof.status == "refuted"
     assert proof.metadata["tiles"] == 1
     assert proof.subintervals == () and proof.unresolved == ()
 
