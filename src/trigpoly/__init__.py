@@ -21,7 +21,7 @@ from .approx import (
     error_bound,
     maclaurin_eval,
     select_degree,
-    taylor_coeffs_at_zero,
+    sine_monomials,
 )
 from .bench import BenchConfig, BenchRow, run_bench
 from .coeffs import (

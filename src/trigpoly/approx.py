@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 from operator import attrgetter
 from typing import Callable, Literal
 
@@ -26,7 +28,7 @@ from mpmath import mp, mpf
 from mpmath.libmp import (fone, from_int, mpf_div, mpf_mul, mpf_pow_int, mpf_shift, mpf_sub,
                           round_ceiling, round_floor)
 
-from .coeffs import coefficient_table
+from .coeffs import coeff_symbolic, coefficient_table
 from .intervals import exact_ratio, fixed_bits, pi_interval, positive_double, y_ratio
 from .precision import (
     DEFAULT_DIGITS,
@@ -52,9 +54,7 @@ __all__ = [
     "maclaurin_eval",
     "maclaurin_eval_hp",
     "select_degree",
-    "sin_taylor_coefficient",
     "sine_monomials",
-    "taylor_coeffs_at_zero",
 ]
 
 COS_PI_X = "cos_pi_x"
@@ -351,34 +351,27 @@ def maclaurin_eval_hp(m: int, x, digits: int = DEFAULT_DIGITS) -> mpf:
         return alternating_series(t, t * t, 2, 3, digits, n=m)
 
 
-def taylor_coeffs_at_zero(poly: ApproxPolynomial) -> list[mpf]:
-    """Monomial coefficients of the sine approximant, orders 0..2m, in extended precision."""
-    if poly.func != SIN_PI_X:
-        raise ValueError("monomial expansion is defined for the sine form")
-    with working(poly.precision_digits):
-        return [+v for v in sine_monomials(poly.hp_coeffs)]
+def sine_monomials(m: int) -> list[tuple[Fraction, ...]]:
+    """Monomial coefficients, orders 0..2m, of Q_m(x)/pi, exactly.
 
-
-def sine_monomials(y_coeffs) -> list[mpf]:
-    """Monomial coefficients, orders 0..2m, of sum_j y_coeffs[j-1] (x(1-x))^j, in mpf.
-
-    The x^n coefficient is sum_j c_j (-1)^(n-j) binom(j, n-j); the
-    binomials are exact integers.  Callers hold the `working` section.
+    Q_m/pi = sum_{j<=m} (N_j(u)/D_j) (x(1-x))^j with u = pi^2
+    (`coeff_symbolic`), so the x^n coefficient is the polynomial
+    sum_j (-1)^(n-j) binom(j, n-j) N_j(u)/D_j in u: Fraction coefficients,
+    constant term first, trailing zeros dropped (the zero polynomial is ()).
     """
-    m = len(y_coeffs)
-    out = [mpf(0)] * (2 * m + 1)
-    for j in range(1, m + 1):
-        c = y_coeffs[j - 1]
-        for i in range(0, j + 1):
-            out[j + i] = out[j + i] + c * ((-1) ** i * math.comb(j, i))
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    out = [()] * (2 * m + 1)
+    for j, form in enumerate(coeff_symbolic(m), start=1):
+        for i in range(j + 1):
+            scale = Fraction((-1) ** i * math.comb(j, i), form.denominator)
+            out[j + i] = _poly_sum(out[j + i], [scale * c for c in form.numerator])
     return out
 
 
-def sin_taylor_coefficient(n: int, digits: int = DEFAULT_DIGITS) -> mpf:
-    """Coefficient of x^n in the Maclaurin series of sin(pi*x)."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n % 2 == 0:
-        return mpf(0)
-    with working(digits):
-        return +((-1) ** ((n - 1) // 2) * mp.pi ** n / mpf(math.factorial(n)))
+def _poly_sum(*polys) -> tuple:
+    """The sum of polynomials given constant term first, trailing zeros dropped."""
+    out = [sum(cs) for cs in zip_longest(*polys, fillvalue=0)]
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)

@@ -13,8 +13,11 @@ positive, so no pass rests on rounding noise.
 
 The coefficient check reads the same kernel's enclosures of
 t_j (2j)! (`fixed_t_scaled`) and reports their lower ends, with no
-slack.  The Bessel and Taylor checks compare routes to a relative
-tolerance of 10**-digits; they are evidence, not proofs.  The positivity
+slack.  The Bessel and Taylor checks are exact: their identities are
+compared in Fraction arithmetic, the Taylor one as polynomials in
+u = pi^2 over Q, and each margin is an outward-rounded lower end (the
+Bessel route's certificates, the Taylor contact coefficient c_{m+1}),
+rounded down; no report rests on a tolerance.  The positivity
 prover bisects dyadic tiles on the same kernel: it accepts a tile whose
 enclosure is positive and stops at one whose enclosure is negative.  It
 can return "inconclusive" or a refutation, never a false positive.  The
@@ -34,22 +37,8 @@ from functools import lru_cache
 from mpmath import mp, mpf
 from mpmath.libmp import repr_dps
 
-from .approx import (
-    COS_PI_X,
-    DOMAINS,
-    SIN_PI_X,
-    _check_func,
-    build_poly,
-    sin_taylor_coefficient,
-    taylor_coeffs_at_zero,
-)
-from .coeffs import (
-    coeff_bessel,
-    coeff_direct,
-    coeff_symbolic,
-    bessel_j_half_integer,
-    general_series_direct,
-)
+from .approx import COS_PI_X, DOMAINS, _check_func, _poly_sum, sine_monomials
+from .coeffs import coeff_symbolic, coefficient_table
 from .intervals import (
     IntervalValue,
     exact_ratio,
@@ -66,7 +55,7 @@ from .intervals import (
     interval_from_fixed,
     poly_eval_centered,
 )
-from .precision import DEFAULT_DIGITS, require_digits, to_mpf, working
+from .precision import DEFAULT_DIGITS, require_digits, require_index, to_mpf, working
 
 __all__ = [
     "PositivityProof",
@@ -183,6 +172,8 @@ def check_coefficient_bounds(j_max: int, digits: int = DEFAULT_DIGITS) -> Proper
     every one positive, so it holds for the exact coefficients.
     """
     require_digits(digits)
+    if j_max < 1:
+        raise ValueError("j_max must be >= 1")
     bits = fixed_bits(digits)
     one = 1 << bits
     pi2_lo = fixed_pi(bits)[0] ** 2  # at 2 * bits fractional bits
@@ -329,47 +320,50 @@ def check_bracketing(
     )
 
 
-def check_bessel_identity(
-    j_max: int,
-    digits: int = DEFAULT_DIGITS,
-    z_values=(1, 2),
-    z_j_max: int = 20,
-) -> PropertyReport:
-    """Cross-check the Bessel route against the direct series.
+def check_bessel_identity(j_max: int, digits: int = DEFAULT_DIGITS) -> PropertyReport:
+    """T_j(z) = sqrt(pi)/(j! 2^(j+1/2)) z^(1/4-j/2) J_{j-1/2}(sqrt(z)), term by term.
 
-    Verifies |t_bessel(j) - t_direct(j)| <= 10^-digits t_j for j <= j_max,
-    and the general identity
-    T_j(z) = sqrt(pi)/(j! 2^(j+1/2)) z^(1/4-j/2) J_{j-1/2}(sqrt(z))
-    at the requested z values for j <= z_j_max, to the same relative
-    tolerance.
+    With J_nu(x) = sum_k (-1)^k (x/2)^(nu+2k)/(k! Gamma(nu+k+1)) and
+    Gamma(n+1/2) = sqrt(pi) (2n)!/(4^n n!), sqrt(pi) cancels and the
+    powers of z meet at z^k.  Checked in Fraction for each j <= j_max: the
+    Bessel form's first term is 1/(2j)!, as the series', and its term ratio
+    z/(4(k+1)(k+nu+1)) equals the series' z/((2k+2)(2k+2j+1)) as
+    polynomials in k; so the two agree for every k and every z > 0.
+
+    The route part reads the outward-rounded certificates of
+    coefficient_table(j_max, digits, route="bessel"); its margin is
+    10^-digits - trunc_bound/t_j, exact and rounded down.  A table that
+    refuses a certificate fails the report.
     """
     require_digits(digits)
+    require_index(j_max)  # an IndexLimitError is the caller's, not a refused route
+    if j_max < 1:
+        raise ValueError("j_max must be >= 1")
     worst = _Worst()
-    with working(digits):
-        tol = mpf(10) ** -digits
-        for j in range(1, j_max + 1):
-            direct, _ = coeff_direct(j, digits)
-            via_bessel = coeff_bessel(j, digits)
-            rel = abs(via_bessel.value - direct.value) / direct.value
-            worst.update(tol - rel, "j={} route", j)
-        for z in z_values:
-            zv = to_mpf(z)
-            for j in range(1, z_j_max + 1):
-                series = general_series_direct(j, zv, digits)
-                jfun = bessel_j_half_integer(j, mp.sqrt(zv), digits)
-                pref = (
-                    mp.sqrt(mp.pi)
-                    / (mpf(math.factorial(j)) * mp.power(2, j + mpf(1) / 2))
-                    * mp.power(zv, mpf(1) / 4 - mpf(j) / 2)
-                )
-                rhs = pref * jfun.value
-                rel = abs(series.value - rhs) / abs(series.value)
-                # str(z): the caller's z as given, not cut to 10 digits
-                worst.update(tol - rel, "j={} z={} general", j, str(z))
+    for j in range(1, j_max + 1):
+        nu = Fraction(2 * j - 1, 2)
+        # Gamma(j + 1/2)/sqrt(pi)
+        gamma = Fraction(math.factorial(2 * j), 4 ** j * math.factorial(j))
+        first = 1 / (math.factorial(j) * 2 ** (2 * j) * gamma)
+        # the ratios' denominators are quadratics in k: equal at 3 points, equal
+        same_ratio = all(4 * (k + 1) * (k + nu + 1) == (2 * k + 2) * (2 * k + 2 * j + 1)
+                         for k in range(3))
+        if first != Fraction(1, math.factorial(2 * j)) or not same_ratio:
+            worst.update(-math.inf, "j={} term", j)
+    try:
+        table = coefficient_table(j_max, digits, route="bessel")
+    except ValueError as exc:
+        worst.update(-math.inf, "route refused: {}", str(exc))
+    else:
+        tol = Fraction(1, 10 ** digits)
+        for e in table:
+            bound, value = (Fraction(*exact_ratio(v.value)) for v in (e.trunc_bound, e.value))
+            worst.update(_round_double(tol - bound / value), "j={} route", e.j)
     return worst.report(
         "bessel_identity",
-        {"j_max": j_max, "z_values": list(z_values), "z_j_max": z_j_max,
-         "digits": digits, "tolerance": f"1e-{digits} relative"},
+        {"j_max": j_max, "digits": digits,
+         "evidence": "exact term identity over Q; route certified by the enclosure",
+         "margin": "10^-digits - trunc_bound/t_j, rounded down"},
     )
 
 
@@ -387,6 +381,8 @@ def check_maclaurin_interleaving(
     being asserted.
     """
     require_digits(digits)
+    if j_max < 1:
+        raise ValueError("j_max must be >= 1")
 
     labels = []
     for j in range(1, j_max + 1):
@@ -448,38 +444,48 @@ def check_maclaurin_interleaving(
     )
 
 
-def check_taylor_exactness(m_max: int, digits: int = DEFAULT_DIGITS) -> PropertyReport:
-    """The sine approximant agrees with sin's Maclaurin coefficients to order m.
+def _sin_monomial(n: int) -> tuple:
+    """The x^n coefficient of sin(pi x)/pi in u = pi^2: (-1)^h u^h/n! for n = 2h+1, else 0."""
+    h = n // 2
+    return (0,) * h + (Fraction((-1) ** h, math.factorial(n)),) if n % 2 else ()
 
-    Coefficients must agree to 10^-digits relative to max(1, |coefficient|).
-    Also spot-checks the mirrored contact point by confirming that the
-    error near x=1 decays like h^(m+1).
+
+def check_taylor_exactness(m_max: int, digits: int = DEFAULT_DIGITS) -> PropertyReport:
+    """sin(pi x) - Q_m(x) = c_{m+1} x^(m+1) + O(x^(m+2)) exactly, for every m <= m_max.
+
+    The monomial coefficients of Q_m/pi (`sine_monomials`) and of
+    sin(pi x)/pi are polynomials in u = pi^2 over Q; pi is transcendental,
+    so the coefficients agree if and only if those polynomials are equal.
+    The check compares them in Fraction: equal at every order n <= m, and
+    at order m+1 the difference is N_{m+1}/D_{m+1} = c_{m+1}/pi, which is
+    not zero.  As y(1-x) = y(x), the contact at x = 1 has the same order.
+    The margin is the lower end, rounded down, of c_{m+1}'s enclosure: the
+    leading coefficient of sin(pi x) - Q_m, positive as Q_m lies below.
     """
     require_digits(digits)
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
+    bits = fixed_bits(digits)
+    forms = coeff_symbolic(m_max + 1)
     worst = _Worst()
-    slopes = {}
-    with working(digits):
-        tol = mpf(10) ** -digits
-        for m in range(1, m_max + 1):
-            poly = build_poly(SIN_PI_X, m, digits)
-            coeffs = taylor_coeffs_at_zero(poly)
-            for n in range(0, m + 1):
-                ref = sin_taylor_coefficient(n, digits)
-                diff = abs(coeffs[n] - ref)
-                scale = max(mpf(1), abs(ref))
-                worst.update(tol * scale - diff, "m={} order={}", m, n)
-            h1, h2 = mpf(10) ** -2, mpf(10) ** -3
-            d1 = mp.sin(mp.pi * (1 - h1)) - poly.eval_hp(1 - h1)
-            d2 = mp.sin(mp.pi * (1 - h2)) - poly.eval_hp(1 - h2)
-            slope = mp.log(d1 / d2) / mp.log(h1 / h2)
-            slopes[f"m={m}"] = float(slope)
-            worst.update(mpf(1) / 2 - abs(slope - (m + 1)), "m={} decay-order", m)
+    for m in range(1, m_max + 1):
+        q, nxt = sine_monomials(m), forms[m]
+        for n in range(m + 2):
+            want = _sin_monomial(n)
+            if n == m + 1:  # less N_{m+1}(u)/D_{m+1} = c_{m+1}/pi
+                want = _poly_sum(want, [Fraction(-c, nxt.denominator) for c in nxt.numerator])
+            if q[n] != want:
+                worst.update(-math.inf, "m={} order={}", m, n)
+                break
+        else:
+            c_lo = _fixed_coefficients(m_max + 1, bits)[m][0]
+            worst.update(_round_double(Fraction(c_lo, 1 << bits)), "m={} order={}", m, m + 1)
     return worst.report(
         "taylor_exactness",
-        {"m_max": m_max, "digits": digits, "decay_slopes_near_x1": slopes,
-         "tolerance": f"1e-{digits} relative to max(1, |coefficient|)"},
+        {"m_max": m_max, "digits": digits,
+         "evidence": "exact polynomial identity in Q[pi^2]",
+         "margin": "lower end of c_{m+1}, the leading coefficient of sin(pi x) - Q_m",
+         "base_bits": bits},
     )
 
 
@@ -521,11 +527,10 @@ class PositivityProof:
         return "inconclusive" if self.refutation is None else "refuted"
 
 
-def _fixed_double(v: int, bits: int, up: bool) -> float:
-    """v / 2**bits rounded to a double, up or down."""
-    d = v / (1 << bits)  # int / int rounds to nearest
-    off = Fraction(d) - Fraction(v, 1 << bits)
-    return math.nextafter(d, math.inf if up else -math.inf) if (off < 0 if up else off > 0) else d
+def _round_double(q: Fraction, up: bool = False) -> float:
+    """The rational q rounded to a double, down or up."""
+    d = float(q)  # int / int rounds to nearest
+    return math.nextafter(d, math.inf if up else -math.inf) if (d < q if up else d > q) else d
 
 
 def prove_polynomial_positive(
@@ -558,9 +563,9 @@ def prove_polynomial_positive(
         tiles += 1
         deepest = max(deepest, depth)
         if enc_lo > 0:
-            accepted.append((lo, hi, _fixed_double(enc_lo, bits, up=False)))
+            accepted.append((lo, hi, _round_double(Fraction(enc_lo, 1 << bits))))
         elif enc_hi < 0:
-            refutation = (lo, hi, _fixed_double(enc_hi, bits, up=True))
+            refutation = (lo, hi, _round_double(Fraction(enc_hi, 1 << bits), up=True))
             break
         elif depth >= max_depth:
             unresolved.append((lo, hi))

@@ -141,7 +141,7 @@ def test_criterion_04_error_bound_validity():
 
 def test_criterion_05_bessel_cross_check():
     def body():
-        report = check_bessel_identity(50, DIGITS, z_values=(1, 2), z_j_max=20)
+        report = check_bessel_identity(50, DIGITS)
         assert report.passed, report.worst_case
     _run(5, "bessel-cross-check", body, limit=30.0)
 

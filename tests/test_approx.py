@@ -27,8 +27,7 @@ from trigpoly.approx import (
     maclaurin_eval,
     maclaurin_eval_hp,
     select_degree,
-    sin_taylor_coefficient,
-    taylor_coeffs_at_zero,
+    sine_monomials,
 )
 from trigpoly.coeffs import coeff_symbolic
 from trigpoly.intervals import fixed_bits, interval_dps
@@ -229,44 +228,44 @@ def test_maclaurin_hp_matches_machine():
 # --- monomial expansion -------------------------------------------------------
 
 def test_taylor_q1_is_pi_x_minus_pi_x_squared():
-    coeffs = taylor_coeffs_at_zero(build_poly(SIN_PI_X, 1, 50))
-    with working(60):
-        assert coeffs[0] == 0
-        assert abs(coeffs[1] - mp.pi) < mpf(10) ** -60
-        assert abs(coeffs[2] + mp.pi) < mpf(10) ** -60
+    # Q_1/pi = x - x^2: each coefficient a polynomial in u = pi^2
+    assert sine_monomials(1) == [(), (1,), (-1,)]
 
 
 def test_taylor_q2_matches_sine_to_order_two():
-    coeffs = taylor_coeffs_at_zero(build_poly(SIN_PI_X, 2, 50))
-    with working(60):
-        assert abs(coeffs[1] - mp.pi) < mpf(10) ** -60
-        assert abs(coeffs[2]) < mpf(10) ** -60
+    coeffs = sine_monomials(2)
+    assert coeffs[1] == (1,)
+    assert coeffs[2] == ()
 
 
 def test_taylor_q3_third_order_coefficient():
-    coeffs = taylor_coeffs_at_zero(build_poly(SIN_PI_X, 3, 50))
-    with working(60):
-        assert abs(coeffs[3] + mp.pi ** 3 / 6) < mpf(10) ** -55
-    assert float(coeffs[3]) == pytest.approx(-5.16771278004997, rel=1e-13)
+    # the x^3 coefficient of Q_3/pi is -u/6, that of sin(pi x)/pi
+    coeffs = sine_monomials(3)
+    assert coeffs[3] == (0, Fraction(-1, 6))
 
 
 def test_taylor_constant_term_zero_for_all_m():
     for m in range(1, 7):
-        coeffs = taylor_coeffs_at_zero(build_poly(SIN_PI_X, m, 50))
-        assert coeffs[0] == 0
+        coeffs = sine_monomials(m)
+        assert len(coeffs) == 2 * m + 1
+        assert coeffs[0] == ()
 
 
-def test_taylor_requires_sine_form():
+def test_sine_monomials_refuse_m_below_one():
     with pytest.raises(ValueError):
-        taylor_coeffs_at_zero(build_poly(COS_PI_X, 2, 50))
+        sine_monomials(0)
 
 
-def test_sin_taylor_coefficient_helper():
-    with working(60):
-        assert sin_taylor_coefficient(0) == 0
-        assert abs(sin_taylor_coefficient(1, 50) - mp.pi) < mpf(10) ** -55
-        assert sin_taylor_coefficient(2, 50) == 0
-        assert abs(sin_taylor_coefficient(3, 50) + mp.pi ** 3 / 6) < mpf(10) ** -55
+def test_sine_monomials_match_sine_maclaurin_through_order_m():
+    # sin(pi x)/pi = sum_h (-1)^h u^h x^(2h+1)/(2h+1)!, u = pi^2
+    coeffs = sine_monomials(7)
+    for n in range(8):
+        h = n // 2
+        want = (0,) * h + (Fraction((-1) ** h, math.factorial(n)),) if n % 2 else ()
+        assert coeffs[n] == want, n
+    # at order m + 1 = 8 sin's coefficient is 0 and Q_7's is -c_8/pi = -N_8(u)/D_8
+    form = coeff_symbolic(8)[7]
+    assert coeffs[8] == tuple(Fraction(-c, form.denominator) for c in form.numerator)
 
 
 # --- analytic behavior ---------------------------------------------------------

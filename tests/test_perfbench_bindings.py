@@ -46,11 +46,11 @@ def test_uninstall_restores_every_binding(tracing):
     import trigpoly.approx as approx
     import trigpoly.verify as verify
 
-    before = (approx.maclaurin_eval_hp, verify.build_poly, approx.error_bound)
+    before = (approx.maclaurin_eval_hp, verify.coeff_symbolic, approx.error_bound)
     tracer = tracing.Tracer().install()
     assert approx.maclaurin_eval_hp is not before[0]
     tracer.uninstall()
-    assert (approx.maclaurin_eval_hp, verify.build_poly, approx.error_bound) == before
+    assert (approx.maclaurin_eval_hp, verify.coeff_symbolic, approx.error_bound) == before
 
 
 def test_tracer_counts_every_float_eval(tracing):

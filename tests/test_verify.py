@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -6,22 +7,26 @@ import pytest
 from mpmath import mp, mpf
 from mpmath.libmp import repr_dps
 
+import trigpoly.approx as approx
+import trigpoly.coeffs as coeffs
 import trigpoly.verify as verify
 from trigpoly.approx import COS_PI_X, DOMAINS, SIN_PI_X, build_poly, maclaurin_eval
 from trigpoly.coeffs import (
     SymbolicCoefficient,
     coeff_recurrence,
     coeff_symbolic,
+    coefficient_table,
 )
 from trigpoly.intervals import (
     IntervalValue,
+    exact_ratio,
     fixed_bits,
     fixed_from_interval,
     fixed_horner,
     interval_from_fixed,
     poly_eval_centered,
 )
-from trigpoly.precision import working
+from trigpoly.precision import DEFAULT_INDEX_LIMIT, ExtReal, IndexLimitError, working
 from trigpoly.verify import (
     PropertyReport,
     check_bessel_identity,
@@ -107,6 +112,11 @@ def test_coefficient_bounds_fail_at_the_bracket(monkeypatch):
         assert not report.passed and report.worst_case[0] == f"j={j} bracket", j
 
 
+def test_coefficient_bounds_refuses_j_max_below_one():
+    with pytest.raises(ValueError, match="j_max"):
+        check_coefficient_bounds(0, 50)
+
+
 # --- bracketing -----------------------------------------------------------------
 
 def test_bracketing_sin_small_grid():
@@ -133,9 +143,50 @@ def test_bracketing_rejects_tiny_m():
 # --- Bessel identity -------------------------------------------------------------
 
 def test_bessel_identity_small():
-    report = check_bessel_identity(5, 50, z_values=(1, 2), z_j_max=5)
+    report = check_bessel_identity(5, 50)
     assert report.passed
-    assert report.metadata["tolerance"] == "1e-50 relative"
+    assert "tolerance" not in report.metadata
+    where, margin = report.worst_case
+    assert where.endswith(" route") and 0 < margin < 1e-50
+
+
+def test_bessel_identity_route_margin_is_exact_and_rounded_down():
+    # 10^-digits - trunc_bound/t_j from the table's certificates, in Fraction
+    report = check_bessel_identity(8, 40)
+    tol = Fraction(1, 10 ** 40)
+    exact = min(
+        (tol - Fraction(*exact_ratio(e.trunc_bound.value)) / Fraction(*exact_ratio(e.value.value)),
+         e.j)
+        for e in coefficient_table(8, 40, route="bessel")
+    )
+    assert report.worst_case[0] == f"j={exact[1]} route"
+    margin = report.worst_case[1]
+    assert Fraction(margin) <= exact[0] < Fraction(math.nextafter(margin, math.inf))
+
+
+def test_bessel_identity_refuses_j_max_below_one():
+    with pytest.raises(ValueError, match="j_max"):
+        check_bessel_identity(0, 50)
+    # past the index cap the caller is at fault: raised, not reported as a refused route
+    with pytest.raises(IndexLimitError):
+        check_bessel_identity(DEFAULT_INDEX_LIMIT + 1, 50)
+
+
+def test_bessel_identity_reports_a_refused_route_as_fail(monkeypatch):
+    # a Bessel value off by 10^-45 relative: its certificate misses 10^-50
+    good = coeffs.coeff_bessel
+
+    def off(j, digits=50):
+        v = good(j, digits)
+        with working(digits):
+            return ExtReal(v.value * (1 + mpf(10) ** -45) if j == 3 else v.value, digits)
+
+    monkeypatch.setattr(coeffs, "coeff_bessel", off)
+    report = check_bessel_identity(5, 50)
+    assert report.status == "fail"
+    assert report.worst_case[0] == (
+        "route refused: coefficient 3 certificate not below 10^-50 relative")
+    assert report.worst_case[1] < 0
 
 
 # --- Maclaurin interleaving -------------------------------------------------------
@@ -144,6 +195,11 @@ def test_maclaurin_interleaving_passes_on_unit_interval():
     report = check_maclaurin_interleaving(2, 128, 50)
     assert report.passed
     assert report.metadata["asserted"] == "sub-chains on (0,1]"
+
+
+def test_maclaurin_interleaving_refuses_j_max_below_one():
+    with pytest.raises(ValueError, match="j_max"):
+        check_maclaurin_interleaving(0, 16, 50)
 
 
 def test_maclaurin_chain_failure_at_x_equals_one():
@@ -172,11 +228,43 @@ def test_maclaurin_metadata_reports_chain_threshold():
 # --- Taylor exactness ---------------------------------------------------------------
 
 def test_taylor_exactness_small():
+    # the margin is c_{m+1}'s lower end, smallest at m = m_max
     report = check_taylor_exactness(3, 50)
     assert report.passed
-    slopes = report.metadata["decay_slopes_near_x1"]
-    for m in (1, 2, 3):
-        assert slopes[f"m={m}"] == pytest.approx(m + 1, abs=0.5)
+    where, margin = report.worst_case
+    assert where == "m=3 order=4"
+    form = coeff_symbolic(4)[3]
+    with mp.workdps(80):
+        c4 = mp.pi * mp.polyval(form.numerator[::-1], mp.pi ** 2) / form.denominator
+        assert margin <= c4
+        assert margin == pytest.approx(float(c4), rel=1e-15)
+
+
+def test_taylor_exactness_names_a_perturbed_coefficient(monkeypatch):
+    # N_3 with its constant term off by one: Q_3 then misses sin at order 3
+    good = coeff_symbolic(3)[2]
+    bad = dataclasses.replace(good, numerator=(good.numerator[0] + 1,) + good.numerator[1:])
+    monkeypatch.setattr(approx, "coeff_symbolic", lambda m: tuple(
+        bad if f.index == 3 else f for f in coeff_symbolic(m)))
+    report = check_taylor_exactness(4, 50)
+    assert report.status == "fail"
+    assert report.worst_case[0] == "m=3 order=3"
+
+
+def test_taylor_exactness_checks_the_order_after_m(monkeypatch):
+    # Q_2 right through order 2 but off by u at order 3: sin - Q_2 is not c_3 x^3 there
+    good = approx.sine_monomials
+
+    def off(m):
+        q = good(m)
+        if m == 2:
+            q[3] = approx._poly_sum(q[3], (0, 1))
+        return q
+
+    monkeypatch.setattr(verify, "sine_monomials", off)
+    report = check_taylor_exactness(4, 50)
+    assert report.status == "fail"
+    assert report.worst_case == ("m=2 order=3", -math.inf)
 
 
 # --- positivity prover ----------------------------------------------------------------
@@ -320,7 +408,7 @@ def test_reports_to_json_roundtrip():
     doc = json.loads(reports_to_json([report]))
     assert doc[0]["property_id"] == "taylor_exactness"
     assert doc[0]["status"] == "pass"
-    assert "decay_slopes_near_x1" in doc[0]["metadata"]
+    assert doc[0]["metadata"]["evidence"] == "exact polynomial identity in Q[pi^2]"
 
 
 def test_reports_are_deterministic():
@@ -527,11 +615,13 @@ def test_every_report_records_digits_and_grid_reports_their_evidence():
         check_coefficient_bounds(5, 40),
         check_bracketing(SIN_PI_X, 2, 16, 40),
         check_bracketing(COS_PI_X, 2, 16, 40),
-        check_bessel_identity(3, 40, z_values=(1,), z_j_max=3),
+        check_bessel_identity(3, 40),
         check_maclaurin_interleaving(1, 16, 40),
         check_taylor_exactness(2, 40),
     ]
     assert all(r.metadata["digits"] == 40 for r in reports)
+    # every report names what it rests on; none rests on a tolerance
+    assert all(r.metadata["evidence"] and "tolerance" not in r.metadata for r in reports)
     for r in reports[1:3] + reports[4:5]:
         meta = r.metadata
         assert meta["evidence"] == "outward-rounded fixed-point enclosure"
