@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import zip_longest
 from operator import attrgetter
 from typing import Callable, Literal
 
@@ -28,7 +27,7 @@ from mpmath import mp, mpf
 from mpmath.libmp import (fone, from_int, mpf_div, mpf_mul, mpf_pow_int, mpf_shift, mpf_sub,
                           round_ceiling, round_floor)
 
-from .coeffs import coeff_symbolic, coefficient_table
+from .coeffs import coeff_symbolic, coefficient_table, poly_sum
 from .intervals import exact_ratio, fixed_bits, pi_interval, positive_double, y_ratio
 from .precision import (
     DEFAULT_DIGITS,
@@ -365,13 +364,5 @@ def sine_monomials(m: int) -> list[tuple[Fraction, ...]]:
     for j, form in enumerate(coeff_symbolic(m), start=1):
         for i in range(j + 1):
             scale = Fraction((-1) ** i * math.comb(j, i), form.denominator)
-            out[j + i] = _poly_sum(out[j + i], [scale * c for c in form.numerator])
+            out[j + i] = poly_sum(out[j + i], [scale * c for c in form.numerator])
     return out
-
-
-def _poly_sum(*polys) -> tuple:
-    """The sum of polynomials given constant term first, trailing zeros dropped."""
-    out = [sum(cs) for cs in zip_longest(*polys, fillvalue=0)]
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)

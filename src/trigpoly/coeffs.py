@@ -13,7 +13,8 @@ first, so `t_enclosure` encloses t_j with outward rounding (the
 fixed-point kernel `intervals.fixed_t_scaled`, then one outward division
 by (2j)!).  This module computes t_j by three routes -- the series
 itself (the enclosure's midpoint), a three-term recurrence, and a
-half-integer Bessel-function identity -- plus an exact symbolic form.
+half-integer Bessel-function identity -- plus an exact symbolic form and
+its helpers in Q[u], u = pi^2: `poly_sum`, `poly_mul`, `fixed_at_pi2`.
 The recurrence, shared with T_j(z) below, runs forward in mpf in one
 loop, `_forward`; the symbolic form runs it over Fractions.
 Every route's certificate comes from that one enclosure by one rule:
@@ -32,6 +33,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 from typing import Literal
 
 from mpmath import mp, mpf
@@ -45,6 +47,7 @@ from .intervals import (
     fixed_horner,
     fixed_mul,
     fixed_pi,
+    fixed_ratio,
     fixed_t_scaled,
     interval_from_fixed,
 )
@@ -68,9 +71,12 @@ __all__ = [
     "coeff_symbolic",
     "coefficient_table",
     "bessel_j_half_integer",
+    "fixed_at_pi2",
     "gamma_half",
     "general_series_direct",
     "general_series_recurrence",
+    "poly_mul",
+    "poly_sum",
     "t_enclosure",
 ]
 
@@ -224,11 +230,9 @@ class SymbolicCoefficient:
         bits doubled from the start until N is positive with relative width below
         1/rel (N_j's terms cancel heavily for large j)."""
         while True:
-            pi = fixed_pi(bits)
-            n_lo, n_hi = fixed_horner([(n << bits, n << bits) for n in self.numerator],
-                                      fixed_mul(pi, pi, bits), bits)
+            n_lo, n_hi = fixed_at_pi2(self.numerator, bits)
             if (n_hi - n_lo) * rel < n_lo:
-                return (n_lo, n_hi), pi, bits
+                return (n_lo, n_hi), fixed_pi(bits), bits
             bits *= 2
 
     def _enclosure(self, digits: int, up: int, down: int) -> IntervalValue:
@@ -302,24 +306,18 @@ def coeff_symbolic(j_max: int) -> tuple[SymbolicCoefficient, ...]:
 
     with R_0 = 0 and R_1 = 1, which is exact in Fraction arithmetic.
     """
+    require_index(j_max)
     if j_max < 1:
         raise ValueError("j_max must be >= 1")
-    polys: list[list[Fraction]] = [[Fraction(0)], [Fraction(1)]]
+    polys = [(), (Fraction(1),)]
     for j in range(2, j_max + 1):
-        a = Fraction(2 * (2 * j - 3), j)
-        b = Fraction(1, j * (j - 1))
-        p1 = [a * c for c in polys[j - 1]]
-        p2 = [Fraction(0)] + [b * c for c in polys[j - 2]]  # multiply by u
-        n = max(len(p1), len(p2))
-        p1 += [Fraction(0)] * (n - len(p1))
-        p2 += [Fraction(0)] * (n - len(p2))
-        polys.append([x - y for x, y in zip(p1, p2)])
+        a, b = Fraction(2 * (2 * j - 3), j), Fraction(-1, j * (j - 1))
+        polys.append(poly_sum([a * c for c in polys[j - 1]],
+                              [0] + [b * c for c in polys[j - 2]]))  # times u
     return tuple(_normalize_symbolic(j, polys[j]) for j in range(1, j_max + 1))
 
 
-def _normalize_symbolic(j: int, coeffs: list[Fraction]) -> SymbolicCoefficient:
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs = coeffs[:-1]
+def _normalize_symbolic(j: int, coeffs) -> SymbolicCoefficient:
     denom = math.lcm(*(c.denominator for c in coeffs))
     nums = [int(c * denom) for c in coeffs]
     content = math.gcd(denom, *(abs(n) for n in nums))
@@ -328,6 +326,26 @@ def _normalize_symbolic(j: int, coeffs: list[Fraction]) -> SymbolicCoefficient:
         numerator=tuple(n // content for n in nums),
         denominator=denom // content,
     )
+
+
+def poly_sum(*polys) -> tuple:
+    """The sum of polynomials in u, constant term first, trailing zeros dropped."""
+    out = [sum(rest, first) for first, *rest in zip_longest(*polys, fillvalue=0)]
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def poly_mul(a, b) -> tuple:
+    """The product of two polynomials in u, trailing zeros dropped."""
+    return poly_sum(*([0] * i + [x * y for y in b] for i, x in enumerate(a)))
+
+
+def fixed_at_pi2(poly, bits: int) -> tuple[int, int]:
+    """poly(pi^2) by `fixed_horner` on `fixed_pi` squared, each coefficient rounded once."""
+    pi = fixed_pi(bits)
+    return fixed_horner([fixed_ratio(c.numerator, c.denominator, bits) for c in poly],
+                        fixed_mul(pi, pi, bits), bits)
 
 
 # --- Bessel route ---------------------------------------------------------
@@ -432,6 +450,8 @@ def coefficient_table(
 ) -> CoefficientTable:
     """Build the t_1..t_{j_max} table by the requested route."""
     require_index(j_max)
+    if j_max < 1:
+        raise ValueError("j_max must be >= 1")
     if route == "recurrence":
         return coeff_recurrence(j_max, digits)
     if route == "direct":

@@ -21,8 +21,9 @@ rounded down; no report rests on a tolerance.  The positivity
 prover bisects dyadic tiles on the same kernel: it accepts a tile whose
 enclosure is positive and stops at one whose enclosure is negative.  It
 can return "inconclusive" or a refutation, never a false positive.  The
-worked example's polynomial and `example_curve` share its coefficient
-enclosures; the curve's values are correctly rounded floats.
+worked example's polynomial f4 is exact in Q[pi^2] (`sine_monomials(4)`)
+and enclosed once per bits; `example_curve` computes f - f4 from that
+same polynomial, and its values are correctly rounded floats.
 """
 
 from __future__ import annotations
@@ -37,13 +38,14 @@ from functools import lru_cache
 from mpmath import mp, mpf
 from mpmath.libmp import repr_dps
 
-from .approx import COS_PI_X, DOMAINS, _check_func, _poly_sum, sine_monomials
-from .coeffs import coeff_symbolic, coefficient_table
+from .approx import COS_PI_X, DOMAINS, _check_func, sine_monomials
+from .coeffs import coeff_symbolic, coefficient_table, fixed_at_pi2, poly_mul, poly_sum
 from .intervals import (
     IntervalValue,
     exact_ratio,
     fixed_bits,
     fixed_from_interval,
+    fixed_horner,
     fixed_maclaurin,
     fixed_mul,
     fixed_partial_sums,
@@ -473,7 +475,7 @@ def check_taylor_exactness(m_max: int, digits: int = DEFAULT_DIGITS) -> Property
         for n in range(m + 2):
             want = _sin_monomial(n)
             if n == m + 1:  # less N_{m+1}(u)/D_{m+1} = c_{m+1}/pi
-                want = _poly_sum(want, [Fraction(-c, nxt.denominator) for c in nxt.numerator])
+                want = poly_sum(want, [Fraction(-c, nxt.denominator) for c in nxt.numerator])
             if q[n] != want:
                 worst.update(-math.inf, "m={} order={}", m, n)
                 break
@@ -547,16 +549,19 @@ def prove_polynomial_positive(
     refutes positivity and stops the search.  Any other tile is split,
     up to max_depth; exhaustion yields proved=False with the stuck tiles
     recorded, never a false claim.  metadata["tiles"] counts the tiles
-    evaluated.
+    evaluated.  The domain must have finite ends with lo < hi.
     """
     if not 1 <= max_depth <= _MAX_BISECTION_DEPTH:
         raise ValueError(f"max_depth must be in 1..{_MAX_BISECTION_DEPTH}")
+    domain = tuple(map(float, domain))
+    if not (all(map(math.isfinite, domain)) and domain[0] < domain[1]):
+        raise ValueError(f"domain must be finite with lo < hi, got {domain!r}")
     bits = fixed_bits(digits)
     fixed = [fixed_from_interval(c, bits) for c in coeffs]
     deriv = [(n * lo, n * hi) for n, (lo, hi) in enumerate(fixed)][1:]
     accepted, unresolved, refutation = [], [], None
     deepest = tiles = 0
-    stack = [(float(domain[0]), float(domain[1]), 0)]
+    stack = [(*domain, 0)]
     while stack:
         lo, hi, depth = stack.pop()
         enc_lo, enc_hi = poly_eval_centered(fixed, deriv, lo, hi, bits)
@@ -575,7 +580,7 @@ def prove_polynomial_positive(
             stack.append((lo, mid, depth + 1))
     return PositivityProof(
         target_coefficients=tuple(coeffs),
-        domain=(float(domain[0]), float(domain[1])),
+        domain=domain,
         subintervals=tuple(sorted(accepted)),
         max_depth_used=deepest,
         proved=not unresolved and refutation is None,
@@ -585,46 +590,36 @@ def prove_polynomial_positive(
     )
 
 
-def _four_over_pi2(bits: int) -> tuple[int, int]:
-    pi_lo, pi_hi = fixed_pi(bits)
-    return (4 << 3 * bits) // (pi_hi * pi_hi), -((-4 << 3 * bits) // (pi_lo * pi_lo))
+@lru_cache(maxsize=16)
+def _quadratic_part(bits: int) -> tuple[tuple[int, int], ...]:
+    """Enclosures of the x^k coefficients, k = 0..16, of (4/pi^2)(2 Q(x)^2 + Q(2x)^2).
+
+    With Q/pi = sum_n s_n(u) x^n (`sine_monomials(4)`), 4/pi^2 cancels the pi^2
+    of Q^2: each is 4 (2 + 2^k) sum_{i+j=k} s_i s_j in Q[u], enclosed at u = pi^2.
+    """
+    s = sine_monomials(4)
+    sq = [poly_sum(*(poly_mul(s[i], s[k - i]) for i in range(max(0, k - 8), min(k, 8) + 1)))
+          for k in range(17)]  # (Q/pi)^2
+    return tuple(fixed_at_pi2([4 * (2 + 2 ** k) * c for c in p], bits) for k, p in enumerate(sq))
 
 
 def example_inequality_polynomial(digits: int = DEFAULT_DIGITS):
     """Enclosures of the coefficients of the worked positivity example.
 
-    Builds f4(x) = 4/9 + 15x^2 - 8x + (4/pi^2)(2 Q(x)^2 + Q(2x)^2),
+    Builds f4(x) = 4/9 - 8x + 15x^2 + (4/pi^2)(2 Q(x)^2 + Q(2x)^2),
     where Q is the degree-4 sine approximant; f4 underestimates the
     transcendental target because 0 <= Q(u) <= sin(pi u) on [0, 1].
+    Each x^k coefficient is exact in Q[pi^2] (`_quadratic_part`) and
+    enclosed once, so the rational ones (k = 1, 2, 3, 5) are points.
     Returns (coefficients, q_y_coefficient_intervals), IntervalValues
     whose ends are exact at `fixed_bits(digits)` fractional bits.
-
-    Q's y-basis coefficients c_j = pi N_j(pi^2)/D_j are the fixed-point
-    enclosures the grid checks and the curve use (`_fixed_coefficients`);
-    the binomial expansion of (x(1-x))^j into monomials is exact integer
-    arithmetic, and each product of enclosures rounds outward.
     """
     require_digits(digits)
     bits = fixed_bits(digits)
-    c = _fixed_coefficients(4, bits)
-    q = [(0, 0)] * 9
-    for j, (lo, hi) in enumerate(c, start=1):
-        for i in range(j + 1):
-            k = (-1) ** i * math.comb(j, i)
-            a, b = sorted((k * lo, k * hi))
-            q[j + i] = q[j + i][0] + a, q[j + i][1] + b
-    q2x = [(lo << n, hi << n) for n, (lo, hi) in enumerate(q)]
-    squares = [(0, 0)] * 17  # 2 Q(x)^2 + Q(2x)^2
-    for poly, weight in ((q, 2), (q2x, 1)):
-        for i, a in enumerate(poly):
-            for j, b in enumerate(poly):
-                lo, hi = fixed_mul(a, b, bits)
-                squares[i + j] = squares[i + j][0] + weight * lo, squares[i + j][1] + weight * hi
     base = [fixed_ratio(4, 9, bits), (-8 << bits,) * 2, (15 << bits,) * 2] + [(0, 0)] * 14
-    scale = _four_over_pi2(bits)
-    scaled = (fixed_mul(scale, sq, bits) for sq in squares)
-    coeffs = [interval_from_fixed((b[0] + f[0], b[1] + f[1]), bits) for b, f in zip(base, scaled)]
-    return coeffs, [interval_from_fixed(ci, bits) for ci in c]
+    coeffs = [interval_from_fixed((b[0] + f[0], b[1] + f[1]), bits)
+              for b, f in zip(base, _quadratic_part(bits))]
+    return coeffs, [interval_from_fixed(c, bits) for c in _fixed_coefficients(4, bits)]
 
 
 def prove_example_inequality(
@@ -664,23 +659,17 @@ def _fixed_float(enc, bits: int) -> float | None:
 
 
 def _curve_row(i: int, grid_size: int, bits: int):
-    """Enclosures of f and f - f4 at x = i / (2 grid_size)."""
+    """Enclosures of f and f - f4 at x = i / (2 grid_size); in f - f4 the
+    base 4/9 - 8x + 15x^2 cancels exactly, leaving trig less `_quadratic_part`."""
     q = 2 * grid_size
-    coeffs = _fixed_coefficients(4, bits)
-    # sin^2(pi u) and Q(u)^2 at u = x and u = 2x
-    (s1, q1), (s2, q2) = [
-        [fixed_mul(v, v, bits) for v in (
-            fixed_sin_cos_pi(p, q, bits),
-            fixed_partial_sums(coeffs, fixed_y(p, q, bits, False), bits)[0][-1])]
-        for p in (i, 2 * i)
-    ]
-    trig = (2 * s1[0] + s2[0], 2 * s1[1] + s2[1])
-    gap = (2 * (s1[0] - q1[1]) + s2[0] - q2[1], 2 * (s1[1] - q1[0]) + s2[1] - q2[0])
-    four_over_pi2 = _four_over_pi2(bits)
+    s1, s2 = (fixed_mul(v, v, bits) for v in (fixed_sin_cos_pi(p, q, bits) for p in (i, 2 * i)))
+    pi_lo, pi_hi = fixed_pi(bits)
+    four_over_pi2 = (4 << 3 * bits) // (pi_hi * pi_hi), -((-4 << 3 * bits) // (pi_lo * pi_lo))
+    trig = fixed_mul(four_over_pi2, (2 * s1[0] + s2[0], 2 * s1[1] + s2[1]), bits)
     # 4/9 - 8x + 15x^2 = (4q^2 - 72iq + 135i^2) / (9q^2)
     base = fixed_ratio(4 * q * q - 72 * i * q + 135 * i * i, 9 * q * q, bits)
-    f = fixed_mul(four_over_pi2, trig, bits)
-    return (base[0] + f[0], base[1] + f[1]), fixed_mul(four_over_pi2, gap, bits)
+    quad = fixed_horner(_quadratic_part(bits), fixed_ratio(i, q, bits), bits)
+    return (base[0] + trig[0], base[1] + trig[1]), _diff(trig, quad)
 
 
 def example_curve(grid_size: int = 2048, digits: int = DEFAULT_DIGITS):

@@ -56,6 +56,13 @@ def test_coeffs_table_format(capsys):
     assert "t_j" in out and len(out.splitlines()) == 4
 
 
+def test_coeffs_symbolic_refuses_an_index_over_the_cap(capsys):
+    # the symbolic forms obey the same cap as the numeric routes
+    assert run_cli("coeffs", "--max-j", "201", "--format", "symbolic") == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and "exceeds the limit 200" in captured.err
+
+
 def test_coeffs_rejects_zero_max_j(capsys):
     assert run_cli("coeffs", "--max-j", "0") == cli.EXIT_USAGE
     assert "usage" in capsys.readouterr().err

@@ -17,9 +17,12 @@ from trigpoly.coeffs import (
     coeff_symbolic,
     coefficient_table,
     bessel_j_half_integer,
+    fixed_at_pi2,
     gamma_half,
     general_series_direct,
     general_series_recurrence,
+    poly_mul,
+    poly_sum,
     t_enclosure,
 )
 from trigpoly.intervals import fixed_bits, fixed_pi, fixed_series, fixed_t_scaled
@@ -89,6 +92,9 @@ def test_direct_rejects_low_precision_and_large_index():
 def test_table_refuses_an_index_over_the_cap(route):
     with pytest.raises(IndexLimitError):
         coefficient_table(201, 30, route=route)
+    # and one below 1, alike on every route
+    with pytest.raises(ValueError, match="j_max must be >= 1"):
+        coefficient_table(0, 30, route=route)
 
 
 def test_general_series_refuse_an_index_over_the_cap():
@@ -193,6 +199,21 @@ def test_symbolic_strings():
     assert syms[2].as_string() == "(12 - pi^2)/(6*pi^5)"
     assert syms[3].as_string() == "(10 - pi^2)/(2*pi^7)"
     assert syms[4].as_string() == "(1680 - 180*pi^2 + pi^4)/(120*pi^9)"
+
+
+def test_polynomials_in_u_sum_multiply_and_enclose_at_pi2():
+    assert poly_sum((1, 2), (Fraction(1, 2), -2)) == (Fraction(3, 2),)
+    assert poly_sum((1,), (-1,)) == ()
+    assert poly_mul((1, 1), (1, -1)) == (1, 0, -1)
+    assert poly_mul((), (1, 2)) == ()
+    bits = fixed_bits(50)
+    assert fixed_at_pi2((), bits) == (0, 0)
+    assert fixed_at_pi2((7,), bits) == (7 << bits,) * 2  # a rational constant is exact
+    lo, hi = fixed_at_pi2((Fraction(1, 3), 0, -2), bits)  # 1/3 - 2 pi^4
+    with mp.workprec(3 * bits):
+        value = mpf(1) / 3 - 2 * mp.pi ** 4
+        assert lo <= value * 2 ** bits <= hi
+    assert 0 < hi - lo < 2 ** 12
 
 
 def test_symbolic_evaluation_agrees_with_numeric_routes():

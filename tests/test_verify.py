@@ -240,6 +240,12 @@ def test_taylor_exactness_small():
         assert margin == pytest.approx(float(c4), rel=1e-15)
 
 
+def test_taylor_exactness_refuses_an_order_past_the_index_cap():
+    # order m_max + 1 needs the symbolic form N_{m_max+1}, which obeys the cap
+    with pytest.raises(IndexLimitError):
+        check_taylor_exactness(DEFAULT_INDEX_LIMIT, 50)
+
+
 def test_taylor_exactness_names_a_perturbed_coefficient(monkeypatch):
     # N_3 with its constant term off by one: Q_3 then misses sin at order 3
     good = coeff_symbolic(3)[2]
@@ -258,7 +264,7 @@ def test_taylor_exactness_checks_the_order_after_m(monkeypatch):
     def off(m):
         q = good(m)
         if m == 2:
-            q[3] = approx._poly_sum(q[3], (0, 1))
+            q[3] = coeffs.poly_sum(q[3], (0, 1))
         return q
 
     monkeypatch.setattr(verify, "sine_monomials", off)
@@ -356,6 +362,51 @@ def test_engine_refutation_bound_is_the_enclosure_rounded_up(digits):
 def test_engine_depth_cap():
     with pytest.raises(ValueError):
         prove_polynomial_positive([IntervalValue(1)], (0.0, 0.5), max_depth=99)
+
+
+@pytest.mark.parametrize("domain", [(0.5, 0.0), (0.25, 0.25), (0.0, math.inf), (math.nan, 0.5)],
+                         ids=["inverted", "empty", "unbounded", "nan"])
+def test_engine_refuses_an_empty_inverted_or_unbounded_domain(domain):
+    # x - 0.3 < 0 on [0, 0.3): an inverted domain must not be "proved"
+    with pytest.raises(ValueError, match="domain must be finite with lo < hi"):
+        prove_polynomial_positive([IntervalValue(-0.3), IntervalValue(1)], domain, 20)
+
+
+def _f4_coefficients_mp():
+    # f4's monomial coefficients in mpf, from t_j's series and plain convolutions
+    pi2 = mp.pi ** 2
+    c = [mp.fsum((-pi2 / 4) ** k * mp.binomial(j + k, j) / mp.factorial(2 * j + 2 * k)
+                 for k in range(120)) * pi2 ** j for j in range(1, 5)]
+
+    def mul(a, b):
+        out = [mpf(0)] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for k, y in enumerate(b):
+                out[i + k] += x * y
+        return out
+
+    q, power = [mpf(0)] * 9, [mpf(1)]
+    for cj in c:
+        power = mul(power, [0, 1, -1])  # (x - x^2)^j
+        q = [a + cj * b for a, b in zip(q, power + [0] * (9 - len(power)))]
+    square = mul(q, q)
+    return [4 * (2 + 2 ** k) * v / pi2 + b
+            for k, (v, b) in enumerate(zip(square, [mpf(4) / 9, -8, 15] + [0] * 14))]
+
+
+def test_example_polynomial_is_exact_in_q_pi2():
+    # the x, x^2, x^3 and x^5 coefficients are rational (-8, 39, 0, 0): points;
+    # all 17 enclose an independent evaluation at three times the bits, up to
+    # that evaluation's own rounding (about 1e-211 at the exact zeros)
+    f4, _ = example_inequality_polynomial(50)
+    for k, value in ((1, -8), (2, 39), (3, 0), (5, 0)):
+        assert f4[k].lo == f4[k].hi == value, k
+    bits = fixed_bits(50)
+    with mp.workprec(3 * bits):
+        oracle = _f4_coefficients_mp()
+        slack = mpf(2) ** (-2 * bits)
+        assert all(c.lo - slack <= v <= c.hi + slack for c, v in zip(f4, oracle, strict=True))
+        assert all(c.width < mpf(10) ** -55 for c in f4)
 
 
 def test_example_polynomial_endpoint_values():
