@@ -99,7 +99,7 @@ def _open_out(path: str | None):
 def _round_up_3(x) -> str:
     """x > 0 rounded up to 3 significant digits, in exact decimal arithmetic."""
     p, q = exact_ratio(x)
-    with decimal.localcontext(prec=3, rounding=decimal.ROUND_CEILING):
+    with decimal.localcontext(decimal.Context(prec=3, rounding=decimal.ROUND_CEILING)):
         return f"{decimal.Decimal(p) / q:.2e}"
 
 

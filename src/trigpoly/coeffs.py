@@ -15,8 +15,11 @@ by (2j)!).  This module computes t_j by three routes -- the series
 itself (the enclosure's midpoint), a three-term recurrence, and a
 half-integer Bessel-function identity -- plus an exact symbolic form and
 its helpers in Q[u], u = pi^2: `poly_sum`, `poly_mul`, `fixed_at_pi2`.
-The recurrence, shared with T_j(z) below, runs forward in mpf in one
-loop, `_forward`; the symbolic form runs it over Fractions.
+The recurrence, shared with T_j(z) below, runs backward in mpf in one
+loop, `_backward` (Miller's algorithm: t_j is its minimal solution, so
+the backward direction is the stable one and needs no digits beyond the
+working precision's); the symbolic form runs it forward over Fractions,
+where it is exact.
 Every route's certificate comes from that one enclosure by one rule:
 trunc_bound = max(hi - v, v - lo), rounded up, for the route's value v.
 
@@ -158,48 +161,59 @@ def coeff_direct(j: int, digits: int = DEFAULT_DIGITS) -> tuple[ExtReal, ExtReal
         return _certified(j, (enc.lo + enc.hi) / 2, enc, digits)
 
 
-def _cancellation_allowance(j_max: int, z: float) -> int:
-    """Extra decimal digits consumed by forward recurrence cancellation.
+# decimal digits the backward recurrence carries beyond the working
+# precision, so that its values still round to the working precision's
+# nearest after the start error and the steps' roundings
+MILLER_EXTRA = 10
 
-    The wanted solution decays like 1/(2j)! while each recurrence step
-    combines terms of comparable size, so roughly log10(8 j^2 / z)
-    digits cancel per step.  Summing that over the steps (plus slack)
-    keeps the recurrence's values accurate; no certificate depends on it.
+
+def _backward(z: mpf, j_max: int) -> list[mpf]:
+    """T_0..T_{j_max}(z) up to one common factor, by Miller's backward recurrence.
+
+        T_{j-2} = (j-1) (2(2j-3) T_{j-1} - w j T_j),   w = 4z,
+
+    from (T_{J+N}, T_{J+N-1}) = (0, 1), J = j_max.  T_j(z) is the minimal
+    (factorially decaying) solution, so this direction is stable; the
+    start error reaches T_j, j <= J, damped by about
+    z^N (2J)!/(2J+2N)!, and N is the least count that puts this below
+    10^-mp.dps, one unit of the working precision.  The one mpf
+    recurrence loop; the caller holds `working(digits, extra=MILLER_EXTRA)`
+    and normalizes by a known value.
     """
-    loss = sum(max(0.0, math.log10(8.0 * i * i / z)) for i in range(2, j_max + 1))
-    return int(math.ceil(loss)) + 10
-
-
-def _forward(t0: mpf, t1: mpf, w: mpf, j_max: int) -> list[mpf]:
-    """T_0..T_{j_max} by T_j = 2(2j-3)/(w j) T_{j-1} - 1/(w j (j-1)) T_{j-2}, w = 4z.
-
-    The one mpf recurrence loop, at the caller's working precision; the
-    caller holds the `working` section and its cancellation allowance.
-    """
-    vals = [t0, t1]
-    for j in range(2, j_max + 1):
-        wj = w * j
-        vals.append(2 * (2 * j - 3) / wj * vals[j - 1] - 1 / (wj * (j - 1)) * vals[j - 2])
-    return vals
+    zf, n, lost = float(z), 0, 0.0
+    while lost <= mp.dps:
+        n += 1
+        lost += math.log10((2 * j_max + 2 * n - 1) * (2 * j_max + 2 * n) / zf)
+    w = 4 * z
+    hi, lo = mpf(0), mpf(1)  # T_j, T_{j-1}
+    vals = []
+    for j in range(j_max + n, 1, -1):
+        hi, lo = lo, 2 * (j - 1) * (2 * j - 3) * lo - w * (j * (j - 1)) * hi
+        if j - 1 <= j_max:
+            vals.append(hi)
+    vals.append(lo)
+    return vals[::-1]
 
 
 def coeff_recurrence(j_max: int, digits: int = DEFAULT_DIGITS) -> CoefficientTable:
-    """Weights t_1..t_{j_max} by `_forward` at z = pi^2/4 (w = pi^2).
+    """Weights t_1..t_{j_max} by `_backward` at z = pi^2/4 (w = pi^2),
 
-        t_j = 2(2j-3)/(pi^2 j) * t_{j-1} - 1/(pi^2 j (j-1)) * t_{j-2},
+        t_{j-2} = (j-1) (2(2j-3) t_{j-1} - pi^2 j t_j),
 
-    seeded with t_0 = 0 and t_1 = 1/pi.  The recurrence tracks the
-    minimal (factorially decaying) solution, so forward evaluation
-    cancels heavily; the working precision is raised by a per-run
-    allowance so the values stay accurate.  Each entry's certificate is
-    the one rule's, from `t_enclosure`.
+    normalized by t_1 = 1/pi (t_0 = 0 cannot normalize).  The
+    recurrence's wanted solution is its minimal one, which the backward
+    direction keeps at the working precision plus MILLER_EXTRA digits.
+    Each entry's certificate is the one rule's, from `t_enclosure`, so
+    no certificate rests on the recurrence's start index.
     """
     require_digits(digits)
     require_index(j_max)
     if j_max < 1:
         raise ValueError("j_max must be >= 1")
-    with working(digits, extra=_cancellation_allowance(j_max, z=math.pi ** 2 / 4)):
-        vals = _forward(mpf(0), 1 / mp.pi, mp.pi ** 2, j_max)
+    with working(digits, extra=MILLER_EXTRA):
+        vals = _backward(mp.pi ** 2 / 4, j_max)
+        scale = 1 / (mp.pi * vals[1])
+        vals = [v * scale for v in vals]
     with working(digits):
         pairs = [_certified(j, +vals[j], t_enclosure(j, digits), digits)
                  for j in range(1, j_max + 1)]
@@ -420,13 +434,14 @@ def general_series_direct(j: int, z, digits: int = DEFAULT_DIGITS) -> ExtReal:
 
 
 def general_series_recurrence(j_max: int, z, digits: int = DEFAULT_DIGITS) -> list[ExtReal]:
-    """T_1(z)..T_{j_max}(z) by `_forward` with w = 4z,
+    """T_1(z)..T_{j_max}(z) by `_backward` with w = 4z,
 
-        T_j(z) = (2j-3)/(2jz) T_{j-1}(z) - 1/(4j(j-1)z) T_{j-2}(z),
+        T_{j-2}(z) = (j-1) (2(2j-3) T_{j-1}(z) - 4jz T_j(z)),
 
-    seeded with T_0, T_1 from the direct series.  Restricted to finite
-    z > 0, where the direct series and the Bessel form both converge; the
-    same cancellation allowance as the t_j recurrence applies (scaled by z).
+    normalized by whichever of T_0 = cos(sqrt(z)) and T_1 = sin(sqrt(z))/(2 sqrt(z))
+    is larger in magnitude (they never vanish together), each from the
+    direct series at digits + 30.  Restricted to finite z > 0, where the
+    direct series and the Bessel form both converge.
     """
     require_digits(digits)
     require_index(j_max)
@@ -435,14 +450,14 @@ def general_series_recurrence(j_max: int, z, digits: int = DEFAULT_DIGITS) -> li
     zf = float(to_mpf(z))
     if not 0 < zf < math.inf:
         raise ValueError("z must be positive and finite")
-    extra = _cancellation_allowance(j_max, z=zf) if j_max >= 2 else 0
-    seed_digits = digits + extra
-    t0 = general_series_direct(0, z, seed_digits)
-    t1 = general_series_direct(1, z, seed_digits)
-    with working(digits, extra=extra):
-        vals = _forward(t0.value, t1.value, 4 * to_mpf(z), j_max)
+    seeds = [general_series_direct(j, z, digits + 30).value for j in (0, 1)]
+    with working(digits, extra=MILLER_EXTRA):
+        vals = _backward(to_mpf(z), j_max)
+        k = 0 if abs(seeds[0]) >= abs(seeds[1]) else 1
+        scale = seeds[k] / vals[k]
+        vals = [v * scale for v in vals[1:]]
     with working(digits):
-        return [ExtReal(+v, digits) for v in vals[1:]]
+        return [ExtReal(+v, digits) for v in vals]
 
 
 def coefficient_table(

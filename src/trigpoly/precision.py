@@ -2,8 +2,8 @@
 
 Every mpf value in this package is computed at a working precision of
 ``requested digits + GUARD_DIGITS``.  The guard
-digits keep values accurate (the three-term recurrences add their own
-cancellation allowance on top); no certificate rests on them, since
+digits keep values accurate (the backward three-term recurrence carries
+`coeffs.MILLER_EXTRA` more); no certificate rests on them, since
 certificates come from the outward-rounded enclosures of `intervals`.
 The two mpf loops live here: `horner` for polynomials and
 `alternating_series` for the series of T_j(z), J_{j-1/2} and the

@@ -546,10 +546,12 @@ def prove_polynomial_positive(
     The coefficients (IntervalValues) are enclosed at `fixed_bits(digits)`
     fractional bits.  A tile is accepted as soon as `poly_eval_centered`
     gives it a positive lower end.  A tile whose upper end is negative
-    refutes positivity and stops the search.  Any other tile is split,
-    up to max_depth; exhaustion yields proved=False with the stuck tiles
-    recorded, never a false claim.  metadata["tiles"] counts the tiles
-    evaluated.  The domain must have finite ends with lo < hi.
+    refutes positivity and stops the search.  A tile enclosed by exactly
+    [0, 0] is recorded as unresolved, since no split can move it off 0.
+    Any other tile is split, up to max_depth; exhaustion yields
+    proved=False with the stuck tiles recorded, never a false claim.
+    metadata["tiles"] counts the tiles evaluated.  The domain must have
+    finite ends with lo < hi.
     """
     if not 1 <= max_depth <= _MAX_BISECTION_DEPTH:
         raise ValueError(f"max_depth must be in 1..{_MAX_BISECTION_DEPTH}")
@@ -572,7 +574,7 @@ def prove_polynomial_positive(
         elif enc_hi < 0:
             refutation = (lo, hi, _round_double(Fraction(enc_hi, 1 << bits), up=True))
             break
-        elif depth >= max_depth:
+        elif depth >= max_depth or enc_lo == enc_hi == 0:
             unresolved.append((lo, hi))
         else:
             mid = (lo + hi) / 2

@@ -50,6 +50,20 @@ def test_printed_bounds_cover_the_stored_ones(capsys, route, max_j, digits):
             assert Fraction(printed) >= Fraction(*exact_ratio(entry.trunc_bound.value))
 
 
+def test_bound_rounding_runs_on_the_python_3_10_localcontext(monkeypatch):
+    # Python 3.10's localcontext takes one context and no keyword arguments
+    import decimal
+
+    original = decimal.localcontext
+
+    def localcontext(ctx=None):
+        return original(ctx)
+
+    monkeypatch.setattr(decimal, "localcontext", localcontext)
+    assert cli._round_up_3(mpf("0.0001234")) == "1.24e-4"
+    assert cli._round_up_3(mpf(1) / 3) == "3.34e-1"
+
+
 def test_coeffs_table_format(capsys):
     assert run_cli("coeffs", "--max-j", "3", "--route", "direct") == 0
     out = capsys.readouterr().out

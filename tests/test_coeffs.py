@@ -129,21 +129,31 @@ def test_term_ratio_below_one_everywhere(j, k):
 
 # --- recurrence ------------------------------------------------------------
 
-@pytest.mark.parametrize("digits", [30, 50, 100, 200])
+def forward_allowance(j_max: int) -> int:
+    """Digits the forward recurrence loses to cancellation at z = pi^2/4, plus slack:
+    about log10(8 j^2 / z) per step."""
+    z = math.pi ** 2 / 4
+    return int(math.ceil(sum(max(0.0, math.log10(8.0 * i * i / z))
+                             for i in range(2, j_max + 1)))) + 10
+
+
+@pytest.mark.parametrize("digits", [30, 37, 50, 100, 151, 200])
 def test_recurrence_values_bitwise_equal_the_hand_written_loop(digits):
-    j_max = 200
-    with working(digits, extra=coeffs._cancellation_allowance(j_max, z=math.pi ** 2 / 4)):
-        pi2 = mp.pi ** 2
-        vals = [mpf(0), 1 / mp.pi]
-        for j in range(2, j_max + 1):
-            a = 2 * (2 * j - 3) / (pi2 * j)
-            b = 1 / (pi2 * j * (j - 1))
-            vals.append(a * vals[j - 1] - b * vals[j - 2])
-        forward = coeffs._forward(mpf(0), 1 / mp.pi, pi2, j_max)
-        assert [v._mpf_ for v in forward] == [v._mpf_ for v in vals]
-    with working(digits):
-        expected = [(+v)._mpf_ for v in vals[1:]]
-    assert [e.value.value._mpf_ for e in coeff_recurrence(j_max, digits)] == expected
+    # the oracle runs the recurrence forward from t_0 = 0, t_1 = 1/pi at the
+    # precision its cancellation needs; the table's backward run must round
+    # to the same bits
+    for j_max in (1, 2, 5, 40, 199, 200):
+        with working(digits, extra=forward_allowance(j_max)):
+            pi2 = mp.pi ** 2
+            vals = [mpf(0), 1 / mp.pi]
+            for j in range(2, j_max + 1):
+                a = 2 * (2 * j - 3) / (pi2 * j)
+                b = 1 / (pi2 * j * (j - 1))
+                vals.append(a * vals[j - 1] - b * vals[j - 2])
+        with working(digits):
+            expected = [(+v)._mpf_ for v in vals[1:]]
+        got = [e.value.value._mpf_ for e in coeff_recurrence(j_max, digits)]
+        assert got == expected, j_max
 
 
 def test_recurrence_seed_only():
@@ -368,6 +378,24 @@ def test_general_recurrence_matches_direct_at_pi_squared_quarter():
     for j in range(1, 21):
         direct = general_series_direct(j, z, 50)
         assert rel_diff(vals[j - 1].value, direct.value) < mpf(10) ** -40
+
+
+with working(300):
+    PI2_QUARTER = +(mp.pi ** 2 / 4)
+
+
+@pytest.mark.parametrize("digits", [30, 50, 100])
+@pytest.mark.parametrize("z", [Fraction(1, 2), 2, PI2_QUARTER, 7, 30],
+                         ids=["1/2", "2", "pi2/4", "7", "30"])
+def test_general_recurrence_is_accurate_at_small_and_large_j(z, digits):
+    # every value within 10^-(digits+19) relative of the direct series at
+    # digits + 100, also for j_max <= 5, where the seeds carry few extra digits
+    for j_max in (3, 5, 20, 60):
+        vals = general_series_recurrence(j_max, z, digits)
+        for j, got in enumerate(vals, start=1):
+            ref = general_series_direct(j, z, digits + 100).value
+            with working(digits + 100):
+                assert rel_diff(got.value, ref) < mpf(10) ** -(digits + 19), (j_max, j)
 
 
 def test_seed_series_at_zero_of_cosine():

@@ -343,6 +343,13 @@ def test_engine_refutes_a_negative_constant_at_the_first_tile():
     assert proof.subintervals == () and proof.unresolved == ()
 
 
+def test_engine_stops_at_a_tile_enclosed_by_exactly_zero():
+    # no split can move the zero polynomial off 0: one tile, not 2^25 - 1
+    proof = prove_polynomial_positive([IntervalValue(0)], (0.0, 0.5), 24, 30)
+    assert proof.status == "inconclusive" and proof.metadata["tiles"] == 1
+    assert proof.unresolved == ((0.0, 0.5),) and proof.subintervals == ()
+
+
 @pytest.mark.parametrize("digits", [30, 50])
 def test_engine_refutation_bound_is_the_enclosure_rounded_up(digits):
     # (x - 1/4)^2 - 2^-20 < 0 near 1/4; the first tile found below 0 stops the search
