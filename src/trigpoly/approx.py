@@ -24,16 +24,16 @@ from operator import attrgetter
 from typing import Callable, Literal
 
 from mpmath import mp, mpf
-from mpmath.libmp import (fone, from_int, mpf_div, mpf_mul, mpf_pow_int, mpf_shift, mpf_sub,
-                          round_ceiling, round_floor)
+from mpmath.libmp import (fone, from_int, mpf_div, mpf_mul, mpf_pi, mpf_pow_int, mpf_shift,
+                          mpf_sub, round_ceiling, round_floor)
 
 from .coeffs import coeff_symbolic, coefficient_table, poly_sum
-from .intervals import exact_ratio, fixed_bits, pi_interval, positive_double, y_ratio
+from .intervals import (IntervalValue, exact_ratio, fixed_bits, pi_interval, positive_double,
+                        series_interval, y_ratio)
 from .precision import (
     DEFAULT_DIGITS,
     DEFAULT_INDEX_LIMIT,
     IndexLimitError,
-    alternating_series,
     horner,
     require_digits,
     to_mpf,
@@ -342,12 +342,22 @@ def maclaurin_eval(m: int, x: float, func: FuncTag = SIN_PI_X) -> float:
 
 
 def maclaurin_eval_hp(m: int, x, digits: int = DEFAULT_DIGITS) -> mpf:
-    """S_m(x), the m-term Maclaurin partial sum of sin(pi*x), in extended precision."""
+    """S_m(x), the m-term Maclaurin partial sum of sin(pi*x), in extended precision.
+
+    S_m(x) = t sum_{k<m} (-t^2)^k/(2k+1)! with t = pi |x|, negated for x < 0:
+    the midpoint of the enclosure `series_interval` gives for x rounded to
+    the working precision, t rounded outward.
+    """
     if m < 1:
         raise ValueError("m must be >= 1")
+    prec = fixed_bits(digits)
     with working(digits):
-        t = mp.pi * to_mpf(x)
-        return alternating_series(t, t * t, 2, 3, digits, n=m)
+        xv = to_mpf(x)
+        ends = [mpf_mul(mpf_pi(prec, rnd), abs(xv)._mpf_, prec, rnd)
+                for rnd in (round_floor, round_ceiling)]
+        t, t2 = IntervalValue._of(*ends), IntervalValue._of(*(mpf_mul(v, v) for v in ends))
+        s = +series_interval(t, t2, 2, 3, prec, n=m).mid
+        return -s if xv < 0 else s
 
 
 def sine_monomials(m: int) -> list[tuple[Fraction, ...]]:

@@ -14,6 +14,7 @@ import math
 import os
 import random
 import sys
+from fractions import Fraction
 
 from mpmath import mp
 
@@ -97,7 +98,7 @@ def _open_out(path: str | None):
 
 
 def _round_up_3(x) -> str:
-    """x > 0 rounded up to 3 significant digits, in exact decimal arithmetic."""
+    """x > 0 (an mpf or a Fraction) rounded up to 3 significant digits, in exact decimal arithmetic."""
     p, q = exact_ratio(x)
     with decimal.localcontext(decimal.Context(prec=3, rounding=decimal.ROUND_CEILING)):
         return f"{decimal.Decimal(p) / q:.2e}"
@@ -111,7 +112,13 @@ def cmd_coeffs(args) -> int:
             print(f"t_{sym.index} = {sym.as_string()}")
         return EXIT_OK
     table = coeffs.coefficient_table(args.max_j, args.digits, route=args.route)
-    rows = [(e.j, e.value.to_str(args.digits), _round_up_3(e.trunc_bound.value)) for e in table]
+    rows = []
+    for e in table:
+        # the printed bound covers the printed value: the stored bound plus
+        # the exact distance the printing moved the value
+        value = e.value.to_str(args.digits)
+        moved = abs(Fraction(decimal.Decimal(value)) - Fraction(*exact_ratio(e.value.value)))
+        rows.append((e.j, value, _round_up_3(Fraction(*exact_ratio(e.trunc_bound.value)) + moved)))
     if args.format == "csv":
         print("j,t_j,trunc_bound")
         for j, value, bound in rows:

@@ -11,23 +11,29 @@ where each weight t_j is given by the alternating series
 and satisfies 0 < t_j < 1/(2j)!.  The series' terms decrease from the
 first, so `t_enclosure` encloses t_j with outward rounding (the
 fixed-point kernel `intervals.fixed_t_scaled`, then one outward division
-by (2j)!).  This module computes t_j by three routes -- the series
-itself (the enclosure's midpoint), a three-term recurrence, and a
-half-integer Bessel-function identity -- plus an exact symbolic form and
-its helpers in Q[u], u = pi^2: `poly_sum`, `poly_mul`, `fixed_at_pi2`.
-The recurrence, shared with T_j(z) below, runs backward in mpf in one
-loop, `_backward` (Miller's algorithm: t_j is its minimal solution, so
-the backward direction is the stable one and needs no digits beyond the
-working precision's); the symbolic form runs it forward over Fractions,
-where it is exact.
-Every route's certificate comes from that one enclosure by one rule:
-trunc_bound = max(hi - v, v - lo), rounded up, for the route's value v.
+by (2j)!).  `t_enclosures` encloses a whole table t_1..t_J in O(J)
+steps instead: one outward-rounded pass down the recurrence in fixed
+point, seeded by `fixed_t_scaled` at J and J - 1.  This module computes
+t_j by three routes -- the series itself (the enclosure's midpoint), a
+three-term recurrence, and a half-integer Bessel-function identity --
+plus an exact symbolic form and its helpers in Q[u], u = pi^2:
+`poly_sum`, `poly_mul`, `fixed_at_pi2`.  The recurrence, shared with
+T_j(z) below, runs backward in mpf in one loop, `_backward` (Miller's
+algorithm: t_j is its minimal solution, so the backward direction is the
+stable one and needs no digits beyond the working precision's); the
+symbolic form runs it forward over Fractions, where it is exact.
+Every route's certificate comes from an enclosure by one rule:
+trunc_bound = max(hi - v, v - lo), rounded up, for the route's value v;
+the direct route's from its own `t_enclosure`, the recurrence and Bessel
+tables' from `t_enclosures`.
 
 The generalized series T_j(z) = sum_k (-z)^k binom(j+k,j)/(2j+2k)!
 recovers t_j at z = pi^2/4 and is exposed for cross-checks.  It and
 J_{j-1/2} are the same alternating series, each term the last times
 z/((2k+2)(2k+2j+1)) (z = x^2 for the Bessel function); both are summed
-by `precision.alternating_series`.
+by `intervals.series_interval`, and each value is the midpoint of its
+enclosure.  At x = pi/2 the Bessel route is the direct series term for
+term, so the two routes differ only in how the first term is rounded.
 """
 
 from __future__ import annotations
@@ -40,8 +46,8 @@ from itertools import zip_longest
 from typing import Literal
 
 from mpmath import mp, mpf
-from mpmath.libmp import (from_int, from_man_exp, mpf_div, mpf_mul, mpf_pow_int, mpf_sub,
-                          round_ceiling, round_floor)
+from mpmath.libmp import (fone, from_int, from_man_exp, mpf_div, mpf_mul, mpf_pi, mpf_pow_int,
+                          mpf_shift, mpf_sqrt, mpf_sub, round_ceiling, round_floor)
 
 from .intervals import (
     IntervalValue,
@@ -53,11 +59,11 @@ from .intervals import (
     fixed_ratio,
     fixed_t_scaled,
     interval_from_fixed,
+    series_interval,
 )
 from .precision import (
     DEFAULT_DIGITS,
     ExtReal,
-    alternating_series,
     require_digits,
     require_index,
     to_mpf,
@@ -81,6 +87,7 @@ __all__ = [
     "poly_mul",
     "poly_sum",
     "t_enclosure",
+    "t_enclosures",
 ]
 
 Route = Literal["recurrence", "direct", "bessel"]
@@ -126,6 +133,9 @@ class CoefficientTable:
         return iter(self.entries)
 
     def value(self, j: int) -> ExtReal:
+        """t_j for 1 <= j <= len(self); IndexError for any other j."""
+        if not 1 <= j <= len(self.entries):
+            raise IndexError(f"j = {j} outside 1..{len(self.entries)}")
         return self.entries[j - 1].value
 
 
@@ -133,6 +143,40 @@ def t_enclosure(j: int, digits: int = DEFAULT_DIGITS) -> IntervalValue:
     """Enclosure of t_j: `fixed_t_scaled` at `fixed_bits(digits)` bits, divided outward by (2j)!."""
     bits = fixed_bits(digits)
     return interval_from_fixed(fixed_t_scaled(j, bits), bits, math.factorial(2 * j))
+
+
+# fractional bits `t_enclosures` carries beyond `fixed_bits(digits)`, so that
+# the roundings of up to 200 steps stay below those of one `t_enclosure`
+T_GUARD_BITS = 8
+
+
+def t_enclosures(j_max: int, digits: int = DEFAULT_DIGITS) -> list[IntervalValue]:
+    """Enclosures of t_1..t_{j_max} (item j - 1 holds t_j) by one pass down the recurrence
+
+        s_{j-2} = s_{j-1} - z s_j / ((2j-1)(2j-3)),   s_j = t_j (2j)!,  z = pi^2/4,
+
+    in fixed point at `fixed_bits(digits) + T_GUARD_BITS` bits, seeded by
+    `fixed_t_scaled` at j_max and j_max - 1.  Every s_j lies in
+    (1 - pi^2/24, 1), so each step subtracts the product rounded up from
+    the lower end and rounded down from the upper one and the pair still
+    encloses s_{j-2}; each s_j is then divided outward by (2j)!.  O(j_max)
+    steps, where `t_enclosure` sums a series for each j.
+    """
+    require_index(j_max)
+    if j_max < 1:
+        raise ValueError("j_max must be >= 1")
+    bits = fixed_bits(digits) + T_GUARD_BITS
+    (pi_lo, pi_hi), shift = fixed_pi(bits), bits + 2
+    z_lo, z_hi = pi_lo * pi_lo >> shift, -(-(pi_hi * pi_hi) >> shift)
+    s = [None] * (j_max + 1)
+    for j in range(max(1, j_max - 1), j_max + 1):
+        s[j] = fixed_t_scaled(j, bits)
+    for j in range(j_max, 2, -1):
+        (lo1, hi1), (lo, hi) = s[j - 1], s[j]
+        d = ((2 * j - 1) * (2 * j - 3)) << bits
+        # z s_j / d rounded up off the lower end, rounded down off the upper
+        s[j - 2] = lo1 + -(z_hi * hi) // d, hi1 - z_lo * lo // d
+    return [interval_from_fixed(s[j], bits, math.factorial(2 * j)) for j in range(1, j_max + 1)]
 
 
 def _certified(j: int, v: mpf, enc: IntervalValue, digits: int) -> tuple[ExtReal, ExtReal]:
@@ -203,7 +247,7 @@ def coeff_recurrence(j_max: int, digits: int = DEFAULT_DIGITS) -> CoefficientTab
     normalized by t_1 = 1/pi (t_0 = 0 cannot normalize).  The
     recurrence's wanted solution is its minimal one, which the backward
     direction keeps at the working precision plus MILLER_EXTRA digits.
-    Each entry's certificate is the one rule's, from `t_enclosure`, so
+    Each entry's certificate is the one rule's, from `t_enclosures`, so
     no certificate rests on the recurrence's start index.
     """
     require_digits(digits)
@@ -215,8 +259,8 @@ def coeff_recurrence(j_max: int, digits: int = DEFAULT_DIGITS) -> CoefficientTab
         scale = 1 / (mp.pi * vals[1])
         vals = [v * scale for v in vals]
     with working(digits):
-        pairs = [_certified(j, +vals[j], t_enclosure(j, digits), digits)
-                 for j in range(1, j_max + 1)]
+        pairs = [_certified(j, +vals[j], enc, digits)
+                 for j, enc in enumerate(t_enclosures(j_max, digits), start=1)]
     return _table("recurrence", pairs, digits)
 
 
@@ -363,52 +407,92 @@ def fixed_at_pi2(poly, bits: int) -> tuple[int, int]:
 
 
 # --- Bessel route ---------------------------------------------------------
+#
+# Each value here is the midpoint of an enclosure: the first term and the
+# prefactors by libmp's directed rounding at `fixed_bits(digits)` bits,
+# the series by `series_interval`.
+
+def _mid(enc: IntervalValue, digits: int) -> ExtReal:
+    with working(digits):
+        return ExtReal(+enc.mid, digits)
+
+
+def _gamma_half(n: int, prec: int) -> tuple[tuple, tuple]:
+    # Gamma(n + 1/2) = sqrt(pi) (2n)! / (4^n n!), its raw ends rounded outward
+    num, den = from_int(math.factorial(2 * n)), from_int(4 ** n * math.factorial(n))
+    return tuple(mpf_div(mpf_mul(mpf_sqrt(mpf_pi(prec, rnd), prec, rnd), num, prec, rnd),
+                         den, prec, rnd) for rnd in (round_floor, round_ceiling))
+
 
 def gamma_half(n: int, digits: int = DEFAULT_DIGITS) -> ExtReal:
     """Gamma(n + 1/2) = sqrt(pi) (2n)! / (4^n n!) for integer n >= 0."""
     require_digits(digits)
     if n < 0:
         raise ValueError("n must be >= 0")
-    with working(digits):
-        val = mp.sqrt(mp.pi) * mpf(math.factorial(2 * n)) / mpf(4 ** n * math.factorial(n))
-        return ExtReal(+val, digits)
+    return _mid(IntervalValue._of(*_gamma_half(n, fixed_bits(digits))), digits)
+
+
+def _bessel(j: int, h: tuple, prec: int) -> IntervalValue:
+    """J_{j-1/2}(2h) for h = x/2 in the raw ends (h_lo, h_hi), 0 < h_lo:
+
+        J_{j-1/2}(x) = h^(j-1/2)/Gamma(j+1/2) * sum_k (-x^2)^k / prod_{i<k} (2i+2)(2i+2j+1).
+    """
+    g_lo, g_hi = _gamma_half(j, prec)
+    # h^(j-1/2) = h^j / sqrt(h) rises with h for j >= 1 and falls for j = 0
+    ends = []
+    for h_end, rnd, away, g in ((h[j == 0], round_floor, round_ceiling, g_hi),
+                                (h[j > 0], round_ceiling, round_floor, g_lo)):
+        power = mpf_div(mpf_pow_int(h_end, j, prec, rnd), mpf_sqrt(h_end, prec, away), prec, rnd)
+        ends.append(mpf_div(power, g, prec, rnd))
+    z = IntervalValue._of(*(mpf_shift(mpf_mul(v, v), 2) for v in h))  # x^2, exact
+    return series_interval(IntervalValue._of(*ends), z, 2, 2 * j + 1, prec)
+
+
+def _positive_finite(x, name: str) -> mpf:
+    v = to_mpf(x)
+    if not 0 < v < mp.inf:
+        raise ValueError(f"{name} must be positive and finite")
+    return v
 
 
 def bessel_j_half_integer(j: int, x, digits: int = DEFAULT_DIGITS) -> ExtReal:
     """J_{j-1/2}(x) for finite x > 0 by the defining power series.
 
     J_nu(x) = sum_k (-1)^k (x/2)^(nu+2k) / (k! Gamma(nu+k+1)); at
-    nu = j - 1/2 the Gamma values are Gamma((j+k) + 1/2), supplied by
-    gamma_half.  Terms are summed as given until their ratio drops
-    below 1 and the next term is negligible.  The result is a value
-    only; as t_j it is certified against `t_enclosure`.
+    nu = j - 1/2 each term is the last times x^2/((2k+2)(2k+2j+1)).  The
+    midpoint of the enclosure `series_interval` gives for x rounded to
+    the working precision; as t_j it is certified against `t_enclosures`.
     """
     require_digits(digits)
     if j < 0:
         raise ValueError("j must be >= 0")
-    with working(digits, extra=5):
-        xv = to_mpf(x)
-        if not 0 < xv < mp.inf:
-            raise ValueError("x must be positive and finite")
-        first = mp.power(xv / 2, j - mpf(1) / 2) / gamma_half(j, digits + 5).value
-        return ExtReal(+alternating_series(first, xv * xv, 2, 2 * j + 1, digits), digits)
+    with working(digits):
+        h = mpf_shift(_positive_finite(x, "x")._mpf_, -1)
+    return _mid(_bessel(j, (h, h), fixed_bits(digits)), digits)
 
 
 def coeff_bessel(j: int, digits: int = DEFAULT_DIGITS) -> ExtReal:
     """Weight t_j via the identity t_j = pi^(1-j)/(2 j!) * J_{j-1/2}(pi/2).
 
-    The identity's value, unchanged; `coefficient_table` certifies it
-    by the one rule against `t_enclosure`.
+    The midpoint of the identity's enclosure, pi/2 and pi^(1-j) rounded
+    outward; `coefficient_table` certifies it by the one rule against
+    `t_enclosures`.
     """
     require_digits(digits)
     require_index(j)
     if j < 1:
         raise ValueError("j must be >= 1")
-    with working(digits, extra=5):
-        arg = mp.pi / 2
-        jval = bessel_j_half_integer(j, arg, digits + 5).value
-        pref = mp.power(mp.pi, 1 - j) / (2 * mpf(math.factorial(j)))
-        return ExtReal(+(pref * jval), digits)
+    prec = fixed_bits(digits)
+    pi = mpf_pi(prec, round_floor), mpf_pi(prec, round_ceiling)
+    bessel = _bessel(j, tuple(mpf_shift(v, -2) for v in pi), prec)  # h = pi/4
+    two_fact = from_int(2 * math.factorial(j))
+    # the prefactor 1/(2 j! pi^(j-1)) is positive, and so is J_{j-1/2}(pi/2)
+    ends = [mpf_div(fone, mpf_mul(two_fact, mpf_pow_int(p, j - 1, prec, away), prec, away),
+                    prec, rnd)
+            for p, rnd, away in ((pi[1], round_floor, round_ceiling),
+                                 (pi[0], round_ceiling, round_floor))]
+    return _mid(IntervalValue._of(mpf_mul(ends[0], bessel.lo._mpf_, prec, round_floor),
+                                  mpf_mul(ends[1], bessel.hi._mpf_, prec, round_ceiling)), digits)
 
 
 # --- generalized series T_j(z) -------------------------------------------
@@ -417,20 +501,21 @@ def general_series_direct(j: int, z, digits: int = DEFAULT_DIGITS) -> ExtReal:
     """T_j(z) = sum_k (-z)^k binom(j+k,j)/(2j+2k)! for finite z > 0.
 
     j = 0 is permitted (T_0(z) = cos(sqrt(z))); it seeds the recurrence
-    route.  Successive term magnitudes have ratio z/(2(k+1)(2j+2k+1)),
-    so the sum proceeds term by term until the ratio is below 1 and the
-    alternating tail bound takes over.
+    route.  Each term is the last times z/((2k+2)(2k+2j+1)); the value is
+    the midpoint of the enclosure `series_interval` gives for z rounded to
+    the working precision, the first term 1/(2j)! rounded outward.
     """
     require_digits(digits)
     require_index(j)
     if j < 0:
         raise ValueError("j must be >= 0")
-    with working(digits, extra=5):
-        zv = to_mpf(z)
-        if not 0 < zv < mp.inf:
-            raise ValueError("z must be positive and finite")
-        first = mpf(1) / mpf(math.factorial(2 * j))
-        return ExtReal(+alternating_series(first, zv, 2, 2 * j + 1, digits), digits)
+    with working(digits):
+        zv = _positive_finite(z, "z")
+    prec = fixed_bits(digits)
+    fact = from_int(math.factorial(2 * j))
+    first = IntervalValue._of(mpf_div(fone, fact, prec, round_floor),
+                              mpf_div(fone, fact, prec, round_ceiling))
+    return _mid(series_interval(first, IntervalValue(zv), 2, 2 * j + 1, prec), digits)
 
 
 def general_series_recurrence(j_max: int, z, digits: int = DEFAULT_DIGITS) -> list[ExtReal]:
@@ -472,7 +557,7 @@ def coefficient_table(
     if route == "direct":
         return _table(route, [coeff_direct(j, digits) for j in range(1, j_max + 1)], digits)
     if route == "bessel":
-        pairs = [_certified(j, coeff_bessel(j, digits).value, t_enclosure(j, digits), digits)
-                 for j in range(1, j_max + 1)]
+        pairs = [_certified(j, coeff_bessel(j, digits).value, enc, digits)
+                 for j, enc in enumerate(t_enclosures(j_max, digits), start=1)]
         return _table(route, pairs, digits)
     raise ValueError(f"unknown route {route!r}")

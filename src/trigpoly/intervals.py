@@ -9,11 +9,15 @@ enclosure: two exact mpf ends, its midpoint, width and membership test.
 
 The fixed-point kernel encloses pi, the weights t_j (2j)!, the y-map,
 the partial sums sum c_j y^j, the Maclaurin partial sums of
-sin/cos(pi x) and polynomials over dyadic tiles.  The weights and
-sin/cos are one alternating series, each term the last times
-z/((2k+a)(2k+b)), summed by the one loop `fixed_series`;
-`fixed_t_scaled`, `fixed_maclaurin` and `fixed_sin_cos_pi` only set up
-its arguments.  `fixed_horner` is the one Horner loop on enclosures.
+sin/cos(pi x) and polynomials over dyadic tiles.  The weights, sin/cos,
+T_j(z) and J_{j-1/2}(x) are one alternating series, each term the last
+times z/((2k+a)(2k+b)), summed by the one loop `fixed_series`; its terms
+may grow before they fall.  `fixed_t_scaled`, `fixed_maclaurin` and
+`fixed_sin_cos_pi` only set up its arguments, and `series_interval`
+scales its first term to one unit and multiplies the sum by the first
+term's mpf enclosure, so a first term far below any fixed-point unit
+keeps its relative precision.  `fixed_horner` is the one Horner loop on
+enclosures.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from functools import lru_cache
 
 from mpmath import iv, mp, mpf
 from mpmath.libmp import (dps_to_prec, from_float, from_int, from_man_exp, mpf_add, mpf_div,
-                          mpf_pi, mpf_shift, mpf_sub, round_ceiling, round_floor)
+                          mpf_mul, mpf_pi, mpf_shift, mpf_sub, round_ceiling, round_floor)
 
 from .precision import DEFAULT_DIGITS, GUARD_DIGITS, PRECISION_LOCK
 
@@ -267,21 +271,19 @@ def fixed_series(first, z, a: int, b: int, bits: int, n: int | None = None):
 
     With n, returns (sums, mags): sums[k] encloses the sum of the terms
     0..k, for k < n, and mags[k] the magnitude u_k, for k <= n.  Without
-    n, returns the enclosure of the whole sum: it stops at a term below
-    one unit, and the alternating tail from there lies between 0 and that
-    term.  That needs terms that decrease from the first; the ratios
-    decrease in k, so the first, z/(ab), must be below 1 (else ValueError).
+    n, returns the enclosure of the whole sum: the terms may grow while
+    the ratio z/((2k+a)(2k+b)) is 1 or more, and it stops at the first
+    term below one unit whose ratio is below 1.  The ratios decrease in k,
+    so the terms decrease from there on, and the alternating tail lies
+    between 0 and that term.
     """
     u_lo, u_hi = first
     z_lo, z_hi = z
     converge = n is None
-    if converge:
-        if z_hi >= (a * b) << bits:
-            raise ValueError("the terms must decrease from the first: need z < a*b")
-    else:
+    if not converge:
         sums, mags = [], [(u_lo, u_hi)]
     s_lo = s_hi = k = 0
-    while u_hi > 1 if converge else k < n:
+    while (u_hi > 1 or z_hi >= ((2 * k + a) * (2 * k + b)) << bits) if converge else k < n:
         if k % 2:
             s_lo, s_hi = s_lo - u_hi, s_hi - u_lo
         else:
@@ -296,6 +298,31 @@ def fixed_series(first, z, a: int, b: int, bits: int, n: int | None = None):
         return sums, mags
     # the tail from term k has term k's sign, (-1)^k
     return (s_lo - u_hi, s_hi) if k % 2 else (s_lo, s_hi + u_hi)
+
+
+def series_interval(first: IntervalValue, z: IntervalValue, a: int, b: int, prec: int,
+                    n: int | None = None) -> IntervalValue:
+    """Enclosure of first * sum_k (-1)^k v_k, v_0 = 1, v_{k+1} = v_k z/((2k+a)(2k+b)).
+
+    `first` and `z` are non-negative.  The scaled sum runs on `fixed_series`
+    from one unit, so a tiny first term loses nothing, at `prec` fractional
+    bits plus the bits its terms grow by before they fall; it is then
+    multiplied by `first`, each end rounded outward at `prec` bits.  With n,
+    the sum of the terms 0..n-1 only.
+    """
+    zf, growth, k = float(z.hi), 0.0, 0
+    while (ratio := zf / ((2 * k + a) * (2 * k + b))) > 1:
+        growth += math.log2(ratio)
+        k += 1
+    bits = prec + math.ceil(growth)
+    scaled = fixed_series((1 << bits, 1 << bits), fixed_from_interval(z, bits), a, b, bits, n)
+    s_lo, s_hi = scaled if n is None else scaled[0][n - 1]
+    f_lo, f_hi = first.lo._mpf_, first.hi._mpf_
+    # the product's ends: the lower end of the sum times the factor that
+    # makes it least, the upper end times the one that makes it most
+    lo = mpf_mul(f_hi if s_lo < 0 else f_lo, from_man_exp(s_lo, -bits), prec, round_floor)
+    hi = mpf_mul(f_hi if s_hi > 0 else f_lo, from_man_exp(s_hi, -bits), prec, round_ceiling)
+    return IntervalValue._of(lo, hi)
 
 
 def _fixed_sin_cos_args(p: int, q: int, bits: int, odd: bool):

@@ -5,9 +5,9 @@ Every mpf value in this package is computed at a working precision of
 digits keep values accurate (the backward three-term recurrence carries
 `coeffs.MILLER_EXTRA` more); no certificate rests on them, since
 certificates come from the outward-rounded enclosures of `intervals`.
-The two mpf loops live here: `horner` for polynomials and
-`alternating_series` for the series of T_j(z), J_{j-1/2} and the
-sine's Maclaurin sums; callers hold the `working` section.
+The one mpf loop left lives here, `horner` for polynomials; its callers
+hold the `working` section.  The series of T_j(z), J_{j-1/2} and the
+sine's Maclaurin sums run on the fixed-point kernel of `intervals`.
 
 mpmath's context precision is process-global, so precision-sensitive
 sections are serialized with a reentrant lock; results are pure
@@ -76,37 +76,6 @@ def horner(coeffs, u) -> mpf:
     for c in reversed(coeffs):
         acc = acc * u + c
     return acc
-
-
-def alternating_series(first, z, a: int, b: int, digits: int, n: int | None = None) -> mpf:
-    """sum_k (-1)^k u_k, u_0 = first, u_{k+1} = u_k * (z/((2k+a)(2k+b))), at the working precision.
-
-    The one mpf alternating-series loop; its callers hold the `working`
-    section.  With n, the sum of the terms 0..n-1, each running sum
-    rounded once as it is formed.  Without n, terms may grow while the
-    ratio is >= 1 (the ratios decrease in k); the sum stops once the ratio
-    is below 1 and the next term is below 10**-(digits+5) relative to the
-    running sum.  A tiny absolute floor keeps this terminating when the
-    exact sum is zero (e.g. T_0 at z = pi^2/4, which sums to cos(pi/2)).
-    """
-    if n is None:
-        thresh = mpf(10) ** (-(digits + 5))
-        floor = first * thresh
-    s = mpf(0)
-    u = first
-    k = 0
-    while True:
-        s = s - u if k % 2 else s + u
-        if k + 1 == n:
-            return s
-        ratio = z / ((2 * k + a) * (2 * k + b))
-        nxt = u * ratio
-        if n is None and ratio < 1 and nxt <= thresh * max(abs(s), floor):
-            return s
-        u = nxt
-        k += 1
-        if n is None and k > 100000:  # pragma: no cover
-            raise ArithmeticError("alternating series failed to terminate")
 
 
 def to_mpf(x) -> mpf:

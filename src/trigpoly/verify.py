@@ -357,10 +357,12 @@ def check_bessel_identity(j_max: int, digits: int = DEFAULT_DIGITS) -> PropertyR
     except ValueError as exc:
         worst.update(-math.inf, "route refused: {}", str(exc))
     else:
+        # the least exact margin names its j; only it is rounded, since
+        # margins that differ only past a double's precision round alike
         tol = Fraction(1, 10 ** digits)
-        for e in table:
-            bound, value = (Fraction(*exact_ratio(v.value)) for v in (e.trunc_bound, e.value))
-            worst.update(_round_double(tol - bound / value), "j={} route", e.j)
+        margin, j = min((tol - Fraction(*exact_ratio(e.trunc_bound.value))
+                         / Fraction(*exact_ratio(e.value.value)), e.j) for e in table)
+        worst.update(_round_double(margin), "j={} route", j)
     return worst.report(
         "bessel_identity",
         {"j_max": j_max, "digits": digits,

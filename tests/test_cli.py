@@ -11,7 +11,7 @@ from mpmath import mp, mpf
 import trigpoly
 import trigpoly.cli as cli
 from trigpoly.approx import COS_PI_X, maclaurin_eval
-from trigpoly.coeffs import coefficient_table
+from trigpoly.coeffs import coefficient_table, t_enclosure
 from trigpoly.intervals import IntervalValue, exact_ratio
 from trigpoly.verify import PositivityProof, prove_polynomial_positive
 
@@ -48,6 +48,21 @@ def test_printed_bounds_cover_the_stored_ones(capsys, route, max_j, digits):
             printed = line.split(",")[-1] if fmt == "csv" else line.split()[-1]
             assert len(printed.split("e")[0].replace(".", "")) == 3
             assert Fraction(printed) >= Fraction(*exact_ratio(entry.trunc_bound.value))
+
+
+@pytest.mark.parametrize("route", ["recurrence", "direct", "bessel"])
+def test_printed_bounds_cover_the_printed_values(capsys, route):
+    # the printed t_j is rounded to --digits digits; its printed bound must
+    # still reach t_j, enclosed here 40 digits tighter
+    for fmt in ("csv", "table"):
+        assert run_cli("coeffs", "--max-j", "40", "--digits", "30", "--route", route,
+                       "--format", fmt) == 0
+        lines = capsys.readouterr().out.splitlines()[1:]
+        for j, line in enumerate(lines, start=1):
+            value, bound = (line.split(",") if fmt == "csv" else line.split())[1:]
+            enc = t_enclosure(j, 70)
+            lo, hi = Fraction(*exact_ratio(enc.lo)), Fraction(*exact_ratio(enc.hi))
+            assert Fraction(value) - Fraction(bound) <= lo and hi <= Fraction(value) + Fraction(bound), j
 
 
 def test_bound_rounding_runs_on_the_python_3_10_localcontext(monkeypatch):

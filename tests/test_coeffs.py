@@ -24,6 +24,7 @@ from trigpoly.coeffs import (
     poly_mul,
     poly_sum,
     t_enclosure,
+    t_enclosures,
 )
 from trigpoly.intervals import fixed_bits, fixed_pi, fixed_series, fixed_t_scaled
 from trigpoly.precision import ExtReal, IndexLimitError, PrecisionError, working
@@ -443,6 +444,14 @@ def test_coefficient_table_routes():
         assert all(e.trunc_bound.value < mpf(10) ** -50 * e.value.value for e in table)
 
 
+def test_table_value_refuses_an_index_outside_the_table():
+    table = coefficient_table(5, 30)
+    assert table.value(1) == table.entries[0].value and table.value(5) == table.entries[4].value
+    for j in (0, -1, -5, 6):
+        with pytest.raises(IndexError):
+            table.value(j)
+
+
 # --- the one enclosure and the one certificate rule ---------------------------
 
 ROUTES = ("recurrence", "direct", "bessel")
@@ -467,6 +476,53 @@ def test_enclosures_contain_t_and_are_narrow(digits):
             enc = t_enclosure(j, digits)
             assert enc.lo <= ref[j] <= enc.hi, j
             assert enc.width <= ref[j] * mpf(10) ** -(digits + 5), j
+
+
+@lru_cache(maxsize=None)
+def relative_series_reference() -> tuple:
+    """t_0..t_200 by the direct series at 320 digits, stopped once a term is
+    below 10^-330 of the running sum: an absolute stop (at 1e-700, say) would
+    return about 0 for j >= 190, where t_j < 1e-700."""
+    with mp.workdps(330):
+        z, out = mp.pi ** 2 / 4, [mpf(0)]
+        for j in range(1, 201):
+            term = 1 / mp.factorial(2 * j)
+            s, k = term, 0
+            while abs(term) > abs(s) * mpf(10) ** -330:
+                term *= -z * (j + k + 1) / ((k + 1) * (2 * j + 2 * k + 1) * (2 * j + 2 * k + 2))
+                s += term
+                k += 1
+            out.append(s)
+        return tuple(out)
+
+
+@pytest.mark.parametrize("digits", [30, 100, 200])
+def test_table_enclosures_contain_t(digits):
+    ref = relative_series_reference()
+    encs = t_enclosures(200, digits)
+    assert len(encs) == 200
+    with mp.workdps(330):
+        for j, enc in enumerate(encs, start=1):
+            assert enc.lo <= ref[j] <= enc.hi, j
+            assert enc.width <= ref[j] * mpf(10) ** -(digits + 5), j
+        # short tables: seeds only (j_max <= 2), or one step
+        for j_max in (1, 2, 3):
+            assert all(e.lo <= ref[j] <= e.hi
+                       for j, e in enumerate(t_enclosures(j_max, digits), start=1)), j_max
+
+
+@pytest.mark.parametrize("digits", [30, 50, 100, 200])
+def test_table_enclosures_are_no_wider_than_the_series(digits):
+    for j_max in (1, 2, 3, 40, 200):
+        for j, enc in enumerate(t_enclosures(j_max, digits), start=1):
+            assert enc.width <= t_enclosure(j, digits).width, (j_max, j)
+
+
+def test_table_enclosures_refuse_a_bad_index():
+    with pytest.raises(IndexLimitError):
+        t_enclosures(201, 30)
+    with pytest.raises(ValueError):
+        t_enclosures(0, 30)
 
 
 @pytest.mark.parametrize("digits", SOUNDNESS_DIGITS)

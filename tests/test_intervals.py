@@ -211,12 +211,13 @@ def test_fixed_point_enclosures_contain_high_precision_values(x, scale):
 
 def _series_reference(first, z, a, b, bits, n=None):
     """`fixed_series`'s documented steps in exact rationals: each term is
-    u z / (d 2^bits) rounded by Fraction floor (lower end) and ceiling (upper)."""
+    u z / (d 2^bits) rounded by Fraction floor (lower end) and ceiling (upper);
+    without n it stops at the first term below one unit whose ratio is below 1."""
     unit = 2 ** bits
     (u_lo, u_hi), (s_lo, s_hi) = first, (0, 0)
     sums, mags = [], [first]
     k = 0
-    while (k < n) if n is not None else u_hi > 1:
+    while (k < n) if n is not None else (u_hi > 1 or Fraction(z[1], (2 * k + a) * (2 * k + b) * unit) >= 1):
         if k % 2 == 0:
             s_lo, s_hi = s_lo + u_lo, s_hi + u_hi
         else:
@@ -249,19 +250,28 @@ def test_fixed_series_matches_exact_rational_steps():
                 z = (min(z), min(z[1], a * b * unit - 1))
                 assert fixed_series(first, z, a, b, bits) == _series_reference(first, z, a, b, bits)
                 n = rng.randint(1, 12)
-                z = _enclosure(rng, 4 * a * b * unit)  # growing terms are fine with n
+                z = _enclosure(rng, 4 * a * b * unit)  # terms that grow before they fall
                 assert fixed_series(first, z, a, b, bits, n) == _series_reference(first, z, a, b, bits, n)
+                assert fixed_series(first, z, a, b, bits) == _series_reference(first, z, a, b, bits)
 
 
-def test_fixed_series_refuses_terms_that_do_not_decrease():
-    # cos 10 < 0, but the tail rule [0, u_k] would return (0, 1) at 8 bits
-    with pytest.raises(ValueError):
-        fixed_series((1, 1), (100 << 8, 100 << 8), 1, 2, 8)
-    # the first ratio z/(ab) must be below 1; at exactly 1 it is refused
-    with pytest.raises(ValueError):
-        fixed_series((1 << 8, 1 << 8), (5 << 8, 6 << 8), 2, 3, 8)
-    assert fixed_series((1 << 8, 1 << 8), (5 << 8, (6 << 8) - 1), 2, 3, 8)
-    # the partial sums have no tail to enclose, so growing terms are allowed
+def test_fixed_series_sums_through_terms_that_grow():
+    # cos 10 = sum (-100)^k/(2k)! < 0: the terms grow to about 2800 first; a
+    # stop at the first term below one unit would return [0, 1] at 8 bits
+    with mp.workdps(100):
+        for bits in (8, 16, 64, 200):
+            one, z = (1 << bits, 1 << bits), (100 << bits, 100 << bits)
+            lo, hi = fixed_series(one, z, 1, 2, bits)
+            assert lo <= mp.cos(10) * 2 ** bits <= hi and hi < 0, bits
+    # a first term of one unit, below the terms that follow: no stop at k = 0
+    lo, hi = fixed_series((1, 1), (100 << 8, 100 << 8), 1, 2, 8)
+    with mp.workdps(50):
+        assert lo <= mp.cos(10) <= hi  # the old stop at k = 0 gave (0, 1)
+    # a first ratio of exactly 1 sums on to the next term
+    lo, hi = fixed_series((1 << 8, 1 << 8), (6 << 8, 6 << 8), 2, 3, 8)
+    with mp.workdps(50):
+        assert lo <= mp.sin(mp.sqrt(6)) / mp.sqrt(6) * 2 ** 8 <= hi
+    # the partial sums need no tail rule, so they stop at n whatever the terms do
     sums, mags = fixed_series((1, 1), (100 << 8, 100 << 8), 1, 2, 8, n=3)
     assert len(sums) == 3 and len(mags) == 4
 

@@ -1,18 +1,10 @@
-import math
-
 import pytest
 from mpmath import mp, mpf
 
 from trigpoly.approx import maclaurin_eval_hp
-from trigpoly.coeffs import bessel_j_half_integer, gamma_half, general_series_direct
-from trigpoly.precision import (
-    DEFAULT_DIGITS,
-    ExtReal,
-    PrecisionError,
-    alternating_series,
-    to_mpf,
-    working,
-)
+from trigpoly.coeffs import bessel_j_half_integer, general_series_direct
+from trigpoly.intervals import IntervalValue, series_interval
+from trigpoly.precision import DEFAULT_DIGITS, ExtReal, PrecisionError, to_mpf, working
 
 
 def test_working_context_sets_guard_digits():
@@ -60,75 +52,81 @@ def test_concurrent_coefficient_generation_is_consistent():
         assert value == expected[(j, d)]
 
 
-# --- the mpf alternating-series kernel ---------------------------------------
+# --- the series on the fixed-point kernel ------------------------------------
 #
-# The loops below are the three hand-written series that `alternating_series`
-# replaced, kept here as they were; the kernel must give the same mpf bits.
-
-def _ratio_sum(first_mag, ratio_at, digits):
-    thresh = mpf(10) ** (-(digits + 5))
-    floor = first_mag * thresh
-    s, mag, sign, k = mpf(0), first_mag, 1, 0
-    while True:
-        s += sign * mag
-        ratio = ratio_at(k)
-        nxt = mag * ratio
-        if ratio < 1 and nxt <= thresh * max(abs(s), floor):
-            return s
-        mag, sign, k = nxt, -sign, k + 1
-
-
-def _bessel_loop(j, x, digits):
-    with working(digits, extra=5):
-        half = to_mpf(x) / 2
-        half2 = half * half
-        nu = j - mpf(1) / 2
-        first = mp.power(half, nu) / gamma_half(j, digits + 5).value
-        return +_ratio_sum(first, lambda k: half2 / ((k + 1) * (nu + k + 1)), digits)
-
-
-def _general_loop(j, z, digits):
-    with working(digits, extra=5):
-        zv = to_mpf(z)
-        first = mpf(1) / mpf(math.factorial(2 * j))
-        return +_ratio_sum(first, lambda k: zv / (2 * (k + 1) * (2 * j + 2 * k + 1)), digits)
-
-
-def _maclaurin_loop(m, x, digits):
-    with working(digits):
-        t = mp.pi * to_mpf(x)
-        term, acc = t, +t
-        for j in range(1, m):
-            term *= -t * t / ((2 * j) * (2 * j + 1))
-            acc += term
-        return acc
-
+# Every extended-precision series value is the midpoint of an enclosure from
+# `intervals.series_interval`; mpmath's own functions, at digits + 40, are
+# the references.
 
 ARGS = ["0.1", "0.5", "1", "3", "7.5", "12", "30", 1.5707963267948966]
 
 
+def _rel(got, ref):
+    return abs(got - ref) / abs(ref)
+
+
 @pytest.mark.parametrize("digits", [30, 50, 80])
-def test_kernel_matches_the_bessel_and_t_j_loops_bitwise(digits):
-    for j in range(0, 25):
-        for x in ARGS:
-            assert bessel_j_half_integer(j, x, digits).value._mpf_ == \
-                _bessel_loop(j, x, digits)._mpf_, (j, x)
-            assert general_series_direct(j, x, digits).value._mpf_ == \
-                _general_loop(j, x, digits)._mpf_, (j, x)
+def test_bessel_and_t_j_series_match_mpmath(digits):
+    # x = 12 and 30 make the terms grow before they fall
+    for x in ARGS:
+        with mp.workdps(digits + 40):
+            xv = mpf(x)
+            root = mp.sqrt(xv)
+            refs = [(mp.besselj(j - mpf(1) / 2, xv),
+                     # T_j(z) = sqrt(pi)/(j! 2^(j+1/2)) z^(1/4-j/2) J_{j-1/2}(sqrt(z))
+                     mp.sqrt(mp.pi) / (mp.factorial(j) * mp.power(2, j + mpf(1) / 2))
+                     * mp.power(xv, mpf(1) / 4 - mpf(j) / 2) * mp.besselj(j - mpf(1) / 2, root))
+                    for j in range(25)]
+            cos_sin = mp.cos(root), mp.sin(root) / (2 * root)
+        for j, (ref_bessel, ref_t) in enumerate(refs):
+            bessel = bessel_j_half_integer(j, xv, digits).value
+            t = general_series_direct(j, xv, digits).value
+            with mp.workdps(digits + 40):
+                assert _rel(bessel, ref_bessel) < mpf(10) ** -digits, (j, x)
+                assert _rel(t, ref_t) < mpf(10) ** -digits, (j, x)
+                if j < 2:
+                    assert _rel(t, cos_sin[j]) < mpf(10) ** -digits, (j, x)
 
 
 @pytest.mark.parametrize("digits", [30, 50, 100])
-def test_kernel_matches_the_maclaurin_loop_bitwise(digits):
-    for m in range(1, 20):
-        for x in (0, 1e-5, 0.123, 0.25, 0.5, 0.77, 1, 1.5):
-            assert maclaurin_eval_hp(m, x, digits)._mpf_ == _maclaurin_loop(m, x, digits)._mpf_, (m, x)
+def test_maclaurin_partial_sums_match_mpmath(digits):
+    # S_m(x) against mpmath's sum of its m terms, within 10^-digits of the
+    # larger of |S_m| and the first term pi x (S_m(1) cancels to ~pi^(2m+1)/(2m+1)!)
+    for x in (0, 1e-5, 0.123, 0.25, 0.5, 0.77, 1, 1.5, *ARGS):
+        with mp.workdps(digits + 40):
+            xv = mpf(x)
+            t = mp.pi * xv
+            terms = [(-1) ** k * t ** (2 * k + 1) / mp.factorial(2 * k + 1) for k in range(20)]
+        for m in range(1, 20):
+            got = maclaurin_eval_hp(m, xv, digits)
+            with mp.workdps(digits + 40):
+                ref = mp.fsum(terms[:m])
+                assert abs(got - ref) <= max(abs(ref), t) * mpf(10) ** -digits, (m, x)
+                assert abs(maclaurin_eval_hp(m, -xv, digits) + got) == 0, (m, x)
+    # far enough out the partial sum is sin(pi x) itself (here sin(pi x) != 0)
+    for x in ("0.1", "0.5", "7.5", ARGS[-1]):
+        with mp.workdps(digits + 40):
+            ref = mp.sin(mp.pi * mpf(x))
+            assert _rel(maclaurin_eval_hp(120, mpf(x), digits), ref) < mpf(10) ** -digits, x
 
 
 def test_kernel_sums_n_terms_or_to_convergence():
-    with working(50):
+    prec = 200
+    with mp.workprec(400):
+        one = IntervalValue(mpf(1))
         # cos 1 = sum (-1)^k 1/(2k)!: u_0 = 1, z = 1, (a, b) = (1, 2)
-        assert abs(alternating_series(mpf(1), mpf(1), 1, 2, 50) - mp.cos(1)) < mpf(10) ** -55
-        assert alternating_series(mpf(1), mpf(1), 1, 2, 50, n=1) == 1
-        assert alternating_series(mpf(1), mpf(1), 1, 2, 50, n=2) == mpf(1) / 2
-        # growing terms first: sin 10 = sum (-1)^k 10^(2k+1)/(2k+1)!
-        assert abs(alternating_series(mpf(10), mpf(100), 2, 3, 50) - mp.sin(10)) < mpf(10) ** -50
+        enc = series_interval(one, one, 1, 2, prec)
+        assert enc.contains(mp.cos(1)) and enc.width < mpf(2) ** -190
+        assert series_interval(one, one, 1, 2, prec, n=1) == one
+        assert series_interval(one, one, 1, 2, prec, n=2) == IntervalValue(mpf(1) / 2)
+        # growing terms first: sin 10 = 10 sum (-1)^k 100^k/(2k+1)!
+        enc = series_interval(IntervalValue(mpf(10)), IntervalValue(mpf(100)), 2, 3, prec)
+        assert enc.contains(mp.sin(10)) and enc.width < mpf(2) ** -190
+        # a wide first term: each end of the product takes the factor that
+        # makes it least or most, here 2 for both ends of the negative cos 10
+        enc = series_interval(IntervalValue(mpf(1), mpf(2)), IntervalValue(mpf(100)), 1, 2, prec)
+        assert enc.contains(2 * mp.cos(10)) and enc.contains(mp.cos(10))
+        # a first term far below any fixed-point unit keeps its relative precision
+        tiny = IntervalValue(mpf(2) ** -3000)
+        enc = series_interval(tiny, one, 1, 2, prec)
+        assert enc.contains(mp.cos(1) * tiny.lo) and enc.width < tiny.lo * mpf(2) ** -190
