@@ -12,16 +12,16 @@ and satisfies 0 < t_j < 1/(2j)!.  The series' terms decrease from the
 first, so `t_enclosure` encloses t_j with outward rounding (the
 fixed-point kernel `intervals.fixed_t_scaled`, then one outward division
 by (2j)!).  `t_enclosures` encloses a whole table t_1..t_J in O(J)
-steps instead: one outward-rounded pass down the recurrence in fixed
-point, seeded by `fixed_t_scaled` at J and J - 1.  This module computes
-t_j by three routes -- the series itself (the enclosure's midpoint), a
-three-term recurrence, and a half-integer Bessel-function identity --
-plus an exact symbolic form and its helpers in Q[u], u = pi^2:
-`poly_sum`, `poly_mul`, `fixed_at_pi2`.  The recurrence, shared with
-T_j(z) below, runs backward in mpf in one loop, `_backward` (Miller's
-algorithm: t_j is its minimal solution, so the backward direction is the
-stable one and needs no digits beyond the working precision's); the
-symbolic form runs it forward over Fractions, where it is exact.
+steps instead.  This module computes t_j by three routes -- the series
+itself (the enclosure's midpoint), a three-term recurrence, and a
+half-integer Bessel-function identity -- plus an exact symbolic form and
+its helpers in Q[u], u = pi^2: `poly_sum`, `poly_mul`, `fixed_at_pi2`.
+The recurrence, shared with T_j(z) below, runs in one loop, `_downward`:
+one outward-rounded pass down it in fixed point, seeded by the series at
+J and J - 1 (t_j is its minimal solution, so down is the stable
+direction).  `t_enclosures` is that pass at z = pi^2/4, and the
+recurrence route's values are its midpoints; the symbolic form runs the
+recurrence forward over Fractions, where it is exact.
 Every route's certificate comes from an enclosure by one rule:
 trunc_bound = max(hi - v, v - lo), rounded up, for the route's value v;
 the direct route's from its own `t_enclosure`, the recurrence and Bessel
@@ -32,8 +32,9 @@ recovers t_j at z = pi^2/4 and is exposed for cross-checks.  It and
 J_{j-1/2} are the same alternating series, each term the last times
 z/((2k+2)(2k+2j+1)) (z = x^2 for the Bessel function); both are summed
 by `intervals.series_interval`, and each value is the midpoint of its
-enclosure.  At x = pi/2 the Bessel route is the direct series term for
-term, so the two routes differ only in how the first term is rounded.
+enclosure, as is each of `general_series_recurrence`'s from `_downward`.
+At x = pi/2 the Bessel route is the direct series term for term, so the
+two routes differ only in how the first term is rounded.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ from .intervals import (
     IntervalValue,
     exact_ratio,
     fixed_bits,
+    fixed_from_interval,
     fixed_horner,
     fixed_mul,
     fixed_pi,
@@ -114,14 +116,15 @@ class CoefficientTable:
     precision_digits: int
 
     def __post_init__(self):
-        digits = self.precision_digits
+        digits, fact = self.precision_digits, 1
         for pos, entry in enumerate(self.entries, start=1):
+            fact *= (2 * pos - 1) * 2 * pos  # (2 pos)!
             if entry.j != pos:
                 raise ValueError("entries must be contiguous in j starting at 1")
             # exact integer comparisons of v = v_num/v_den and bound = b_num/b_den
             v_num, v_den = exact_ratio(entry.value.value)
             b_num, b_den = exact_ratio(entry.trunc_bound.value)
-            if not 0 < v_num * math.factorial(2 * pos) < v_den:
+            if not 0 < v_num * fact < v_den:
                 raise ValueError(f"coefficient {pos} outside (0, 1/(2j)!)")
             if not b_num * v_den * 10 ** digits < v_num * b_den:
                 raise ValueError(f"coefficient {pos} certificate not below 10^-{digits} relative")
@@ -145,44 +148,65 @@ def t_enclosure(j: int, digits: int = DEFAULT_DIGITS) -> IntervalValue:
     return interval_from_fixed(fixed_t_scaled(j, bits), bits, math.factorial(2 * j))
 
 
-# fractional bits `t_enclosures` carries beyond `fixed_bits(digits)`, so that
-# the roundings of up to 200 steps stay below those of one `t_enclosure`
+# fractional bits `_downward` carries beyond its precision, so that the
+# roundings of up to 200 steps stay below those of one `t_enclosure`
 T_GUARD_BITS = 8
 
 
-def t_enclosures(j_max: int, digits: int = DEFAULT_DIGITS) -> list[IntervalValue]:
-    """Enclosures of t_1..t_{j_max} (item j - 1 holds t_j) by one pass down the recurrence
+def _downward(z: IntervalValue, j_max: int, prec: int) -> list[IntervalValue]:
+    """Enclosures of T_1(z)..T_{j_max}(z) (item j - 1 holds T_j) by one pass down the recurrence
 
-        s_{j-2} = s_{j-1} - z s_j / ((2j-1)(2j-3)),   s_j = t_j (2j)!,  z = pi^2/4,
+        s_{j-2} = s_{j-1} - z s_j / ((2j-1)(2j-3)),   s_j = T_j(z) (2j)!,
 
-    in fixed point at `fixed_bits(digits) + T_GUARD_BITS` bits, seeded by
-    `fixed_t_scaled` at j_max and j_max - 1.  Every s_j lies in
-    (1 - pi^2/24, 1), so each step subtracts the product rounded up from
-    the lower end and rounded down from the upper one and the pair still
-    encloses s_{j-2}; each s_j is then divided outward by (2j)!.  O(j_max)
-    steps, where `t_enclosure` sums a series for each j.
+    for a non-negative enclosure z: fixed point at prec + T_GUARD_BITS bits
+    plus the bits the widths can grow by, log2 prod_j (1 + z/((2j-1)(2j-3))),
+    seeded by `series_interval` (which adds its terms' growth) at j_max and
+    j_max - 1.  Each step subtracts the product rounded up from the lower
+    end and rounded down from the upper one, its ends picked by the sign of
+    s_j (T_1 < 0 for some z > pi^2), so the pair still encloses s_{j-2};
+    each s_j is then divided outward by (2j)!.  The one recurrence loop.
     """
-    require_index(j_max)
-    if j_max < 1:
-        raise ValueError("j_max must be >= 1")
-    bits = fixed_bits(digits) + T_GUARD_BITS
-    (pi_lo, pi_hi), shift = fixed_pi(bits), bits + 2
-    z_lo, z_hi = pi_lo * pi_lo >> shift, -(-(pi_hi * pi_hi) >> shift)
+    zf = float(z.hi)
+    growth = sum(math.log2(1 + zf / ((2 * j - 1) * (2 * j - 3))) for j in range(3, j_max + 1))
+    bits = prec + T_GUARD_BITS + math.ceil(growth)
+    z_lo, z_hi = fixed_from_interval(z, bits)
     s = [None] * (j_max + 1)
     for j in range(max(1, j_max - 1), j_max + 1):
-        s[j] = fixed_t_scaled(j, bits)
+        s[j] = fixed_from_interval(series_interval(IntervalValue(1), z, 2, 2 * j + 1, bits), bits)
     for j in range(j_max, 2, -1):
         (lo1, hi1), (lo, hi) = s[j - 1], s[j]
         d = ((2 * j - 1) * (2 * j - 3)) << bits
         # z s_j / d rounded up off the lower end, rounded down off the upper
-        s[j - 2] = lo1 + -(z_hi * hi) // d, hi1 - z_lo * lo // d
-    return [interval_from_fixed(s[j], bits, math.factorial(2 * j)) for j in range(1, j_max + 1)]
+        p_lo, p_hi = lo * (z_hi if lo < 0 else z_lo), hi * (z_lo if hi < 0 else z_hi)
+        s[j - 2] = lo1 + -p_hi // d, hi1 - p_lo // d
+    out, fact = [], 1
+    for j in range(1, j_max + 1):
+        fact *= (2 * j - 1) * 2 * j
+        out.append(interval_from_fixed(s[j], bits, fact))
+    return out
+
+
+def t_enclosures(j_max: int, digits: int = DEFAULT_DIGITS) -> list[IntervalValue]:
+    """Enclosures of t_1..t_{j_max} (item j - 1 holds t_j): `_downward` at z = pi^2/4.
+
+    O(j_max) steps at `fixed_bits(digits)` bits and its guard, where
+    `t_enclosure` sums a series for each j; z is enclosed at twice those
+    bits, so its width adds nothing the pass can see.
+    """
+    require_index(j_max)
+    if j_max < 1:
+        raise ValueError("j_max must be >= 1")
+    bits = 2 * fixed_bits(digits)
+    z = interval_from_fixed(fixed_mul(fixed_pi(bits), fixed_pi(bits), bits), bits + 2)
+    return _downward(z, j_max, fixed_bits(digits))
 
 
 def _certified(j: int, v: mpf, enc: IntervalValue, digits: int) -> tuple[ExtReal, ExtReal]:
     """(v, trunc_bound) by the one rule: trunc_bound = max(hi - v, v - lo), rounded up.
 
-    [lo, hi] = enc = t_enclosure(j, digits), so the bound covers |v - t_j| wherever v lies.
+    [lo, hi] = enc encloses t_j (`t_enclosure(j, digits)` on the direct
+    route, the `t_enclosures` entry on the recurrence and Bessel routes),
+    so the bound covers |v - t_j| wherever v lies.
     """
     bound = max(mp.make_mpf(mpf_sub(enc.hi._mpf_, v._mpf_, 64, round_ceiling)),
                 mp.make_mpf(mpf_sub(v._mpf_, enc.lo._mpf_, 64, round_ceiling)))
@@ -205,62 +229,18 @@ def coeff_direct(j: int, digits: int = DEFAULT_DIGITS) -> tuple[ExtReal, ExtReal
         return _certified(j, (enc.lo + enc.hi) / 2, enc, digits)
 
 
-# decimal digits the backward recurrence carries beyond the working
-# precision, so that its values still round to the working precision's
-# nearest after the start error and the steps' roundings
-MILLER_EXTRA = 10
-
-
-def _backward(z: mpf, j_max: int) -> list[mpf]:
-    """T_0..T_{j_max}(z) up to one common factor, by Miller's backward recurrence.
-
-        T_{j-2} = (j-1) (2(2j-3) T_{j-1} - w j T_j),   w = 4z,
-
-    from (T_{J+N}, T_{J+N-1}) = (0, 1), J = j_max.  T_j(z) is the minimal
-    (factorially decaying) solution, so this direction is stable; the
-    start error reaches T_j, j <= J, damped by about
-    z^N (2J)!/(2J+2N)!, and N is the least count that puts this below
-    10^-mp.dps, one unit of the working precision.  The one mpf
-    recurrence loop; the caller holds `working(digits, extra=MILLER_EXTRA)`
-    and normalizes by a known value.
-    """
-    zf, n, lost = float(z), 0, 0.0
-    while lost <= mp.dps:
-        n += 1
-        lost += math.log10((2 * j_max + 2 * n - 1) * (2 * j_max + 2 * n) / zf)
-    w = 4 * z
-    hi, lo = mpf(0), mpf(1)  # T_j, T_{j-1}
-    vals = []
-    for j in range(j_max + n, 1, -1):
-        hi, lo = lo, 2 * (j - 1) * (2 * j - 3) * lo - w * (j * (j - 1)) * hi
-        if j - 1 <= j_max:
-            vals.append(hi)
-    vals.append(lo)
-    return vals[::-1]
-
-
 def coeff_recurrence(j_max: int, digits: int = DEFAULT_DIGITS) -> CoefficientTable:
-    """Weights t_1..t_{j_max} by `_backward` at z = pi^2/4 (w = pi^2),
+    """Weights t_1..t_{j_max} from one pass down the three-term recurrence
 
-        t_{j-2} = (j-1) (2(2j-3) t_{j-1} - pi^2 j t_j),
+        t_{j-2} = (j-1) (2(2j-3) t_{j-1} - pi^2 j t_j):
 
-    normalized by t_1 = 1/pi (t_0 = 0 cannot normalize).  The
-    recurrence's wanted solution is its minimal one, which the backward
-    direction keeps at the working precision plus MILLER_EXTRA digits.
-    Each entry's certificate is the one rule's, from `t_enclosures`, so
-    no certificate rests on the recurrence's start index.
+    each value is the exact midpoint of its `t_enclosures` entry, so it lies
+    inside it, and its certificate the one rule's against that entry.
     """
     require_digits(digits)
-    require_index(j_max)
-    if j_max < 1:
-        raise ValueError("j_max must be >= 1")
-    with working(digits, extra=MILLER_EXTRA):
-        vals = _backward(mp.pi ** 2 / 4, j_max)
-        scale = 1 / (mp.pi * vals[1])
-        vals = [v * scale for v in vals]
+    encs = t_enclosures(j_max, digits)
     with working(digits):
-        pairs = [_certified(j, +vals[j], enc, digits)
-                 for j, enc in enumerate(t_enclosures(j_max, digits), start=1)]
+        pairs = [_certified(j, enc.mid, enc, digits) for j, enc in enumerate(encs, start=1)]
     return _table("recurrence", pairs, digits)
 
 
@@ -449,8 +429,9 @@ def _bessel(j: int, h: tuple, prec: int) -> IntervalValue:
 
 
 def _positive_finite(x, name: str) -> mpf:
+    # a value whose double overflows would send the float pre-passes' growth loops to infinity
     v = to_mpf(x)
-    if not 0 < v < mp.inf:
+    if not (v > 0 and math.isfinite(float(v))):
         raise ValueError(f"{name} must be positive and finite")
     return v
 
@@ -519,30 +500,20 @@ def general_series_direct(j: int, z, digits: int = DEFAULT_DIGITS) -> ExtReal:
 
 
 def general_series_recurrence(j_max: int, z, digits: int = DEFAULT_DIGITS) -> list[ExtReal]:
-    """T_1(z)..T_{j_max}(z) by `_backward` with w = 4z,
+    """T_1(z)..T_{j_max}(z) for finite z > 0 from one pass down the recurrence
 
-        T_{j-2}(z) = (j-1) (2(2j-3) T_{j-1}(z) - 4jz T_j(z)),
+        T_{j-2}(z) = (j-1) (2(2j-3) T_{j-1}(z) - 4jz T_j(z)):
 
-    normalized by whichever of T_0 = cos(sqrt(z)) and T_1 = sin(sqrt(z))/(2 sqrt(z))
-    is larger in magnitude (they never vanish together), each from the
-    direct series at digits + 30.  Restricted to finite z > 0, where the
-    direct series and the Bessel form both converge.
+    each value is the midpoint of its `_downward` enclosure, for z rounded
+    to the working precision.
     """
     require_digits(digits)
     require_index(j_max)
     if j_max < 1:
         raise ValueError("j_max must be >= 1")
-    zf = float(to_mpf(z))
-    if not 0 < zf < math.inf:
-        raise ValueError("z must be positive and finite")
-    seeds = [general_series_direct(j, z, digits + 30).value for j in (0, 1)]
-    with working(digits, extra=MILLER_EXTRA):
-        vals = _backward(to_mpf(z), j_max)
-        k = 0 if abs(seeds[0]) >= abs(seeds[1]) else 1
-        scale = seeds[k] / vals[k]
-        vals = [v * scale for v in vals[1:]]
     with working(digits):
-        return [ExtReal(+v, digits) for v in vals]
+        encs = _downward(IntervalValue(_positive_finite(z, "z")), j_max, fixed_bits(digits))
+        return [ExtReal(+enc.mid, digits) for enc in encs]
 
 
 def coefficient_table(

@@ -2,12 +2,12 @@
 
 Every mpf value in this package is computed at a working precision of
 ``requested digits + GUARD_DIGITS``.  The guard
-digits keep values accurate (the backward three-term recurrence carries
-`coeffs.MILLER_EXTRA` more); no certificate rests on them, since
+digits keep values accurate; no certificate rests on them, since
 certificates come from the outward-rounded enclosures of `intervals`.
 The one mpf loop left lives here, `horner` for polynomials; its callers
 hold the `working` section.  The series of T_j(z), J_{j-1/2} and the
-sine's Maclaurin sums run on the fixed-point kernel of `intervals`.
+sine's Maclaurin sums, and the three-term recurrence, run on the
+fixed-point kernel of `intervals`.
 
 mpmath's context precision is process-global, so precision-sensitive
 sections are serialized with a reentrant lock; results are pure
@@ -59,10 +59,10 @@ def require_index(j: int) -> None:
 
 
 @contextmanager
-def working(digits: int, extra: int = 0):
-    """Context with mp precision set to digits + guard (+ extra) decimals."""
+def working(digits: int):
+    """Context with mp precision set to digits + guard decimals."""
     with PRECISION_LOCK:
-        with mp.workdps(digits + GUARD_DIGITS + extra):
+        with mp.workdps(digits + GUARD_DIGITS):
             yield mp
 
 

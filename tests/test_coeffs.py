@@ -26,8 +26,9 @@ from trigpoly.coeffs import (
     t_enclosure,
     t_enclosures,
 )
-from trigpoly.intervals import fixed_bits, fixed_pi, fixed_series, fixed_t_scaled
-from trigpoly.precision import ExtReal, IndexLimitError, PrecisionError, working
+from trigpoly.intervals import IntervalValue, fixed_bits, fixed_pi, fixed_series, fixed_t_scaled
+from trigpoly.precision import (GUARD_DIGITS, ExtReal, IndexLimitError, PrecisionError, to_mpf,
+                                working)
 
 # 1/pi to 50 significant digits
 INV_PI_50 = "0.31830988618379067153776752674502872406891929148091"
@@ -139,22 +140,24 @@ def forward_allowance(j_max: int) -> int:
 
 
 @pytest.mark.parametrize("digits", [30, 37, 50, 100, 151, 200])
-def test_recurrence_values_bitwise_equal_the_hand_written_loop(digits):
+def test_recurrence_values_match_the_hand_written_loop(digits):
     # the oracle runs the recurrence forward from t_0 = 0, t_1 = 1/pi at the
-    # precision its cancellation needs; the table's backward run must round
-    # to the same bits
+    # precision its cancellation needs; every table value lies inside its
+    # enclosure, within its certificate and 10^-(digits+19) relative of it
     for j_max in (1, 2, 5, 40, 199, 200):
-        with working(digits, extra=forward_allowance(j_max)):
+        with mp.workdps(digits + GUARD_DIGITS + forward_allowance(j_max)):
             pi2 = mp.pi ** 2
             vals = [mpf(0), 1 / mp.pi]
             for j in range(2, j_max + 1):
                 a = 2 * (2 * j - 3) / (pi2 * j)
                 b = 1 / (pi2 * j * (j - 1))
                 vals.append(a * vals[j - 1] - b * vals[j - 2])
-        with working(digits):
-            expected = [(+v)._mpf_ for v in vals[1:]]
-        got = [e.value.value._mpf_ for e in coeff_recurrence(j_max, digits)]
-        assert got == expected, j_max
+            encs = t_enclosures(j_max, digits)
+            for e in coeff_recurrence(j_max, digits):
+                assert encs[e.j - 1].contains(e.value.value), (j_max, e.j)
+                err = abs(e.value.value - vals[e.j])
+                assert err <= e.trunc_bound.value, (j_max, e.j)
+                assert err < vals[e.j] * mpf(10) ** -(digits + 19), (j_max, e.j)
 
 
 def test_recurrence_seed_only():
@@ -316,7 +319,7 @@ def test_bessel_j_half_integer_validates_argument():
         bessel_j_half_integer(1, -1, 50)
 
 
-@pytest.mark.parametrize("bad", ["inf", "nan"])
+@pytest.mark.parametrize("bad", ["inf", "nan", 10 ** 400])
 def test_non_finite_arguments_are_refused(bad):
     with pytest.raises(ValueError, match="finite"):
         bessel_j_half_integer(1, bad, 30)
@@ -372,6 +375,16 @@ def test_general_recurrence_matches_direct_at_various_z(z, j_max):
         assert rel_diff(vals[j - 1].value, direct.value) < mpf(10) ** -40
 
 
+@pytest.mark.parametrize("z", [Fraction(1, 2), 7, 10000])
+def test_general_recurrence_values_are_the_downward_midpoints(z):
+    # one recurrence: the values are the midpoints of the outward-rounded
+    # pass's enclosures, z rounded to the working precision
+    vals = general_series_recurrence(30, z, 50)
+    with working(50):
+        encs = coeffs._downward(IntervalValue(to_mpf(z)), 30, fixed_bits(50))
+        assert [v.value for v in vals] == [+e.mid for e in encs]
+
+
 def test_general_recurrence_matches_direct_at_pi_squared_quarter():
     with working(60):
         z = +(mp.pi ** 2 / 4)
@@ -386,8 +399,8 @@ with working(300):
 
 
 @pytest.mark.parametrize("digits", [30, 50, 100])
-@pytest.mark.parametrize("z", [Fraction(1, 2), 2, PI2_QUARTER, 7, 30],
-                         ids=["1/2", "2", "pi2/4", "7", "30"])
+@pytest.mark.parametrize("z", [Fraction(1, 2), 2, PI2_QUARTER, 7, 30, 1000, 10000],
+                         ids=["1/2", "2", "pi2/4", "7", "30", "1000", "10000"])
 def test_general_recurrence_is_accurate_at_small_and_large_j(z, digits):
     # every value within 10^-(digits+19) relative of the direct series at
     # digits + 100, also for j_max <= 5, where the seeds carry few extra digits
