@@ -7,11 +7,11 @@ shifted variable y:
     sin(pi*x) ~ sum_{j=1}^m c_j y^j,  y = x(1-x),
 
 with identical coefficients c_j = t_j pi^(2j) in both cases (the sine
-form is the cosine form shifted by 1/2).  Because every c_j is positive
-and the dropped tail is a positive series in y, the partial sums
-increase monotonically to the target function on the canonical domains,
-and the truncation error obeys the closed-form bound implemented by
-`error_bound`.
+form is the cosine form shifted by 1/2), each read from its one
+enclosure, `coeffs.c_enclosure`.  Because every c_j is positive and the
+dropped tail is a positive series in y, the partial sums increase
+monotonically to the target function on the canonical domains, and the
+truncation error obeys the closed-form bound implemented by `error_bound`.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from mpmath import mp, mpf
 from mpmath.libmp import (fone, from_int, mpf_div, mpf_mul, mpf_pi, mpf_pow_int, mpf_shift,
                           mpf_sub, round_ceiling, round_floor)
 
-from .coeffs import coeff_symbolic, coefficient_table, poly_sum
+from .coeffs import _mid, c_enclosure, coeff_symbolic, poly_sum
 from .intervals import (IntervalValue, exact_ratio, fixed_bits, pi_interval, positive_double,
                         series_interval, y_ratio)
 from .precision import (
@@ -149,24 +149,22 @@ class ApproxPolynomial:
 
 
 def build_poly(func: FuncTag, m: int, digits: int = DEFAULT_DIGITS) -> ApproxPolynomial:
-    """The degree-m approximant; c_j = t_j pi^(2j), t_j the midpoint of its enclosure."""
+    """The degree-m approximant.
+
+    hp_coeffs[j - 1] is the midpoint of `c_enclosure(j, fixed_bits(digits))`
+    rounded to the working precision, and y_coeffs[j - 1] its double.
+    """
     _check_func(func)
     require_digits(digits)
     if m < 1:
         raise ValueError("m must be >= 1")
-    table = coefficient_table(m, digits, route="direct")
-    with working(digits):
-        pi2 = mp.pi ** 2
-        hp = []
-        p = mpf(1)
-        for j in range(1, m + 1):
-            p *= pi2
-            hp.append(+(table.value(j).value * p))
+    bits = fixed_bits(digits)
+    hp = tuple(_mid(c_enclosure(j, bits), digits).value for j in range(1, m + 1))
     return ApproxPolynomial(
         func=func,
         degree_m=m,
         y_coeffs=tuple(float(c) for c in hp),
-        hp_coeffs=tuple(hp),
+        hp_coeffs=hp,
         precision_digits=digits,
     )
 

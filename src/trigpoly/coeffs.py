@@ -11,8 +11,11 @@ where each weight t_j is given by the alternating series
 and satisfies 0 < t_j < 1/(2j)!.  The series' terms decrease from the
 first, so `t_enclosure` encloses t_j with outward rounding (the
 fixed-point kernel `intervals.fixed_t_scaled`, then one outward division
-by (2j)!).  `t_enclosures` encloses a whole table t_1..t_J in O(J)
-steps instead.  This module computes t_j by three routes -- the series
+by (2j)!), and `c_enclosure` encloses c_j the same way at a few more
+bits, times pi^(2j) rounded outward: the one source of c_j for the
+approximants' coefficients, the grid checks and the symbolic forms'
+values.  `t_enclosures` encloses a whole table t_1..t_J in O(J) steps
+instead.  This module computes t_j by three routes -- the series
 itself (the enclosure's midpoint), a three-term recurrence, and a
 half-integer Bessel-function identity -- plus an exact symbolic form and
 its helpers in Q[u], u = pi^2: `poly_sum`, `poly_mul`, `fixed_at_pi2`.
@@ -25,7 +28,8 @@ recurrence forward over Fractions, where it is exact.
 Every route's certificate comes from an enclosure by one rule:
 trunc_bound = max(hi - v, v - lo), rounded up, for the route's value v;
 the direct route's from its own `t_enclosure`, the recurrence and Bessel
-tables' from `t_enclosures`.
+tables' from `t_enclosures`.  A value rounded from an enclosure is its
+exact midpoint rounded to the working precision (`_mid`).
 
 The generalized series T_j(z) = sum_k (-z)^k binom(j+k,j)/(2j+2k)!
 recovers t_j at z = pi^2/4 and is exposed for cross-checks.  It and
@@ -33,6 +37,8 @@ J_{j-1/2} are the same alternating series, each term the last times
 z/((2k+2)(2k+2j+1)) (z = x^2 for the Bessel function); both are summed
 by `intervals.series_interval`, and each value is the midpoint of its
 enclosure, as is each of `general_series_recurrence`'s from `_downward`.
+Their terms grow for about sqrt(z)/2 steps before they fall, so an
+argument with z above MAX_SERIES_Z = 10^6 is refused.
 At x = pi/2 the Bessel route is the direct series term for term, so the
 two routes differ only in how the first term is rounded.
 """
@@ -47,8 +53,8 @@ from itertools import zip_longest
 from typing import Literal
 
 from mpmath import mp, mpf
-from mpmath.libmp import (fone, from_int, from_man_exp, mpf_div, mpf_mul, mpf_pi, mpf_pow_int,
-                          mpf_shift, mpf_sqrt, mpf_sub, round_ceiling, round_floor)
+from mpmath.libmp import (fone, from_int, mpf_div, mpf_mul, mpf_pi, mpf_pow_int, mpf_shift,
+                          mpf_sqrt, mpf_sub, round_ceiling, round_floor)
 
 from .intervals import (
     IntervalValue,
@@ -82,6 +88,7 @@ __all__ = [
     "coeff_symbolic",
     "coefficient_table",
     "bessel_j_half_integer",
+    "c_enclosure",
     "fixed_at_pi2",
     "gamma_half",
     "general_series_direct",
@@ -142,15 +149,38 @@ class CoefficientTable:
         return self.entries[j - 1].value
 
 
+def _mid(enc: IntervalValue, digits: int) -> ExtReal:
+    """The one midpoint rule: the enclosure's exact midpoint rounded to the working precision."""
+    with working(digits):
+        return ExtReal(+enc.mid, digits)
+
+
 def t_enclosure(j: int, digits: int = DEFAULT_DIGITS) -> IntervalValue:
     """Enclosure of t_j: `fixed_t_scaled` at `fixed_bits(digits)` bits, divided outward by (2j)!."""
     bits = fixed_bits(digits)
     return interval_from_fixed(fixed_t_scaled(j, bits), bits, math.factorial(2 * j))
 
 
-# fractional bits `_downward` carries beyond its precision, so that the
-# roundings of up to 200 steps stay below those of one `t_enclosure`
+# fractional bits `_downward` and `c_enclosure` carry beyond their precision, so
+# that the roundings of up to 200 recurrence steps, or of a series' terms times
+# pi^(2j), stay below those of one `t_enclosure`
 T_GUARD_BITS = 8
+
+
+def c_enclosure(j: int, bits: int) -> IntervalValue:
+    """Enclosure of c_j = t_j pi^(2j), no wider than 4 units at `bits` fractional bits.
+
+    `t_enclosure`'s series at bits + T_GUARD_BITS, times pi^(2j), each end
+    rounded outward by libmp at that precision.  Per j, so c_j does not
+    depend on how many coefficients a caller asks for.
+    """
+    require_index(j)
+    prec = bits + T_GUARD_BITS
+    t = interval_from_fixed(fixed_t_scaled(j, prec), prec, math.factorial(2 * j))
+    ends = []
+    for v, rnd in ((t.lo, round_floor), (t.hi, round_ceiling)):
+        ends.append(mpf_mul(v._mpf_, mpf_pow_int(mpf_pi(prec, rnd), 2 * j, prec, rnd), prec, rnd))
+    return IntervalValue._of(*ends)
 
 
 def _downward(z: IntervalValue, j_max: int, prec: int) -> list[IntervalValue]:
@@ -225,8 +255,7 @@ def coeff_direct(j: int, digits: int = DEFAULT_DIGITS) -> tuple[ExtReal, ExtReal
     if j < 1:
         raise ValueError("j must be >= 1")
     enc = t_enclosure(j, digits)
-    with working(digits):
-        return _certified(j, (enc.lo + enc.hi) / 2, enc, digits)
+    return _certified(j, _mid(enc, digits).value, enc, digits)
 
 
 def coeff_recurrence(j_max: int, digits: int = DEFAULT_DIGITS) -> CoefficientTable:
@@ -252,7 +281,9 @@ class SymbolicCoefficient:
 
     numerator holds the integer coefficients of N_j as a polynomial in
     pi^2 (constant term first); denominator is the positive integer D_j,
-    reduced against the numerator's content.
+    reduced against the numerator's content.  N_j's terms cancel by
+    hundreds of digits for large j, so the form's values are read from
+    the direct series instead: `t_enclosure` and `c_enclosure`.
     """
 
     index: int
@@ -263,53 +294,18 @@ class SymbolicCoefficient:
     def pi_power(self) -> int:
         return 2 * self.index - 1
 
-    def _numerator(self, bits: int, rel: int):
-        """(N, pi, bits): N_j(pi^2) and pi enclosed at `bits` fractional bits, the
-        bits doubled from the start until N is positive with relative width below
-        1/rel (N_j's terms cancel heavily for large j)."""
-        while True:
-            n_lo, n_hi = fixed_at_pi2(self.numerator, bits)
-            if (n_hi - n_lo) * rel < n_lo:
-                return (n_lo, n_hi), fixed_pi(bits), bits
-            bits *= 2
-
-    def _enclosure(self, digits: int, up: int, down: int) -> IntervalValue:
-        """pi^up N_j(pi^2) / (D_j pi^down), N_j within half of 10^-digits relative.
-
-        The numerator is exact and pi^down rounded away from each end; each
-        end is divided once, at `fixed_bits(digits)` bits whatever bits N_j
-        needed, so an enclosure is never tighter than its precision.
-        """
-        prec = fixed_bits(digits)
-        n, pi, bits = self._numerator(prec, 2 * 10 ** digits)
-        ends = []
-        for v, p, q, rnd, away in ((n[0], pi[0], pi[1], round_floor, round_ceiling),
-                                   (n[1], pi[1], pi[0], round_ceiling, round_floor)):
-            power = mpf_pow_int(from_man_exp(q, -bits), down, prec, away)
-            den = mpf_mul(from_int(self.denominator), power)  # exact
-            ends.append(mpf_div(from_man_exp(v * p ** up, -bits * (up + 1)), den, prec, rnd))
-        return IntervalValue._of(*ends)
-
     def evaluate(self, digits: int = DEFAULT_DIGITS) -> ExtReal:
         """t_j: the midpoint of `evaluate_interval`, at the working precision."""
         require_digits(digits)
-        enc = self.evaluate_interval(digits)
-        with working(digits):
-            return ExtReal(+enc.mid, digits)
+        return _mid(self.evaluate_interval(digits), digits)
 
     def evaluate_interval(self, digits: int = DEFAULT_DIGITS) -> IntervalValue:
-        """Enclosure of t_j = N_j(pi^2)/(D_j pi^(2j-1)), within 10^-digits relative."""
-        return self._enclosure(digits, 0, self.pi_power)
+        """Enclosure of t_j: `t_enclosure(j, digits)`, within 10^-digits relative."""
+        return t_enclosure(self.index, digits)
 
     def y_coefficient_interval(self, digits: int = DEFAULT_DIGITS) -> IntervalValue:
-        """Enclosure of the y-basis coefficient c_j = t_j pi^(2j) = pi N_j(pi^2)/D_j."""
-        return self._enclosure(digits, 1, 0)
-
-    def fixed_y_coefficient(self, bits: int) -> tuple[int, int]:
-        """c_j at `bits` fractional bits: N_j within 2^-bits relative, one rounding outward."""
-        (n_lo, n_hi), (pi_lo, pi_hi), b = self._numerator(2 * bits, 1 << bits)
-        den = self.denominator << (2 * b - bits)
-        return pi_lo * n_lo // den, -(-(pi_hi * n_hi) // den)
+        """Enclosure of c_j = t_j pi^(2j): `c_enclosure(j, fixed_bits(digits))`."""
+        return c_enclosure(self.index, fixed_bits(digits))
 
     def as_string(self) -> str:
         terms = []
@@ -392,11 +388,6 @@ def fixed_at_pi2(poly, bits: int) -> tuple[int, int]:
 # prefactors by libmp's directed rounding at `fixed_bits(digits)` bits,
 # the series by `series_interval`.
 
-def _mid(enc: IntervalValue, digits: int) -> ExtReal:
-    with working(digits):
-        return ExtReal(+enc.mid, digits)
-
-
 def _gamma_half(n: int, prec: int) -> tuple[tuple, tuple]:
     # Gamma(n + 1/2) = sqrt(pi) (2n)! / (4^n n!), its raw ends rounded outward
     num, den = from_int(math.factorial(2 * n)), from_int(4 ** n * math.factorial(n))
@@ -428,16 +419,22 @@ def _bessel(j: int, h: tuple, prec: int) -> IntervalValue:
     return series_interval(IntervalValue._of(*ends), z, 2, 2 * j + 1, prec)
 
 
-def _positive_finite(x, name: str) -> mpf:
-    # a value whose double overflows would send the float pre-passes' growth loops to infinity
+# the largest z (x^2 for the Bessel function) the series are summed at: their terms
+# grow for about sqrt(z)/2 steps before they fall, so z = 10^8 takes over a second
+MAX_SERIES_Z = 10 ** 6
+
+
+def _positive_finite(x, name: str, squared: bool = False) -> mpf:
+    """x as an mpf, refused unless 0 < z <= MAX_SERIES_Z for z = x (or x^2 if `squared`)."""
     v = to_mpf(x)
-    if not (v > 0 and math.isfinite(float(v))):
-        raise ValueError(f"{name} must be positive and finite")
+    if not (v > 0 and (v * v if squared else v) <= MAX_SERIES_Z):
+        bound = f"{name}^2" if squared else name
+        raise ValueError(f"{name} must be positive and finite, with {bound} <= {MAX_SERIES_Z}")
     return v
 
 
 def bessel_j_half_integer(j: int, x, digits: int = DEFAULT_DIGITS) -> ExtReal:
-    """J_{j-1/2}(x) for finite x > 0 by the defining power series.
+    """J_{j-1/2}(x) for 0 < x <= 1000 (x^2 <= MAX_SERIES_Z) by the defining power series.
 
     J_nu(x) = sum_k (-1)^k (x/2)^(nu+2k) / (k! Gamma(nu+k+1)); at
     nu = j - 1/2 each term is the last times x^2/((2k+2)(2k+2j+1)).  The
@@ -448,7 +445,7 @@ def bessel_j_half_integer(j: int, x, digits: int = DEFAULT_DIGITS) -> ExtReal:
     if j < 0:
         raise ValueError("j must be >= 0")
     with working(digits):
-        h = mpf_shift(_positive_finite(x, "x")._mpf_, -1)
+        h = mpf_shift(_positive_finite(x, "x", squared=True)._mpf_, -1)
     return _mid(_bessel(j, (h, h), fixed_bits(digits)), digits)
 
 
@@ -479,7 +476,7 @@ def coeff_bessel(j: int, digits: int = DEFAULT_DIGITS) -> ExtReal:
 # --- generalized series T_j(z) -------------------------------------------
 
 def general_series_direct(j: int, z, digits: int = DEFAULT_DIGITS) -> ExtReal:
-    """T_j(z) = sum_k (-z)^k binom(j+k,j)/(2j+2k)! for finite z > 0.
+    """T_j(z) = sum_k (-z)^k binom(j+k,j)/(2j+2k)! for 0 < z <= MAX_SERIES_Z.
 
     j = 0 is permitted (T_0(z) = cos(sqrt(z))); it seeds the recurrence
     route.  Each term is the last times z/((2k+2)(2k+2j+1)); the value is
@@ -500,7 +497,7 @@ def general_series_direct(j: int, z, digits: int = DEFAULT_DIGITS) -> ExtReal:
 
 
 def general_series_recurrence(j_max: int, z, digits: int = DEFAULT_DIGITS) -> list[ExtReal]:
-    """T_1(z)..T_{j_max}(z) for finite z > 0 from one pass down the recurrence
+    """T_1(z)..T_{j_max}(z) for 0 < z <= MAX_SERIES_Z from one pass down the recurrence
 
         T_{j-2}(z) = (j-1) (2(2j-3) T_{j-1}(z) - 4jz T_j(z)):
 
@@ -512,8 +509,8 @@ def general_series_recurrence(j_max: int, z, digits: int = DEFAULT_DIGITS) -> li
     if j_max < 1:
         raise ValueError("j_max must be >= 1")
     with working(digits):
-        encs = _downward(IntervalValue(_positive_finite(z, "z")), j_max, fixed_bits(digits))
-        return [ExtReal(+enc.mid, digits) for enc in encs]
+        zv = _positive_finite(z, "z")
+    return [_mid(enc, digits) for enc in _downward(IntervalValue(zv), j_max, fixed_bits(digits))]
 
 
 def coefficient_table(

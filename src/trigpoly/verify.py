@@ -2,7 +2,8 @@
 
 The grid checks (monotone bracketing, Maclaurin interleaving) enclose
 every quantity with the outward-rounded fixed-point kernel of
-`intervals`, at `fixed_bits(digits)` fractional bits.  Each margin is an
+`intervals`, at `fixed_bits(digits)` fractional bits; the coefficients
+c_j are `coeffs.c_enclosure`'s, as `build_poly`'s are.  Each margin is an
 enclosure of a difference divided by its leading term (the first
 dropped c_{m+1} y^{m+1}, or the next Maclaurin term), and a report
 prints the smallest lower end over the grid, rounded down.  A point
@@ -39,7 +40,8 @@ from mpmath import mp, mpf
 from mpmath.libmp import repr_dps
 
 from .approx import COS_PI_X, DOMAINS, _check_func, sine_monomials
-from .coeffs import coeff_symbolic, coefficient_table, fixed_at_pi2, poly_mul, poly_sum
+from .coeffs import (c_enclosure, coeff_symbolic, coefficient_table, fixed_at_pi2, poly_mul,
+                     poly_sum)
 from .intervals import (
     IntervalValue,
     exact_ratio,
@@ -200,8 +202,8 @@ _MAX_DOUBLINGS = 3  # escalation stops at fixed_bits(digits) * 2**3 bits
 
 @lru_cache(maxsize=32)
 def _fixed_coefficients(n: int, bits: int) -> tuple[tuple[int, int], ...]:
-    """Enclosures of c_1..c_n at `bits` fractional bits, from the exact symbolic forms."""
-    return tuple(s.fixed_y_coefficient(bits) for s in coeff_symbolic(n))
+    """Enclosures of c_1..c_n at `bits` fractional bits: each `c_enclosure`, rounded outward."""
+    return tuple(fixed_from_interval(c_enclosure(j, bits), bits) for j in range(1, n + 1))
 
 
 def _diff(a, b) -> tuple[int, int]:

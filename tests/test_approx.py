@@ -29,8 +29,8 @@ from trigpoly.approx import (
     select_degree,
     sine_monomials,
 )
-from trigpoly.coeffs import coeff_symbolic
-from trigpoly.intervals import fixed_bits, interval_dps
+from trigpoly.coeffs import c_enclosure, coeff_symbolic
+from trigpoly.intervals import exact_ratio, fixed_bits, interval_dps, positive_double
 from trigpoly.precision import DEFAULT_INDEX_LIMIT, IndexLimitError, horner, working
 
 
@@ -57,6 +57,21 @@ def test_sin_m5_fifth_coefficient_matches_symbolic_oracle():
         expected = sym.evaluate(70).value * mp.pi ** 10
         assert abs(poly.hp_coeffs[4] - expected) < abs(expected) * mpf(10) ** -45
     assert poly.y_coeffs[4] == pytest.approx(0.023046169684720519, rel=1e-14)
+
+
+@pytest.mark.parametrize("digits", [30, 50, 100, 200])
+def test_coefficients_are_their_enclosures_rounded(digits):
+    # each double is the one both ends of c_j's enclosure round to, and each
+    # extended value lies within 10^-(digits+18) relative of that enclosure
+    bits = fixed_bits(digits)
+    tol = Fraction(1, 10 ** (digits + 18))
+    for func in (COS_PI_X, SIN_PI_X):
+        poly = build_poly(func, DEFAULT_INDEX_LIMIT, digits)
+        for j, (y, hp) in enumerate(zip(poly.y_coeffs, poly.hp_coeffs), start=1):
+            enc = c_enclosure(j, bits)
+            assert positive_double(enc.lo._mpf_) == y == positive_double(enc.hi._mpf_), (func, j)
+            lo, hi, v = (Fraction(*exact_ratio(e)) for e in (enc.lo, enc.hi, hp))
+            assert lo * (1 - tol) <= v <= hi * (1 + tol), (func, j)
 
 
 def test_coefficients_identical_across_function_tags():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 import trigpoly.coeffs as coeffs
+import trigpoly.verify as verify
 from trigpoly.coeffs import (
     CoefficientEntry,
     CoefficientTable,
@@ -17,6 +18,7 @@ from trigpoly.coeffs import (
     coeff_symbolic,
     coefficient_table,
     bessel_j_half_integer,
+    c_enclosure,
     fixed_at_pi2,
     gamma_half,
     general_series_direct,
@@ -250,31 +252,51 @@ def _frac(v) -> Fraction:
     return (-1) ** sign * Fraction(man) * Fraction(2) ** exp
 
 
+def _symbolic_oracle(s, digits: int) -> mpf:
+    """N_j(pi^2)/(D_j pi^(2j-1)) by mpmath at 3x the digits plus those N_j's terms cancel by.
+
+    t_j (2j)! lies in (1/2, 1), so the terms' magnitudes over D_j pi^(2j-1)/(2 (2j)!)
+    bound the cancellation.
+    """
+    j = s.index
+    with mp.workdps(30):
+        size = sum(abs(c) * mp.pi ** (2 * i) for i, c in enumerate(s.numerator))
+        least = s.denominator * mp.pi ** (2 * j - 1) / (2 * mp.factorial(2 * j))
+        lost = int(mp.log10(size / least))
+    with mp.workdps(3 * digits + max(0, lost) + 10):
+        u, num = mp.pi ** 2, mpf(0)
+        for c in reversed(s.numerator):
+            num = num * u + c
+        return num / (s.denominator * mp.pi ** (2 * j - 1))
+
+
 @pytest.mark.parametrize("digits", [30, 50, 100])
 def test_symbolic_forms_keep_every_digit_up_to_j_200(digits):
     """N_j(pi^2)'s terms cancel by hundreds of digits for large j; none may be lost."""
     tol = Fraction(1, 10 ** digits)
+    slack = Fraction(1, 10 ** (3 * digits))  # the oracle's own rounding, relative
     for s in coeff_symbolic(200):
-        enc, ref = s.evaluate_interval(digits), t_enclosure(s.index, digits)
+        enc, ref = s.evaluate_interval(digits), _frac(_symbolic_oracle(s, digits))
         lo, hi = _frac(enc.lo), _frac(enc.hi)
-        ref_lo, ref_hi = _frac(ref.lo), _frac(ref.hi)
         assert 0 < lo and hi - lo < lo * tol, s.index
-        assert lo <= ref_hi and ref_lo <= hi, s.index
+        assert lo <= ref * (1 + slack) and ref * (1 - slack) <= hi, s.index
         value = _frac(s.evaluate(digits).value)
-        assert ref_lo * (1 - tol) <= value <= ref_hi * (1 + tol), s.index
+        assert ref * (1 - tol) <= value <= ref * (1 + tol), s.index
 
 
 def test_y_coefficient_enclosures_hold_pi_times_the_weight():
+    bits = fixed_bits(60)
+    fixed = verify._fixed_coefficients(40, bits)
     for s in coeff_symbolic(40):
         c = s.y_coefficient_interval(60)
+        assert c == c_enclosure(s.index, bits)
         t = s.evaluate_interval(60)
         with mp.workdps(200):
             pi_power = mp.pi ** (2 * s.index)
             assert c.lo <= t.hi * pi_power and t.lo * pi_power <= c.hi
         assert c.width < c.lo * mpf(10) ** -60
-        bits = fixed_bits(60)
-        lo, hi = s.fixed_y_coefficient(bits)
-        assert Fraction(lo, 1 << bits) <= _frac(c.hi) and _frac(c.lo) <= Fraction(hi, 1 << bits)
+        lo, hi = fixed[s.index - 1]
+        assert Fraction(lo, 1 << bits) <= _frac(c.lo) and _frac(c.hi) <= Fraction(hi, 1 << bits)
         assert hi - lo <= 4
 
 
@@ -319,7 +341,7 @@ def test_bessel_j_half_integer_validates_argument():
         bessel_j_half_integer(1, -1, 50)
 
 
-@pytest.mark.parametrize("bad", ["inf", "nan", 10 ** 400])
+@pytest.mark.parametrize("bad", ["inf", "nan", 10 ** 400, 10 ** 30, 10 ** 7])
 def test_non_finite_arguments_are_refused(bad):
     with pytest.raises(ValueError, match="finite"):
         bessel_j_half_integer(1, bad, 30)
@@ -327,6 +349,17 @@ def test_non_finite_arguments_are_refused(bad):
         general_series_direct(1, bad, 30)
     with pytest.raises(ValueError, match="finite"):
         general_series_recurrence(3, bad, 30)
+
+
+def test_series_arguments_stop_at_z_one_million():
+    # x^2, not x, is the Bessel series' z: x = 1000 is summed, x = 1001 refused
+    assert bessel_j_half_integer(1, 1000, 30).value != 0
+    assert general_series_direct(3, 10 ** 6, 30).value != 0
+    with pytest.raises(ValueError, match=r"x\^2 <= 1000000"):
+        bessel_j_half_integer(1, 1001, 30)
+    for series in (general_series_direct, general_series_recurrence):
+        with pytest.raises(ValueError, match="z <= 1000000"):
+            series(3, 10 ** 6 + 1, 30)
 
 
 # --- generalized series ----------------------------------------------------

@@ -29,6 +29,7 @@ from trigpoly.intervals import (
     positive_double,
     y_ratio,
 )
+from trigpoly.verify import _fixed_coefficients
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -175,7 +176,7 @@ def test_fixed_point_enclosures_contain_high_precision_values(x, scale):
     bits = fixed_bits(50) * scale
     p, q = exact_ratio(Fraction(x))
     half = (2 * p - q, 2 * q)  # x - 1/2, in the cosine's domain
-    coeffs = [s.fixed_y_coefficient(bits) for s in coeff_symbolic(12)]
+    coeffs = _fixed_coefficients(12, bits)
     with mp.workprec(3 * bits):
         xv, hv = mpf(p) / q, mpf(half[0]) / half[1]
         assert _encloses(fixed_pi(bits), mp.pi, bits)

@@ -12,7 +12,7 @@ import trigpoly.coeffs as coeffs
 import trigpoly.verify as verify
 from trigpoly.approx import COS_PI_X, DOMAINS, SIN_PI_X, build_poly, maclaurin_eval
 from trigpoly.coeffs import (
-    SymbolicCoefficient,
+    c_enclosure,
     coeff_recurrence,
     coeff_symbolic,
     coefficient_table,
@@ -607,17 +607,27 @@ def test_worst_keeps_the_first_of_equal_margins():
 
 def test_example_polynomial_builds_each_y_coefficient_once(monkeypatch):
     calls = []
-    original = SymbolicCoefficient.fixed_y_coefficient
+    original = verify.c_enclosure
 
-    def counted(self, bits):
-        calls.append(self.index)
-        return original(self, bits)
+    def counted(j, bits):
+        calls.append(j)
+        return original(j, bits)
 
-    monkeypatch.setattr(SymbolicCoefficient, "fixed_y_coefficient", counted)
+    monkeypatch.setattr(verify, "c_enclosure", counted)
     verify._fixed_coefficients.cache_clear()
     _, c_intervals = example_inequality_polynomial(50)
     assert calls == [1, 2, 3, 4]
     assert len(c_intervals) == 4
+
+
+@pytest.mark.parametrize("doublings", range(verify._MAX_DOUBLINGS + 1))
+def test_grid_coefficients_stay_within_four_units_at_every_escalation(doublings):
+    bits = fixed_bits(50) << doublings
+    for j, (lo, hi) in enumerate(verify._fixed_coefficients(12, bits), start=1):
+        enc = c_enclosure(j, bits)
+        assert Fraction(lo, 1 << bits) <= Fraction(*exact_ratio(enc.lo)), j
+        assert Fraction(*exact_ratio(enc.hi)) <= Fraction(hi, 1 << bits), j
+        assert hi - lo <= 4, j
 
 
 def test_nudged_coefficient_fails_bracketing(monkeypatch):
