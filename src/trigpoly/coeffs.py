@@ -14,17 +14,16 @@ fixed-point kernel `intervals.fixed_t_scaled`, then one outward division
 by (2j)!), and `c_enclosure` encloses c_j the same way at a few more
 bits, times pi^(2j) rounded outward: the one source of c_j for the
 approximants' coefficients, the grid checks and the symbolic forms'
-values.  `t_enclosures` encloses a whole table t_1..t_J in O(J) steps
-instead.  This module computes t_j by three routes -- the series
-itself (the enclosure's midpoint), a three-term recurrence, and a
-half-integer Bessel-function identity -- plus an exact symbolic form and
-its helpers in Q[u], u = pi^2: `poly_sum`, `poly_mul`, `fixed_at_pi2`.
-The recurrence, shared with T_j(z) below, runs in one loop, `_downward`:
-one outward-rounded pass down it in fixed point, seeded by the series at
-J and J - 1 (t_j is its minimal solution, so down is the stable
-direction).  `t_enclosures` is that pass at z = pi^2/4, and the
-recurrence route's values are its midpoints; the symbolic form runs the
-recurrence forward over Fractions, where it is exact.
+values.  t_j is computed by three routes -- the series (the enclosure's
+midpoint), a three-term recurrence and a half-integer Bessel identity --
+plus an exact symbolic form, with its helpers in Q[u], u = pi^2:
+`poly_sum`, `poly_mul`, `fixed_at_pi2`.  The recurrence, shared with
+T_j(z) below, runs in one loop, `_downward`: one outward-rounded pass
+down it in fixed point, seeded by the series at J and J - 1 (t_j is its
+minimal solution, so down is the stable direction).  `t_enclosures`,
+that pass at z = pi^2/4, encloses a whole table t_1..t_J in O(J) steps,
+and the recurrence route's values are its midpoints; the symbolic form
+runs the recurrence forward over Fractions.
 Every route's certificate comes from an enclosure by one rule:
 trunc_bound = max(hi - v, v - lo), rounded up, for the route's value v;
 the direct route's from its own `t_enclosure`, the recurrence and Bessel
@@ -34,13 +33,15 @@ exact midpoint rounded to the working precision (`_mid`).
 The generalized series T_j(z) = sum_k (-z)^k binom(j+k,j)/(2j+2k)!
 recovers t_j at z = pi^2/4 and is exposed for cross-checks.  It and
 J_{j-1/2} are the same alternating series, each term the last times
-z/((2k+2)(2k+2j+1)) (z = x^2 for the Bessel function); both are summed
-by `intervals.series_interval`, and each value is the midpoint of its
-enclosure, as is each of `general_series_recurrence`'s from `_downward`.
+z/((2k+2)(2k+2j+1)) (z = x^2 for the Bessel function), summed by
+`intervals.series_interval`; each value is its enclosure's midpoint.
 Their terms grow for about sqrt(z)/2 steps before they fall, so an
-argument with z above MAX_SERIES_Z = 10^6 is refused.
-At x = pi/2 the Bessel route is the direct series term for term, so the
-two routes differ only in how the first term is rounded.
+argument with z above MAX_SERIES_Z = 10^6 is refused.  The Bessel
+series' first terms, h^(j-1/2)/Gamma(j+1/2) (times pi^(1-j)/(2 j!) at
+h = pi/4 for t_j), come from one outward-rounded ladder in j, `_ladder`:
+a Bessel table of J takes O(J) directed operations plus one series per
+j.  At x = pi/2 the Bessel series is the direct one term for term, so
+the two routes differ only in how the first term is rounded.
 """
 
 from __future__ import annotations
@@ -53,8 +54,8 @@ from itertools import zip_longest
 from typing import Literal
 
 from mpmath import mp, mpf
-from mpmath.libmp import (fone, from_int, mpf_div, mpf_mul, mpf_pi, mpf_pow_int, mpf_shift,
-                          mpf_sqrt, mpf_sub, round_ceiling, round_floor)
+from mpmath.libmp import (fone, from_int, mpf_add, mpf_cmp, mpf_div, mpf_mul, mpf_pi, mpf_pow_int,
+                          mpf_shift, mpf_sqrt, mpf_sub, round_ceiling, round_floor, round_nearest)
 
 from .intervals import (
     IntervalValue,
@@ -150,9 +151,10 @@ class CoefficientTable:
 
 
 def _mid(enc: IntervalValue, digits: int) -> ExtReal:
-    """The one midpoint rule: the enclosure's exact midpoint rounded to the working precision."""
-    with working(digits):
-        return ExtReal(+enc.mid, digits)
+    """The one midpoint rule: the enclosure's exact midpoint rounded to nearest at
+    `fixed_bits(digits)` bits, the precision `working(digits)` sets, without entering it."""
+    mid = mpf_add(enc.lo._mpf_, enc.hi._mpf_, fixed_bits(digits), round_nearest)
+    return ExtReal(mp.make_mpf(mpf_shift(mid, -1)), digits)
 
 
 def t_enclosure(j: int, digits: int = DEFAULT_DIGITS) -> IntervalValue:
@@ -231,16 +233,17 @@ def t_enclosures(j_max: int, digits: int = DEFAULT_DIGITS) -> list[IntervalValue
     return _downward(z, j_max, fixed_bits(digits))
 
 
-def _certified(j: int, v: mpf, enc: IntervalValue, digits: int) -> tuple[ExtReal, ExtReal]:
+def _certified(v: mpf, enc: IntervalValue, digits: int) -> tuple[ExtReal, ExtReal]:
     """(v, trunc_bound) by the one rule: trunc_bound = max(hi - v, v - lo), rounded up.
 
     [lo, hi] = enc encloses t_j (`t_enclosure(j, digits)` on the direct
     route, the `t_enclosures` entry on the recurrence and Bessel routes),
     so the bound covers |v - t_j| wherever v lies.
     """
-    bound = max(mp.make_mpf(mpf_sub(enc.hi._mpf_, v._mpf_, 64, round_ceiling)),
-                mp.make_mpf(mpf_sub(v._mpf_, enc.lo._mpf_, 64, round_ceiling)))
-    return ExtReal(v, digits), ExtReal(bound, digits)
+    above = mpf_sub(enc.hi._mpf_, v._mpf_, 64, round_ceiling)
+    below = mpf_sub(v._mpf_, enc.lo._mpf_, 64, round_ceiling)
+    bound = above if mpf_cmp(above, below) >= 0 else below
+    return ExtReal(v, digits), ExtReal(mp.make_mpf(bound), digits)
 
 
 def _table(route: Route, pairs, digits: int) -> CoefficientTable:
@@ -255,7 +258,7 @@ def coeff_direct(j: int, digits: int = DEFAULT_DIGITS) -> tuple[ExtReal, ExtReal
     if j < 1:
         raise ValueError("j must be >= 1")
     enc = t_enclosure(j, digits)
-    return _certified(j, _mid(enc, digits).value, enc, digits)
+    return _certified(_mid(enc, digits).value, enc, digits)
 
 
 def coeff_recurrence(j_max: int, digits: int = DEFAULT_DIGITS) -> CoefficientTable:
@@ -267,9 +270,7 @@ def coeff_recurrence(j_max: int, digits: int = DEFAULT_DIGITS) -> CoefficientTab
     inside it, and its certificate the one rule's against that entry.
     """
     require_digits(digits)
-    encs = t_enclosures(j_max, digits)
-    with working(digits):
-        pairs = [_certified(j, enc.mid, enc, digits) for j, enc in enumerate(encs, start=1)]
+    pairs = [_certified(enc.mid, enc, digits) for enc in t_enclosures(j_max, digits)]
     return _table("recurrence", pairs, digits)
 
 
@@ -383,40 +384,53 @@ def fixed_at_pi2(poly, bits: int) -> tuple[int, int]:
 
 
 # --- Bessel route ---------------------------------------------------------
-#
-# Each value here is the midpoint of an enclosure: the first term and the
-# prefactors by libmp's directed rounding at `fixed_bits(digits)` bits,
-# the series by `series_interval`.
-
-def _gamma_half(n: int, prec: int) -> tuple[tuple, tuple]:
-    # Gamma(n + 1/2) = sqrt(pi) (2n)! / (4^n n!), its raw ends rounded outward
-    num, den = from_int(math.factorial(2 * n)), from_int(4 ** n * math.factorial(n))
-    return tuple(mpf_div(mpf_mul(mpf_sqrt(mpf_pi(prec, rnd), prec, rnd), num, prec, rnd),
-                         den, prec, rnd) for rnd in (round_floor, round_ceiling))
-
 
 def gamma_half(n: int, digits: int = DEFAULT_DIGITS) -> ExtReal:
     """Gamma(n + 1/2) = sqrt(pi) (2n)! / (4^n n!) for integer n >= 0."""
     require_digits(digits)
     if n < 0:
         raise ValueError("n must be >= 0")
-    return _mid(IntervalValue._of(*_gamma_half(n, fixed_bits(digits))), digits)
+    prec = fixed_bits(digits)
+    num, den = from_int(math.factorial(2 * n)), from_int(4 ** n * math.factorial(n))
+    return _mid(IntervalValue._of(*(
+        mpf_div(mpf_mul(mpf_sqrt(mpf_pi(prec, rnd), prec, rnd), num, prec, rnd), den, prec, rnd)
+        for rnd in (round_floor, round_ceiling))), digits)
 
 
-def _bessel(j: int, h: tuple, prec: int) -> IntervalValue:
-    """J_{j-1/2}(2h) for h = x/2 in the raw ends (h_lo, h_hi), 0 < h_lo:
+def _ladder(h: tuple, pi: tuple, j_max: int, prec: int, weighted: bool) -> list[IntervalValue]:
+    """Enclosures of A_j = h^(j-1/2)/Gamma(j+1/2), j = 0..j_max, in one pass at `prec` bits:
+    A_0 = 1/sqrt(pi h), A_j = A_{j-1} h/(j - 1/2); if `weighted`, item j >= 1 is A_j B_j,
+    B_j = pi^(1-j)/(2 j!) (B_1 = 1/2, B_j = B_{j-1}/(pi j)).  h and pi are raw ends, 0 < h_lo;
+    all factors are positive, so a lower end is rounded down from the factors' lower ends
+    and the divisors' upper ones, an upper end the reverse."""
+    sides = []
+    for rnd, away, h_mul, h_div, p in ((round_floor, round_ceiling, h[0], h[1], pi[1]),
+                                       (round_ceiling, round_floor, h[1], h[0], pi[0])):
+        a = mpf_div(fone, mpf_sqrt(mpf_mul(p, h_div, prec, away), prec, away), prec, rnd)
+        col, two_h = [a], mpf_shift(h_mul, 1)
+        for j in range(1, j_max + 1):
+            # h/(j - 1/2) = 2h/(2j - 1); B_j = B_{j-1}/(pi j) divides by j here, by pi below
+            d = from_int((2 * j - 1) * (j if weighted else 1))
+            a = mpf_div(mpf_mul(a, two_h, prec, rnd), d, prec, rnd)
+            if weighted:
+                a = mpf_div(a, p, prec, rnd) if j > 1 else mpf_shift(a, -1)
+            col.append(a)
+        sides.append(col)
+    return [IntervalValue._of(lo, hi) for lo, hi in zip(*sides)]
 
-        J_{j-1/2}(x) = h^(j-1/2)/Gamma(j+1/2) * sum_k (-x^2)^k / prod_{i<k} (2i+2)(2i+2j+1).
-    """
-    g_lo, g_hi = _gamma_half(j, prec)
-    # h^(j-1/2) = h^j / sqrt(h) rises with h for j >= 1 and falls for j = 0
-    ends = []
-    for h_end, rnd, away, g in ((h[j == 0], round_floor, round_ceiling, g_hi),
-                                (h[j > 0], round_ceiling, round_floor, g_lo)):
-        power = mpf_div(mpf_pow_int(h_end, j, prec, rnd), mpf_sqrt(h_end, prec, away), prec, rnd)
-        ends.append(mpf_div(power, g, prec, rnd))
-    z = IntervalValue._of(*(mpf_shift(mpf_mul(v, v), 2) for v in h))  # x^2, exact
-    return series_interval(IntervalValue._of(*ends), z, 2, 2 * j + 1, prec)
+
+def _bessel(js: range, digits: int, h: tuple | None = None) -> list[IntervalValue]:
+    """Enclosures of J_{j-1/2}(2h) for j in js, h in raw ends with 0 < h_lo, or with no h of
+    t_j = pi^(1-j)/(2 j!) J_{j-1/2}(pi/2): `_ladder`'s first terms (to max(js), weighted at
+    h = pi/4) times `series_interval` at z = (2h)^2, each term the last times
+    -z/((2k+2)(2k+2j+1)), at `fixed_bits(digits) + T_GUARD_BITS` bits."""
+    require_digits(digits)
+    prec = fixed_bits(digits) + T_GUARD_BITS
+    pi = mpf_pi(prec, round_floor), mpf_pi(prec, round_ceiling)
+    weighted, h = h is None, h or tuple(mpf_shift(v, -2) for v in pi)
+    firsts = _ladder(h, pi, js[-1], prec, weighted)
+    z = IntervalValue._of(*(mpf_shift(mpf_mul(v, v), 2) for v in h))  # x^2 = (2h)^2, exact
+    return [series_interval(firsts[j], z, 2, 2 * j + 1, prec) for j in js]
 
 
 # the largest z (x^2 for the Bessel function) the series are summed at: their terms
@@ -434,43 +448,23 @@ def _positive_finite(x, name: str, squared: bool = False) -> mpf:
 
 
 def bessel_j_half_integer(j: int, x, digits: int = DEFAULT_DIGITS) -> ExtReal:
-    """J_{j-1/2}(x) for 0 < x <= 1000 (x^2 <= MAX_SERIES_Z) by the defining power series.
-
-    J_nu(x) = sum_k (-1)^k (x/2)^(nu+2k) / (k! Gamma(nu+k+1)); at
-    nu = j - 1/2 each term is the last times x^2/((2k+2)(2k+2j+1)).  The
-    midpoint of the enclosure `series_interval` gives for x rounded to
-    the working precision; as t_j it is certified against `t_enclosures`.
-    """
-    require_digits(digits)
+    """J_{j-1/2}(x) for 0 < x <= 1000 (x^2 <= MAX_SERIES_Z) by the defining power series
+    J_nu(x) = sum_k (-1)^k (x/2)^(nu+2k) / (k! Gamma(nu+k+1)): the midpoint of `_bessel`'s
+    enclosure for x rounded to the working precision."""
     if j < 0:
         raise ValueError("j must be >= 0")
     with working(digits):
         h = mpf_shift(_positive_finite(x, "x", squared=True)._mpf_, -1)
-    return _mid(_bessel(j, (h, h), fixed_bits(digits)), digits)
+    return _mid(_bessel(range(j, j + 1), digits, (h, h))[0], digits)
 
 
 def coeff_bessel(j: int, digits: int = DEFAULT_DIGITS) -> ExtReal:
-    """Weight t_j via the identity t_j = pi^(1-j)/(2 j!) * J_{j-1/2}(pi/2).
-
-    The midpoint of the identity's enclosure, pi/2 and pi^(1-j) rounded
-    outward; `coefficient_table` certifies it by the one rule against
-    `t_enclosures`.
-    """
-    require_digits(digits)
+    """Weight t_j via the identity t_j = pi^(1-j)/(2 j!) * J_{j-1/2}(pi/2): the midpoint
+    of `_bessel`'s enclosure, the j-th value of `coefficient_table(route="bessel")`."""
     require_index(j)
     if j < 1:
         raise ValueError("j must be >= 1")
-    prec = fixed_bits(digits)
-    pi = mpf_pi(prec, round_floor), mpf_pi(prec, round_ceiling)
-    bessel = _bessel(j, tuple(mpf_shift(v, -2) for v in pi), prec)  # h = pi/4
-    two_fact = from_int(2 * math.factorial(j))
-    # the prefactor 1/(2 j! pi^(j-1)) is positive, and so is J_{j-1/2}(pi/2)
-    ends = [mpf_div(fone, mpf_mul(two_fact, mpf_pow_int(p, j - 1, prec, away), prec, away),
-                    prec, rnd)
-            for p, rnd, away in ((pi[1], round_floor, round_ceiling),
-                                 (pi[0], round_ceiling, round_floor))]
-    return _mid(IntervalValue._of(mpf_mul(ends[0], bessel.lo._mpf_, prec, round_floor),
-                                  mpf_mul(ends[1], bessel.hi._mpf_, prec, round_ceiling)), digits)
+    return _mid(_bessel(range(j, j + 1), digits)[0], digits)
 
 
 # --- generalized series T_j(z) -------------------------------------------
@@ -525,7 +519,8 @@ def coefficient_table(
     if route == "direct":
         return _table(route, [coeff_direct(j, digits) for j in range(1, j_max + 1)], digits)
     if route == "bessel":
-        pairs = [_certified(j, coeff_bessel(j, digits).value, enc, digits)
-                 for j, enc in enumerate(t_enclosures(j_max, digits), start=1)]
+        bessel = _bessel(range(1, j_max + 1), digits)
+        pairs = [_certified(_mid(b, digits).value, enc, digits)
+                 for b, enc in zip(bessel, t_enclosures(j_max, digits))]
         return _table(route, pairs, digits)
     raise ValueError(f"unknown route {route!r}")

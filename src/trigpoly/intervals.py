@@ -164,9 +164,12 @@ def fixed_from_interval(enc: IntervalValue, bits: int) -> tuple[int, int]:
 
 
 def interval_from_fixed(enc: tuple[int, int], bits: int, den: int = 1) -> IntervalValue:
-    """The IntervalValue of enc / den (den > 0): exact for den = 1, else each
-    end divided once and rounded outward at `bits` bits."""
-    lo, hi = from_man_exp(enc[0], -bits), from_man_exp(enc[1], -bits)
+    """The IntervalValue of enc / den (den > 0): each end divided once by den's odd part,
+    rounded outward at `bits` bits, and scaled exactly by den's power of two, which
+    rounds as one division by den does (exact when den is a power of two)."""
+    twos = (den & -den).bit_length() - 1
+    lo, hi = from_man_exp(enc[0], -bits - twos), from_man_exp(enc[1], -bits - twos)
+    den >>= twos
     if den != 1:
         d = from_int(den)
         lo, hi = mpf_div(lo, d, bits, round_floor), mpf_div(hi, d, bits, round_ceiling)

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
+from mpmath.libmp import (from_int, from_man_exp, mpf_div, mpf_pi, mpf_shift, round_ceiling,
+                          round_floor)
 
 import trigpoly.coeffs as coeffs
 import trigpoly.verify as verify
@@ -28,7 +30,8 @@ from trigpoly.coeffs import (
     t_enclosure,
     t_enclosures,
 )
-from trigpoly.intervals import IntervalValue, fixed_bits, fixed_pi, fixed_series, fixed_t_scaled
+from trigpoly.intervals import (IntervalValue, fixed_bits, fixed_pi, fixed_series, fixed_t_scaled,
+                                interval_from_fixed)
 from trigpoly.precision import (GUARD_DIGITS, ExtReal, IndexLimitError, PrecisionError, to_mpf,
                                 working)
 
@@ -598,14 +601,16 @@ def test_kernel_encloses_at_low_bits():
 @pytest.mark.parametrize("route", ROUTES)
 def test_nudged_route_value_is_refused(monkeypatch, route):
     # t_3 moved by 10^-(digits-3) relative: its certificate can no longer
-    # stay below 10^-digits relative, and the table refuses it
-    certified = coeffs._certified
+    # stay below 10^-digits relative, and the table refuses it; every route
+    # certifies its entries in order of j, so the third call is t_3's
+    certified, calls = coeffs._certified, []
 
-    def nudged(j, v, enc, digits):
-        if j == 3:
+    def nudged(v, enc, digits):
+        calls.append(v)
+        if len(calls) == 3:
             with working(digits):
                 v = v * (1 + mpf(10) ** -(digits - 3))
-        return certified(j, v, enc, digits)
+        return certified(v, enc, digits)
 
     monkeypatch.setattr(coeffs, "_certified", nudged)
     with pytest.raises(ValueError, match="coefficient 3 certificate"):
@@ -620,3 +625,80 @@ def test_table_refuses_a_bound_just_over_the_invariant():
     bad = CoefficientEntry(entry.j, entry.value, entry.route, ExtReal(over, 50))
     with pytest.raises(ValueError, match="coefficient 2 certificate"):
         CoefficientTable(entries=(good.entries[0], bad, good.entries[2]), precision_digits=50)
+
+
+# --- the Bessel ladder, the midpoint rule and the odd-part division ----------
+
+@pytest.mark.parametrize("digits", [30, 50, 100, 151, 200])
+def test_mid_is_the_midpoint_rounded_in_a_working_section(monkeypatch, digits):
+    # every enclosure the direct and Bessel tables round, and the recurrence
+    # table's enclosures: `_mid` rounds as `+enc.mid` under working(digits)
+    mid, seen = coeffs._mid, []
+
+    def recording(enc, d):
+        seen.append(enc)
+        return mid(enc, d)
+
+    monkeypatch.setattr(coeffs, "_mid", recording)
+    for route in ("direct", "bessel"):
+        coefficient_table(120, digits, route=route)
+    seen += t_enclosures(120, digits)
+    assert len(seen) == 360
+    for enc in seen:
+        with working(digits):
+            expected = +enc.mid
+        assert mid(enc, digits).value._mpf_ == expected._mpf_
+
+
+@pytest.mark.parametrize("digits", [30, 50, 100, 200])
+def test_interval_from_fixed_divides_by_the_odd_part_bitwise(digits):
+    # dividing by the odd part of (2j)! and scaling by its power of two rounds
+    # each end exactly as one outward division by (2j)! does
+    bits = fixed_bits(digits)
+    for j in range(1, 201):
+        fact = math.factorial(2 * j)
+        lo, hi = fixed_t_scaled(j, bits)
+        for enc in ((lo, hi), (-hi, -lo), (0, hi)):
+            expected = [mpf_div(from_man_exp(v, -bits), from_int(fact), bits, rnd)
+                        for v, rnd in zip(enc, (round_floor, round_ceiling))]
+            got = interval_from_fixed(enc, bits, fact)
+            assert [got.lo._mpf_, got.hi._mpf_] == expected, (j, enc)
+
+
+@pytest.mark.parametrize("digits", [30, 100, 200])
+def test_bessel_ladder_encloses_t(digits):
+    ref = besselj_reference(digits)
+    encs = coeffs._bessel(range(1, 201), digits)
+    with mp.workdps(3 * digits):
+        for j, enc in enumerate(encs, start=1):
+            assert enc.lo <= ref[j] <= enc.hi, j
+            assert enc.width <= ref[j] * mpf(10) ** -(digits + 5), j
+
+
+def test_ladder_encloses_its_first_terms_at_low_precision():
+    """At a few bits each rounding is a large share of the enclosure, so an
+    end rounded the wrong way, or taken from the wrong end of pi, shows up."""
+    with mp.workdps(60):
+        for prec in range(4, 80):
+            pi = mpf_pi(prec, round_floor), mpf_pi(prec, round_ceiling)
+            for n in (1, 3, 5, 7, 9, 11, 13):
+                h = mpf_shift(from_int(n), -3)
+                for j, enc in enumerate(coeffs._ladder((h, h), pi, 12, prec, False)):
+                    exact = (mpf(n) / 8) ** (j - mpf(1) / 2) / mp.gamma(j + mpf(1) / 2)
+                    assert enc.lo <= exact <= enc.hi, (prec, n, j)
+            # weighted, with the point 3 for pi: against the ladder's recurrences
+            for n in (1, 3, 5, 7):
+                h, a, b = mpf(n) / 8, 1 / mp.sqrt(3 * mpf(n) / 8), mpf(1) / 2
+                three, h_end = from_int(3), mpf_shift(from_int(n), -3)
+                encs = coeffs._ladder((h_end, h_end), (three, three), 30, prec, True)
+                for j, enc in enumerate(encs[1:], start=1):
+                    a = a * h / (j - mpf(1) / 2)
+                    b = b / (3 * j) if j > 1 else b
+                    assert enc.lo <= a * b <= enc.hi, (prec, n, j)
+
+
+@pytest.mark.parametrize("digits", [30, 100])
+def test_coeff_bessel_is_the_table_value(digits):
+    table = coefficient_table(200, digits, route="bessel")
+    for j in (*range(1, 41), 99, 200):
+        assert coeff_bessel(j, digits).value._mpf_ == table.value(j).value._mpf_, j

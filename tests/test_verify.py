@@ -26,7 +26,7 @@ from trigpoly.intervals import (
     interval_from_fixed,
     poly_eval_centered,
 )
-from trigpoly.precision import DEFAULT_INDEX_LIMIT, ExtReal, IndexLimitError, working
+from trigpoly.precision import DEFAULT_INDEX_LIMIT, IndexLimitError, working
 from trigpoly.verify import (
     PropertyReport,
     check_bessel_identity,
@@ -173,15 +173,18 @@ def test_bessel_identity_refuses_j_max_below_one():
 
 
 def test_bessel_identity_reports_a_refused_route_as_fail(monkeypatch):
-    # a Bessel value off by 10^-45 relative: its certificate misses 10^-50
-    good = coeffs.coeff_bessel
+    # a Bessel value off by 10^-45 relative, through the first term of its
+    # series from the ladder: its certificate misses 10^-50
+    good = coeffs._ladder
 
-    def off(j, digits=50):
-        v = good(j, digits)
-        with working(digits):
-            return ExtReal(v.value * (1 + mpf(10) ** -45) if j == 3 else v.value, digits)
+    def off(*args):
+        firsts = good(*args)
+        lo, hi = firsts[3].lo, firsts[3].hi
+        with working(50):
+            firsts[3] = IntervalValue(lo * (1 + mpf(10) ** -45), hi * (1 + mpf(10) ** -45))
+        return firsts
 
-    monkeypatch.setattr(coeffs, "coeff_bessel", off)
+    monkeypatch.setattr(coeffs, "_ladder", off)
     report = check_bessel_identity(5, 50)
     assert report.status == "fail"
     assert report.worst_case[0] == (
