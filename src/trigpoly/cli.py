@@ -112,11 +112,14 @@ def cmd_coeffs(args) -> int:
             print(f"t_{sym.index} = {sym.as_string()}")
         return EXIT_OK
     table = coeffs.coefficient_table(args.max_j, args.digits, route=args.route)
+    # two digits past --digits: printing moves t_j by at most 5 * 10^-(digits+2)
+    # relative, so the printed bound stays within the table's 10^-digits
+    shown = args.digits + 2
     rows = []
     for e in table:
         # the printed bound covers the printed value: the stored bound plus
         # the exact distance the printing moved the value
-        value = e.value.to_str(args.digits)
+        value = e.value.to_str(shown)
         moved = abs(Fraction(decimal.Decimal(value)) - Fraction(*exact_ratio(e.value.value)))
         rows.append((e.j, value, _round_up_3(Fraction(*exact_ratio(e.trunc_bound.value)) + moved)))
     if args.format == "csv":
@@ -124,9 +127,9 @@ def cmd_coeffs(args) -> int:
         for j, value, bound in rows:
             print(f"{j},{value},{bound}")
     else:
-        print(f"{'j':>4}  {'t_j':<{args.digits + 8}}  trunc_bound")
+        print(f"{'j':>4}  {'t_j':<{shown + 8}}  trunc_bound")
         for j, value, bound in rows:
-            print(f"{j:>4}  {value:<{args.digits + 8}}  {bound}")
+            print(f"{j:>4}  {value:<{shown + 8}}  {bound}")
     return EXIT_OK
 
 

@@ -200,11 +200,22 @@ def fixed_mul(a, b, bits: int) -> tuple[int, int]:
 
 
 def fixed_horner(coeffs, x, bits: int) -> tuple[int, int]:
-    """sum_n coeffs[n] x^n by Horner's rule, for enclosures coeffs (constant term first) and x."""
+    """sum_n coeffs[n] x^n by Horner's rule, for enclosures coeffs (constant term first) and x.
+
+    Each step is `fixed_mul` of the sum so far by x, then the coefficient
+    added; for x >= 0 the product's ends are written out in the loop.
+    """
     lo = hi = 0
+    x_lo, x_hi = x
+    if x_lo < 0:
+        for c_lo, c_hi in reversed(coeffs):
+            lo, hi = fixed_mul((lo, hi), x, bits)
+            lo, hi = lo + c_lo, hi + c_hi
+        return lo, hi
+    # fixed_mul's branch for b >= 0: each end is one product of ends
     for c_lo, c_hi in reversed(coeffs):
-        lo, hi = fixed_mul((lo, hi), x, bits)
-        lo, hi = lo + c_lo, hi + c_hi
+        lo = (lo * (x_lo if lo >= 0 else x_hi) >> bits) + c_lo
+        hi = c_hi - (-(hi * (x_hi if hi >= 0 else x_lo)) >> bits)
     return lo, hi
 
 
@@ -276,31 +287,40 @@ def fixed_series(first, z, a: int, b: int, bits: int, n: int | None = None):
     0..k, for k < n, and mags[k] the magnitude u_k, for k <= n.  Without
     n, returns the enclosure of the whole sum: the terms may grow while
     the ratio z/((2k+a)(2k+b)) is 1 or more, and it stops at the first
-    term below one unit whose ratio is below 1.  The ratios decrease in k,
-    so the terms decrease from there on, and the alternating tail lies
-    between 0 and that term.
+    term below one unit whose ratio is below 1, that is, whose integer
+    d = (2k+a)(2k+b) exceeds z's upper end in whole units (z_hi >> bits).
+    The ratios decrease in k, so the terms decrease from there on, and the
+    alternating tail lies between 0 and that term.  The loop takes an even
+    and an odd term per pass.
     """
     u_lo, u_hi = first
     z_lo, z_hi = z
-    converge = n is None
-    if not converge:
+    s_lo = s_hi = 0
+    if n is not None:
         sums, mags = [], [(u_lo, u_hi)]
-    s_lo = s_hi = k = 0
-    while (u_hi > 1 or z_hi >= ((2 * k + a) * (2 * k + b)) << bits) if converge else k < n:
-        if k % 2:
-            s_lo, s_hi = s_lo - u_hi, s_hi - u_lo
-        else:
-            s_lo, s_hi = s_lo + u_lo, s_hi + u_hi
-        d = (2 * k + a) * (2 * k + b)
-        u_lo, u_hi = (u_lo * z_lo >> bits) // d, -((-(u_hi * z_hi) >> bits) // d)
-        k += 1
-        if not converge:
+        for k in range(n):
+            if k % 2:
+                s_lo, s_hi = s_lo - u_hi, s_hi - u_lo
+            else:
+                s_lo, s_hi = s_lo + u_lo, s_hi + u_hi
+            d = (2 * k + a) * (2 * k + b)
+            u_lo, u_hi = (u_lo * z_lo >> bits) // d, -((-(u_hi * z_hi) >> bits) // d)
             sums.append((s_lo, s_hi))
             mags.append((u_lo, u_hi))
-    if not converge:
         return sums, mags
-    # the tail from term k has term k's sign, (-1)^k
-    return (s_lo - u_hi, s_hi) if k % 2 else (s_lo, s_hi + u_hi)
+    units = z_hi >> bits  # z_hi < d << bits exactly when units < d, d an integer
+    k, d = 0, a * b
+    while u_hi > 1 or units >= d:  # term k, even, is added
+        s_lo, s_hi = s_lo + u_lo, s_hi + u_hi
+        u_lo, u_hi = (u_lo * z_lo >> bits) // d, -((-(u_hi * z_hi) >> bits) // d)
+        d = (2 * k + 2 + a) * (2 * k + 2 + b)
+        if u_hi <= 1 and units < d:
+            return s_lo - u_hi, s_hi  # the tail from the odd term k + 1 is negative
+        s_lo, s_hi = s_lo - u_hi, s_hi - u_lo
+        u_lo, u_hi = (u_lo * z_lo >> bits) // d, -((-(u_hi * z_hi) >> bits) // d)
+        k += 2
+        d = (2 * k + a) * (2 * k + b)
+    return s_lo, s_hi + u_hi  # the tail from the even term k is positive
 
 
 def series_interval(first: IntervalValue, z: IntervalValue, a: int, b: int, prec: int,

@@ -37,7 +37,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from mpmath import mp, mpf
-from mpmath.libmp import repr_dps
+from mpmath.libmp import (from_int, mpf_add, mpf_div, mpf_mul, mpf_mul_int, mpf_shift, mpf_sub,
+                          repr_dps, round_nearest)
 
 from .approx import COS_PI_X, DOMAINS, _check_func, sine_monomials
 from .coeffs import (c_enclosure, coeff_symbolic, coefficient_table, fixed_at_pi2, poly_mul,
@@ -118,19 +119,26 @@ def _grid(lo, hi, n: int, include_hi: bool = False) -> list[mpf]:
     """n uniform interior points plus 32 points within 1e-6 of each end.
 
     The clustered points probe the high-order zeros at the endpoints,
-    where every quantity under test degenerates.
+    where every quantity under test degenerates.  Uniform point i is
+    lo + (span * i) / (n + 1), each operation rounded to nearest at the
+    context's precision as mpf arithmetic rounds it, on libmp's raw
+    operations.  The points are listed ascending whenever the clustered
+    ones lie outside the uniform ones, so the sort is one linear pass.
     """
-    lo_v, hi_v = to_mpf(lo), to_mpf(hi)
-    span = hi_v - lo_v
-    pts = [lo_v + span * i / (n + 1) for i in range(1, n + 1)]
-    tiny = mpf("1e-6")
-    for k in range(_CLUSTER):
-        off = span * tiny / mpf(2) ** k
-        pts.append(lo_v + off)
-        pts.append(hi_v - off)
+    prec = mp.prec
+    lo_v, hi_v = to_mpf(lo)._mpf_, to_mpf(hi)._mpf_
+    span = mpf_sub(hi_v, lo_v, prec, round_nearest)
+    den = from_int(n + 1)
+    # span * 1e-6 / 2**k: the division by 2**k is exact, so a shift
+    off = mpf_mul(span, mpf("1e-6")._mpf_, prec, round_nearest)
+    offs = [mpf_shift(off, -k) for k in range(_CLUSTER)]
+    raw = [mpf_add(lo_v, o, prec, round_nearest) for o in reversed(offs)]
+    raw += [mpf_add(lo_v, mpf_div(mpf_mul_int(span, i, prec, round_nearest), den, prec,
+                                  round_nearest), prec, round_nearest) for i in range(1, n + 1)]
+    raw += [mpf_sub(hi_v, o, prec, round_nearest) for o in offs]
     if include_hi:
-        pts.append(hi_v)
-    return sorted(pts)
+        raw.append(hi_v)
+    return sorted(map(mp.make_mpf, raw))
 
 
 class _Worst:
@@ -210,20 +218,36 @@ def _diff(a, b) -> tuple[int, int]:
     return a[0] - b[1], a[1] - b[0]
 
 
-def _relative(row) -> float:
-    """diff/scale for a row (diff_lo, diff_hi, scale_lo, scale_hi), at its low end.
+def _least_margin(rows) -> tuple[bool, tuple[int, float]]:
+    """(settled, (i, margin)) for rows (diff_lo, diff_hi, scale_lo, scale_hi).
 
-    The quotient is rounded to nearest; -inf when no positive scale
-    bound exists.
+    settled: every diff's sign is decided.  Each row's margin is diff/scale
+    at its low end, diff_lo / (scale_hi if diff_lo > 0 else scale_lo),
+    rounded to nearest, and -inf when that scale bound is not positive;
+    i is the first row with the least margin.
     """
-    d_lo, _, s_lo, s_hi = row
-    den = s_hi if d_lo > 0 else s_lo
-    if den <= 0:
-        return -math.inf
-    try:
-        return d_lo / den
-    except OverflowError:
-        return -math.inf if d_lo < 0 else math.inf
+    settled, at, least = True, 0, math.inf
+    for i, (d_lo, d_hi, s_lo, s_hi) in enumerate(rows):
+        if d_lo > 0:
+            den = s_hi
+        else:
+            den = s_lo
+            settled = settled and d_hi < 0
+        if den <= 0:
+            rel = -math.inf
+        else:
+            try:
+                rel = d_lo / den
+            except OverflowError:
+                rel = -math.inf if d_lo < 0 else math.inf
+        if rel < least:
+            at, least = i, rel
+    return settled, (at, least)
+
+
+def _signs(rows) -> tuple[bool, list]:
+    """(settled, rows): settled when every row's (lo, hi, ...) has a decided sign."""
+    return all(r[0] > 0 or r[1] < 0 for r in rows), rows
 
 
 class _Sweep:
@@ -243,27 +267,30 @@ class _Sweep:
         self.unresolved = 0
         self.worst = _Worst(repr_dps(mp.prec))  # labels print x in full
 
-    def settle(self, evaluate, x) -> list:
+    def _settle(self, evaluate, x, read):
+        # read(rows) -> (settled, result); the result at the last bits tried
         p, q = exact_ratio(x)
         bits = self.base
-        rows = evaluate(p, q, bits)
-        while not all(r[0] > 0 or r[1] < 0 for r in rows):
+        settled, out = read(evaluate(p, q, bits))
+        while not settled:
             if bits >= self.cap:
                 self.unresolved += 1
                 break
             bits *= 2
-            rows = evaluate(p, q, bits)
+            settled, out = read(evaluate(p, q, bits))
         if bits > self.base:
             self.escalated += 1
             self.top = max(self.top, bits)
-        return rows
+        return out
+
+    def settle(self, evaluate, x) -> list:
+        return self._settle(evaluate, x, _signs)
 
     def margins(self, evaluate, labels, x) -> None:
         """Fold in a point's margin rows, labelled by `labels` (format, parts...)."""
-        rel = [_relative(r) for r in self.settle(evaluate, x)]
-        i = rel.index(min(rel))  # the first of equal margins
+        i, least = self._settle(evaluate, x, _least_margin)
         # rounding the nearest quotient down one step gives a lower bound
-        self.worst.update(math.nextafter(rel[i], -math.inf), *labels[i], x)
+        self.worst.update(math.nextafter(least, -math.inf), *labels[i], x)
 
     def report(self, property_id: str, metadata: dict) -> PropertyReport:
         report = self.worst.report(
@@ -664,38 +691,74 @@ def _fixed_float(enc, bits: int) -> float | None:
     return None
 
 
-def _curve_row(i: int, grid_size: int, bits: int):
-    """Enclosures of f and f - f4 at x = i / (2 grid_size); in f - f4 the
-    base 4/9 - 8x + 15x^2 cancels exactly, leaving trig less `_quadratic_part`."""
-    q = 2 * grid_size
-    s1, s2 = (fixed_mul(v, v, bits) for v in (fixed_sin_cos_pi(p, q, bits) for p in (i, 2 * i)))
-    pi_lo, pi_hi = fixed_pi(bits)
-    four_over_pi2 = (4 << 3 * bits) // (pi_hi * pi_hi), -((-4 << 3 * bits) // (pi_lo * pi_lo))
-    trig = fixed_mul(four_over_pi2, (2 * s1[0] + s2[0], 2 * s1[1] + s2[1]), bits)
-    # 4/9 - 8x + 15x^2 = (4q^2 - 72iq + 135i^2) / (9q^2)
-    base = fixed_ratio(4 * q * q - 72 * i * q + 135 * i * i, 9 * q * q, bits)
-    quad = fixed_horner(_quadratic_part(bits), fixed_ratio(i, q, bits), bits)
-    return (base[0] + trig[0], base[1] + trig[1]), _diff(trig, quad)
+# the curve's enclosures start at twice a double's significand; see example_curve
+_CURVE_BITS = 2 * 53
+
+
+class _CurveLevel:
+    """`example_curve` at one precision: 4/pi^2, the quadratic part, and the
+    enclosures of sin^2(pi j/q), q = 2 grid_size, each computed when first read."""
+
+    def __init__(self, grid_size: int, bits: int):
+        self.q, self.bits = 2 * grid_size, bits
+        pi_lo, pi_hi = fixed_pi(bits)
+        self.four_over_pi2 = ((4 << 3 * bits) // (pi_hi * pi_hi),
+                              -((-4 << 3 * bits) // (pi_lo * pi_lo)))
+        self.quad = _quadratic_part(bits)
+        self.squares = [None] * (grid_size + 1)
+
+    def _square(self, j: int):
+        sq = self.squares[j]
+        if sq is None:
+            v = fixed_sin_cos_pi(j, self.q, self.bits)
+            sq = self.squares[j] = fixed_mul(v, v, self.bits)
+        return sq
+
+    def row(self, i: int):
+        """Enclosures of f and f - f4 at x = i/q; in f - f4 the base
+        4/9 - 8x + 15x^2 cancels exactly, leaving trig less `_quadratic_part`."""
+        q, bits = self.q, self.bits
+        # sin(2 pi i/q) is sin(pi j/q), j = min(2i, q - 2i): the entry that
+        # `fixed_sin_cos_pi`'s reduction gives the same arguments
+        s1, s2 = self._square(i), self._square(min(2 * i, q - 2 * i))
+        trig = fixed_mul(self.four_over_pi2, (2 * s1[0] + s2[0], 2 * s1[1] + s2[1]), bits)
+        # 4/9 - 8x + 15x^2 = (4q^2 - 72iq + 135i^2) / (9q^2)
+        base = fixed_ratio(4 * q * q - 72 * i * q + 135 * i * i, 9 * q * q, bits)
+        quad = fixed_horner(self.quad, fixed_ratio(i, q, bits), bits)
+        return (base[0] + trig[0], base[1] + trig[1]), _diff(trig, quad)
 
 
 def example_curve(grid_size: int = 2048, digits: int = DEFAULT_DIGITS):
-    """Rows (x, f(x), f(x) - f4(x)) over [0, 1/2] for external plotting.
+    """Rows (x, f(x), f(x) - f4(x)) at x = i/(2 grid_size), i = 0..grid_size.
 
     f and f - f4 are enclosed with the fixed-point kernel, the bits
     doubled until each enclosure rounds to a single float, so every
-    value is the correctly rounded one.
+    value is the correctly rounded one, whatever the bits it settles at:
+    the rows do not depend on `digits`, which sets only the cap,
+    `fixed_bits(digits)` * 2**3 bits.  The enclosures start at twice a
+    double's 53-bit significand, 106 fractional bits (`_CURVE_BITS`): a
+    value near 1 then has 53 bits past the ones a double keeps, so only a
+    value within about 2^-53 of a rounding boundary, relative, or far
+    below 1 (f - f4 near x = 0) doubles; on the default grid 10 of the
+    2049 rows do, once.  Each sine is enclosed once per bits: at x = i/q,
+    q = 2 grid_size, sin(2 pi x) = sin(pi j/q) with j = min(2i, q - 2i),
+    which `fixed_sin_cos_pi` reduces to the same arguments, so the
+    grid_size + 1 enclosures of sin(pi j/q) serve both sines of every row.
     """
     require_digits(digits)
-    base = fixed_bits(digits)
+    cap = fixed_bits(digits) << _MAX_DOUBLINGS
+    levels = {}  # bits -> _CurveLevel, for this call only
     rows = []
     for i in range(grid_size + 1):
-        bits = base
+        bits = _CURVE_BITS
         while True:
-            f_enc, gap_enc = _curve_row(i, grid_size, bits)
+            if bits not in levels:
+                levels[bits] = _CurveLevel(grid_size, bits)
+            f_enc, gap_enc = levels[bits].row(i)
             f_val, gap = _fixed_float(f_enc, bits), _fixed_float(gap_enc, bits)
             if f_val is not None and gap is not None:
                 break
-            if bits >= base << _MAX_DOUBLINGS:  # pragma: no cover
+            if bits >= cap:  # pragma: no cover
                 raise ArithmeticError(f"curve value at i={i} not settled at {bits} bits")
             bits *= 2
         rows.append((i / (2 * grid_size), f_val, gap))

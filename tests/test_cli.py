@@ -33,7 +33,7 @@ def test_coeffs_csv_thirty_digits(capsys):
     assert run_cli("coeffs", "--max-j", "1", "--digits", "30", "--format", "csv") == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "j,t_j,trunc_bound"
-    assert lines[1].startswith("1,0.318309886183790671537767526745,")
+    assert lines[1].startswith("1,0.31830988618379067153776752674503,")  # digits + 2
 
 
 @pytest.mark.parametrize("route", ["recurrence", "direct", "bessel"])
@@ -52,8 +52,8 @@ def test_printed_bounds_cover_the_stored_ones(capsys, route, max_j, digits):
 
 @pytest.mark.parametrize("route", ["recurrence", "direct", "bessel"])
 def test_printed_bounds_cover_the_printed_values(capsys, route):
-    # the printed t_j is rounded to --digits digits; its printed bound must
-    # still reach t_j, enclosed here 40 digits tighter
+    # the printed t_j is rounded to --digits + 2 digits; its printed bound
+    # must still reach t_j, enclosed here 40 digits tighter
     for fmt in ("csv", "table"):
         assert run_cli("coeffs", "--max-j", "40", "--digits", "30", "--route", route,
                        "--format", fmt) == 0
@@ -63,6 +63,20 @@ def test_printed_bounds_cover_the_printed_values(capsys, route):
             enc = t_enclosure(j, 70)
             lo, hi = Fraction(*exact_ratio(enc.lo)), Fraction(*exact_ratio(enc.hi))
             assert Fraction(value) - Fraction(bound) <= lo and hi <= Fraction(value) + Fraction(bound), j
+
+
+@pytest.mark.parametrize("route", ["recurrence", "direct", "bessel"])
+def test_printed_bounds_stay_within_the_table_guarantee(capsys, route):
+    # each printed pair keeps the table's 10^-digits relative guarantee
+    for digits in (30, 50):
+        for fmt in ("csv", "table"):
+            assert run_cli("coeffs", "--max-j", "40", "--digits", str(digits), "--route", route,
+                           "--format", fmt) == 0
+            lines = capsys.readouterr().out.splitlines()[1:]
+            assert len(lines) == 40
+            for line in lines:
+                value, bound = (line.split(",") if fmt == "csv" else line.split())[1:]
+                assert Fraction(bound) <= Fraction(value) / 10 ** digits, (digits, line)
 
 
 def test_bound_rounding_runs_on_the_python_3_10_localcontext(monkeypatch):
@@ -371,7 +385,7 @@ def test_env_digits_override(monkeypatch, capsys):
     lines = capsys.readouterr().out.splitlines()
     digits = lines[1].split(",")[1]
     assert digits.startswith("0.3183098861837906715377675267450")
-    assert len(digits) == 2 + 35  # "0." plus 35 significant digits
+    assert len(digits) == 2 + 35 + 2  # "0." plus 35 + 2 significant digits
 
 
 def test_env_digits_invalid_is_precision_error(monkeypatch, capsys):

@@ -137,6 +137,36 @@ def test_poly_eval_contains_point_value():
     assert _holds(enc, Fraction(1, 4), bits) and _holds(enc, Fraction(0), bits)
 
 
+def _horner_reference(coeffs, x, bits):
+    # Horner's rule as one `fixed_mul` per coefficient
+    lo = hi = 0
+    for c_lo, c_hi in reversed(coeffs):
+        lo, hi = fixed_mul((lo, hi), x, bits)
+        lo, hi = lo + c_lo, hi + c_hi
+    return lo, hi
+
+
+def test_fixed_horner_matches_one_fixed_mul_per_coefficient():
+    rng = random.Random(20)
+    for bits in (8, 64, 106, 236):
+        unit = 1 << bits
+        for _ in range(40):
+            coeffs = []
+            for _ in range(rng.randint(0, 17)):
+                lo = rng.randint(-4 * unit, 4 * unit)
+                coeffs.append((lo, lo + rng.randint(0, unit >> 4)))
+            for kind in ("non-negative", "negative", "straddling"):
+                if kind == "non-negative":
+                    x_lo = rng.choice((0, rng.randint(0, 2 * unit)))
+                    x = x_lo, x_lo + rng.randint(0, unit)
+                elif kind == "negative":
+                    x_hi = -rng.randint(1, 2 * unit)
+                    x = x_hi - rng.randint(0, unit), x_hi
+                else:
+                    x = -rng.randint(1, unit), rng.randint(0, unit)
+                assert fixed_horner(coeffs, x, bits) == _horner_reference(coeffs, x, bits), kind
+
+
 def test_centered_form_is_tighter_near_extremum():
     bits = fixed_bits(50)
     coeffs, dcoeffs = _exact_coeffs([1, -2, 1], bits), _exact_coeffs([-2, 2], bits)

@@ -703,24 +703,28 @@ def test_every_report_records_digits_and_grid_reports_their_evidence():
 
 
 def test_example_curve_values_are_correctly_rounded():
-    rows = example_curve(64, 50)
-    with mp.workprec(3 * fixed_bits(50)):
-        pi2 = mp.pi ** 2
-        cs = _brute_y_coefficients(4)
+    # an odd grid too, so that x = i/(2 grid) is not dyadic and sin(2 pi x)
+    # reads the fold j = min(2i, 2 grid - 2i) from both halves of the curve
+    for grid in (64, 37):
+        rows = example_curve(grid, 50)
+        assert all(example_curve(grid, digits) == rows for digits in (30, 100))
+        with mp.workprec(3 * fixed_bits(50)):
+            pi2 = mp.pi ** 2
+            cs = _brute_y_coefficients(4)
 
-        def q(u):
-            y = u * (1 - u)
-            return sum(cj * y ** (j + 1) for j, cj in enumerate(cs))
+            def q(u):
+                y = u * (1 - u)
+                return sum(cj * y ** (j + 1) for j, cj in enumerate(cs))
 
-        for i, (x, f, gap) in enumerate(rows):
-            u = mpf(i) / 128
-            base = mpf(4) / 9 + 15 * u ** 2 - 8 * u
-            s1, s2 = mp.sinpi(u), mp.sinpi(2 * u)
-            f_ref = base + 4 * (2 * s1 ** 2 + s2 ** 2) / pi2
-            gap_ref = 4 * (2 * (s1 ** 2 - q(u) ** 2) + (s2 ** 2 - q(2 * u) ** 2)) / pi2
-            assert (x, f, gap) == (float(u), float(f_ref), float(gap_ref))
-    assert rows[0] == (0.0, 4 / 9, 0.0)
-    assert all(gap >= 0 for _, _, gap in rows)
+            for i, (x, f, gap) in enumerate(rows):
+                u = mpf(i) / (2 * grid)
+                base = mpf(4) / 9 + 15 * u ** 2 - 8 * u
+                s1, s2 = mp.sinpi(u), mp.sinpi(2 * u)
+                f_ref = base + 4 * (2 * s1 ** 2 + s2 ** 2) / pi2
+                gap_ref = 4 * (2 * (s1 ** 2 - q(u) ** 2) + (s2 ** 2 - q(2 * u) ** 2)) / pi2
+                assert (x, f, gap) == (i / (2 * grid), float(f_ref), float(gap_ref)), (grid, i)
+        assert rows[0] == (0.0, 4 / 9, 0.0)
+        assert all(gap >= 0 for _, _, gap in rows)
 
 
 def test_sweep_reports_the_lower_end_and_counts_open_points():
@@ -739,6 +743,11 @@ def test_sweep_reports_the_lower_end_and_counts_open_points():
         assert report.status == "fail" and report.metadata["unresolved_points"] == 1
         assert report.worst_case == ("x=0.125 first", math.nextafter(-1.0, -math.inf))
     # settled negative: no escalation; [-3, -1] / [2, 4] has lower end -3/2
-    assert verify._relative((-3, -1, 2, 4)) == -1.5
-    assert verify._relative((-3, 1, 0, 4)) == -math.inf
-    assert verify._relative((3, 5, 2, 4)) == 0.75
+    assert verify._least_margin([(-3, -1, 2, 4)]) == (True, (0, -1.5))
+    assert verify._least_margin([(-3, 1, 0, 4)]) == (False, (0, -math.inf))
+    assert verify._least_margin([(3, 5, 2, 4)]) == (True, (0, 0.75))
+    # the first of equal margins wins; a quotient past the doubles is +-inf
+    rows = [(3, 5, 2, 4), (-3, -1, 2, 4), (-6, -1, 4, 8), (10 ** 400, 10 ** 401, 1, 1)]
+    assert verify._least_margin(rows) == (True, (1, -1.5))
+    assert verify._least_margin(rows[3:]) == (True, (0, math.inf))
+    assert verify._least_margin([(-10 ** 401, -10 ** 400, 1, 1)]) == (True, (0, -math.inf))
