@@ -230,16 +230,17 @@ _SUITES = ("all", "coeffs", "bracketing", "bessel", "maclaurin", "taylor")
 
 
 def run_suite(suite: str, grid: int, digits: int) -> list[verify.PropertyReport]:
+    funcs = (SIN_PI_X, COS_PI_X) if suite in ("all", "bracketing") else ()
+    j_max = 4 if suite in ("all", "maclaurin") else None
+    # one walk of the grid serves every grid report the suite asks for
+    gridded = verify.check_grid(grid, digits, funcs, 10, j_max) if funcs or j_max else []
     reports = []
     if suite in ("all", "coeffs"):
         reports.append(verify.check_coefficient_bounds(100, digits))
-    if suite in ("all", "bracketing"):
-        reports.append(verify.check_bracketing(SIN_PI_X, 10, grid, digits))
-        reports.append(verify.check_bracketing(COS_PI_X, 10, grid, digits))
+    reports += gridded[:len(funcs)]
     if suite in ("all", "bessel"):
         reports.append(verify.check_bessel_identity(50, digits))
-    if suite in ("all", "maclaurin"):
-        reports.append(verify.check_maclaurin_interleaving(4, grid, digits))
+    reports += gridded[len(funcs):]
     if suite in ("all", "taylor"):
         reports.append(verify.check_taylor_exactness(8, digits))
     return reports

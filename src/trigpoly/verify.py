@@ -10,7 +10,14 @@ prints the smallest lower end over the grid, rounded down.  A point
 whose enclosures leave a sign open is recomputed with twice the bits,
 up to eight times the base; points still open there are counted as
 unresolved.  A grid report passes only if every margin's enclosure is
-positive, so no pass rests on rounding noise.
+positive, so no pass rests on rounding noise.  The three grid reports
+come from one sweep, `check_grid`, over one grid of exact dyadics,
+symmetric about 1/2 (`_grid`): it encloses sin(pi u) and the partial
+sums in y = u(1 - u) once per point of the lower half and per bits.
+bracketing_cos reads those rows at x = u - 1/2 (the cosine grid is the
+sine grid minus 1/2), as cos(pi x) = sin(pi u) and 1/4 - x^2 = u(1 - u);
+both bracketing reports read them again at the mirror 1 - u, and the
+Maclaurin report reads the same sine enclosures.
 
 The coefficient check reads the same kernel's enclosures of
 t_j (2j)! (`fixed_t_scaled`) and reports their lower ends, with no
@@ -34,13 +41,13 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from mpmath import mp, mpf
-from mpmath.libmp import (from_int, mpf_add, mpf_div, mpf_mul, mpf_mul_int, mpf_shift, mpf_sub,
-                          repr_dps, round_nearest)
+from mpmath.libmp import (from_int, from_man_exp, mpf_div, mpf_shift, repr_dps, round_nearest,
+                          to_str)
 
-from .approx import COS_PI_X, DOMAINS, _check_func, sine_monomials
+from .approx import COS_PI_X, _check_func, sine_monomials
 from .coeffs import (c_enclosure, coeff_symbolic, coefficient_table, fixed_at_pi2, poly_mul,
                      poly_sum)
 from .intervals import (
@@ -60,7 +67,7 @@ from .intervals import (
     interval_from_fixed,
     poly_eval_centered,
 )
-from .precision import DEFAULT_DIGITS, require_digits, require_index, to_mpf, working
+from .precision import DEFAULT_DIGITS, require_digits, require_index, working
 
 __all__ = [
     "PositivityProof",
@@ -68,6 +75,7 @@ __all__ = [
     "check_bessel_identity",
     "check_bracketing",
     "check_coefficient_bounds",
+    "check_grid",
     "check_maclaurin_interleaving",
     "check_taylor_exactness",
     "example_curve",
@@ -115,55 +123,72 @@ def reports_to_json(reports) -> str:
     return json.dumps(docs, indent=2, default=str)
 
 
-def _grid(lo, hi, n: int, include_hi: bool = False) -> list[mpf]:
-    """n uniform interior points plus 32 points within 1e-6 of each end.
+def _grid(n: int) -> list[tuple[int, int]]:
+    """The grid checks' sine grid, ascending, as exact ratios (p, q), q a power of two.
 
-    The clustered points probe the high-order zeros at the endpoints,
-    where every quantity under test degenerates.  Uniform point i is
-    lo + (span * i) / (n + 1), each operation rounded to nearest at the
-    context's precision as mpf arithmetic rounds it, on libmp's raw
-    operations.  The points are listed ascending whenever the clustered
-    ones lie outside the uniform ones, so the sort is one linear pass.
+    n uniform interior points i/(n+1) and 32 points within 1e-6 of each
+    end, which probe the high-order zeros at the ends, where every
+    quantity under test degenerates.  The grid is symmetric about 1/2.
+    Its lower half is 1e-6 * 2^-k, k = 31..0, and i/(n+1) for 2i <= n+1,
+    each rounded to nearest at the context's precision as mpf arithmetic
+    rounds it (1/2 itself, for odd n, is exact).  Its upper half is 1 - x
+    for each x below 1/2, exact, with no rounding.  The cosine grid is the
+    sine grid minus 1/2, exact, and the Maclaurin grid adds x = 1; one
+    sweep, `check_grid`, walks the lower half for all three.
     """
     prec = mp.prec
-    lo_v, hi_v = to_mpf(lo)._mpf_, to_mpf(hi)._mpf_
-    span = mpf_sub(hi_v, lo_v, prec, round_nearest)
+    off = mpf("1e-6")._mpf_
+    raw = [mpf_shift(off, -k) for k in range(_CLUSTER)]
     den = from_int(n + 1)
-    # span * 1e-6 / 2**k: the division by 2**k is exact, so a shift
-    off = mpf_mul(span, mpf("1e-6")._mpf_, prec, round_nearest)
-    offs = [mpf_shift(off, -k) for k in range(_CLUSTER)]
-    raw = [mpf_add(lo_v, o, prec, round_nearest) for o in reversed(offs)]
-    raw += [mpf_add(lo_v, mpf_div(mpf_mul_int(span, i, prec, round_nearest), den, prec,
-                                  round_nearest), prec, round_nearest) for i in range(1, n + 1)]
-    raw += [mpf_sub(hi_v, o, prec, round_nearest) for o in offs]
-    if include_hi:
-        raw.append(hi_v)
-    return sorted(map(mp.make_mpf, raw))
+    raw += [mpf_div(from_int(i), den, prec, round_nearest) for i in range(1, (n + 1) // 2 + 1)]
+    # sorted: the clustered points lie below the uniform ones unless n > 10^6
+    lower = [exact_ratio(x) for x in sorted(map(mp.make_mpf, raw))]
+    return lower + [(q - p, q) for p, q in reversed(lower) if 2 * p < q]
+
+
+def _dyadic_text(p: int, q: int) -> str:
+    """p/q, q a power of two, with the digits its own mantissa needs.
+
+    The text parses back to p/q at that mantissa's width; the shifted and
+    mirrored grid points need more bits than the working precision.
+    """
+    x = from_man_exp(p, 1 - q.bit_length())
+    return to_str(x, repr_dps(x[3]))
 
 
 class _Worst:
     """Track the minimum margin and where it happened.
 
-    The first point with the smallest margin wins.  Its label is kept as
-    a format string and its parts, and formatted once, by `where`: a
-    sweep makes thousands of comparisons but reports one label.  mpf
-    parts print with `digits` significant digits (10 by default).
+    The first point with the smallest margin wins; updated in descending
+    x, the last one does, which is the first in ascending x.  Its label
+    is kept as a format string and its parts, and formatted once, by
+    `where`: a sweep makes thousands of comparisons but reports one
+    label.  mpf parts print with `digits` significant digits (10 by
+    default), and a grid point, an exact ratio (p, q), in full.
     """
 
-    def __init__(self, digits: int = 10):
+    def __init__(self, digits: int = 10, descending: bool = False):
         self.margin = None
         self.digits = digits
+        self.descending = descending
         self._label = ("", ())
 
     def update(self, margin, fmt: str, *parts) -> None:
-        if self.margin is None or margin < self.margin:
+        if (self.margin is None or margin < self.margin
+                or (self.descending and margin == self.margin)):
             self.margin = margin
             self._label = (fmt, parts)
+
+    def merge(self, after: "_Worst") -> None:
+        """Fold in the worst of points that all lie above this one's."""
+        if after.margin is not None:
+            self.update(after.margin, after._label[0], *after._label[1])
 
     @property
     def where(self) -> str:
         fmt, parts = self._label
-        return fmt.format(*(mp.nstr(p, self.digits) if isinstance(p, mpf) else p
+        return fmt.format(*(_dyadic_text(*p) if isinstance(p, tuple)
+                            else mp.nstr(p, self.digits) if isinstance(p, mpf) else p
                             for p in parts))
 
     def report(self, property_id: str, metadata: dict) -> PropertyReport:
@@ -253,10 +278,12 @@ def _signs(rows) -> tuple[bool, list]:
 class _Sweep:
     """Fixed-point evaluation of a grid, with per-point precision escalation.
 
-    `settle(evaluate, x)` calls `evaluate(p, q, bits)` at x = p/q, first
-    at the base bits and then with the bits doubled while any returned
-    row's (lo, hi, ...) leaves its sign open, up to the cap; a point
-    still open at the cap is counted as unresolved.
+    `escalate(rows_at, read, weight)` reads `rows_at(bits)`, first at the
+    base bits and then with the bits doubled while any row's (lo, hi, ...)
+    leaves its sign open, up to the cap; a point still open at the cap is
+    counted as unresolved.  `weight` is the number of grid points the rows
+    stand for.  `settle(evaluate, x)`, x an mpf, and
+    `margins(evaluate, labels, (p, q))` read `evaluate(p, q, bits)` at x = p/q.
     """
 
     def __init__(self, digits: int):
@@ -265,40 +292,42 @@ class _Sweep:
         self.cap = self.base << _MAX_DOUBLINGS
         self.escalated = 0
         self.unresolved = 0
-        self.worst = _Worst(repr_dps(mp.prec))  # labels print x in full
+        self.worst = _Worst()
 
-    def _settle(self, evaluate, x, read):
+    def escalate(self, rows_at, read, weight: int = 1):
         # read(rows) -> (settled, result); the result at the last bits tried
-        p, q = exact_ratio(x)
         bits = self.base
-        settled, out = read(evaluate(p, q, bits))
+        settled, out = read(rows_at(bits))
         while not settled:
             if bits >= self.cap:
-                self.unresolved += 1
+                self.unresolved += weight
                 break
             bits *= 2
-            settled, out = read(evaluate(p, q, bits))
+            settled, out = read(rows_at(bits))
         if bits > self.base:
-            self.escalated += 1
+            self.escalated += weight
             self.top = max(self.top, bits)
         return out
 
     def settle(self, evaluate, x) -> list:
-        return self._settle(evaluate, x, _signs)
+        p, q = exact_ratio(x)
+        return self.escalate(lambda bits: evaluate(p, q, bits), _signs)
 
-    def margins(self, evaluate, labels, x) -> None:
-        """Fold in a point's margin rows, labelled by `labels` (format, parts...)."""
-        i, least = self._settle(evaluate, x, _least_margin)
+    def margins(self, evaluate, labels, point, worst: _Worst | None = None) -> None:
+        """Fold a point's margin rows, labelled by `labels` (format, parts...), into `worst`."""
+        p, q = point
+        i, least = self.escalate(lambda bits: evaluate(p, q, bits), _least_margin)
         # rounding the nearest quotient down one step gives a lower bound
-        self.worst.update(math.nextafter(least, -math.inf), *labels[i], x)
+        (worst or self.worst).update(math.nextafter(least, -math.inf), *labels[i], point)
 
-    def report(self, property_id: str, metadata: dict) -> PropertyReport:
-        report = self.worst.report(
+    def report(self, property_id: str, metadata: dict, worst: _Worst | None = None,
+               evidence: str = _EVIDENCE) -> PropertyReport:
+        report = (worst or self.worst).report(
             property_id,
             {
                 **metadata,
                 "digits": self.digits,
-                "evidence": _EVIDENCE,
+                "evidence": evidence,
                 "margin": "lower end of difference / leading term",
                 "base_bits": self.base,
                 "max_bits": self.top,
@@ -307,6 +336,43 @@ class _Sweep:
             },
         )
         return dataclasses.replace(report, status="fail") if self.unresolved else report
+
+
+def _bracketing_rows(m_max: int, sine, p: int, q: int, bits: int) -> list:
+    """Margin rows (difference lo, hi, leading term lo, hi) of the bracketing at u = p/q.
+
+    `sine(bits)` encloses sin(pi u).
+    """
+    coeffs = _fixed_coefficients(m_max + 2, bits)
+    sums, terms = fixed_partial_sums(coeffs, fixed_y(p, q, bits, False), bits)
+    ref_lo, ref_hi = sine(bits)
+    rows = [(ref_lo - sums[0][1], ref_hi - sums[0][0], *terms[1])]
+    for m in range(1, m_max + 1):
+        (lo, hi), (prev_lo, prev_hi) = sums[m], sums[m - 1]
+        rows.append((lo - prev_hi, hi - prev_lo, *terms[m]))
+        rows.append((ref_lo - hi, ref_hi - lo, *terms[m + 1]))
+    return rows
+
+
+def _maclaurin_rows(j_max: int, sine, p: int, q: int, bits: int) -> list:
+    """Margin rows of the Maclaurin sub-chains at x = p/q; `sine(bits)` encloses sin(pi x)."""
+    sums, mags = fixed_maclaurin(p, q, 2 * j_max + 2, bits)
+    ref = sine(bits)
+    rows = []
+    for j in range(1, j_max + 1):
+        rows += [
+            (*_diff(sums[2 * j + 1], sums[2 * j - 1]), *mags[2 * j]),
+            (*_diff(ref, sums[2 * j + 1]), *mags[2 * j + 2]),
+            (*_diff(sums[2 * j], ref), *mags[2 * j + 1]),
+            (*_diff(sums[2 * j - 2], ref), *mags[2 * j - 1]),
+        ]
+    return rows
+
+
+_GRID_NOTE = ("sine grid symmetric about 1/2, its upper half 1 - x of the lower; "
+              "cosine grid = sine grid - 1/2; Maclaurin grid = sine grid and x = 1")
+_SHIFT_EVIDENCE = (f"{_EVIDENCE} of the sine rows at u = x + 1/2: "
+                   "cos(pi x) = sin(pi u) and 1/4 - x^2 = u(1 - u)")
 
 
 def check_bracketing(
@@ -318,37 +384,96 @@ def check_bracketing(
     P_m < P_{m+1} (margin scaled by c_{m+1} y^{m+1}) and
     P_{m+1} < target (scaled by c_{m+2} y^{m+2}), with the exact
     coefficients and the target from its alternating Maclaurin series.
+    The sweep of `check_grid`, asked for this one report.
+    """
+    return check_grid(grid_size, digits, (func,), m_max)[0]
+
+
+def check_grid(
+    grid_size: int,
+    digits: int = DEFAULT_DIGITS,
+    bracketing: tuple[str, ...] = (),
+    m_max: int = 10,
+    j_max: int | None = None,
+) -> list[PropertyReport]:
+    """The grid reports asked for, from one walk of the grid (`_grid`).
+
+    `bracketing` names the functions whose `check_bracketing` report is
+    wanted, up to m_max; j_max asks for `check_maclaurin_interleaving`'s.
+    The reports come in that order.
+
+    The walk visits the sine grid's lower half, u = p/q <= 1/2, once.  At
+    each point and bits it encloses sin(pi u) once, and y = u(1 - u) and
+    the partial sums once.  Those rows are every bracketing report's:
+    bracketing_sin at 1 - u is the same statement, as y and sin(pi u) are
+    symmetric about 1/2, and so is bracketing_cos at x = u - 1/2, as
+    cos(pi x) = sin(pi u) and 1/4 - x^2 = u(1 - u).  A point below 1/2
+    therefore counts twice in escalated_points and unresolved_points.  The
+    Maclaurin report reads the same sine enclosures at u and at 1 - u,
+    with its partial sums at each and its own escalation.  Each report
+    keeps the first of equal margins in ascending x.  Nothing computed
+    outlives the call, and no point's rows outlive its visit.
     """
     require_digits(digits)
-    if m_max < 2:
+    for func in bracketing:
+        _check_func(func)
+    if bracketing and m_max < 2:
         raise ValueError("m_max must be >= 2")
-    _check_func(func)
-    is_cos = func == COS_PI_X
+    if j_max is not None and j_max < 1:
+        raise ValueError("j_max must be >= 1")
 
-    labels = [("m=1 x={} delta",)]
+    bracket_labels = [("m=1 x={} delta",)]
     for m in range(1, m_max + 1):
-        labels += [("m={} x={} chain", m), ("m={} x={} delta", m + 1)]
-
-    def evaluate(p, q, bits):
-        coeffs = _fixed_coefficients(m_max + 2, bits)
-        sums, terms = fixed_partial_sums(coeffs, fixed_y(p, q, bits, is_cos), bits)
-        ref_lo, ref_hi = fixed_sin_cos_pi(p, q, bits, is_cos)
-        # rows (difference lo, hi, leading term lo, hi), in `labels` order
-        rows = [(ref_lo - sums[0][1], ref_hi - sums[0][0], *terms[1])]
-        for m in range(1, m_max + 1):
-            (lo, hi), (prev_lo, prev_hi) = sums[m], sums[m - 1]
-            rows.append((lo - prev_hi, hi - prev_lo, *terms[m]))
-            rows.append((ref_lo - hi, ref_hi - lo, *terms[m + 1]))
-        return rows
+        bracket_labels += [("m={} x={} chain", m), ("m={} x={} delta", m + 1)]
+    mac_labels = [("j={} x={} " + kind, j) for j in range(1, (j_max or 0) + 1)
+                  for kind in ("even-step", "even-below", "odd-above", "prev-odd-above")]
 
     with working(digits):
-        sweep = _Sweep(digits)
-        for x in _grid(*DOMAINS[func], grid_size):
-            sweep.margins(evaluate, labels, x)
-    return sweep.report(
-        f"bracketing_{'cos' if is_cos else 'sin'}",
-        {"m_max": m_max, "grid_size": grid_size},
-    )
+        bracket, mac = _Sweep(digits), _Sweep(digits)
+        worsts = {func: _Worst() for func in bracketing}
+        above = _Worst(descending=True)  # Maclaurin above 1/2, visited downwards
+        if j_max:  # x = 1 tops the Maclaurin grid: first on the way down
+            mac.margins(partial(_maclaurin_rows, j_max, partial(fixed_sin_cos_pi, 1, 1)),
+                        mac_labels, (1, 1), above)
+        points = _grid(grid_size)
+        for p, q in points[:(len(points) + 1) // 2]:
+            # sin(pi u), enclosed once per bits, for this point's visit only
+            sine = lru_cache(maxsize=None)(partial(fixed_sin_cos_pi, p, q))
+            mirrored = 2 * p < q
+            if bracketing:
+                i, least = bracket.escalate(partial(_bracketing_rows, m_max, sine, p, q),
+                                            _least_margin, 1 + mirrored)
+                # rounding the nearest quotient down one step gives a lower bound
+                margin = math.nextafter(least, -math.inf)
+                for func, worst in worsts.items():
+                    x = (2 * p - q, 2 * q) if func == COS_PI_X else (p, q)
+                    worst.update(margin, *bracket_labels[i], x)
+            if j_max:
+                evaluate = partial(_maclaurin_rows, j_max, sine)
+                mac.margins(evaluate, mac_labels, (p, q))
+                if mirrored:
+                    mac.margins(evaluate, mac_labels, (q - p, q), above)
+        mac.worst.merge(above)
+        thresholds = _chain_thresholds(mac, j_max) if j_max else None
+
+    reports = [
+        bracket.report(f"bracketing_{'cos' if func == COS_PI_X else 'sin'}",
+                       {"m_max": m_max, "grid_size": grid_size, "grid": _GRID_NOTE},
+                       worsts[func], _SHIFT_EVIDENCE if func == COS_PI_X else _EVIDENCE)
+        for func in bracketing
+    ]
+    if j_max:
+        reports.append(mac.report(
+            "maclaurin_interleaving",
+            {
+                "j_max": j_max,
+                "grid_size": grid_size,
+                "grid": _GRID_NOTE,
+                "asserted": "sub-chains on (0,1]",
+                "five_way_chain_valid_for": thresholds,
+            },
+        ))
+    return reports
 
 
 def check_bessel_identity(j_max: int, digits: int = DEFAULT_DIGITS) -> PropertyReport:
@@ -411,70 +536,41 @@ def check_maclaurin_interleaving(
     five-way chain with S_{2j-1} < S_{2j+1} needs (pi x)^2 > 4j(4j+1)
     and so holds for no x in (0, 1]; its empirical validity threshold is
     measured on a wider grid and reported in the metadata instead of
-    being asserted.
+    being asserted.  The sweep of `check_grid`, asked for this one report.
     """
-    require_digits(digits)
-    if j_max < 1:
-        raise ValueError("j_max must be >= 1")
+    return check_grid(grid_size, digits, j_max=j_max)[0]
 
-    labels = []
-    for j in range(1, j_max + 1):
-        labels += [("j={} x={} " + kind, j)
-                   for kind in ("even-step", "even-below", "odd-above", "prev-odd-above")]
 
-    def evaluate(p, q, bits):
-        sums, mags = fixed_maclaurin(p, q, 2 * j_max + 2, bits)
-        ref = fixed_sin_cos_pi(p, q, bits)
-        # rows (difference lo, hi, leading term lo, hi), in `labels` order
-        rows = []
-        for j in range(1, j_max + 1):
-            rows += [
-                (*_diff(sums[2 * j + 1], sums[2 * j - 1]), *mags[2 * j]),
-                (*_diff(ref, sums[2 * j + 1]), *mags[2 * j + 2]),
-                (*_diff(sums[2 * j], ref), *mags[2 * j + 1]),
-                (*_diff(sums[2 * j - 2], ref), *mags[2 * j - 1]),
-            ]
-        return rows
+def _chain_thresholds(sweep: _Sweep, j_max: int) -> dict:
+    """Where the five-way chain's S_{2j-1} < S_{2j+1} starts to hold, on a scan of (0, 3]."""
 
     def chain_steps(p, q, bits):
         # S_{2j+1} - S_{2j-1} for j = 1..j_max
         sums, _ = fixed_maclaurin(p, q, 2 * j_max + 1, bits)
         return [_diff(sums[2 * j], sums[2 * j - 2]) for j in range(1, j_max + 1)]
 
-    with working(digits):
-        sweep = _Sweep(digits)
-        for x in _grid(0, 1, grid_size, include_hi=True):
-            sweep.margins(evaluate, labels, x)
-        # cuts[j]: the largest scan point where S_{2j+1} <= S_{2j-1}; one
-        # downward walk settles every j, each at its first such point
-        scan = [mpf(3) * i / 600 for i in range(1, 601)]
-        cuts = {}
-        for x in reversed(scan):
-            steps = sweep.settle(chain_steps, x)
-            for j in range(1, j_max + 1):
-                if j not in cuts and steps[j - 1][1] < 0:
-                    cuts[j] = x
-            if len(cuts) == j_max:
-                break
-        thresholds = {}
+    # cuts[j]: the largest scan point where S_{2j+1} <= S_{2j-1}; one
+    # downward walk settles every j, each at its first such point
+    scan = [mpf(3) * i / 600 for i in range(1, 601)]
+    cuts = {}
+    for x in reversed(scan):
+        steps = sweep.settle(chain_steps, x)
         for j in range(1, j_max + 1):
-            cut = cuts.get(j)
-            theo = mp.sqrt(4 * j * (4 * j + 1)) / mp.pi
-            # cut == top of scan means the chain never became valid in range
-            found = cut is not None and cut < scan[-1]
-            thresholds[f"j={j}"] = {
-                "empirical_x_above": float(cut) if found else None,
-                "theoretical_x": float(theo),
-            }
-    return sweep.report(
-        "maclaurin_interleaving",
-        {
-            "j_max": j_max,
-            "grid_size": grid_size,
-            "asserted": "sub-chains on (0,1]",
-            "five_way_chain_valid_for": thresholds,
-        },
-    )
+            if j not in cuts and steps[j - 1][1] < 0:
+                cuts[j] = x
+        if len(cuts) == j_max:
+            break
+    thresholds = {}
+    for j in range(1, j_max + 1):
+        cut = cuts.get(j)
+        theo = mp.sqrt(4 * j * (4 * j + 1)) / mp.pi
+        # cut == top of scan means the chain never became valid in range
+        found = cut is not None and cut < scan[-1]
+        thresholds[f"j={j}"] = {
+            "empirical_x_above": float(cut) if found else None,
+            "theoretical_x": float(theo),
+        }
+    return thresholds
 
 
 def _sin_monomial(n: int) -> tuple:

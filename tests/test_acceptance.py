@@ -107,11 +107,12 @@ def _partial_sums_at(poly_coeffs, y):
 def _bound_validity_sweep(func, m_max, grid_size):
     top = build_poly(func, m_max, DIGITS)
     is_cos = func == COS_PI_X
-    lo, hi = (mpf(-1) / 2, mpf(1) / 2) if is_cos else (mpf(0), mpf(1))
     with working(DIGITS):
         slack = mpf(10) ** -(DIGITS - 10)
         pi2 = mp.pi ** 2
-        for x in _grid(lo, hi, grid_size):
+        # the checks' grid: the cosine one is the sine one minus 1/2
+        for p, q in _grid(grid_size):
+            x = mpf(2 * p - q) / (2 * q) if is_cos else mpf(p) / q
             y = top.y_of_hp(x)
             ref = mp.cos(mp.pi * x) if is_cos else mp.sin(mp.pi * x)
             sums = _partial_sums_at(top.hp_coeffs, y)

@@ -356,6 +356,42 @@ def test_verify_bessel_suite_at_thirty_digits(capsys):
     assert capsys.readouterr().out.startswith("bessel_identity,pass,")
 
 
+def _report_lines(reports):
+    return [cli.verify.report_line(r) for r in reports]
+
+
+def test_subset_suites_match_the_all_suite():
+    # the one grid walk, asked for a subset of its reports, gives the same reports
+    every = {r.property_id: r for r in cli.run_suite("all", 64, 50)}
+    for suite, ids in (("bracketing", ["bracketing_sin", "bracketing_cos"]),
+                       ("maclaurin", ["maclaurin_interleaving"])):
+        reports = cli.run_suite(suite, 64, 50)
+        assert [r.property_id for r in reports] == ids
+        assert reports == [every[i] for i in ids]
+        assert _report_lines(reports) == _report_lines(every[i] for i in ids)
+
+
+def test_run_suite_keeps_no_state_between_calls(monkeypatch):
+    # a second call must read the coefficients afresh: with c_3 raised by
+    # 1e-30 (as in test_nudged_coefficient_fails_bracketing) both bracketing
+    # reports fail, with a negative delta margin
+    assert all(r.passed for r in cli.run_suite("all", 64, 50))
+    original = cli.verify._fixed_coefficients
+
+    def nudged(n, bits):
+        coeffs = list(original(n, bits))
+        bump = (1 << bits) // 10 ** 30 + 1
+        coeffs[2] = (coeffs[2][0] + bump, coeffs[2][1] + bump)
+        return tuple(coeffs)
+
+    monkeypatch.setattr(cli.verify, "_fixed_coefficients", nudged)
+    reports = {r.property_id: r for r in cli.run_suite("all", 64, 50)}
+    for name in ("bracketing_sin", "bracketing_cos"):
+        where, margin = reports[name].worst_case
+        assert reports[name].status == "fail" and margin < 0 and " delta" in where, name
+    assert reports["maclaurin_interleaving"].passed
+
+
 # --- bench --------------------------------------------------------------------------
 
 def test_bench_csv(tmp_path):

@@ -1,16 +1,17 @@
 import dataclasses
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpf
-from mpmath.libmp import repr_dps
 
 import trigpoly.approx as approx
+import trigpoly.cli as cli
 import trigpoly.coeffs as coeffs
 import trigpoly.verify as verify
-from trigpoly.approx import COS_PI_X, DOMAINS, SIN_PI_X, build_poly, maclaurin_eval
+from trigpoly.approx import COS_PI_X, SIN_PI_X, build_poly, maclaurin_eval
 from trigpoly.coeffs import (
     c_enclosure,
     coeff_recurrence,
@@ -23,6 +24,8 @@ from trigpoly.intervals import (
     fixed_bits,
     fixed_from_interval,
     fixed_horner,
+    fixed_sin_cos_pi,
+    fixed_y,
     interval_from_fixed,
     poly_eval_centered,
 )
@@ -498,11 +501,18 @@ def _maclaurin_from_scratch(m, x):
 BRUTE_PREC = 3 * (fixed_bits(50) << verify._MAX_DOUBLINGS)
 
 
-def _grid_points(lo, hi, n, include_hi=False):
-    # the checks' grid at 50 digits, each point with its label text
+def _grid_points(n, func=SIN_PI_X, include_one=False):
+    # the checks' grid at 50 digits, each point exact with its label text: the
+    # sine grid, the cosine grid (the sine grid minus 1/2), or the sine grid
+    # and x = 1 (the Maclaurin grid)
     with working(50):
-        digits = repr_dps(mp.prec)
-        return [(x, mp.nstr(x, digits)) for x in verify._grid(lo, hi, n, include_hi)]
+        ratios = verify._grid(n)
+    if func == COS_PI_X:
+        ratios = [(2 * p - q, 2 * q) for p, q in ratios]
+    if include_one:
+        ratios.append((1, 1))
+    with mp.workprec(BRUTE_PREC):  # exact: no point needs as many bits
+        return [(mpf(p) / q, verify._dyadic_text(p, q)) for p, q in ratios]
 
 
 def _brute_y_coefficients(n):
@@ -527,7 +537,7 @@ def test_maclaurin_worst_case_matches_brute_force():
     j_max, grid = 4, 64
     rows = {}
     with mp.workprec(BRUTE_PREC):
-        for x, xs in _grid_points(0, 1, grid, include_hi=True):
+        for x, xs in _grid_points(grid, include_one=True):
             t = mp.pi * x
             terms = [(-1) ** k * t ** (2 * k + 1) / mp.factorial(2 * k + 1)
                      for k in range(2 * j_max + 3)]
@@ -553,7 +563,7 @@ def test_bracketing_worst_case_matches_brute_force(func):
     rows = {}
     with mp.workprec(BRUTE_PREC):
         c = _brute_y_coefficients(m_max + 2)
-        for x, xs in _grid_points(*DOMAINS[func], grid):
+        for x, xs in _grid_points(grid, func):
             y = mp.mpf(1) / 4 - x * x if func == COS_PI_X else x * (1 - x)
             terms = [cj * y ** (j + 1) for j, cj in enumerate(c)]  # terms[j] = c_{j+1} y^{j+1}
             sums = [mp.fsum(terms[:j + 1]) for j in range(len(terms))]
@@ -572,13 +582,32 @@ def test_bracketing_worst_case_matches_brute_force(func):
     assert margin > 0.99
 
 
+def _parses_back(text, x):
+    # the label parses back to x at the width of x's own mantissa
+    with mp.workprec(max(x._mpf_[3], 1)):
+        return mpf(text) == x
+
+
 def test_grid_reports_print_x_in_full():
-    report = check_bracketing(SIN_PI_X, 10, 64, 50)
-    x_text = report.worst_case[0].split("x=")[1].split()[0]
-    points = [x for x, _ in _grid_points(*DOMAINS[SIN_PI_X], 64)]
+    for func in (SIN_PI_X, COS_PI_X):
+        report = check_bracketing(func, 10, 64, 50)
+        x_text = report.worst_case[0].split("x=")[1].split()[0]
+        assert [x for x, _ in _grid_points(64, func) if _parses_back(x_text, x)], x_text
+        assert len(x_text) > 60
+    # the cosine grid's points, and the sine grid's above 1/2, need more
+    # bits than the working precision; each label still parses back
+    for func in (SIN_PI_X, COS_PI_X):
+        for x, text in _grid_points(64, func):
+            assert _parses_back(text, x), text
     with working(50):
-        assert mpf(x_text) in points
-    assert len(x_text) > 60
+        p, q = verify._grid(64)[-1]  # 1 - 1e-6 * 2^-31, exact
+        sweep = verify._Sweep(50)
+        sweep.margins(lambda p, q, bits: [(-1, -1, 1, 1)], [("x={} first",)], (p, q))
+    x_text = sweep.report("t", {}).worst_case[0].split("x=")[1].split()[0]
+    with mp.workprec(BRUTE_PREC):
+        x = mpf(p) / q
+    assert x_text.startswith("0.99999999999999") and _parses_back(x_text, x)
+    assert x._mpf_[3] > fixed_bits(50)
 
 
 def test_maclaurin_thresholds_match_per_j_scan():
@@ -606,6 +635,17 @@ def test_worst_keeps_the_first_of_equal_margins():
     assert worst.where == "j=2 x=0.3333333333 b"
     report = worst.report("demo", {})
     assert report.worst_case == ("j=2 x=0.3333333333 b", 1.0)
+    # visited in descending x, the last of equal margins is the first in
+    # ascending x; merged after, the points above lose ties
+    above = verify._Worst(descending=True)
+    for x in ((7, 8), (3, 4), (5, 8)):
+        above.update(1.0, "x={} d", x)
+    assert above.where == "x=0.625 d"
+    worst.merge(above)
+    assert worst.where == "j=2 x=0.3333333333 b"
+    above.update(0.25, "x={} e", (9, 16))
+    worst.merge(above)
+    assert (worst.where, worst.margin) == ("x=0.5625 e", 0.25)
 
 
 def test_example_polynomial_builds_each_y_coefficient_once(monkeypatch):
@@ -695,11 +735,15 @@ def test_every_report_records_digits_and_grid_reports_their_evidence():
     assert all(r.metadata["evidence"] and "tolerance" not in r.metadata for r in reports)
     for r in reports[1:3] + reports[4:5]:
         meta = r.metadata
-        assert meta["evidence"] == "outward-rounded fixed-point enclosure"
+        assert meta["evidence"].startswith("outward-rounded fixed-point enclosure")
+        assert "symmetric about 1/2" in meta["grid"] and "sine grid - 1/2" in meta["grid"]
         assert meta["base_bits"] == fixed_bits(40) <= meta["max_bits"]
         assert meta["unresolved_points"] == 0
         assert meta["escalated_points"] > 0
         assert r.passed and r.worst_case[1] > 0
+    # bracketing_cos reads the sine rows shifted by 1/2, and says so
+    assert reports[1].metadata["evidence"] == reports[4].metadata["evidence"]
+    assert "cos(pi x) = sin(pi u)" in reports[2].metadata["evidence"]
 
 
 def test_example_curve_values_are_correctly_rounded():
@@ -727,16 +771,75 @@ def test_example_curve_values_are_correctly_rounded():
         assert all(gap >= 0 for _, _, gap in rows)
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_cosine_kernel_path_overlaps_the_shifted_sine_path(seed):
+    # the grid checks read cos(pi x) as sin(pi u), u = x + 1/2; the cosine
+    # kernel path (fixed_y and fixed_sin_cos_pi with cos=True) must agree
+    rng = random.Random(f"cos-kernel/{seed}")
+    points = [(-1, 2), (0, 1), (1, 2)]
+    for _ in range(40):
+        k = rng.randint(1, 80)
+        points.append((rng.randint(-(1 << k - 1), 1 << k - 1), 1 << k))
+    for p, q in points:
+        u = Fraction(2 * p + q, 2 * q)
+        bits = fixed_bits(50) << rng.randint(0, verify._MAX_DOUBLINGS)
+        scale = Fraction(1, 1 << bits)
+        for cos_enc, sin_enc in (
+            (fixed_y(p, q, bits, True), fixed_y(u.numerator, u.denominator, bits, False)),
+            (fixed_sin_cos_pi(p, q, bits, cos=True),
+             fixed_sin_cos_pi(u.numerator, u.denominator, bits)),
+        ):
+            assert max(cos_enc[0], sin_enc[0]) <= min(cos_enc[1], sin_enc[1]), (p, q, bits)
+        y_lo, y_hi = fixed_y(p, q, bits, True)
+        assert y_lo * scale <= Fraction(1, 4) - Fraction(p, q) ** 2 <= y_hi * scale
+        c_lo, c_hi = fixed_sin_cos_pi(p, q, bits, cos=True)
+        with mp.workprec(bits + 64):
+            ref = mp.cospi(mpf(p) / q)
+            assert mpf(c_lo) / (1 << bits) <= ref <= mpf(c_hi) / (1 << bits), (p, q, bits)
+
+
+def test_verify_all_encloses_each_sine_row_once(monkeypatch):
+    # one fixed_sin_cos_pi per grid point and bits (a point and its mirror
+    # 1 - x share one), one fixed_partial_sums per distinct y and bits, and
+    # no cosine kernel call
+    calls = {"sine": [], "sums": [], "y": []}
+
+    def counted(name, fn, key):
+        def wrapper(*args):
+            calls[name].append(key(*args))
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(verify, "fixed_sin_cos_pi", counted(
+        "sine", verify.fixed_sin_cos_pi,
+        lambda p, q, bits, cos=False: (min(Fraction(p, q), 1 - Fraction(p, q)), bits, cos)))
+    monkeypatch.setattr(verify, "fixed_partial_sums", counted(
+        "sums", verify.fixed_partial_sums, lambda coeffs, y, bits: (y, bits)))
+    monkeypatch.setattr(verify, "fixed_y", counted(
+        "y", verify.fixed_y, lambda p, q, bits, cos: cos))
+    reports = cli.run_suite("all", 64, 50)
+    assert all(r.passed for r in reports)
+    assert len(set(calls["sine"])) == len(calls["sine"])
+    assert len(set(calls["sums"])) == len(calls["sums"])
+    assert not any(cos for _, _, cos in calls["sine"]) and not any(calls["y"])
+    # at the base bits: every point of the sine grid's lower half, and x = 1
+    with working(50):
+        lower = {min(Fraction(p, q), 1 - Fraction(p, q)) for p, q in verify._grid(64)}
+    base = fixed_bits(50)
+    assert {x for x, bits, _ in calls["sine"] if bits == base} == lower | {0}
+    assert sum(bits == base for _, bits in calls["sums"]) == len(lower)
+
+
 def test_sweep_reports_the_lower_end_and_counts_open_points():
     labels = [("x={} first",), ("x={} second",)]
     with working(50):
         sweep = verify._Sweep(50)
         # settled at the base bits: [1, 3] / [1, 2] has lower end 1/2
-        sweep.margins(lambda p, q, bits: [(5, 6, 1, 1), (1, 3, 1, 2)], labels, mpf(1) / 4)
+        sweep.margins(lambda p, q, bits: [(5, 6, 1, 1), (1, 3, 1, 2)], labels, (1, 4))
         assert (sweep.escalated, sweep.unresolved) == (0, 0)
         assert sweep.worst.margin == math.nextafter(0.5, 0) and sweep.report("t", {}).passed
         # open at every precision: counted, and the report fails
-        sweep.margins(lambda p, q, bits: [(-1, 1, 1, 1), (1, 1, 1, 1)], labels, mpf(1) / 8)
+        sweep.margins(lambda p, q, bits: [(-1, 1, 1, 1), (1, 1, 1, 1)], labels, (1, 8))
         assert (sweep.escalated, sweep.unresolved) == (1, 1)
         assert sweep.top == sweep.cap == fixed_bits(50) << verify._MAX_DOUBLINGS
         report = sweep.report("t", {})
