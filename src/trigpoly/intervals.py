@@ -13,11 +13,15 @@ sin/cos(pi x) and polynomials over dyadic tiles.  The weights, sin/cos,
 T_j(z) and J_{j-1/2}(x) are one alternating series, each term the last
 times z/((2k+a)(2k+b)), summed by the one loop `fixed_series`; its terms
 may grow before they fall.  `fixed_t_scaled`, `fixed_maclaurin` and
-`fixed_sin_cos_pi` only set up its arguments, and `series_interval`
-scales its first term to one unit and multiplies the sum by the first
-term's mpf enclosure, so a first term far below any fixed-point unit
-keeps its relative precision.  `fixed_horner` is the one Horner loop on
-enclosures.
+`fixed_sin_cos_pi` only set up its arguments.  `fixed_sin_maclaurin` is
+one pass that gives both the first Maclaurin partial sums of sin(pi x)
+and the enclosure of the whole sum: it reads the whole sum's stop off
+the terms already summed, or sums on from the last of them, the rest of
+a series from term n being the same series with a and b raised by 2n.
+`series_interval` scales its first term to one unit and multiplies the
+sum by the first term's mpf enclosure, so a first term far below any
+fixed-point unit keeps its relative precision.  `fixed_horner` is the
+one Horner loop on enclosures.
 """
 
 from __future__ import annotations
@@ -366,6 +370,31 @@ def fixed_maclaurin(p: int, q: int, n: int, bits: int, odd: bool = True):
     if p < 0:
         raise ValueError("the series are summed for x >= 0")
     return fixed_series(*_fixed_sin_cos_args(p, q, bits, odd), bits, n)
+
+
+def fixed_sin_maclaurin(p: int, q: int, n: int, bits: int):
+    """One pass down sin(pi x)'s Maclaurin series at x = p/q >= 0: (sums, mags, sine).
+
+    sums and mags are `fixed_maclaurin(p, q, n, bits)`'s.  sine encloses
+    sin(pi x): the series stopped, and its tail bounded, by `fixed_series`'s
+    rule for the whole sum, read off the n terms already summed when it
+    stops among them, and otherwise summed on from term n by `fixed_series`
+    (the terms from n are its series with a + 2n and b + 2n).  Either way
+    it is bit for bit `fixed_series`'s whole sum, so for x <= 1/4, where
+    `fixed_sin_cos_pi` reduces nothing, it is that function's enclosure.
+    """
+    if p < 0:
+        raise ValueError("the series are summed for x >= 0")
+    first, z, a, b = _fixed_sin_cos_args(p, q, bits, True)
+    sums, mags = fixed_series(first, z, a, b, bits, n)
+    units = z[1] >> bits
+    for k, (_, u_hi) in enumerate(mags):
+        if u_hi <= 1 and units < (2 * k + a) * (2 * k + b):  # fixed_series' stop at term k
+            s_lo, s_hi = sums[k - 1] if k else (0, 0)
+            return sums, mags, (s_lo, s_hi + u_hi) if k % 2 == 0 else (s_lo - u_hi, s_hi)
+    s_lo, s_hi = sums[n - 1] if n else (0, 0)
+    t_lo, t_hi = fixed_series(mags[n], z, a + 2 * n, b + 2 * n, bits)
+    return sums, mags, (s_lo + t_lo, s_hi + t_hi) if n % 2 == 0 else (s_lo - t_hi, s_hi - t_lo)
 
 
 def fixed_t_scaled(j: int, bits: int) -> tuple[int, int]:

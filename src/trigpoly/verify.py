@@ -12,12 +12,14 @@ up to eight times the base; points still open there are counted as
 unresolved.  A grid report passes only if every margin's enclosure is
 positive, so no pass rests on rounding noise.  The three grid reports
 come from one sweep, `check_grid`, over one grid of exact dyadics,
-symmetric about 1/2 (`_grid`): it encloses sin(pi u) and the partial
-sums in y = u(1 - u) once per point of the lower half and per bits.
-bracketing_cos reads those rows at x = u - 1/2 (the cosine grid is the
-sine grid minus 1/2), as cos(pi x) = sin(pi u) and 1/4 - x^2 = u(1 - u);
-both bracketing reports read them again at the mirror 1 - u, and the
-Maclaurin report reads the same sine enclosures.
+symmetric about 1/2 (`_grid`).  At each point u of the lower half and
+per bits, one pass down sin's Maclaurin series (`fixed_sin_maclaurin`)
+encloses sin(pi u) and the Maclaurin partial sums, and the partial sums
+in y = u(1 - u) are enclosed once.  bracketing_cos reads those rows at
+x = u - 1/2 (the cosine grid is the sine grid minus 1/2), as
+cos(pi x) = sin(pi u) and 1/4 - x^2 = u(1 - u); both bracketing reports
+read them again at the mirror 1 - u, and the Maclaurin report reads the
+same sine there.  Each margin is folded as it is formed (`_fold`).
 
 The coefficient check reads the same kernel's enclosures of
 t_j (2j)! (`fixed_t_scaled`) and reports their lower ends, with no
@@ -31,7 +33,8 @@ enclosure is positive and stops at one whose enclosure is negative.  It
 can return "inconclusive" or a refutation, never a false positive.  The
 worked example's polynomial f4 is exact in Q[pi^2] (`sine_monomials(4)`)
 and enclosed once per bits; `example_curve` computes f - f4 from that
-same polynomial, and its values are correctly rounded floats.
+same polynomial, its quadratic part by exact integer Horner and its
+sines from two angle tables, and its values are correctly rounded floats.
 """
 
 from __future__ import annotations
@@ -50,23 +53,10 @@ from mpmath.libmp import (from_int, from_man_exp, mpf_div, mpf_shift, repr_dps, 
 from .approx import COS_PI_X, _check_func, sine_monomials
 from .coeffs import (c_enclosure, coeff_symbolic, coefficient_table, fixed_at_pi2, poly_mul,
                      poly_sum)
-from .intervals import (
-    IntervalValue,
-    exact_ratio,
-    fixed_bits,
-    fixed_from_interval,
-    fixed_horner,
-    fixed_maclaurin,
-    fixed_mul,
-    fixed_partial_sums,
-    fixed_pi,
-    fixed_ratio,
-    fixed_sin_cos_pi,
-    fixed_t_scaled,
-    fixed_y,
-    interval_from_fixed,
-    poly_eval_centered,
-)
+from .intervals import (IntervalValue, exact_ratio, fixed_bits, fixed_from_interval,
+                        fixed_maclaurin, fixed_mul, fixed_partial_sums, fixed_pi, fixed_ratio,
+                        fixed_sin_cos_pi, fixed_sin_maclaurin, fixed_t_scaled, fixed_y,
+                        interval_from_fixed, poly_eval_centered)
 from .precision import DEFAULT_DIGITS, require_digits, require_index, working
 
 __all__ = [
@@ -163,13 +153,12 @@ class _Worst:
     x, the last one does, which is the first in ascending x.  Its label
     is kept as a format string and its parts, and formatted once, by
     `where`: a sweep makes thousands of comparisons but reports one
-    label.  mpf parts print with `digits` significant digits (10 by
-    default), and a grid point, an exact ratio (p, q), in full.
+    label.  mpf parts print with 10 significant digits, and a grid point,
+    an exact ratio (p, q), in full.
     """
 
-    def __init__(self, digits: int = 10, descending: bool = False):
+    def __init__(self, descending: bool = False):
         self.margin = None
-        self.digits = digits
         self.descending = descending
         self._label = ("", ())
 
@@ -188,7 +177,7 @@ class _Worst:
     def where(self) -> str:
         fmt, parts = self._label
         return fmt.format(*(_dyadic_text(*p) if isinstance(p, tuple)
-                            else mp.nstr(p, self.digits) if isinstance(p, mpf) else p
+                            else mp.nstr(p, 10) if isinstance(p, mpf) else p
                             for p in parts))
 
     def report(self, property_id: str, metadata: dict) -> PropertyReport:
@@ -239,25 +228,26 @@ def _fixed_coefficients(n: int, bits: int) -> tuple[tuple[int, int], ...]:
     return tuple(fixed_from_interval(c_enclosure(j, bits), bits) for j in range(1, n + 1))
 
 
-def _diff(a, b) -> tuple[int, int]:
-    return a[0] - b[1], a[1] - b[0]
+def _fold(rows, enclosures) -> tuple[bool, tuple[int, float]]:
+    """(settled, (i, margin)) of one point's margin rows, folded as they are formed.
 
-
-def _least_margin(rows) -> tuple[bool, tuple[int, float]]:
-    """(settled, (i, margin)) for rows (diff_lo, diff_hi, scale_lo, scale_hi).
-
-    settled: every diff's sign is decided.  Each row's margin is diff/scale
-    at its low end, diff_lo / (scale_hi if diff_lo > 0 else scale_lo),
-    rounded to nearest, and -inf when that scale bound is not positive;
-    i is the first row with the least margin.
+    enclosures = (sums, scales, sine); with vals = sums and the sine last,
+    row i, (a, b, s), is vals[a] - vals[b] over scales[s].  settled: every
+    difference's sign is decided.  Each row's margin is diff/scale at its
+    low end, diff_lo / (scale_hi if diff_lo > 0 else scale_lo), rounded to
+    nearest, and -inf when that scale bound is not positive; i is the first
+    row with the least margin.
     """
+    sums, scales, sine = enclosures
+    vals = sums + [sine]
     settled, at, least = True, 0, math.inf
-    for i, (d_lo, d_hi, s_lo, s_hi) in enumerate(rows):
+    for i, (a, b, s) in enumerate(rows):
+        d_lo = vals[a][0] - vals[b][1]
         if d_lo > 0:
-            den = s_hi
+            den = scales[s][1]
         else:
-            den = s_lo
-            settled = settled and d_hi < 0
+            den = scales[s][0]
+            settled = settled and vals[a][1] - vals[b][0] < 0
         if den <= 0:
             rel = -math.inf
         else:
@@ -270,20 +260,21 @@ def _least_margin(rows) -> tuple[bool, tuple[int, float]]:
     return settled, (at, least)
 
 
-def _signs(rows) -> tuple[bool, list]:
-    """(settled, rows): settled when every row's (lo, hi, ...) has a decided sign."""
-    return all(r[0] > 0 or r[1] < 0 for r in rows), rows
+def _least_margin(rows) -> tuple[bool, tuple[int, float]]:
+    """`_fold` of rows (diff_lo, diff_hi, scale_lo, scale_hi), each diff less 0 over its scale."""
+    return _fold([(i, -1, i) for i in range(len(rows))],
+                 ([r[:2] for r in rows], [r[2:] for r in rows], (0, 0)))
 
 
 class _Sweep:
     """Fixed-point evaluation of a grid, with per-point precision escalation.
 
     `escalate(rows_at, read, weight)` reads `rows_at(bits)`, first at the
-    base bits and then with the bits doubled while any row's (lo, hi, ...)
+    base bits and then with the bits doubled while any row's difference
     leaves its sign open, up to the cap; a point still open at the cap is
     counted as unresolved.  `weight` is the number of grid points the rows
-    stand for.  `settle(evaluate, x)`, x an mpf, and
-    `margins(evaluate, labels, (p, q))` read `evaluate(p, q, bits)` at x = p/q.
+    stand for.  `margins(evaluate, labels, (p, q), worst, read)` reads
+    `evaluate(p, q, bits)` at x = p/q.
     """
 
     def __init__(self, digits: int):
@@ -309,14 +300,12 @@ class _Sweep:
             self.top = max(self.top, bits)
         return out
 
-    def settle(self, evaluate, x) -> list:
-        p, q = exact_ratio(x)
-        return self.escalate(lambda bits: evaluate(p, q, bits), _signs)
-
-    def margins(self, evaluate, labels, point, worst: _Worst | None = None) -> None:
-        """Fold a point's margin rows, labelled by `labels` (format, parts...), into `worst`."""
+    def margins(self, evaluate, labels, point, worst: _Worst | None = None,
+                read=_least_margin) -> None:
+        """Fold a point's margins, labelled by `labels` (format, parts...), into `worst`;
+        `read` folds what `evaluate` gives, by default a list of margin rows."""
         p, q = point
-        i, least = self.escalate(lambda bits: evaluate(p, q, bits), _least_margin)
+        i, least = self.escalate(lambda bits: evaluate(p, q, bits), read)
         # rounding the nearest quotient down one step gives a lower bound
         (worst or self.worst).update(math.nextafter(least, -math.inf), *labels[i], point)
 
@@ -336,37 +325,6 @@ class _Sweep:
             },
         )
         return dataclasses.replace(report, status="fail") if self.unresolved else report
-
-
-def _bracketing_rows(m_max: int, sine, p: int, q: int, bits: int) -> list:
-    """Margin rows (difference lo, hi, leading term lo, hi) of the bracketing at u = p/q.
-
-    `sine(bits)` encloses sin(pi u).
-    """
-    coeffs = _fixed_coefficients(m_max + 2, bits)
-    sums, terms = fixed_partial_sums(coeffs, fixed_y(p, q, bits, False), bits)
-    ref_lo, ref_hi = sine(bits)
-    rows = [(ref_lo - sums[0][1], ref_hi - sums[0][0], *terms[1])]
-    for m in range(1, m_max + 1):
-        (lo, hi), (prev_lo, prev_hi) = sums[m], sums[m - 1]
-        rows.append((lo - prev_hi, hi - prev_lo, *terms[m]))
-        rows.append((ref_lo - hi, ref_hi - lo, *terms[m + 1]))
-    return rows
-
-
-def _maclaurin_rows(j_max: int, sine, p: int, q: int, bits: int) -> list:
-    """Margin rows of the Maclaurin sub-chains at x = p/q; `sine(bits)` encloses sin(pi x)."""
-    sums, mags = fixed_maclaurin(p, q, 2 * j_max + 2, bits)
-    ref = sine(bits)
-    rows = []
-    for j in range(1, j_max + 1):
-        rows += [
-            (*_diff(sums[2 * j + 1], sums[2 * j - 1]), *mags[2 * j]),
-            (*_diff(ref, sums[2 * j + 1]), *mags[2 * j + 2]),
-            (*_diff(sums[2 * j], ref), *mags[2 * j + 1]),
-            (*_diff(sums[2 * j - 2], ref), *mags[2 * j - 1]),
-        ]
-    return rows
 
 
 _GRID_NOTE = ("sine grid symmetric about 1/2, its upper half 1 - x of the lower; "
@@ -403,16 +361,18 @@ def check_grid(
     The reports come in that order.
 
     The walk visits the sine grid's lower half, u = p/q <= 1/2, once.  At
-    each point and bits it encloses sin(pi u) once, and y = u(1 - u) and
-    the partial sums once.  Those rows are every bracketing report's:
-    bracketing_sin at 1 - u is the same statement, as y and sin(pi u) are
-    symmetric about 1/2, and so is bracketing_cos at x = u - 1/2, as
-    cos(pi x) = sin(pi u) and 1/4 - x^2 = u(1 - u).  A point below 1/2
-    therefore counts twice in escalated_points and unresolved_points.  The
-    Maclaurin report reads the same sine enclosures at u and at 1 - u,
-    with its partial sums at each and its own escalation.  Each report
-    keeps the first of equal margins in ascending x.  Nothing computed
-    outlives the call, and no point's rows outlive its visit.
+    each point and bits one series pass encloses sin(pi u) and the
+    Maclaurin partial sums (`fixed_sin_maclaurin`), and y = u(1 - u) and
+    the partial sums in y are enclosed once.  Those rows are every
+    bracketing report's: bracketing_sin at 1 - u is the same statement, as
+    y and sin(pi u) are symmetric about 1/2, and so is bracketing_cos at
+    x = u - 1/2, as cos(pi x) = sin(pi u) and 1/4 - x^2 = u(1 - u).  A
+    point below 1/2 therefore counts twice in escalated_points and
+    unresolved_points.  The Maclaurin report reads the pass at u, and its
+    sine at 1 - u with that point's own partial sums, with its own
+    escalation.  Each report keeps the first of equal margins in
+    ascending x.  Nothing computed outlives the call, and no point's rows
+    outlive its visit.
     """
     require_digits(digits)
     for func in bracketing:
@@ -422,39 +382,54 @@ def check_grid(
     if j_max is not None and j_max < 1:
         raise ValueError("j_max must be >= 1")
 
-    bracket_labels = [("m=1 x={} delta",)]
+    # margin rows (a, b, s): vals[a] - vals[b] over scales[s], the sine last in vals
+    bracket_rows, bracket_labels = [(-1, 0, 1)], [("m=1 x={} delta",)]
     for m in range(1, m_max + 1):
+        bracket_rows += [(m, m - 1, m), (-1, m, m + 1)]
         bracket_labels += [("m={} x={} chain", m), ("m={} x={} delta", m + 1)]
-    mac_labels = [("j={} x={} " + kind, j) for j in range(1, (j_max or 0) + 1)
-                  for kind in ("even-step", "even-below", "odd-above", "prev-odd-above")]
+    mac_rows, mac_labels = [], []
+    for j in range(1, (j_max or 0) + 1):
+        mac_rows += [(2 * j + 1, 2 * j - 1, 2 * j), (-1, 2 * j + 1, 2 * j + 2),
+                     (2 * j, -1, 2 * j + 1), (2 * j - 2, -1, 2 * j - 1)]
+        mac_labels += [("j={} x={} " + kind, j)
+                       for kind in ("even-step", "even-below", "odd-above", "prev-odd-above")]
+    fold_bracket, fold_mac = partial(_fold, bracket_rows), partial(_fold, mac_rows)
+    n = 2 * j_max + 2 if j_max else 0  # the Maclaurin terms a pass sums
 
     with working(digits):
         bracket, mac = _Sweep(digits), _Sweep(digits)
         worsts = {func: _Worst() for func in bracketing}
         above = _Worst(descending=True)  # Maclaurin above 1/2, visited downwards
         if j_max:  # x = 1 tops the Maclaurin grid: first on the way down
-            mac.margins(partial(_maclaurin_rows, j_max, partial(fixed_sin_cos_pi, 1, 1)),
-                        mac_labels, (1, 1), above)
+            mac.margins(lambda p, q, bits: fixed_sin_maclaurin(p, q, n, bits),
+                        mac_labels, (1, 1), above, fold_mac)
         points = _grid(grid_size)
         for p, q in points[:(len(points) + 1) // 2]:
-            # sin(pi u), enclosed once per bits, for this point's visit only
-            sine = lru_cache(maxsize=None)(partial(fixed_sin_cos_pi, p, q))
+            passes = {}  # bits -> the one series pass at u, for this point's visit only
+
+            def one_pass(bits):
+                if bits not in passes:
+                    passes[bits] = fixed_sin_maclaurin(p, q, n, bits)
+                return passes[bits]
             mirrored = 2 * p < q
             if bracketing:
-                i, least = bracket.escalate(partial(_bracketing_rows, m_max, sine, p, q),
-                                            _least_margin, 1 + mirrored)
+                i, least = bracket.escalate(lambda bits: (
+                    *fixed_partial_sums(_fixed_coefficients(m_max + 2, bits),
+                                        fixed_y(p, q, bits, False), bits),
+                    one_pass(bits)[2]), fold_bracket, 1 + mirrored)
                 # rounding the nearest quotient down one step gives a lower bound
                 margin = math.nextafter(least, -math.inf)
                 for func, worst in worsts.items():
                     x = (2 * p - q, 2 * q) if func == COS_PI_X else (p, q)
                     worst.update(margin, *bracket_labels[i], x)
             if j_max:
-                evaluate = partial(_maclaurin_rows, j_max, sine)
-                mac.margins(evaluate, mac_labels, (p, q))
+                mac.margins(lambda p, q, bits: one_pass(bits), mac_labels, (p, q), None, fold_mac)
                 if mirrored:
-                    mac.margins(evaluate, mac_labels, (q - p, q), above)
+                    mac.margins(lambda p, q, bits: (*fixed_maclaurin(p, q, n, bits),
+                                                    one_pass(bits)[2]),
+                                mac_labels, (q - p, q), above, fold_mac)
         mac.worst.merge(above)
-        thresholds = _chain_thresholds(mac, j_max) if j_max else None
+        thresholds = _chain_thresholds(j_max) if j_max else None
 
     reports = [
         bracket.report(f"bracketing_{'cos' if func == COS_PI_X else 'sin'}",
@@ -488,8 +463,10 @@ def check_bessel_identity(j_max: int, digits: int = DEFAULT_DIGITS) -> PropertyR
 
     The route part reads the outward-rounded certificates of
     coefficient_table(j_max, digits, route="bessel"); its margin is
-    10^-digits - trunc_bound/t_j, exact and rounded down.  A table that
-    refuses a certificate fails the report.
+    1 - 10^digits trunc_bound/t_j, the certificate relative to the
+    10^-digits it must stay below, exact and rounded down, so that it
+    stays a normal double at any digits.  A table that refuses a
+    certificate fails the report.
     """
     require_digits(digits)
     require_index(j_max)  # an IndexLimitError is the caller's, not a refused route
@@ -513,15 +490,15 @@ def check_bessel_identity(j_max: int, digits: int = DEFAULT_DIGITS) -> PropertyR
     else:
         # the least exact margin names its j; only it is rounded, since
         # margins that differ only past a double's precision round alike
-        tol = Fraction(1, 10 ** digits)
-        margin, j = min((tol - Fraction(*exact_ratio(e.trunc_bound.value))
+        scale = 10 ** digits
+        margin, j = min((1 - scale * Fraction(*exact_ratio(e.trunc_bound.value))
                          / Fraction(*exact_ratio(e.value.value)), e.j) for e in table)
         worst.update(_round_double(margin), "j={} route", j)
     return worst.report(
         "bessel_identity",
         {"j_max": j_max, "digits": digits,
          "evidence": "exact term identity over Q; route certified by the enclosure",
-         "margin": "10^-digits - trunc_bound/t_j, rounded down"},
+         "margin": "1 - 10^digits trunc_bound/t_j, rounded down"},
     )
 
 
@@ -541,34 +518,28 @@ def check_maclaurin_interleaving(
     return check_grid(grid_size, digits, j_max=j_max)[0]
 
 
-def _chain_thresholds(sweep: _Sweep, j_max: int) -> dict:
-    """Where the five-way chain's S_{2j-1} < S_{2j+1} starts to hold, on a scan of (0, 3]."""
+def _chain_thresholds(j_max: int) -> dict:
+    """Where the five-way chain's S_{2j-1} < S_{2j+1} starts to hold, on a scan of (0, 3].
 
-    def chain_steps(p, q, bits):
-        # S_{2j+1} - S_{2j-1} for j = 1..j_max
-        sums, _ = fixed_maclaurin(p, q, 2 * j_max + 1, bits)
-        return [_diff(sums[2 * j], sums[2 * j - 2]) for j in range(1, j_max + 1)]
+    S_{2j+1} - S_{2j-1} = t^(4j-1)/(4j-1)! (t^2/(4j(4j+1)) - 1), t = pi x, so
+    at a scan point x = i/200 it has the sign of pi^2 i^2 - 40000 4j(4j+1),
+    which `fixed_pi` decides; pi^2 is irrational, so more bits always do.
+    The threshold is the largest scan point where the step is negative,
+    found walking the same scan downwards.
+    """
 
-    # cuts[j]: the largest scan point where S_{2j+1} <= S_{2j-1}; one
-    # downward walk settles every j, each at its first such point
-    scan = [mpf(3) * i / 600 for i in range(1, 601)]
-    cuts = {}
-    for x in reversed(scan):
-        steps = sweep.settle(chain_steps, x)
-        for j in range(1, j_max + 1):
-            if j not in cuts and steps[j - 1][1] < 0:
-                cuts[j] = x
-        if len(cuts) == j_max:
-            break
+    def negative(i, j, bits=64):
+        bound = 160000 * j * (4 * j + 1) << 2 * bits
+        lo, hi = ((pi * i) ** 2 < bound for pi in fixed_pi(bits))
+        return hi if lo == hi else negative(i, j, 2 * bits)  # open at these bits
+
     thresholds = {}
     for j in range(1, j_max + 1):
-        cut = cuts.get(j)
-        theo = mp.sqrt(4 * j * (4 * j + 1)) / mp.pi
-        # cut == top of scan means the chain never became valid in range
-        found = cut is not None and cut < scan[-1]
+        cut = next((i for i in range(600, 0, -1) if negative(i, j)), 600)
         thresholds[f"j={j}"] = {
-            "empirical_x_above": float(cut) if found else None,
-            "theoretical_x": float(theo),
+            # a cut at the top of the scan: the chain never became valid in range
+            "empirical_x_above": cut / 200 if cut < 600 else None,
+            "theoretical_x": float(mp.sqrt(4 * j * (4 * j + 1)) / mp.pi),
         }
     return thresholds
 
@@ -791,37 +762,61 @@ def _fixed_float(enc, bits: int) -> float | None:
 _CURVE_BITS = 2 * 53
 
 
-class _CurveLevel:
-    """`example_curve` at one precision: 4/pi^2, the quadratic part, and the
-    enclosures of sin^2(pi j/q), q = 2 grid_size, each computed when first read."""
+def _table_sine(q: int, bits: int):
+    """sine(j), the enclosure of sin(pi j/q) for 0 <= j <= q/2, from two angle tables.
 
-    def __init__(self, grid_size: int, bits: int):
-        self.q, self.bits = 2 * grid_size, bits
-        pi_lo, pi_hi = fixed_pi(bits)
-        self.four_over_pi2 = ((4 << 3 * bits) // (pi_hi * pi_hi),
-                              -((-4 << 3 * bits) // (pi_lo * pi_lo)))
-        self.quad = _quadratic_part(bits)
-        self.squares = [None] * (grid_size + 1)
+    With j = aB + b, B = 2^floor(log2(q)/2), sin(pi j/q) is
+    sin(pi aB/q) cos(pi b/q) + cos(pi aB/q) sin(pi b/q): the tables, k = aB
+    and k = b < B, of sin and cos(pi k/q), about 2 (q/2B + B) enclosures
+    from `fixed_sin_cos_pi`, each computed when first read, serve every j.
+    """
+    step = 1 << (q.bit_length() - 1) // 2
+    angle = lru_cache(maxsize=None)(
+        lambda k: (fixed_sin_cos_pi(k, q, bits), fixed_sin_cos_pi(k, q, bits, cos=True)))
 
-    def _square(self, j: int):
-        sq = self.squares[j]
+    def sine(j):
+        (sin_a, cos_a), (sin_b, cos_b) = angle(j - j % step), angle(j % step)
+        u, v = fixed_mul(sin_a, cos_b, bits), fixed_mul(cos_a, sin_b, bits)
+        return u[0] + v[0], u[1] + v[1]
+    return sine
+
+
+def _curve_level(grid_size: int, bits: int):
+    """`example_curve` at one precision: row(i), the enclosures of f and
+    f - f4 at x = i/q, q = 2 grid_size, its sines from `_table_sine`."""
+    q = 2 * grid_size
+    den = q ** 16
+    pi_lo, pi_hi = fixed_pi(bits)
+    four_over_pi2 = (4 << 3 * bits) // (pi_hi * pi_hi), -((-4 << 3 * bits) // (pi_lo * pi_lo))
+    # for x = i/q >= 0 the quadratic part is [sum lo_k i^k q^(16-k),
+    # sum hi_k i^k q^(16-k)] / q^16 exactly: its coefficients times q^(16-k)
+    quad = [(lo * q ** (16 - k), hi * q ** (16 - k))
+            for k, (lo, hi) in enumerate(_quadratic_part(bits))][::-1]
+    # row i reads sin^2(pi j/q) at j = i and at the even j = min(2i, q - 2i):
+    # only an even j is read by more than one row, so only those are kept
+    sine, evens = _table_sine(q, bits), [None] * (grid_size // 2 + 1)
+
+    def square(j):
+        sq = None if j % 2 else evens[j // 2]
         if sq is None:
-            v = fixed_sin_cos_pi(j, self.q, self.bits)
-            sq = self.squares[j] = fixed_mul(v, v, self.bits)
+            s = sine(j)
+            sq = fixed_mul(s, s, bits)
+            if j % 2 == 0:
+                evens[j // 2] = sq
         return sq
 
-    def row(self, i: int):
-        """Enclosures of f and f - f4 at x = i/q; in f - f4 the base
-        4/9 - 8x + 15x^2 cancels exactly, leaving trig less `_quadratic_part`."""
-        q, bits = self.q, self.bits
-        # sin(2 pi i/q) is sin(pi j/q), j = min(2i, q - 2i): the entry that
-        # `fixed_sin_cos_pi`'s reduction gives the same arguments
-        s1, s2 = self._square(i), self._square(min(2 * i, q - 2 * i))
-        trig = fixed_mul(self.four_over_pi2, (2 * s1[0] + s2[0], 2 * s1[1] + s2[1]), bits)
-        # 4/9 - 8x + 15x^2 = (4q^2 - 72iq + 135i^2) / (9q^2)
+    def row(i):
+        # sin(2 pi i/q) = sin(pi j/q), j = min(2i, q - 2i)
+        s1, s2 = square(i), square(min(2 * i, q - 2 * i))
+        trig = fixed_mul(four_over_pi2, (2 * s1[0] + s2[0], 2 * s1[1] + s2[1]), bits)
+        # 4/9 - 8x + 15x^2 = (4q^2 - 72iq + 135i^2) / (9q^2); in f - f4 it
+        # cancels exactly, leaving trig less the quadratic part, by integer Horner
         base = fixed_ratio(4 * q * q - 72 * i * q + 135 * i * i, 9 * q * q, bits)
-        quad = fixed_horner(self.quad, fixed_ratio(i, q, bits), bits)
-        return (base[0] + trig[0], base[1] + trig[1]), _diff(trig, quad)
+        lo = hi = 0
+        for c_lo, c_hi in quad:
+            lo, hi = lo * i + c_lo, hi * i + c_hi
+        return (base[0] + trig[0], base[1] + trig[1]), (trig[0] + -hi // den, trig[1] - lo // den)
+    return row
 
 
 def example_curve(grid_size: int = 2048, digits: int = DEFAULT_DIGITS):
@@ -836,21 +831,21 @@ def example_curve(grid_size: int = 2048, digits: int = DEFAULT_DIGITS):
     value near 1 then has 53 bits past the ones a double keeps, so only a
     value within about 2^-53 of a rounding boundary, relative, or far
     below 1 (f - f4 near x = 0) doubles; on the default grid 10 of the
-    2049 rows do, once.  Each sine is enclosed once per bits: at x = i/q,
-    q = 2 grid_size, sin(2 pi x) = sin(pi j/q) with j = min(2i, q - 2i),
-    which `fixed_sin_cos_pi` reduces to the same arguments, so the
-    grid_size + 1 enclosures of sin(pi j/q) serve both sines of every row.
+    2049 rows do, once.  At x = i/q, q = 2 grid_size, sin(2 pi x) =
+    sin(pi j/q), j = min(2i, q - 2i): the grid_size + 1 sines, each formed
+    once per bits from two angle tables (`_table_sine`), serve every row.
+    f4's quadratic part is exact, by integer Horner in i, rounded once.
     """
     require_digits(digits)
     cap = fixed_bits(digits) << _MAX_DOUBLINGS
-    levels = {}  # bits -> _CurveLevel, for this call only
+    levels = {}  # bits -> `_curve_level`'s row, for this call only
     rows = []
     for i in range(grid_size + 1):
         bits = _CURVE_BITS
         while True:
             if bits not in levels:
-                levels[bits] = _CurveLevel(grid_size, bits)
-            f_enc, gap_enc = levels[bits].row(i)
+                levels[bits] = _curve_level(grid_size, bits)
+            f_enc, gap_enc = levels[bits](i)
             f_val, gap = _fixed_float(f_enc, bits), _fixed_float(gap_enc, bits)
             if f_val is not None and gap is not None:
                 break

@@ -21,6 +21,7 @@ from trigpoly.intervals import (
     fixed_ratio,
     fixed_series,
     fixed_sin_cos_pi,
+    fixed_sin_maclaurin,
     fixed_y,
     interval_dps,
     interval_from_fixed,
@@ -325,6 +326,30 @@ def test_fixed_series_encloses_t_sin_and_cos():
                 assert _encloses(fixed_series(t, t2, 2, 3, bits), mp.sinpi(x), bits), (p, q, bits)
                 one = (1 << bits, 1 << bits)
                 assert _encloses(fixed_series(one, t2, 1, 2, bits), mp.cospi(x), bits), (p, q, bits)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_one_sine_pass_gives_the_maclaurin_sums_and_the_sine(seed):
+    # on dyadics in [0, 1/2], the endpoint cluster among them, from 16 bits
+    # to the grid checks' cap: the pass's sums and magnitudes are
+    # fixed_maclaurin's, its sine encloses sin(pi x), and for x <= 1/4 the
+    # sine is fixed_sin_cos_pi's, bit for bit
+    rng = random.Random(f"sin-pass/{seed}")
+    cap = fixed_bits(50) << 3
+    points = [(0, 1), (1, 4), (1, 2)]
+    points += [exact_ratio(Fraction(1e-6 * 2.0 ** -k)) for k in rng.sample(range(32), 6)]
+    for _ in range(30):
+        k = rng.randint(1, 80)
+        points.append((rng.randint(0, 1 << k - 1), 1 << k))
+    for p, q in points:
+        bits = rng.choice([16, rng.randint(16, cap), fixed_bits(50) << rng.randint(0, 3)])
+        n = rng.choice([0, 2 * rng.randint(1, 6) + 2])
+        sums, mags, sine = fixed_sin_maclaurin(p, q, n, bits)
+        assert (sums, mags) == fixed_maclaurin(p, q, n, bits), (p, q, n, bits)
+        with mp.workprec(bits + 64):
+            assert _encloses(sine, mp.sinpi(mpf(p) / q), bits), (p, q, n, bits)
+        if 4 * p <= q:
+            assert sine == fixed_sin_cos_pi(p, q, bits), (p, q, n, bits)
 
 
 def test_fixed_point_exact_inputs_stay_exact():

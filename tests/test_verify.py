@@ -3,6 +3,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from mpmath import mp, mpf
@@ -24,6 +25,7 @@ from trigpoly.intervals import (
     fixed_bits,
     fixed_from_interval,
     fixed_horner,
+    fixed_ratio,
     fixed_sin_cos_pi,
     fixed_y,
     interval_from_fixed,
@@ -150,21 +152,46 @@ def test_bessel_identity_small():
     assert report.passed
     assert "tolerance" not in report.metadata
     where, margin = report.worst_case
-    assert where.endswith(" route") and 0 < margin < 1e-50
+    # relative to the 10^-50 each certificate must stay below
+    assert where.endswith(" route") and 0 < margin < 1
 
 
 def test_bessel_identity_route_margin_is_exact_and_rounded_down():
-    # 10^-digits - trunc_bound/t_j from the table's certificates, in Fraction
+    # 1 - 10^digits trunc_bound/t_j from the table's certificates, in Fraction
     report = check_bessel_identity(8, 40)
-    tol = Fraction(1, 10 ** 40)
     exact = min(
-        (tol - Fraction(*exact_ratio(e.trunc_bound.value)) / Fraction(*exact_ratio(e.value.value)),
-         e.j)
+        (1 - 10 ** 40 * Fraction(*exact_ratio(e.trunc_bound.value))
+         / Fraction(*exact_ratio(e.value.value)), e.j)
         for e in coefficient_table(8, 40, route="bessel")
     )
     assert report.worst_case[0] == f"j={exact[1]} route"
     margin = report.worst_case[1]
     assert Fraction(margin) <= exact[0] < Fraction(math.nextafter(margin, math.inf))
+
+
+def test_bessel_identity_passes_past_the_double_range():
+    # 10^-330 is below the least double: a margin on the absolute scale
+    # would round to 0.0 and fail the report
+    report = check_bessel_identity(50, 330)
+    assert report.passed, report.worst_case
+    assert 0.5 < report.worst_case[1] < 1
+
+
+def test_bessel_identity_margin_is_relative_to_the_tolerance(monkeypatch):
+    # certificates of 3/4 and 6/4 times 2^-100 against 10^-30 (2^-100 is
+    # about 0.79e-30): margins 1 - 10^30 (3/4) 2^-100 > 0, and the second < 0
+    def table(j_max, digits, route):
+        return [SimpleNamespace(j=j, value=SimpleNamespace(value=mpf(1)),
+                                trunc_bound=SimpleNamespace(value=mpf(3 * j) / 4 * mpf(2) ** -100))
+                for j in range(1, j_max + 1)]
+
+    monkeypatch.setattr(verify, "coefficient_table", table)
+    for j_max, status in ((1, "pass"), (2, "fail")):
+        report = check_bessel_identity(j_max, 30)
+        assert report.status == status and report.worst_case[0] == f"j={j_max} route"
+        exact = 1 - 10 ** 30 * Fraction(3 * j_max, 4) / 2 ** 100
+        margin = report.worst_case[1]
+        assert Fraction(margin) <= exact < Fraction(math.nextafter(margin, math.inf))
 
 
 def test_bessel_identity_refuses_j_max_below_one():
@@ -771,6 +798,37 @@ def test_example_curve_values_are_correctly_rounded():
         assert all(gap >= 0 for _, _, gap in rows)
 
 
+@pytest.mark.parametrize("q", [74, 128, 4096])
+def test_curve_table_sines_enclose_sinpi(q):
+    # sin(pi j/q) from the two angle tables, q = 2 grid: --grid 37 gives 74
+    for bits in (20, 106):
+        sine = verify._table_sine(q, bits)
+        with mp.workprec(bits + 64):
+            for j in range(q // 2 + 1):
+                lo, hi = sine(j)
+                ref = mp.sinpi(mpf(j) / q) * 2 ** bits
+                assert lo <= ref <= hi, (q, bits, j)
+                assert hi - lo <= 64, (q, bits, j)  # tight: a few dozen units at most
+
+
+@pytest.mark.parametrize("grid", [37, 64])
+def test_curve_quadratic_part_is_exact_inside_horner(grid):
+    # f = base + trig and f - f4 = trig - quad, so the quadratic part's
+    # enclosure is (f - base) - (f - f4), end by end; integer Horner in i
+    # rounds it once, inside fixed_horner's enclosure at x = i/q
+    q, bits = 2 * grid, 106
+    row, quad = verify._curve_level(grid, bits), verify._quadratic_part(bits)
+    for i in range(grid + 1):
+        (f_lo, f_hi), (gap_lo, gap_hi) = row(i)
+        base_lo, base_hi = fixed_ratio(4 * q * q - 72 * i * q + 135 * i * i, 9 * q * q, bits)
+        exact = f_hi - gap_hi - base_hi, f_lo - gap_lo - base_lo
+        horner = fixed_horner(quad, fixed_ratio(i, q, bits), bits)
+        assert horner[0] <= exact[0] <= exact[1] <= horner[1], (grid, i)
+        # the ends are sum lo_k x^k and sum hi_k x^k, floored and ceiled once
+        ends = [sum(c[end] * Fraction(i, q) ** k for k, c in enumerate(quad)) for end in (0, 1)]
+        assert exact == (math.floor(ends[0]), math.ceil(ends[1])), (grid, i)
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_cosine_kernel_path_overlaps_the_shifted_sine_path(seed):
     # the grid checks read cos(pi x) as sin(pi u), u = x + 1/2; the cosine
@@ -799,10 +857,11 @@ def test_cosine_kernel_path_overlaps_the_shifted_sine_path(seed):
 
 
 def test_verify_all_encloses_each_sine_row_once(monkeypatch):
-    # one fixed_sin_cos_pi per grid point and bits (a point and its mirror
-    # 1 - x share one), one fixed_partial_sums per distinct y and bits, and
-    # no cosine kernel call
-    calls = {"sine": [], "sums": [], "y": []}
+    # one series pass (fixed_sin_maclaurin) per lower grid point and bits,
+    # and at x = 1; its sine serves the mirror 1 - x, which sums its own
+    # Maclaurin terms (fixed_maclaurin) and nothing else does; one
+    # fixed_partial_sums per distinct y and bits; no cosine kernel call
+    calls = {"pass": [], "maclaurin": [], "sine": [], "sums": [], "y": []}
 
     def counted(name, fn, key):
         def wrapper(*args):
@@ -810,24 +869,79 @@ def test_verify_all_encloses_each_sine_row_once(monkeypatch):
             return fn(*args)
         return wrapper
 
+    monkeypatch.setattr(verify, "fixed_sin_maclaurin", counted(
+        "pass", verify.fixed_sin_maclaurin, lambda p, q, n, bits: (Fraction(p, q), bits)))
+    monkeypatch.setattr(verify, "fixed_maclaurin", counted(
+        "maclaurin", verify.fixed_maclaurin, lambda p, q, n, bits: (Fraction(p, q), bits)))
     monkeypatch.setattr(verify, "fixed_sin_cos_pi", counted(
-        "sine", verify.fixed_sin_cos_pi,
-        lambda p, q, bits, cos=False: (min(Fraction(p, q), 1 - Fraction(p, q)), bits, cos)))
+        "sine", verify.fixed_sin_cos_pi, lambda *args: args))
     monkeypatch.setattr(verify, "fixed_partial_sums", counted(
         "sums", verify.fixed_partial_sums, lambda coeffs, y, bits: (y, bits)))
     monkeypatch.setattr(verify, "fixed_y", counted(
         "y", verify.fixed_y, lambda p, q, bits, cos: cos))
     reports = cli.run_suite("all", 64, 50)
     assert all(r.passed for r in reports)
-    assert len(set(calls["sine"])) == len(calls["sine"])
-    assert len(set(calls["sums"])) == len(calls["sums"])
-    assert not any(cos for _, _, cos in calls["sine"]) and not any(calls["y"])
-    # at the base bits: every point of the sine grid's lower half, and x = 1
+    for name in ("pass", "maclaurin", "sums"):
+        assert len(set(calls[name])) == len(calls[name]), name
+    assert not calls["sine"] and not any(calls["y"])
     with working(50):
-        lower = {min(Fraction(p, q), 1 - Fraction(p, q)) for p, q in verify._grid(64)}
+        grid = {Fraction(p, q) for p, q in verify._grid(64)}
+    lower = {x for x in grid if x <= Fraction(1, 2)}
+    # at the base bits: every point of the sine grid's lower half, and x = 1
     base = fixed_bits(50)
-    assert {x for x, bits, _ in calls["sine"] if bits == base} == lower | {0}
+    assert {x for x, bits in calls["pass"] if bits == base} == lower | {1}
+    assert {x for x, _ in calls["pass"]} <= lower | {1}
+    # fixed_maclaurin only at the mirrors: none at a lower point, none off the grid
+    assert {x for x, bits in calls["maclaurin"] if bits == base} == grid - lower
+    assert {x for x, _ in calls["maclaurin"]} <= grid - lower
     assert sum(bits == base for _, bits in calls["sums"]) == len(lower)
+
+
+def _fold_reference(rows, sums, scales, sine):
+    # each row's difference and scale formed on its own, then the margin rule
+    vals = sums + [sine]
+    settled, at, least = True, 0, math.inf
+    for i, (a, b, s) in enumerate(rows):
+        d_lo, d_hi = vals[a][0] - vals[b][1], vals[a][1] - vals[b][0]
+        settled = settled and (d_lo > 0 or d_hi < 0)
+        den = scales[s][1] if d_lo > 0 else scales[s][0]
+        try:
+            rel = float(Fraction(d_lo, den)) if den > 0 else -math.inf
+        except OverflowError:
+            rel = math.inf if d_lo > 0 else -math.inf
+        if rel < least:
+            at, least = i, rel
+    return settled, (at, least)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_fold_matches_the_row_by_row_margin(seed):
+    # small ends so that signs touch 0 and margins tie; huge ones past the doubles
+    rng = random.Random(f"fold/{seed}")
+    ends = [-3, -1, 0, 1, 2, 4, 10 ** 400, -10 ** 400]
+
+    def enc():
+        lo = rng.choice(ends)
+        return lo, lo + rng.choice([0, 0, 1, 3])
+
+    for _ in range(300):
+        sums, scales, sine = [enc() for _ in range(5)], [enc() for _ in range(5)], enc()
+        rows = [(rng.randrange(-1, 5), rng.randrange(-1, 5), rng.randrange(5))
+                for _ in range(rng.randint(1, 8))]
+        assert verify._fold(rows, (sums, scales, sine)) == _fold_reference(rows, sums, scales, sine)
+
+
+def test_grid_reports_keep_the_first_of_equal_margins(monkeypatch):
+    # every point's margin equal: each report names the lowest x of its grid
+    monkeypatch.setattr(verify, "_fold", lambda rows, enclosures: (True, (0, 1.0)))
+    reports = verify.check_grid(16, 50, (SIN_PI_X, COS_PI_X), 3, 1)
+    with working(50):
+        p, q = verify._grid(16)[0]
+    assert [r.worst_case[0] for r in reports] == [
+        f"m=1 x={verify._dyadic_text(p, q)} delta",
+        f"m=1 x={verify._dyadic_text(2 * p - q, 2 * q)} delta",
+        f"j=1 x={verify._dyadic_text(p, q)} even-step",
+    ]
 
 
 def test_sweep_reports_the_lower_end_and_counts_open_points():
