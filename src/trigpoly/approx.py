@@ -28,8 +28,8 @@ from mpmath.libmp import (fone, from_int, mpf_div, mpf_mul, mpf_pi, mpf_pow_int,
                           mpf_sub, round_ceiling, round_floor)
 
 from .coeffs import _mid, c_enclosure, coeff_symbolic, poly_sum
-from .intervals import (IntervalValue, exact_ratio, fixed_bits, pi_interval, positive_double,
-                        series_interval, y_ratio)
+from .intervals import (IntervalValue, exact_ratio, fixed_bits, nearest_double, pi_interval,
+                        series_interval, to_double, y_ratio)
 from .precision import (
     DEFAULT_DIGITS,
     DEFAULT_INDEX_LIMIT,
@@ -209,12 +209,6 @@ class _TailConstants:
     tail_factor: float
 
 
-def _nearest(lo, hi) -> float | None:
-    """The double nearest to every value in [lo, hi], or None if the ends round apart."""
-    a = positive_double(lo)
-    return a if a == positive_double(hi) else None
-
-
 @lru_cache(maxsize=1024)
 def _tail_constants(m: int, digits: int) -> _TailConstants:
     """One enclosure of L_m and K_m per (m, digits), from `pi_interval`.
@@ -235,7 +229,7 @@ def _tail_constants(m: int, digits: int) -> _TailConstants:
     den = mpf_sub(fone, q[0], prec, round_ceiling), mpf_sub(fone, q[1], prec, round_floor)
     k, tail = ([mpf_div(v, d, prec, r) for v, d, r in zip(num, den, ends)]
                for num in (lead, (fone, fone)))
-    floats = _nearest(*q), _nearest(*tail)
+    floats = nearest_double(*map(exact_ratio, q)), nearest_double(*map(exact_ratio, tail))
     if None in floats:
         finer = _tail_constants(m, 2 * digits)
         floats = finer.q_m, finer.tail_factor
@@ -254,12 +248,17 @@ def _y_power(func: str, x, n: int) -> tuple:
 
 
 def _leading_term(m: int, digits: int, ypow: tuple) -> float:
-    """The double nearest to L_m y^(m+1), from the enclosure of L_m (refined if it straddles)."""
+    """The double nearest to L_m y^(m+1), from the enclosure of L_m (refined if it straddles).
+
+    Each end times y^(m+1) is formed exactly, as man / 2^-exp: the product
+    of the raw mantissas is a positive integer and the value is below 1,
+    so the exponent is negative.
+    """
+    _, y_man, y_exp, _ = ypow
     while True:
-        c = _tail_constants(m, digits)
-        lo, hi = c.lead
-        out = _nearest(mpf_mul(lo, ypow, c.prec, round_floor),
-                       mpf_mul(hi, ypow, c.prec, round_ceiling))
+        lo, hi = ((man * y_man, 1 << -(exp + y_exp))
+                  for _, man, exp, _ in _tail_constants(m, digits).lead)
+        out = nearest_double(lo, hi)
         if out is not None:
             return out
         digits *= 2
@@ -290,7 +289,7 @@ def error_bound(
         leading_term=_leading_term(m, digits, ypow),
         q_m=c.q_m,
         tail_factor=c.tail_factor,
-        bound=positive_double(bound, up=True),
+        bound=to_double(*exact_ratio(bound), 1),
         domain=(lo, hi),
         bound_hp=mp.make_mpf(bound),
     )

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from mpmath import mp, mpf
 
 from .approx import DOMAINS, SIN_PI_X, build_poly, bound_sup, maclaurin_eval, maclaurin_eval_hp
-from .intervals import positive_double
+from .intervals import exact_ratio, to_double
 from .precision import DEFAULT_DIGITS, working
 
 __all__ = ["BenchConfig", "BenchRow", "run_bench", "rows_to_csv"]
@@ -85,7 +85,7 @@ def _time_per_eval(fn, xs, repetitions: int) -> float:
 
 def _certified_bound(m: int, digits: int = DEFAULT_DIGITS) -> float:
     """The least double >= the upper end of the enclosure of the bound's supremum."""
-    return positive_double(bound_sup(m, digits)._mpf_, up=True)
+    return to_double(*exact_ratio(bound_sup(m, digits)), 1)
 
 
 def run_bench(cfg: BenchConfig) -> list[BenchRow]:

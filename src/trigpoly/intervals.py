@@ -5,11 +5,14 @@ mpmath's directed-rounding primitives (`mpf_pi`, `mpf_mul`, `mpf_div`,
 ... with round_floor for a lower end and round_ceiling for an upper
 one), so each result encloses the exact value; precision only affects
 tightness, never containment.  `IntervalValue` is the public form of an
-enclosure: two exact mpf ends, its midpoint, width and membership test.
+enclosure: two exact, finite mpf ends, its midpoint, width and membership
+test.  An exact value reaches a double by one rule, `to_double`: the
+rational num/den rounded once, to nearest, down or up; `nearest_double`
+is the double that a whole enclosure rounds to, if there is one.
 
 The fixed-point kernel encloses pi, the weights t_j (2j)!, the y-map,
 the partial sums sum c_j y^j, the Maclaurin partial sums of
-sin/cos(pi x) and polynomials over dyadic tiles.  The weights, sin/cos,
+sin(pi x) and polynomials over dyadic tiles.  The weights, sin/cos,
 T_j(z) and J_{j-1/2}(x) are one alternating series, each term the last
 times z/((2k+a)(2k+b)), summed by the one loop `fixed_series`; its terms
 may grow before they fall.  `fixed_t_scaled`, `fixed_maclaurin` and
@@ -67,16 +70,21 @@ def _exact(x) -> mpf:
 
 @dataclass(frozen=True)
 class IntervalValue:
-    """A closed enclosure [lo, hi]; lo and hi are exact mpf ends, never rounded."""
+    """A closed enclosure [lo, hi]; lo and hi are exact, finite mpf ends, never rounded."""
 
     lo: mpf
     hi: mpf = None  # None: the point lo
 
     def __post_init__(self):
-        object.__setattr__(self, "lo", _exact(self.lo))
-        object.__setattr__(self, "hi", self.lo if self.hi is None else _exact(self.hi))
-        if self.hi < self.lo:
-            raise ValueError(f"invalid interval endpoints [{self.lo}, {self.hi}]")
+        lo = _exact(self.lo)
+        hi = lo if self.hi is None else _exact(self.hi)
+        for _, man, exp, _ in (lo._mpf_, hi._mpf_):
+            if man == 0 and exp != 0:  # mpmath's inf, -inf and nan
+                raise ValueError(f"interval endpoints must be finite, got [{lo}, {hi}]")
+        if hi < lo:
+            raise ValueError(f"invalid interval endpoints [{lo}, {hi}]")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
     @classmethod
     def _of(cls, lo: tuple, hi: tuple) -> "IntervalValue":
@@ -119,12 +127,14 @@ def fixed_bits(digits: int) -> int:
 
 
 def exact_ratio(x) -> tuple[int, int]:
-    """(p, q) with q > 0 and x == p/q exactly, for a Fraction or mpf x."""
-    if isinstance(x, Fraction):
-        return x.numerator, x.denominator
-    if not isinstance(x, mpf):
-        raise TypeError(f"cannot take an exact ratio of {type(x).__name__}")
-    sign, man, exp, _ = x._mpf_  # not mpf(x): that would round to the context
+    """(p, q) with q > 0 and x == p/q exactly, for a Fraction, an mpf or a raw mpf tuple x."""
+    if type(x) is not tuple:
+        if isinstance(x, Fraction):
+            return x.numerator, x.denominator
+        if not isinstance(x, mpf):
+            raise TypeError(f"cannot take an exact ratio of {type(x).__name__}")
+        x = x._mpf_  # not mpf(x): that would round to the context
+    sign, man, exp, _ = x
     if man == 0 and exp != 0:
         raise ValueError("x must be finite")
     man = -man if sign else man
@@ -141,25 +151,30 @@ def _scaled(v: tuple, bits: int, up: bool) -> int:
     return -((-man) >> -shift) if up else man >> -shift
 
 
-def positive_double(v, up: bool = False) -> float:
-    """The raw mpf v > 0 rounded once to a double: to nearest (ties to even), or up.
+def to_double(num: int, den: int, toward: int = 0) -> float:
+    """The rational num/den (den > 0) rounded once to a double: to nearest, ties to even
+    (toward=0), down (toward=-1) or up (toward=1).
 
-    Below the normal range the last bit kept is 2**-1074, so subnormal
-    results are rounded once and exactly too (mpmath's `to_float` rounds
-    to 53 bits first there).
+    CPython's int / int is correctly rounded, subnormals included; a
+    directed rounding that lands on the wrong side of num/den, by an exact
+    comparison, moves one step.  Raises OverflowError past the doubles.
     """
-    _, man, exp, bc = v
-    lsb = max(exp + bc - 53, -1074)
-    r = lsb - exp
-    if r <= 0:
-        return math.ldexp(man, exp)
-    n, rem = man >> r, man & ((1 << r) - 1)
-    if up:
-        n += rem > 0
-    else:
-        half = 1 << (r - 1)
-        n += rem > half or (rem == half and n & 1)
-    return math.ldexp(n, lsb)
+    d = num / den
+    if toward:
+        m, e = math.frexp(d)
+        a, e = int(m * 2.0 ** 53), e - 53  # d == a * 2**e exactly
+        # d - num/den, times the positive den * 2**max(-e, 0)
+        excess = (a * den << e) - num if e >= 0 else a * den - (num << -e)
+        if excess * toward < 0:
+            return math.nextafter(d, toward * math.inf)
+    return d
+
+
+def nearest_double(lo: tuple[int, int], hi: tuple[int, int]) -> float | None:
+    """The double nearest to every value in [lo, hi], given as ratios (num, den), or None
+    if the ends round to different doubles; -0.0 and 0.0 count as different."""
+    a, b = to_double(*lo), to_double(*hi)
+    return a if a == b and (a or math.copysign(1, a) == math.copysign(1, b)) else None
 
 
 def fixed_from_interval(enc: IntervalValue, bits: int) -> tuple[int, int]:
@@ -360,8 +375,8 @@ def _fixed_sin_cos_args(p: int, q: int, bits: int, odd: bool):
     return ((t_lo, t_hi), t2, 2, 3) if odd else ((1 << bits, 1 << bits), t2, 1, 2)
 
 
-def fixed_maclaurin(p: int, q: int, n: int, bits: int, odd: bool = True):
-    """Maclaurin partial sums of sin(pi x) (odd) or cos(pi x) at x = p/q >= 0.
+def fixed_maclaurin(p: int, q: int, n: int, bits: int):
+    """Maclaurin partial sums of sin(pi x) at x = p/q >= 0.
 
     Returns (sums, mags): sums[k] encloses S_{k+1}, the sum of the terms
     0..k, for k < n, and mags[k] the magnitude of term k (its sign is
@@ -369,7 +384,7 @@ def fixed_maclaurin(p: int, q: int, n: int, bits: int, odd: bool = True):
     """
     if p < 0:
         raise ValueError("the series are summed for x >= 0")
-    return fixed_series(*_fixed_sin_cos_args(p, q, bits, odd), bits, n)
+    return fixed_series(*_fixed_sin_cos_args(p, q, bits, True), bits, n)
 
 
 def fixed_sin_maclaurin(p: int, q: int, n: int, bits: int):

@@ -19,7 +19,8 @@ in y = u(1 - u) are enclosed once.  bracketing_cos reads those rows at
 x = u - 1/2 (the cosine grid is the sine grid minus 1/2), as
 cos(pi x) = sin(pi u) and 1/4 - x^2 = u(1 - u); both bracketing reports
 read them again at the mirror 1 - u, and the Maclaurin report reads the
-same sine there.  Each margin is folded as it is formed (`_fold`).
+same sine there.  Each margin is folded as it is formed (`_fold`), and one
+step, `_Sweep.fold`, escalates the bits and folds for every grid point.
 
 The coefficient check reads the same kernel's enclosures of
 t_j (2j)! (`fixed_t_scaled`) and reports their lower ends, with no
@@ -44,7 +45,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 
 from mpmath import mp, mpf
 from mpmath.libmp import (from_int, from_man_exp, mpf_div, mpf_shift, repr_dps, round_nearest,
@@ -56,7 +57,7 @@ from .coeffs import (c_enclosure, coeff_symbolic, coefficient_table, fixed_at_pi
 from .intervals import (IntervalValue, exact_ratio, fixed_bits, fixed_from_interval,
                         fixed_maclaurin, fixed_mul, fixed_partial_sums, fixed_pi, fixed_ratio,
                         fixed_sin_cos_pi, fixed_sin_maclaurin, fixed_t_scaled, fixed_y,
-                        interval_from_fixed, poly_eval_centered)
+                        interval_from_fixed, nearest_double, poly_eval_centered, to_double)
 from .precision import DEFAULT_DIGITS, require_digits, require_index, working
 
 __all__ = [
@@ -260,21 +261,15 @@ def _fold(rows, enclosures) -> tuple[bool, tuple[int, float]]:
     return settled, (at, least)
 
 
-def _least_margin(rows) -> tuple[bool, tuple[int, float]]:
-    """`_fold` of rows (diff_lo, diff_hi, scale_lo, scale_hi), each diff less 0 over its scale."""
-    return _fold([(i, -1, i) for i in range(len(rows))],
-                 ([r[:2] for r in rows], [r[2:] for r in rows], (0, 0)))
-
-
 class _Sweep:
     """Fixed-point evaluation of a grid, with per-point precision escalation.
 
-    `escalate(rows_at, read, weight)` reads `rows_at(bits)`, first at the
-    base bits and then with the bits doubled while any row's difference
-    leaves its sign open, up to the cap; a point still open at the cap is
-    counted as unresolved.  `weight` is the number of grid points the rows
-    stand for.  `margins(evaluate, labels, (p, q), worst, read)` reads
-    `evaluate(p, q, bits)` at x = p/q.
+    `fold(rows, at, weight)` folds the margin rows over `at(bits)`'s
+    enclosures (`_fold`), first at the base bits and then with the bits
+    doubled while any row's difference leaves its sign open, up to the
+    cap; a point still open at the cap is counted as unresolved.  `weight`
+    is the number of grid points the rows stand for.  `report` adds the
+    escalation counts to a `_Worst`'s report.
     """
 
     def __init__(self, digits: int):
@@ -283,35 +278,26 @@ class _Sweep:
         self.cap = self.base << _MAX_DOUBLINGS
         self.escalated = 0
         self.unresolved = 0
-        self.worst = _Worst()
 
-    def escalate(self, rows_at, read, weight: int = 1):
-        # read(rows) -> (settled, result); the result at the last bits tried
+    def fold(self, rows, at, weight: int = 1) -> tuple[int, float]:
+        """(i, margin) at the last bits tried: row i has the least quotient, and margin is
+        that quotient rounded to nearest and then down one step, a lower bound."""
         bits = self.base
-        settled, out = read(rows_at(bits))
+        settled, (i, least) = _fold(rows, at(bits))
         while not settled:
             if bits >= self.cap:
                 self.unresolved += weight
                 break
             bits *= 2
-            settled, out = read(rows_at(bits))
+            settled, (i, least) = _fold(rows, at(bits))
         if bits > self.base:
             self.escalated += weight
             self.top = max(self.top, bits)
-        return out
+        return i, math.nextafter(least, -math.inf)
 
-    def margins(self, evaluate, labels, point, worst: _Worst | None = None,
-                read=_least_margin) -> None:
-        """Fold a point's margins, labelled by `labels` (format, parts...), into `worst`;
-        `read` folds what `evaluate` gives, by default a list of margin rows."""
-        p, q = point
-        i, least = self.escalate(lambda bits: evaluate(p, q, bits), read)
-        # rounding the nearest quotient down one step gives a lower bound
-        (worst or self.worst).update(math.nextafter(least, -math.inf), *labels[i], point)
-
-    def report(self, property_id: str, metadata: dict, worst: _Worst | None = None,
+    def report(self, property_id: str, metadata: dict, worst: _Worst,
                evidence: str = _EVIDENCE) -> PropertyReport:
-        report = (worst or self.worst).report(
+        report = worst.report(
             property_id,
             {
                 **metadata,
@@ -375,6 +361,8 @@ def check_grid(
     outlive its visit.
     """
     require_digits(digits)
+    if grid_size < 1:
+        raise ValueError("grid_size must be >= 1")
     for func in bracketing:
         _check_func(func)
     if bracketing and m_max < 2:
@@ -393,16 +381,19 @@ def check_grid(
                      (2 * j, -1, 2 * j + 1), (2 * j - 2, -1, 2 * j - 1)]
         mac_labels += [("j={} x={} " + kind, j)
                        for kind in ("even-step", "even-below", "odd-above", "prev-odd-above")]
-    fold_bracket, fold_mac = partial(_fold, bracket_rows), partial(_fold, mac_rows)
     n = 2 * j_max + 2 if j_max else 0  # the Maclaurin terms a pass sums
 
     with working(digits):
         bracket, mac = _Sweep(digits), _Sweep(digits)
         worsts = {func: _Worst() for func in bracketing}
-        above = _Worst(descending=True)  # Maclaurin above 1/2, visited downwards
+        # the Maclaurin points above 1/2 are visited downwards
+        below, above = _Worst(), _Worst(descending=True)
+
+        def maclaurin(point, at, worst):
+            i, margin = mac.fold(mac_rows, at)
+            worst.update(margin, *mac_labels[i], point)
         if j_max:  # x = 1 tops the Maclaurin grid: first on the way down
-            mac.margins(lambda p, q, bits: fixed_sin_maclaurin(p, q, n, bits),
-                        mac_labels, (1, 1), above, fold_mac)
+            maclaurin((1, 1), lambda bits: fixed_sin_maclaurin(1, 1, n, bits), above)
         points = _grid(grid_size)
         for p, q in points[:(len(points) + 1) // 2]:
             passes = {}  # bits -> the one series pass at u, for this point's visit only
@@ -413,22 +404,19 @@ def check_grid(
                 return passes[bits]
             mirrored = 2 * p < q
             if bracketing:
-                i, least = bracket.escalate(lambda bits: (
+                i, margin = bracket.fold(bracket_rows, lambda bits: (
                     *fixed_partial_sums(_fixed_coefficients(m_max + 2, bits),
                                         fixed_y(p, q, bits, False), bits),
-                    one_pass(bits)[2]), fold_bracket, 1 + mirrored)
-                # rounding the nearest quotient down one step gives a lower bound
-                margin = math.nextafter(least, -math.inf)
+                    one_pass(bits)[2]), 1 + mirrored)
                 for func, worst in worsts.items():
                     x = (2 * p - q, 2 * q) if func == COS_PI_X else (p, q)
                     worst.update(margin, *bracket_labels[i], x)
             if j_max:
-                mac.margins(lambda p, q, bits: one_pass(bits), mac_labels, (p, q), None, fold_mac)
+                maclaurin((p, q), one_pass, below)
                 if mirrored:
-                    mac.margins(lambda p, q, bits: (*fixed_maclaurin(p, q, n, bits),
-                                                    one_pass(bits)[2]),
-                                mac_labels, (q - p, q), above, fold_mac)
-        mac.worst.merge(above)
+                    maclaurin((q - p, q), lambda bits: (*fixed_maclaurin(q - p, q, n, bits),
+                                                        one_pass(bits)[2]), above)
+        below.merge(above)
         thresholds = _chain_thresholds(j_max) if j_max else None
 
     reports = [
@@ -447,6 +435,7 @@ def check_grid(
                 "asserted": "sub-chains on (0,1]",
                 "five_way_chain_valid_for": thresholds,
             },
+            below,
         ))
     return reports
 
@@ -463,10 +452,11 @@ def check_bessel_identity(j_max: int, digits: int = DEFAULT_DIGITS) -> PropertyR
 
     The route part reads the outward-rounded certificates of
     coefficient_table(j_max, digits, route="bessel"); its margin is
-    1 - 10^digits trunc_bound/t_j, the certificate relative to the
-    10^-digits it must stay below, exact and rounded down, so that it
-    stays a normal double at any digits.  A table that refuses a
-    certificate fails the report.
+    t_j/(10^digits trunc_bound) - 1, the factor by which the certificate
+    beats the 10^-digits relative tolerance it must stay below, less one:
+    positive exactly when it does, exact, least over j and rounded down,
+    so that it stays a normal double at any digits.  A table that refuses
+    a certificate fails the report.
     """
     require_digits(digits)
     require_index(j_max)  # an IndexLimitError is the caller's, not a refused route
@@ -488,17 +478,18 @@ def check_bessel_identity(j_max: int, digits: int = DEFAULT_DIGITS) -> PropertyR
     except ValueError as exc:
         worst.update(-math.inf, "route refused: {}", str(exc))
     else:
-        # the least exact margin names its j; only it is rounded, since
-        # margins that differ only past a double's precision round alike
+        # the least margin, 1/r - 1, is at the largest r = 10^digits trunc_bound/t_j,
+        # the first such j; only it is rounded, since margins that differ only
+        # past a double's precision round alike
         scale = 10 ** digits
-        margin, j = min((1 - scale * Fraction(*exact_ratio(e.trunc_bound.value))
-                         / Fraction(*exact_ratio(e.value.value)), e.j) for e in table)
-        worst.update(_round_double(margin), "j={} route", j)
+        r, j = max((scale * Fraction(*exact_ratio(e.trunc_bound.value))
+                    / Fraction(*exact_ratio(e.value.value)), -e.j) for e in table)
+        worst.update(to_double(r.denominator - r.numerator, r.numerator, -1), "j={} route", -j)
     return worst.report(
         "bessel_identity",
         {"j_max": j_max, "digits": digits,
          "evidence": "exact term identity over Q; route certified by the enclosure",
-         "margin": "1 - 10^digits trunc_bound/t_j, rounded down"},
+         "margin": "t_j/(10^digits trunc_bound) - 1, rounded down"},
     )
 
 
@@ -579,7 +570,7 @@ def check_taylor_exactness(m_max: int, digits: int = DEFAULT_DIGITS) -> Property
                 break
         else:
             c_lo = _fixed_coefficients(m_max + 1, bits)[m][0]
-            worst.update(_round_double(Fraction(c_lo, 1 << bits)), "m={} order={}", m, m + 1)
+            worst.update(to_double(c_lo, 1 << bits, -1), "m={} order={}", m, m + 1)
     return worst.report(
         "taylor_exactness",
         {"m_max": m_max, "digits": digits,
@@ -627,12 +618,6 @@ class PositivityProof:
         return "inconclusive" if self.refutation is None else "refuted"
 
 
-def _round_double(q: Fraction, up: bool = False) -> float:
-    """The rational q rounded to a double, down or up."""
-    d = float(q)  # int / int rounds to nearest
-    return math.nextafter(d, math.inf if up else -math.inf) if (d < q if up else d > q) else d
-
-
 def prove_polynomial_positive(
     coeffs,
     domain: tuple[float, float],
@@ -668,9 +653,9 @@ def prove_polynomial_positive(
         tiles += 1
         deepest = max(deepest, depth)
         if enc_lo > 0:
-            accepted.append((lo, hi, _round_double(Fraction(enc_lo, 1 << bits))))
+            accepted.append((lo, hi, to_double(enc_lo, 1 << bits, -1)))
         elif enc_hi < 0:
-            refutation = (lo, hi, _round_double(Fraction(enc_hi, 1 << bits), up=True))
+            refutation = (lo, hi, to_double(enc_hi, 1 << bits, 1))
             break
         elif depth >= max_depth or enc_lo == enc_hi == 0:
             unresolved.append((lo, hi))
@@ -748,14 +733,6 @@ def prove_example_inequality(
         },
         metadata={**proof.metadata, "digits": digits, "max_depth": max_depth},
     )
-
-
-def _fixed_float(enc, bits: int) -> float | None:
-    """The correctly rounded float of the value enclosed, or None if enc straddles two."""
-    lo, hi = enc[0] / (1 << bits), enc[1] / (1 << bits)  # int division rounds correctly
-    if lo == hi and math.copysign(1, lo) == math.copysign(1, hi):
-        return lo
-    return None
 
 
 # the curve's enclosures start at twice a double's significand; see example_curve
@@ -837,6 +814,8 @@ def example_curve(grid_size: int = 2048, digits: int = DEFAULT_DIGITS):
     f4's quadratic part is exact, by integer Horner in i, rounded once.
     """
     require_digits(digits)
+    if grid_size < 1:
+        raise ValueError("grid_size must be >= 1")
     cap = fixed_bits(digits) << _MAX_DOUBLINGS
     levels = {}  # bits -> `_curve_level`'s row, for this call only
     rows = []
@@ -845,8 +824,8 @@ def example_curve(grid_size: int = 2048, digits: int = DEFAULT_DIGITS):
         while True:
             if bits not in levels:
                 levels[bits] = _curve_level(grid_size, bits)
-            f_enc, gap_enc = levels[bits](i)
-            f_val, gap = _fixed_float(f_enc, bits), _fixed_float(gap_enc, bits)
+            one = 1 << bits
+            f_val, gap = (nearest_double((lo, one), (hi, one)) for lo, hi in levels[bits](i))
             if f_val is not None and gap is not None:
                 break
             if bits >= cap:  # pragma: no cover

@@ -30,7 +30,7 @@ from trigpoly.approx import (
     sine_monomials,
 )
 from trigpoly.coeffs import c_enclosure, coeff_symbolic
-from trigpoly.intervals import exact_ratio, fixed_bits, interval_dps, positive_double
+from trigpoly.intervals import exact_ratio, fixed_bits, interval_dps, nearest_double
 from trigpoly.precision import DEFAULT_INDEX_LIMIT, IndexLimitError, horner, working
 
 
@@ -69,7 +69,7 @@ def test_coefficients_are_their_enclosures_rounded(digits):
         poly = build_poly(func, DEFAULT_INDEX_LIMIT, digits)
         for j, (y, hp) in enumerate(zip(poly.y_coeffs, poly.hp_coeffs), start=1):
             enc = c_enclosure(j, bits)
-            assert positive_double(enc.lo._mpf_) == y == positive_double(enc.hi._mpf_), (func, j)
+            assert nearest_double(exact_ratio(enc.lo), exact_ratio(enc.hi)) == y, (func, j)
             lo, hi, v = (Fraction(*exact_ratio(e)) for e in (enc.lo, enc.hi, hp))
             assert lo * (1 - tol) <= v <= hi * (1 + tol), (func, j)
 
@@ -530,7 +530,7 @@ def _iv_tail_constants(m, digits):
         k = lead / (1 - q)
         tail = 1 / (1 - q)
     lead, k, q, tail = (v._mpi_ for v in (lead, k, q, tail))
-    floats = approx._nearest(*q), approx._nearest(*tail)
+    floats = nearest_double(*map(exact_ratio, q)), nearest_double(*map(exact_ratio, tail))
     if None in floats:
         finer = _iv_tail_constants(m, 2 * digits)
         floats = finer.q_m, finer.tail_factor

@@ -25,9 +25,10 @@ from trigpoly.intervals import (
     fixed_y,
     interval_dps,
     interval_from_fixed,
+    nearest_double,
     pi_interval,
     poly_eval_centered,
-    positive_double,
+    to_double,
     y_ratio,
 )
 from trigpoly.verify import _fixed_coefficients
@@ -42,6 +43,14 @@ def make_interval(a: float, b: float) -> IntervalValue:
 def test_endpoints_ordering_enforced():
     with pytest.raises(ValueError):
         IntervalValue(2, 1)
+
+
+@pytest.mark.parametrize("lo,hi", [(math.inf, None), (-math.inf, None), (math.nan, None),
+                                   (0, math.inf), (-math.inf, 0), (math.nan, 1), (0, math.nan),
+                                   (mpf("-inf"), 0), (0, mpf("nan"))])
+def test_endpoints_must_be_finite(lo, hi):
+    with pytest.raises(ValueError, match="finite"):
+        IntervalValue(lo, hi)
 
 
 def test_basic_properties():
@@ -229,16 +238,15 @@ def test_fixed_point_enclosures_contain_high_precision_values(x, scale):
                 assert _encloses(terms[j], term, bits)
                 assert _encloses(sums[j], acc, bits)
         t = mp.pi * xv
-        for odd in (True, False):
-            sums, mags = fixed_maclaurin(p, q, 10, bits, odd=odd)
-            acc = 0
-            for k in range(11):
-                n = 2 * k + odd
-                mag = t ** n / mp.factorial(n)
-                assert _encloses(mags[k], mag, bits)
-                if k < 10:
-                    acc += (-1) ** k * mag
-                    assert _encloses(sums[k], acc, bits)
+        sums, mags = fixed_maclaurin(p, q, 10, bits)
+        acc = 0
+        for k in range(11):
+            n = 2 * k + 1
+            mag = t ** n / mp.factorial(n)
+            assert _encloses(mags[k], mag, bits)
+            if k < 10:
+                acc += (-1) ** k * mag
+                assert _encloses(sums[k], acc, bits)
 
 
 def _series_reference(first, z, a, b, bits, n=None):
@@ -403,27 +411,52 @@ def test_mid_is_exact_whatever_the_context_precision():
     assert t_enclosure(1, 50).mid.man.bit_length() > 200  # not cut to the ambient 25 digits
 
 
-def _nearest_reference(f: Fraction) -> float:
-    return float(f)  # int / int rounds correctly, subnormals included
+def _rounds_correctly(f: Fraction, toward: int, got: float) -> bool:
+    """Whether got is f rounded once to a double, by exact comparisons: the nearest
+    double, ties to the even significand, or the nearest on the side asked for."""
+    g = Fraction(got)
+    if toward:
+        other = Fraction(math.nextafter(got, -toward * math.inf))
+        return (g - f) * toward >= 0 and (other - f) * toward < 0
+    err = abs(g - f)
+    for side in (-math.inf, math.inf):
+        near = abs(Fraction(math.nextafter(got, side)) - f)
+        if near < err or near == err and (g / Fraction(math.ulp(got))) % 2:
+            return False
+    return True
 
 
-def test_positive_double_rounds_once_to_nearest_or_up():
+def test_to_double_rounds_once_to_nearest_down_or_up():
     tiny = Fraction(1, 2 ** 1074)
     cases = [Fraction(2 ** 53 + 1, 2 ** 53), Fraction(2 ** 53 + 3, 2 ** 53),  # ties to even
              tiny / 2, tiny * 3 / 2, tiny * 5 / 2, tiny / 3, tiny * 2 ** 52 - tiny / 2,
-             Fraction(1, 3), Fraction(2 ** 60 - 1), Fraction(1, 10 ** 320), Fraction(1, 10 ** 330)]
+             Fraction(1, 3), Fraction(2 ** 60 - 1), Fraction(1, 10 ** 320), Fraction(1, 10 ** 330),
+             Fraction(0), Fraction(1, 10), Fraction(3, 2 ** 1080), Fraction(10 ** 300, 3)]
     rng = random.Random(8)
-    cases += [Fraction(rng.getrandbits(120) | 1, 2 ** rng.randrange(60, 1250)) for _ in range(400)]
-    for f in cases:
-        with mp.workprec(300):
-            v = (mpf(f.numerator) / f.denominator)._mpf_
-        f = _fraction(mp.make_mpf(v))
-        near, up = positive_double(v), positive_double(v, up=True)
-        assert near == _nearest_reference(f), f
-        assert Fraction(up) >= f and (up == 0 or Fraction(math.nextafter(up, 0)) < f), f
-    assert positive_double(mpf(0.1)._mpf_) == 0.1 == positive_double(mpf(0.1)._mpf_, up=True)
-    assert positive_double((0, 1, -1075, 1)) == 0.0
-    assert positive_double((0, 1, -1075, 1), up=True) == 5e-324
+    cases += [Fraction(rng.getrandbits(120) | 1, 2 ** rng.randrange(60, 1250)) for _ in range(300)]
+    cases += [Fraction(rng.getrandbits(rng.randrange(1, 200)) + 1, rng.getrandbits(150) | 1)
+              for _ in range(300)]
+    for f in cases + [-f for f in cases]:
+        for toward in (0, -1, 1):
+            assert _rounds_correctly(f, toward, to_double(f.numerator, f.denominator, toward)), (
+                f, toward)
+    # 2^-1075 lies halfway between 0 and the least subnormal: a tie, to the even 0
+    assert to_double(1, 2 ** 1075) == 0.0 and to_double(1, 2 ** 1075, -1) == 0.0
+    assert to_double(1, 2 ** 1075, 1) == 5e-324 and to_double(-1, 2 ** 1075, -1) == -5e-324
+    assert math.copysign(1, to_double(-1, 2 ** 1075)) == -1  # a negative value rounds to -0.0
+    assert to_double(0, 7, -1) == to_double(0, 7, 1) == 0.0
+    assert to_double(1, 10) == 0.1 and to_double(1, 10, 1) == 0.1
+    assert to_double(1, 10, -1) == math.nextafter(0.1, 0)
+
+
+def test_nearest_double_needs_both_ends_to_round_alike():
+    assert nearest_double((1, 3), (1, 3)) == 1 / 3
+    assert nearest_double((2 ** 60 - 1, 2 ** 60), (1, 1)) == 1.0
+    assert nearest_double((1, 3), (1, 2)) is None
+    # zero keeps its sign: ends that round to -0.0 and to 0.0 are two doubles
+    assert nearest_double((-1, 2 ** 1100), (1, 2 ** 1100)) is None
+    assert math.copysign(1, nearest_double((-1, 2 ** 1100), (-1, 2 ** 1099))) == -1
+    assert nearest_double((0, 1), (1, 2 ** 1100)) == 0.0
 
 
 def test_y_ratio_is_the_exact_shifted_variable():

@@ -152,21 +152,42 @@ def test_bessel_identity_small():
     assert report.passed
     assert "tolerance" not in report.metadata
     where, margin = report.worst_case
-    # relative to the 10^-50 each certificate must stay below
-    assert where.endswith(" route") and 0 < margin < 1
+    # relative to the 10^-50 each certificate must stay below, which the
+    # Bessel route's certificates beat by about 21 digits
+    assert where.endswith(" route") and margin > 1e20
+
+
+def _bessel_margin(j_max, digits):
+    # (t_j/(10^digits trunc_bound) - 1, j) from the table's certificates, in Fraction
+    return min(
+        (Fraction(*exact_ratio(e.value.value))
+         / (10 ** digits * Fraction(*exact_ratio(e.trunc_bound.value))) - 1, e.j)
+        for e in coefficient_table(j_max, digits, route="bessel")
+    )
+
+
+def _rounded_down(margin, exact):
+    return Fraction(margin) <= exact < Fraction(math.nextafter(margin, math.inf))
 
 
 def test_bessel_identity_route_margin_is_exact_and_rounded_down():
-    # 1 - 10^digits trunc_bound/t_j from the table's certificates, in Fraction
     report = check_bessel_identity(8, 40)
-    exact = min(
-        (1 - 10 ** 40 * Fraction(*exact_ratio(e.trunc_bound.value))
-         / Fraction(*exact_ratio(e.value.value)), e.j)
-        for e in coefficient_table(8, 40, route="bessel")
-    )
-    assert report.worst_case[0] == f"j={exact[1]} route"
-    margin = report.worst_case[1]
-    assert Fraction(margin) <= exact[0] < Fraction(math.nextafter(margin, math.inf))
+    exact, j = _bessel_margin(8, 40)
+    assert report.worst_case[0] == f"j={j} route"
+    assert _rounded_down(report.worst_case[1], exact)
+
+
+def test_bessel_identity_margin_tells_the_tables_apart():
+    # the margin keeps how far each table's certificates beat their
+    # tolerance: 30 and 50 digits read different margins, not one constant
+    margins = []
+    for digits in (30, 50):
+        report = check_bessel_identity(50, digits)
+        exact, j = _bessel_margin(50, digits)
+        assert report.worst_case[0] == f"j={j} route" and report.passed
+        assert _rounded_down(report.worst_case[1], exact), digits
+        margins.append(report.worst_case[1])
+    assert margins[0] != margins[1] and min(margins) > 1e20
 
 
 def test_bessel_identity_passes_past_the_double_range():
@@ -174,12 +195,12 @@ def test_bessel_identity_passes_past_the_double_range():
     # would round to 0.0 and fail the report
     report = check_bessel_identity(50, 330)
     assert report.passed, report.worst_case
-    assert 0.5 < report.worst_case[1] < 1
+    assert 1e20 < report.worst_case[1] < 1e22
 
 
 def test_bessel_identity_margin_is_relative_to_the_tolerance(monkeypatch):
     # certificates of 3/4 and 6/4 times 2^-100 against 10^-30 (2^-100 is
-    # about 0.79e-30): margins 1 - 10^30 (3/4) 2^-100 > 0, and the second < 0
+    # about 0.79e-30): margins 2^100/(10^30 (3/4)) - 1 > 0, and the second < 0
     def table(j_max, digits, route):
         return [SimpleNamespace(j=j, value=SimpleNamespace(value=mpf(1)),
                                 trunc_bound=SimpleNamespace(value=mpf(3 * j) / 4 * mpf(2) ** -100))
@@ -189,9 +210,8 @@ def test_bessel_identity_margin_is_relative_to_the_tolerance(monkeypatch):
     for j_max, status in ((1, "pass"), (2, "fail")):
         report = check_bessel_identity(j_max, 30)
         assert report.status == status and report.worst_case[0] == f"j={j_max} route"
-        exact = 1 - 10 ** 30 * Fraction(3 * j_max, 4) / 2 ** 100
-        margin = report.worst_case[1]
-        assert Fraction(margin) <= exact < Fraction(math.nextafter(margin, math.inf))
+        exact = 2 ** 100 / (10 ** 30 * Fraction(3 * j_max, 4)) - 1
+        assert _rounded_down(report.worst_case[1], exact)
 
 
 def test_bessel_identity_refuses_j_max_below_one():
@@ -412,6 +432,28 @@ def test_engine_refuses_an_empty_inverted_or_unbounded_domain(domain):
         prove_polynomial_positive([IntervalValue(-0.3), IntervalValue(1)], domain, 20)
 
 
+@pytest.mark.parametrize("bad", [-math.inf, math.inf, math.nan], ids=["-inf", "inf", "nan"])
+def test_engine_cannot_be_given_a_non_finite_coefficient(bad):
+    # a non-finite end once enclosed as 0, so 1 + (-inf) x was "proved" on
+    # [0, 1/2]; the coefficient is now refused when it is formed
+    with pytest.raises(ValueError, match="finite"):
+        prove_polynomial_positive([IntervalValue(1.0), IntervalValue(bad)], (0.0, 0.5))
+    with pytest.raises(ValueError, match="finite"):
+        prove_polynomial_positive([IntervalValue(1.0), IntervalValue(-1.0, bad)], (0.0, 0.5))
+
+
+@pytest.mark.parametrize("grid_size", [0, -3])
+def test_grid_checks_and_the_curve_refuse_a_grid_below_one(grid_size):
+    with pytest.raises(ValueError, match="grid_size must be >= 1"):
+        verify.check_grid(grid_size, 50, (SIN_PI_X,), 3, 1)
+    with pytest.raises(ValueError, match="grid_size must be >= 1"):
+        check_bracketing(COS_PI_X, 3, grid_size, 50)
+    with pytest.raises(ValueError, match="grid_size must be >= 1"):
+        check_maclaurin_interleaving(2, grid_size, 50)
+    with pytest.raises(ValueError, match="grid_size must be >= 1"):
+        example_curve(grid_size)
+
+
 def _f4_coefficients_mp():
     # f4's monomial coefficients in mpf, from t_j's series and plain convolutions
     pi2 = mp.pi ** 2
@@ -628,9 +670,11 @@ def test_grid_reports_print_x_in_full():
             assert _parses_back(text, x), text
     with working(50):
         p, q = verify._grid(64)[-1]  # 1 - 1e-6 * 2^-31, exact
-        sweep = verify._Sweep(50)
-        sweep.margins(lambda p, q, bits: [(-1, -1, 1, 1)], [("x={} first",)], (p, q))
-    x_text = sweep.report("t", {}).worst_case[0].split("x=")[1].split()[0]
+        sweep, worst = verify._Sweep(50), verify._Worst()
+        rows, enclosures = _diff_rows([(-1, -1, 1, 1)])
+        _, margin = sweep.fold(rows, lambda bits: enclosures)
+        worst.update(margin, "x={} first", (p, q))
+    x_text = sweep.report("t", {}, worst).worst_case[0].split("x=")[1].split()[0]
     with mp.workprec(BRUTE_PREC):
         x = mpf(p) / q
     assert x_text.startswith("0.99999999999999") and _parses_back(x_text, x)
@@ -944,27 +988,44 @@ def test_grid_reports_keep_the_first_of_equal_margins(monkeypatch):
     ]
 
 
+def _diff_rows(rows):
+    """Rows (diff_lo, diff_hi, scale_lo, scale_hi) as `_fold`'s (rows, enclosures): row i
+    is sums[i] less the sine, (0, 0), over scales[i]."""
+    enclosures = [r[:2] for r in rows], [r[2:] for r in rows], (0, 0)
+    return [(i, -1, i) for i in range(len(rows))], enclosures
+
+
 def test_sweep_reports_the_lower_end_and_counts_open_points():
     labels = [("x={} first",), ("x={} second",)]
     with working(50):
-        sweep = verify._Sweep(50)
-        # settled at the base bits: [1, 3] / [1, 2] has lower end 1/2
-        sweep.margins(lambda p, q, bits: [(5, 6, 1, 1), (1, 3, 1, 2)], labels, (1, 4))
-        assert (sweep.escalated, sweep.unresolved) == (0, 0)
-        assert sweep.worst.margin == math.nextafter(0.5, 0) and sweep.report("t", {}).passed
-        # open at every precision: counted, and the report fails
-        sweep.margins(lambda p, q, bits: [(-1, 1, 1, 1), (1, 1, 1, 1)], labels, (1, 8))
-        assert (sweep.escalated, sweep.unresolved) == (1, 1)
+        sweep, worst = verify._Sweep(50), verify._Worst()
+        tried = []
+
+        def visit(rows, point, weight=1):
+            index_rows, enclosures = _diff_rows(rows)
+            i, margin = sweep.fold(index_rows, lambda bits: tried.append(bits) or enclosures,
+                                   weight)
+            worst.update(margin, *labels[i], point)
+        # settled at the base bits: [1, 3] / [1, 2] has lower end 1/2, rounded one step down
+        visit([(5, 6, 1, 1), (1, 3, 1, 2)], (1, 4))
+        assert (sweep.escalated, sweep.unresolved, tried) == (0, 0, [sweep.base])
+        assert worst.margin == math.nextafter(0.5, 0) and sweep.report("t", {}, worst).passed
+        # open at every precision: the bits double up to the cap, the point
+        # counts with its weight, and the report fails
+        tried.clear()
+        visit([(-1, 1, 1, 1), (1, 1, 1, 1)], (1, 8), 2)
+        assert tried == [sweep.base << k for k in range(verify._MAX_DOUBLINGS + 1)]
+        assert (sweep.escalated, sweep.unresolved) == (2, 2)
         assert sweep.top == sweep.cap == fixed_bits(50) << verify._MAX_DOUBLINGS
-        report = sweep.report("t", {})
-        assert report.status == "fail" and report.metadata["unresolved_points"] == 1
+        report = sweep.report("t", {}, worst)
+        assert report.status == "fail" and report.metadata["unresolved_points"] == 2
         assert report.worst_case == ("x=0.125 first", math.nextafter(-1.0, -math.inf))
     # settled negative: no escalation; [-3, -1] / [2, 4] has lower end -3/2
-    assert verify._least_margin([(-3, -1, 2, 4)]) == (True, (0, -1.5))
-    assert verify._least_margin([(-3, 1, 0, 4)]) == (False, (0, -math.inf))
-    assert verify._least_margin([(3, 5, 2, 4)]) == (True, (0, 0.75))
+    assert verify._fold(*_diff_rows([(-3, -1, 2, 4)])) == (True, (0, -1.5))
+    assert verify._fold(*_diff_rows([(-3, 1, 0, 4)])) == (False, (0, -math.inf))
+    assert verify._fold(*_diff_rows([(3, 5, 2, 4)])) == (True, (0, 0.75))
     # the first of equal margins wins; a quotient past the doubles is +-inf
     rows = [(3, 5, 2, 4), (-3, -1, 2, 4), (-6, -1, 4, 8), (10 ** 400, 10 ** 401, 1, 1)]
-    assert verify._least_margin(rows) == (True, (1, -1.5))
-    assert verify._least_margin(rows[3:]) == (True, (0, math.inf))
-    assert verify._least_margin([(-10 ** 401, -10 ** 400, 1, 1)]) == (True, (0, -math.inf))
+    assert verify._fold(*_diff_rows(rows)) == (True, (1, -1.5))
+    assert verify._fold(*_diff_rows(rows[3:])) == (True, (0, math.inf))
+    assert verify._fold(*_diff_rows([(-10 ** 401, -10 ** 400, 1, 1)])) == (True, (0, -math.inf))
