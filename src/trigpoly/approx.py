@@ -27,7 +27,7 @@ from mpmath import mp, mpf
 from mpmath.libmp import (fone, from_int, mpf_div, mpf_mul, mpf_pi, mpf_pow_int, mpf_shift,
                           mpf_sub, round_ceiling, round_floor)
 
-from .coeffs import _mid, c_enclosure, coeff_symbolic, poly_sum
+from .coeffs import _c_ends, _mid, coeff_symbolic, poly_sum
 from .intervals import (IntervalValue, exact_ratio, fixed_bits, nearest_double, pi_interval,
                         series_interval, to_double, y_ratio)
 from .precision import (
@@ -152,18 +152,19 @@ def build_poly(func: FuncTag, m: int, digits: int = DEFAULT_DIGITS) -> ApproxPol
     """The degree-m approximant.
 
     hp_coeffs[j - 1] is the midpoint of `c_enclosure(j, fixed_bits(digits))`
-    rounded to the working precision, and y_coeffs[j - 1] its double.
+    rounded to the working precision, and y_coeffs[j - 1] that value rounded
+    to the nearest double by `to_double`.
     """
     _check_func(func)
     require_digits(digits)
     if m < 1:
         raise ValueError("m must be >= 1")
     bits = fixed_bits(digits)
-    hp = tuple(_mid(c_enclosure(j, bits), digits).value for j in range(1, m + 1))
+    hp = tuple(_mid(_c_ends(j, bits), digits).value for j in range(1, m + 1))
     return ApproxPolynomial(
         func=func,
         degree_m=m,
-        y_coeffs=tuple(float(c) for c in hp),
+        y_coeffs=tuple(to_double(*exact_ratio(c)) for c in hp),
         hp_coeffs=hp,
         precision_digits=digits,
     )

@@ -28,13 +28,18 @@ Every route's certificate comes from an enclosure by one rule:
 trunc_bound = max(hi - v, v - lo), rounded up, for the route's value v;
 the direct route's from its own `t_enclosure`, the recurrence and Bessel
 tables' from `t_enclosures`.  A value rounded from an enclosure is its
-exact midpoint rounded to the working precision (`_mid`).
+exact midpoint rounded to the working precision (`_mid`).  Inside the
+module an enclosure travels as its raw ends, a pair of libmp tuples
+(lo, hi), from the recurrence, the series and the Bessel ladder to
+`_mid` and `_certified`; it becomes an `IntervalValue` only where a
+public function returns one (`t_enclosure`, `t_enclosures`,
+`c_enclosure`, `SymbolicCoefficient.evaluate_interval`).
 
 The generalized series T_j(z) = sum_k (-z)^k binom(j+k,j)/(2j+2k)!
 recovers t_j at z = pi^2/4 and is exposed for cross-checks.  It and
 J_{j-1/2} are the same alternating series, each term the last times
 z/((2k+2)(2k+2j+1)) (z = x^2 for the Bessel function), summed by
-`intervals.series_interval`; each value is its enclosure's midpoint.
+`intervals.series_ends`; each value is its enclosure's midpoint.
 Their terms grow for about sqrt(z)/2 steps before they fall, so an
 argument with z above MAX_SERIES_Z = 10^6 is refused.  The Bessel
 series' first terms, h^(j-1/2)/Gamma(j+1/2) (times pi^(1-j)/(2 j!) at
@@ -55,20 +60,20 @@ from typing import Literal
 
 from mpmath import mp, mpf
 from mpmath.libmp import (fone, from_int, mpf_add, mpf_cmp, mpf_div, mpf_mul, mpf_pi, mpf_pow_int,
-                          mpf_shift, mpf_sqrt, mpf_sub, round_ceiling, round_floor, round_nearest)
+                          mpf_shift, mpf_sqrt, mpf_sub, round_ceiling, round_floor, round_nearest,
+                          to_float)
 
 from .intervals import (
     IntervalValue,
-    exact_ratio,
+    ends_from_fixed,
     fixed_bits,
-    fixed_from_interval,
+    fixed_from_ends,
     fixed_horner,
     fixed_mul,
     fixed_pi,
     fixed_ratio,
     fixed_t_scaled,
-    interval_from_fixed,
-    series_interval,
+    series_ends,
 )
 from .precision import (
     DEFAULT_DIGITS,
@@ -124,17 +129,20 @@ class CoefficientTable:
     precision_digits: int
 
     def __post_init__(self):
-        digits, fact = self.precision_digits, 1
+        digits, fact, scale = self.precision_digits, 1, 10 ** self.precision_digits
         for pos, entry in enumerate(self.entries, start=1):
             fact *= (2 * pos - 1) * 2 * pos  # (2 pos)!
             if entry.j != pos:
                 raise ValueError("entries must be contiguous in j starting at 1")
-            # exact integer comparisons of v = v_num/v_den and bound = b_num/b_den
-            v_num, v_den = exact_ratio(entry.value.value)
-            b_num, b_den = exact_ratio(entry.trunc_bound.value)
-            if not 0 < v_num * fact < v_den:
+            # exact integer comparisons on the raw mpfs v = v_man 2^v_exp and
+            # bound = b_man 2^b_exp (mpmath's inf and nan have a zero mantissa)
+            v_sign, v_man, v_exp, _ = entry.value.value._mpf_
+            b_sign, b_man, b_exp, _ = entry.trunc_bound.value._mpf_
+            if v_sign or not v_man or v_exp >= 0 or (v_man * fact) >> -v_exp:
                 raise ValueError(f"coefficient {pos} outside (0, 1/(2j)!)")
-            if not b_num * v_den * 10 ** digits < v_num * b_den:
+            b, shift = (-b_man if b_sign else b_man) * scale, b_exp - v_exp  # bound 10^digits
+            if (not b_man and b_exp) or not (b << shift < v_man if shift >= 0
+                                             else b < v_man << -shift):
                 raise ValueError(f"coefficient {pos} certificate not below 10^-{digits} relative")
 
     def __len__(self) -> int:
@@ -150,23 +158,36 @@ class CoefficientTable:
         return self.entries[j - 1].value
 
 
-def _mid(enc: IntervalValue, digits: int) -> ExtReal:
-    """The one midpoint rule: the enclosure's exact midpoint rounded to nearest at
-    `fixed_bits(digits)` bits, the precision `working(digits)` sets, without entering it."""
-    mid = mpf_add(enc.lo._mpf_, enc.hi._mpf_, fixed_bits(digits), round_nearest)
+def _mid(enc: tuple, digits: int) -> ExtReal:
+    """The one midpoint rule: the exact midpoint of the raw ends enc = (lo, hi) rounded to
+    nearest at `fixed_bits(digits)` bits, the precision `working(digits)` sets, without
+    entering it."""
+    mid = mpf_add(enc[0], enc[1], fixed_bits(digits), round_nearest)
     return ExtReal(mp.make_mpf(mpf_shift(mid, -1)), digits)
+
+
+def _t_ends(j: int, bits: int) -> tuple:
+    # raw ends of t_j: `fixed_t_scaled` at `bits` bits, divided outward by (2j)!
+    return ends_from_fixed(fixed_t_scaled(j, bits), bits, math.factorial(2 * j))
 
 
 def t_enclosure(j: int, digits: int = DEFAULT_DIGITS) -> IntervalValue:
     """Enclosure of t_j: `fixed_t_scaled` at `fixed_bits(digits)` bits, divided outward by (2j)!."""
-    bits = fixed_bits(digits)
-    return interval_from_fixed(fixed_t_scaled(j, bits), bits, math.factorial(2 * j))
+    return IntervalValue._of(*_t_ends(j, fixed_bits(digits)))
 
 
 # fractional bits `_downward` and `c_enclosure` carry beyond their precision, so
 # that the roundings of up to 200 recurrence steps, or of a series' terms times
 # pi^(2j), stay below those of one `t_enclosure`
 T_GUARD_BITS = 8
+
+
+def _c_ends(j: int, bits: int) -> tuple:
+    # raw ends of c_enclosure(j, bits)
+    require_index(j)
+    prec = bits + T_GUARD_BITS
+    return tuple(mpf_mul(v, mpf_pow_int(mpf_pi(prec, rnd), 2 * j, prec, rnd), prec, rnd)
+                 for v, rnd in zip(_t_ends(j, prec), (round_floor, round_ceiling)))
 
 
 def c_enclosure(j: int, bits: int) -> IntervalValue:
@@ -176,35 +197,29 @@ def c_enclosure(j: int, bits: int) -> IntervalValue:
     rounded outward by libmp at that precision.  Per j, so c_j does not
     depend on how many coefficients a caller asks for.
     """
-    require_index(j)
-    prec = bits + T_GUARD_BITS
-    t = interval_from_fixed(fixed_t_scaled(j, prec), prec, math.factorial(2 * j))
-    ends = []
-    for v, rnd in ((t.lo, round_floor), (t.hi, round_ceiling)):
-        ends.append(mpf_mul(v._mpf_, mpf_pow_int(mpf_pi(prec, rnd), 2 * j, prec, rnd), prec, rnd))
-    return IntervalValue._of(*ends)
+    return IntervalValue._of(*_c_ends(j, bits))
 
 
-def _downward(z: IntervalValue, j_max: int, prec: int) -> list[IntervalValue]:
-    """Enclosures of T_1(z)..T_{j_max}(z) (item j - 1 holds T_j) by one pass down the recurrence
+def _downward(z: tuple, j_max: int, prec: int) -> list[tuple]:
+    """Raw ends of T_1(z)..T_{j_max}(z) (item j - 1 holds T_j) by one pass down the recurrence
 
         s_{j-2} = s_{j-1} - z s_j / ((2j-1)(2j-3)),   s_j = T_j(z) (2j)!,
 
-    for a non-negative enclosure z: fixed point at prec + T_GUARD_BITS bits
+    for non-negative raw ends z: fixed point at prec + T_GUARD_BITS bits
     plus the bits the widths can grow by, log2 prod_j (1 + z/((2j-1)(2j-3))),
-    seeded by `series_interval` (which adds its terms' growth) at j_max and
+    seeded by `series_ends` (which adds its terms' growth) at j_max and
     j_max - 1.  Each step subtracts the product rounded up from the lower
     end and rounded down from the upper one, its ends picked by the sign of
     s_j (T_1 < 0 for some z > pi^2), so the pair still encloses s_{j-2};
     each s_j is then divided outward by (2j)!.  The one recurrence loop.
     """
-    zf = float(z.hi)
+    zf = to_float(z[1], rnd=round_nearest)
     growth = sum(math.log2(1 + zf / ((2 * j - 1) * (2 * j - 3))) for j in range(3, j_max + 1))
     bits = prec + T_GUARD_BITS + math.ceil(growth)
-    z_lo, z_hi = fixed_from_interval(z, bits)
+    z_lo, z_hi = fixed_from_ends(z, bits)
     s = [None] * (j_max + 1)
     for j in range(max(1, j_max - 1), j_max + 1):
-        s[j] = fixed_from_interval(series_interval(IntervalValue(1), z, 2, 2 * j + 1, bits), bits)
+        s[j] = fixed_from_ends(series_ends((fone, fone), z, 2, 2 * j + 1, bits), bits)
     for j in range(j_max, 2, -1):
         (lo1, hi1), (lo, hi) = s[j - 1], s[j]
         d = ((2 * j - 1) * (2 * j - 3)) << bits
@@ -214,8 +229,18 @@ def _downward(z: IntervalValue, j_max: int, prec: int) -> list[IntervalValue]:
     out, fact = [], 1
     for j in range(1, j_max + 1):
         fact *= (2 * j - 1) * 2 * j
-        out.append(interval_from_fixed(s[j], bits, fact))
+        out.append(ends_from_fixed(s[j], bits, fact))
     return out
+
+
+def _t_table_ends(j_max: int, digits: int) -> list[tuple]:
+    # raw ends of t_enclosures(j_max, digits)
+    require_index(j_max)
+    if j_max < 1:
+        raise ValueError("j_max must be >= 1")
+    bits = 2 * fixed_bits(digits)
+    z = ends_from_fixed(fixed_mul(fixed_pi(bits), fixed_pi(bits), bits), bits + 2)
+    return _downward(z, j_max, fixed_bits(digits))
 
 
 def t_enclosures(j_max: int, digits: int = DEFAULT_DIGITS) -> list[IntervalValue]:
@@ -225,23 +250,18 @@ def t_enclosures(j_max: int, digits: int = DEFAULT_DIGITS) -> list[IntervalValue
     `t_enclosure` sums a series for each j; z is enclosed at twice those
     bits, so its width adds nothing the pass can see.
     """
-    require_index(j_max)
-    if j_max < 1:
-        raise ValueError("j_max must be >= 1")
-    bits = 2 * fixed_bits(digits)
-    z = interval_from_fixed(fixed_mul(fixed_pi(bits), fixed_pi(bits), bits), bits + 2)
-    return _downward(z, j_max, fixed_bits(digits))
+    return [IntervalValue._of(*enc) for enc in _t_table_ends(j_max, digits)]
 
 
-def _certified(v: mpf, enc: IntervalValue, digits: int) -> tuple[ExtReal, ExtReal]:
+def _certified(v: mpf, enc: tuple, digits: int) -> tuple[ExtReal, ExtReal]:
     """(v, trunc_bound) by the one rule: trunc_bound = max(hi - v, v - lo), rounded up.
 
-    [lo, hi] = enc encloses t_j (`t_enclosure(j, digits)` on the direct
-    route, the `t_enclosures` entry on the recurrence and Bessel routes),
-    so the bound covers |v - t_j| wherever v lies.
+    The raw ends enc = (lo, hi) enclose t_j (`t_enclosure(j, digits)`'s on
+    the direct route, the `t_enclosures` entry's on the recurrence and
+    Bessel routes), so the bound covers |v - t_j| wherever v lies.
     """
-    above = mpf_sub(enc.hi._mpf_, v._mpf_, 64, round_ceiling)
-    below = mpf_sub(v._mpf_, enc.lo._mpf_, 64, round_ceiling)
+    above = mpf_sub(enc[1], v._mpf_, 64, round_ceiling)
+    below = mpf_sub(v._mpf_, enc[0], 64, round_ceiling)
     bound = above if mpf_cmp(above, below) >= 0 else below
     return ExtReal(v, digits), ExtReal(mp.make_mpf(bound), digits)
 
@@ -257,7 +277,7 @@ def coeff_direct(j: int, digits: int = DEFAULT_DIGITS) -> tuple[ExtReal, ExtReal
     require_index(j)
     if j < 1:
         raise ValueError("j must be >= 1")
-    enc = t_enclosure(j, digits)
+    enc = _t_ends(j, fixed_bits(digits))
     return _certified(_mid(enc, digits).value, enc, digits)
 
 
@@ -270,7 +290,8 @@ def coeff_recurrence(j_max: int, digits: int = DEFAULT_DIGITS) -> CoefficientTab
     inside it, and its certificate the one rule's against that entry.
     """
     require_digits(digits)
-    pairs = [_certified(enc.mid, enc, digits) for enc in t_enclosures(j_max, digits)]
+    pairs = [_certified(mp.make_mpf(mpf_shift(mpf_add(lo, hi), -1)), (lo, hi), digits)
+             for lo, hi in _t_table_ends(j_max, digits)]
     return _table("recurrence", pairs, digits)
 
 
@@ -298,7 +319,7 @@ class SymbolicCoefficient:
     def evaluate(self, digits: int = DEFAULT_DIGITS) -> ExtReal:
         """t_j: the midpoint of `evaluate_interval`, at the working precision."""
         require_digits(digits)
-        return _mid(self.evaluate_interval(digits), digits)
+        return _mid(_t_ends(self.index, fixed_bits(digits)), digits)
 
     def evaluate_interval(self, digits: int = DEFAULT_DIGITS) -> IntervalValue:
         """Enclosure of t_j: `t_enclosure(j, digits)`, within 10^-digits relative."""
@@ -392,13 +413,13 @@ def gamma_half(n: int, digits: int = DEFAULT_DIGITS) -> ExtReal:
         raise ValueError("n must be >= 0")
     prec = fixed_bits(digits)
     num, den = from_int(math.factorial(2 * n)), from_int(4 ** n * math.factorial(n))
-    return _mid(IntervalValue._of(*(
+    return _mid(tuple(
         mpf_div(mpf_mul(mpf_sqrt(mpf_pi(prec, rnd), prec, rnd), num, prec, rnd), den, prec, rnd)
-        for rnd in (round_floor, round_ceiling))), digits)
+        for rnd in (round_floor, round_ceiling)), digits)
 
 
-def _ladder(h: tuple, pi: tuple, j_max: int, prec: int, weighted: bool) -> list[IntervalValue]:
-    """Enclosures of A_j = h^(j-1/2)/Gamma(j+1/2), j = 0..j_max, in one pass at `prec` bits:
+def _ladder(h: tuple, pi: tuple, j_max: int, prec: int, weighted: bool) -> list[tuple]:
+    """Raw ends of A_j = h^(j-1/2)/Gamma(j+1/2), j = 0..j_max, in one pass at `prec` bits:
     A_0 = 1/sqrt(pi h), A_j = A_{j-1} h/(j - 1/2); if `weighted`, item j >= 1 is A_j B_j,
     B_j = pi^(1-j)/(2 j!) (B_1 = 1/2, B_j = B_{j-1}/(pi j)).  h and pi are raw ends, 0 < h_lo;
     all factors are positive, so a lower end is rounded down from the factors' lower ends
@@ -416,21 +437,21 @@ def _ladder(h: tuple, pi: tuple, j_max: int, prec: int, weighted: bool) -> list[
                 a = mpf_div(a, p, prec, rnd) if j > 1 else mpf_shift(a, -1)
             col.append(a)
         sides.append(col)
-    return [IntervalValue._of(lo, hi) for lo, hi in zip(*sides)]
+    return list(zip(*sides))
 
 
-def _bessel(js: range, digits: int, h: tuple | None = None) -> list[IntervalValue]:
-    """Enclosures of J_{j-1/2}(2h) for j in js, h in raw ends with 0 < h_lo, or with no h of
+def _bessel(js: range, digits: int, h: tuple | None = None) -> list[tuple]:
+    """Raw ends of J_{j-1/2}(2h) for j in js, h in raw ends with 0 < h_lo, or with no h of
     t_j = pi^(1-j)/(2 j!) J_{j-1/2}(pi/2): `_ladder`'s first terms (to max(js), weighted at
-    h = pi/4) times `series_interval` at z = (2h)^2, each term the last times
+    h = pi/4) times `series_ends` at z = (2h)^2, each term the last times
     -z/((2k+2)(2k+2j+1)), at `fixed_bits(digits) + T_GUARD_BITS` bits."""
     require_digits(digits)
     prec = fixed_bits(digits) + T_GUARD_BITS
     pi = mpf_pi(prec, round_floor), mpf_pi(prec, round_ceiling)
     weighted, h = h is None, h or tuple(mpf_shift(v, -2) for v in pi)
     firsts = _ladder(h, pi, js[-1], prec, weighted)
-    z = IntervalValue._of(*(mpf_shift(mpf_mul(v, v), 2) for v in h))  # x^2 = (2h)^2, exact
-    return [series_interval(firsts[j], z, 2, 2 * j + 1, prec) for j in js]
+    z = tuple(mpf_shift(mpf_mul(v, v), 2) for v in h)  # x^2 = (2h)^2, exact
+    return [series_ends(firsts[j], z, 2, 2 * j + 1, prec) for j in js]
 
 
 # the largest z (x^2 for the Bessel function) the series are summed at: their terms
@@ -474,7 +495,7 @@ def general_series_direct(j: int, z, digits: int = DEFAULT_DIGITS) -> ExtReal:
 
     j = 0 is permitted (T_0(z) = cos(sqrt(z))); it seeds the recurrence
     route.  Each term is the last times z/((2k+2)(2k+2j+1)); the value is
-    the midpoint of the enclosure `series_interval` gives for z rounded to
+    the midpoint of the enclosure `series_ends` gives for z rounded to
     the working precision, the first term 1/(2j)! rounded outward.
     """
     require_digits(digits)
@@ -485,9 +506,8 @@ def general_series_direct(j: int, z, digits: int = DEFAULT_DIGITS) -> ExtReal:
         zv = _positive_finite(z, "z")
     prec = fixed_bits(digits)
     fact = from_int(math.factorial(2 * j))
-    first = IntervalValue._of(mpf_div(fone, fact, prec, round_floor),
-                              mpf_div(fone, fact, prec, round_ceiling))
-    return _mid(series_interval(first, IntervalValue(zv), 2, 2 * j + 1, prec), digits)
+    first = mpf_div(fone, fact, prec, round_floor), mpf_div(fone, fact, prec, round_ceiling)
+    return _mid(series_ends(first, (zv._mpf_, zv._mpf_), 2, 2 * j + 1, prec), digits)
 
 
 def general_series_recurrence(j_max: int, z, digits: int = DEFAULT_DIGITS) -> list[ExtReal]:
@@ -504,7 +524,7 @@ def general_series_recurrence(j_max: int, z, digits: int = DEFAULT_DIGITS) -> li
         raise ValueError("j_max must be >= 1")
     with working(digits):
         zv = _positive_finite(z, "z")
-    return [_mid(enc, digits) for enc in _downward(IntervalValue(zv), j_max, fixed_bits(digits))]
+    return [_mid(enc, digits) for enc in _downward((zv._mpf_, zv._mpf_), j_max, fixed_bits(digits))]
 
 
 def coefficient_table(
@@ -521,6 +541,6 @@ def coefficient_table(
     if route == "bessel":
         bessel = _bessel(range(1, j_max + 1), digits)
         pairs = [_certified(_mid(b, digits).value, enc, digits)
-                 for b, enc in zip(bessel, t_enclosures(j_max, digits))]
+                 for b, enc in zip(bessel, _t_table_ends(j_max, digits))]
         return _table(route, pairs, digits)
     raise ValueError(f"unknown route {route!r}")

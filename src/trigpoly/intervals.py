@@ -6,7 +6,14 @@ mpmath's directed-rounding primitives (`mpf_pi`, `mpf_mul`, `mpf_div`,
 one), so each result encloses the exact value; precision only affects
 tightness, never containment.  `IntervalValue` is the public form of an
 enclosure: two exact, finite mpf ends, its midpoint, width and membership
-test.  An exact value reaches a double by one rule, `to_double`: the
+test.  Inside a computation an enclosure travels as its raw ends, a pair
+of libmp tuples (`ends_from_fixed`, `series_ends`), and becomes an
+`IntervalValue` only where a public function returns one.  A fixed-point
+end leaves fixed point by one integer rounding step: one floor or
+ceiling division by the denominator's odd part, then one directed
+rounding to `bits` bits, whose result is unique, so it is bit for bit
+what one outward `mpf_div` by the whole denominator gives.  An exact
+value reaches a double by one rule, `to_double`: the
 rational num/den rounded once, to nearest, down or up; `nearest_double`
 is the double that a whole enclosure rounds to, if there is one.
 
@@ -21,8 +28,8 @@ one pass that gives both the first Maclaurin partial sums of sin(pi x)
 and the enclosure of the whole sum: it reads the whole sum's stop off
 the terms already summed, or sums on from the last of them, the rest of
 a series from term n being the same series with a and b raised by 2n.
-`series_interval` scales its first term to one unit and multiplies the
-sum by the first term's mpf enclosure, so a first term far below any
+`series_ends` scales its first term to one unit and multiplies the sum
+by the first term's mpf enclosure, so a first term far below any
 fixed-point unit keeps its relative precision.  `fixed_horner` is the
 one Horner loop on enclosures.
 """
@@ -36,8 +43,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from mpmath import iv, mp, mpf
-from mpmath.libmp import (dps_to_prec, from_float, from_int, from_man_exp, mpf_add, mpf_div,
-                          mpf_mul, mpf_pi, mpf_shift, mpf_sub, round_ceiling, round_floor)
+from mpmath.libmp import (dps_to_prec, from_float, from_int, from_man_exp, fzero, mpf_add, mpf_lt,
+                          mpf_mul, mpf_pi, mpf_shift, mpf_sub, round_ceiling, round_floor,
+                          round_nearest, to_float)
 
 from .precision import DEFAULT_DIGITS, GUARD_DIGITS, PRECISION_LOCK
 
@@ -68,6 +76,16 @@ def _exact(x) -> mpf:
                     "enclose a rational p/q with interval_from_fixed(fixed_ratio(p, q, bits), bits)")
 
 
+def _check_ends(lo: tuple, hi: tuple) -> None:
+    # ValueError unless the raw mpf ends are finite and lo <= hi
+    for _, man, exp, _ in (lo, hi):
+        if man == 0 and exp != 0:  # mpmath's inf, -inf and nan
+            raise ValueError("interval endpoints must be finite, "
+                             f"got [{mp.make_mpf(lo)}, {mp.make_mpf(hi)}]")
+    if mpf_lt(hi, lo):
+        raise ValueError(f"invalid interval endpoints [{mp.make_mpf(lo)}, {mp.make_mpf(hi)}]")
+
+
 @dataclass(frozen=True)
 class IntervalValue:
     """A closed enclosure [lo, hi]; lo and hi are exact, finite mpf ends, never rounded."""
@@ -78,18 +96,18 @@ class IntervalValue:
     def __post_init__(self):
         lo = _exact(self.lo)
         hi = lo if self.hi is None else _exact(self.hi)
-        for _, man, exp, _ in (lo._mpf_, hi._mpf_):
-            if man == 0 and exp != 0:  # mpmath's inf, -inf and nan
-                raise ValueError(f"interval endpoints must be finite, got [{lo}, {hi}]")
-        if hi < lo:
-            raise ValueError(f"invalid interval endpoints [{lo}, {hi}]")
+        _check_ends(lo._mpf_, hi._mpf_)
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
     @classmethod
     def _of(cls, lo: tuple, hi: tuple) -> "IntervalValue":
-        """From raw mpf ends."""
-        return cls(mp.make_mpf(lo), mp.make_mpf(hi))
+        """From raw mpf ends, checked as `__post_init__` checks them."""
+        _check_ends(lo, hi)
+        enc = object.__new__(cls)
+        object.__setattr__(enc, "lo", mp.make_mpf(lo))
+        object.__setattr__(enc, "hi", mp.make_mpf(hi))
+        return enc
 
     @property
     def mid(self) -> mpf:
@@ -177,22 +195,51 @@ def nearest_double(lo: tuple[int, int], hi: tuple[int, int]) -> float | None:
     return a if a == b and (a or math.copysign(1, a) == math.copysign(1, b)) else None
 
 
+def fixed_from_ends(ends: tuple[tuple, tuple], bits: int) -> tuple[int, int]:
+    """The fixed-point enclosure of raw mpf ends (lo, hi), rounded outward."""
+    return _scaled(ends[0], bits, False), _scaled(ends[1], bits, True)
+
+
 def fixed_from_interval(enc: IntervalValue, bits: int) -> tuple[int, int]:
     """The fixed-point enclosure of an IntervalValue, rounded outward."""
-    return _scaled(enc.lo._mpf_, bits, False), _scaled(enc.hi._mpf_, bits, True)
+    return fixed_from_ends((enc.lo._mpf_, enc.hi._mpf_), bits)
+
+
+def _divided(v: int, odd: int, exp: int, bits: int, up: bool) -> tuple:
+    # the raw mpf of v / odd * 2**exp rounded to `bits` bits, down (or up if `up`):
+    # the floor (ceiling) of the quotient at a scale where it has more than `bits`
+    # bits, then that rounded the same way; the two roundings compose, since the
+    # result's last place is a whole number of the finer scale's units
+    if not v:
+        return fzero
+    shift = max(0, bits + 1 + odd.bit_length() - abs(v).bit_length())  # |q| > 2**bits
+    q = -((-v << shift) // odd) if up else (v << shift) // odd
+    sign = q < 0
+    man = -q if sign else q
+    cut = man.bit_length() - bits
+    man = -(-man >> cut) if up != sign else man >> cut  # the magnitude up or down
+    zeros = (man & -man).bit_length() - 1
+    return 1 if sign else 0, man >> zeros, exp - shift + cut + zeros, man.bit_length() - zeros
+
+
+def ends_from_fixed(enc: tuple[int, int], bits: int, den: int = 1) -> tuple[tuple, tuple]:
+    """Raw mpf ends of enc / den (den > 0), each rounded outward to `bits` bits, bit for bit
+    as one `mpf_div` by den rounds it (exact when den is a power of two).
+
+    Each end is one floor (or ceiling) division by den's odd part, then one
+    directed rounding to `bits` bits on `int.bit_length`; a directed
+    rounding has one correct result.  den's power of two moves the exponent.
+    """
+    twos = (den & -den).bit_length() - 1
+    odd, exp = den >> twos, -bits - twos
+    if odd == 1:
+        return from_man_exp(enc[0], exp), from_man_exp(enc[1], exp)
+    return _divided(enc[0], odd, exp, bits, False), _divided(enc[1], odd, exp, bits, True)
 
 
 def interval_from_fixed(enc: tuple[int, int], bits: int, den: int = 1) -> IntervalValue:
-    """The IntervalValue of enc / den (den > 0): each end divided once by den's odd part,
-    rounded outward at `bits` bits, and scaled exactly by den's power of two, which
-    rounds as one division by den does (exact when den is a power of two)."""
-    twos = (den & -den).bit_length() - 1
-    lo, hi = from_man_exp(enc[0], -bits - twos), from_man_exp(enc[1], -bits - twos)
-    den >>= twos
-    if den != 1:
-        d = from_int(den)
-        lo, hi = mpf_div(lo, d, bits, round_floor), mpf_div(hi, d, bits, round_ceiling)
-    return IntervalValue._of(lo, hi)
+    """The IntervalValue of enc / den (den > 0): `ends_from_fixed`'s ends."""
+    return IntervalValue._of(*ends_from_fixed(enc, bits, den))
 
 
 @lru_cache(maxsize=16)
@@ -342,29 +389,36 @@ def fixed_series(first, z, a: int, b: int, bits: int, n: int | None = None):
     return s_lo, s_hi + u_hi  # the tail from the even term k is positive
 
 
-def series_interval(first: IntervalValue, z: IntervalValue, a: int, b: int, prec: int,
-                    n: int | None = None) -> IntervalValue:
-    """Enclosure of first * sum_k (-1)^k v_k, v_0 = 1, v_{k+1} = v_k z/((2k+a)(2k+b)).
+def series_ends(first: tuple[tuple, tuple], z: tuple[tuple, tuple], a: int, b: int, prec: int,
+                n: int | None = None) -> tuple[tuple, tuple]:
+    """Raw mpf ends of first * sum_k (-1)^k v_k, v_0 = 1, v_{k+1} = v_k z/((2k+a)(2k+b)).
 
-    `first` and `z` are non-negative.  The scaled sum runs on `fixed_series`
-    from one unit, so a tiny first term loses nothing, at `prec` fractional
-    bits plus the bits its terms grow by before they fall; it is then
-    multiplied by `first`, each end rounded outward at `prec` bits.  With n,
-    the sum of the terms 0..n-1 only.
+    `first` and `z` are non-negative raw ends (lo, hi).  The scaled sum runs
+    on `fixed_series` from one unit, so a tiny first term loses nothing, at
+    `prec` fractional bits plus the bits its terms grow by before they fall;
+    it is then multiplied by `first`, each end rounded outward at `prec`
+    bits.  With n, the sum of the terms 0..n-1 only.
     """
-    zf, growth, k = float(z.hi), 0.0, 0
+    zf, growth, k = to_float(z[1], rnd=round_nearest), 0.0, 0
     while (ratio := zf / ((2 * k + a) * (2 * k + b))) > 1:
         growth += math.log2(ratio)
         k += 1
     bits = prec + math.ceil(growth)
-    scaled = fixed_series((1 << bits, 1 << bits), fixed_from_interval(z, bits), a, b, bits, n)
+    scaled = fixed_series((1 << bits, 1 << bits), fixed_from_ends(z, bits), a, b, bits, n)
     s_lo, s_hi = scaled if n is None else scaled[0][n - 1]
-    f_lo, f_hi = first.lo._mpf_, first.hi._mpf_
+    f_lo, f_hi = first
     # the product's ends: the lower end of the sum times the factor that
     # makes it least, the upper end times the one that makes it most
     lo = mpf_mul(f_hi if s_lo < 0 else f_lo, from_man_exp(s_lo, -bits), prec, round_floor)
     hi = mpf_mul(f_hi if s_hi > 0 else f_lo, from_man_exp(s_hi, -bits), prec, round_ceiling)
-    return IntervalValue._of(lo, hi)
+    return lo, hi
+
+
+def series_interval(first: IntervalValue, z: IntervalValue, a: int, b: int, prec: int,
+                    n: int | None = None) -> IntervalValue:
+    """`series_ends` of IntervalValues, as an IntervalValue."""
+    return IntervalValue._of(*series_ends((first.lo._mpf_, first.hi._mpf_),
+                                          (z.lo._mpf_, z.hi._mpf_), a, b, prec, n))
 
 
 def _fixed_sin_cos_args(p: int, q: int, bits: int, odd: bool):

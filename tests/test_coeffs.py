@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 from functools import lru_cache
 
@@ -30,8 +31,8 @@ from trigpoly.coeffs import (
     t_enclosure,
     t_enclosures,
 )
-from trigpoly.intervals import (IntervalValue, fixed_bits, fixed_pi, fixed_series, fixed_t_scaled,
-                                interval_from_fixed)
+from trigpoly.intervals import (IntervalValue, exact_ratio, fixed_bits, fixed_pi, fixed_series,
+                                fixed_t_scaled, interval_from_fixed)
 from trigpoly.precision import (GUARD_DIGITS, ExtReal, IndexLimitError, PrecisionError, to_mpf,
                                 working)
 
@@ -195,6 +196,38 @@ def test_table_rejects_gaps_and_bad_values():
     good = coeff_recurrence(3, 50)
     with pytest.raises(ValueError):
         CoefficientTable(entries=good.entries[1:], precision_digits=50)
+
+
+def test_table_checks_are_exact_at_their_edges():
+    # t_2's value against 1/4! and its bound against 10^-50 of the value, one
+    # unit either side at 300 bits, and signed, zero and non-finite ends: the
+    # table accepts exactly what the exact rational checks accept
+    good = coeff_recurrence(3, 50)
+
+    def at(num, den, rnd):
+        return mpf_div(from_int(num), from_int(den), 300, rnd)
+
+    v_ok, b_ok = (1, 32), (1, 32 * 10 ** 50)
+    values = [at(1, 24, round_floor), at(1, 24, round_ceiling), at(*v_ok, round_floor),
+              from_man_exp(5 ** 50, -300), from_int(0), at(-1, 32, round_floor), from_int(3),
+              mpf("inf")._mpf_, mpf("-inf")._mpf_, mpf("nan")._mpf_]
+    # 2^-350 is 10^-50 of 5^50 2^-300 exactly; 2^-171 < 10^-50/24 < 2^-170
+    bounds = [at(*b_ok, round_floor), at(*b_ok, round_ceiling), from_man_exp(1, -350),
+              from_man_exp(1, -171), from_man_exp(1, -170), from_int(0), at(-1, 7, round_floor),
+              mpf("inf")._mpf_, mpf("nan")._mpf_]
+    for v in values:
+        for b in bounds:
+            entry = CoefficientEntry(2, ExtReal(mp.make_mpf(v), 50), "recurrence",
+                                     ExtReal(mp.make_mpf(b), 50))
+            finite = all(man or not exp for _, man, exp, _ in (v, b))
+            holds = finite and 0 < Fraction(*exact_ratio(v)) < Fraction(1, 24) and (
+                Fraction(*exact_ratio(b)) * 10 ** 50 < Fraction(*exact_ratio(v)))
+            entries = (good.entries[0], entry, good.entries[2])
+            if holds:
+                CoefficientTable(entries=entries, precision_digits=50)
+            else:
+                with pytest.raises(ValueError, match="coefficient 2"):
+                    CoefficientTable(entries=entries, precision_digits=50)
 
 
 # --- symbolic --------------------------------------------------------------
@@ -417,7 +450,8 @@ def test_general_recurrence_values_are_the_downward_midpoints(z):
     # pass's enclosures, z rounded to the working precision
     vals = general_series_recurrence(30, z, 50)
     with working(50):
-        encs = coeffs._downward(IntervalValue(to_mpf(z)), 30, fixed_bits(50))
+        zv = to_mpf(z)._mpf_
+        encs = [IntervalValue._of(*e) for e in coeffs._downward((zv, zv), 30, fixed_bits(50))]
         assert [v.value for v in vals] == [+e.mid for e in encs]
 
 
@@ -642,33 +676,54 @@ def test_mid_is_the_midpoint_rounded_in_a_working_section(monkeypatch, digits):
     monkeypatch.setattr(coeffs, "_mid", recording)
     for route in ("direct", "bessel"):
         coefficient_table(120, digits, route=route)
-    seen += t_enclosures(120, digits)
+    seen += [(e.lo._mpf_, e.hi._mpf_) for e in t_enclosures(120, digits)]
     assert len(seen) == 360
-    for enc in seen:
+    for ends in seen:
+        enc = IntervalValue._of(*ends)
         with working(digits):
             expected = +enc.mid
-        assert mid(enc, digits).value._mpf_ == expected._mpf_
+        assert mid(ends, digits).value._mpf_ == expected._mpf_
 
 
 @pytest.mark.parametrize("digits", [30, 50, 100, 200])
 def test_interval_from_fixed_divides_by_the_odd_part_bitwise(digits):
-    # dividing by the odd part of (2j)! and scaling by its power of two rounds
-    # each end exactly as one outward division by (2j)! does
+    # dividing by the odd part of den in integers and rounding once to bits bits,
+    # then scaling by den's power of two, rounds each end exactly as one outward
+    # mpf_div by den does
+    def check(enc, bits, den):
+        expected = [mpf_div(from_man_exp(v, -bits), from_int(den), bits, rnd)
+                    for v, rnd in zip(enc, (round_floor, round_ceiling))]
+        got = interval_from_fixed(enc, bits, den)
+        assert [got.lo._mpf_, got.hi._mpf_] == expected, (enc, bits, den)
+
     bits = fixed_bits(digits)
     for j in range(1, 201):
-        fact = math.factorial(2 * j)
         lo, hi = fixed_t_scaled(j, bits)
         for enc in ((lo, hi), (-hi, -lo), (0, hi)):
-            expected = [mpf_div(from_man_exp(v, -bits), from_int(fact), bits, rnd)
-                        for v, rnd in zip(enc, (round_floor, round_ceiling))]
-            got = interval_from_fixed(enc, bits, fact)
-            assert [got.lo._mpf_, got.hi._mpf_] == expected, (j, enc)
+            check(enc, bits, math.factorial(2 * j))
+    # seeded: numerators of 1 to bits + 40 bits of either sign, some exact
+    # multiples of the odd part; odd parts of factorials, of up to 300 random
+    # bits and small ones, times up to 2^40; bits from 53 to 1888
+    rng = random.Random(f"odd-part/{digits}")
+    for _ in range(2500):
+        bits = rng.randint(53, 1888)
+        odd = rng.choice((math.factorial(rng.randint(3, 400)), rng.randrange(3, 1000, 2),
+                          rng.randrange(3, 1 << rng.randint(2, 300), 2)))
+        odd >>= (odd & -odd).bit_length() - 1
+        den = odd << rng.randint(0, 40)
+        enc = []
+        for _ in range(2):
+            v = rng.getrandbits(rng.randint(1, bits + 40))
+            if rng.random() < 0.2:
+                v = odd * rng.getrandbits(rng.randint(1, bits))
+            enc.append(-v if rng.random() < 0.5 else v)
+        check(sorted(enc), bits, den)
 
 
 @pytest.mark.parametrize("digits", [30, 100, 200])
 def test_bessel_ladder_encloses_t(digits):
     ref = besselj_reference(digits)
-    encs = coeffs._bessel(range(1, 201), digits)
+    encs = [IntervalValue._of(*e) for e in coeffs._bessel(range(1, 201), digits)]
     with mp.workdps(3 * digits):
         for j, enc in enumerate(encs, start=1):
             assert enc.lo <= ref[j] <= enc.hi, j
@@ -683,14 +738,16 @@ def test_ladder_encloses_its_first_terms_at_low_precision():
             pi = mpf_pi(prec, round_floor), mpf_pi(prec, round_ceiling)
             for n in (1, 3, 5, 7, 9, 11, 13):
                 h = mpf_shift(from_int(n), -3)
-                for j, enc in enumerate(coeffs._ladder((h, h), pi, 12, prec, False)):
+                for j, ends in enumerate(coeffs._ladder((h, h), pi, 12, prec, False)):
+                    enc = IntervalValue._of(*ends)
                     exact = (mpf(n) / 8) ** (j - mpf(1) / 2) / mp.gamma(j + mpf(1) / 2)
                     assert enc.lo <= exact <= enc.hi, (prec, n, j)
             # weighted, with the point 3 for pi: against the ladder's recurrences
             for n in (1, 3, 5, 7):
                 h, a, b = mpf(n) / 8, 1 / mp.sqrt(3 * mpf(n) / 8), mpf(1) / 2
                 three, h_end = from_int(3), mpf_shift(from_int(n), -3)
-                encs = coeffs._ladder((h_end, h_end), (three, three), 30, prec, True)
+                encs = [IntervalValue._of(*e)
+                        for e in coeffs._ladder((h_end, h_end), (three, three), 30, prec, True)]
                 for j, enc in enumerate(encs[1:], start=1):
                     a = a * h / (j - mpf(1) / 2)
                     b = b / (3 * j) if j > 1 else b

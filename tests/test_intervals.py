@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
+from mpmath.libmp import from_float, from_int, fzero
 
 from trigpoly.coeffs import coeff_symbolic, t_enclosure
 from trigpoly.intervals import (
@@ -43,6 +44,11 @@ def make_interval(a: float, b: float) -> IntervalValue:
 def test_endpoints_ordering_enforced():
     with pytest.raises(ValueError):
         IntervalValue(2, 1)
+    with pytest.raises(ValueError, match="invalid"):  # from raw ends too
+        IntervalValue._of(from_int(2), from_int(1))
+    with pytest.raises(ValueError, match="invalid"):
+        IntervalValue._of(from_float(2.0 ** -1000), fzero)
+    assert IntervalValue._of(from_int(-1), from_int(-1)).width == 0
 
 
 @pytest.mark.parametrize("lo,hi", [(math.inf, None), (-math.inf, None), (math.nan, None),
@@ -51,6 +57,9 @@ def test_endpoints_ordering_enforced():
 def test_endpoints_must_be_finite(lo, hi):
     with pytest.raises(ValueError, match="finite"):
         IntervalValue(lo, hi)
+    ends = mpf(lo)._mpf_, mpf(lo if hi is None else hi)._mpf_
+    with pytest.raises(ValueError, match="finite"):  # from raw ends too
+        IntervalValue._of(*ends)
 
 
 def test_basic_properties():

@@ -229,9 +229,11 @@ def test_bessel_identity_reports_a_refused_route_as_fail(monkeypatch):
 
     def off(*args):
         firsts = good(*args)
-        lo, hi = firsts[3].lo, firsts[3].hi
+        enc = IntervalValue._of(*firsts[3])
+        lo, hi = enc.lo, enc.hi
         with working(50):
-            firsts[3] = IntervalValue(lo * (1 + mpf(10) ** -45), hi * (1 + mpf(10) ** -45))
+            moved = IntervalValue(lo * (1 + mpf(10) ** -45), hi * (1 + mpf(10) ** -45))
+        firsts[3] = moved.lo._mpf_, moved.hi._mpf_
         return firsts
 
     monkeypatch.setattr(coeffs, "_ladder", off)
