@@ -36,6 +36,7 @@ from .precision import (
     IndexLimitError,
     horner,
     require_digits,
+    require_index,
     to_mpf,
     working,
 )
@@ -76,19 +77,22 @@ def _check_func(func: str) -> None:
 def _compile_horner(func: str, coeffs) -> Callable[[float], float]:
     """The float Horner recurrence in y for `coeffs`, as one straight-line function.
 
-    One statement per coefficient, highest first, so the operations and
-    their order are those of the loop `acc = acc * y + c`; the only text
-    compiled is the fixed y-map and the `repr`s of finite doubles, which
-    round-trip exactly.  Statements, not one nested expression: the
-    parser caps nesting far below m = DEFAULT_INDEX_LIMIT.
+    Nested expressions, highest coefficient first, `((0.0 * y + c_m) * y + c_{m-1}) * y + ...`,
+    50 coefficients to a statement, far below the parser's cap of 200 nested parentheses: the
+    operations and their order are those of the loop `acc = acc * y + c` from 0.0.  The only
+    text compiled is the fixed y-map and the `repr`s of finite doubles, which round-trip exactly.
     """
     y = "0.25 - x * x" if func == COS_PI_X else "x * (1.0 - x)"
-    lines = ["def horner(x):", f"    y = {y}", "    acc = 0.0"]
-    for c in map(float, reversed(coeffs)):
-        if not math.isfinite(c):
-            raise ValueError(f"y_coeffs must be finite, got {c!r}")
-        lines.append(f"    acc = acc * y + {c!r}")
-    lines.append("    return acc * y")
+    cs = [float(c) for c in reversed(coeffs)]
+    if bad := [c for c in cs if not math.isfinite(c)]:
+        raise ValueError(f"y_coeffs must be finite, got {bad[0]!r}")
+    lines, acc = ["def horner(x):", f"    y = {y}"], "0.0"
+    for i in range(0, len(cs), 50):
+        chunk = cs[i:i + 50]
+        nested = ") * y + ".join(map(repr, chunk))
+        lines.append(f"    acc = {'(' * len(chunk)}{acc} * y + {nested})")
+        acc = "acc"
+    lines.append(f"    return {acc} * y")
     namespace = {}
     exec(compile("\n".join(lines), f"<{func} Horner, m={len(coeffs)}>", "exec"), namespace)
     return namespace["horner"]
@@ -114,9 +118,9 @@ class ApproxPolynomial:
     the extended-precision values for verification work.
 
     `eval(x)` (also `poly(x)`) is float Horner in y, compiled once per
-    instance into straight-line code: y is formed, then one
-    `acc = acc * y + c_j` per coefficient from c_m down to c_1, then
-    `acc * y` is returned.  A pickle or copy compiles its own kernel.
+    instance into straight-line code: y is formed, then the nested
+    `(... * y + c_j)` from 0.0 and c_m down to c_1, then that times y is
+    returned.  A pickle or copy compiles its own kernel.
     """
 
     func: FuncTag
@@ -193,6 +197,14 @@ class ErrorCertificate:
     bound_hp: mpf = field(repr=False, compare=False, default=None)
 
 
+def _certificate(**fields) -> ErrorCertificate:
+    """An ErrorCertificate made as pickle restores one: without the frozen `__init__`, each field
+    put in the instance's dict in turn, which keeps that dict's keys shared with every other."""
+    cert = object.__new__(ErrorCertificate)
+    cert.__dict__.update(fields.items())
+    return cert
+
+
 @dataclass(frozen=True)
 class _TailConstants:
     """The parts of the bound that do not depend on x, at degree m and `digits`.
@@ -237,32 +249,25 @@ def _tail_constants(m: int, digits: int) -> _TailConstants:
     return _TailConstants(prec, tuple(lead), tuple(k), *floats)
 
 
-def _y_power(func: str, x, n: int) -> tuple:
-    """y(x)^n exactly, as a raw mpf: a binary x makes y a dyadic rational a/2^e."""
+def _y_power(func: str, x, n: int) -> tuple[int, int]:
+    """y(x)^n exactly, as (man, exp) with man odd: a binary x makes y a dyadic rational a/2^e."""
     p, q = x.as_integer_ratio() if isinstance(x, (int, float)) else exact_ratio(x)
     num, den = y_ratio(p, q, func == COS_PI_X)
     if den & (den - 1):
         raise TypeError(f"x must be a binary floating-point number, got {x!r}")
-    tz = (num & -num).bit_length() - 1  # an odd mantissa keeps the raw mpf normalized
-    man = (num >> tz) ** n
-    return 0, man, (tz - den.bit_length() + 1) * n, man.bit_length()
+    tz = (num & -num).bit_length() - 1
+    return (num >> tz) ** n, (tz - den.bit_length() + 1) * n
 
 
-def _leading_term(m: int, digits: int, ypow: tuple) -> float:
-    """The double nearest to L_m y^(m+1), from the enclosure of L_m (refined if it straddles).
-
-    Each end times y^(m+1) is formed exactly, as man / 2^-exp: the product
-    of the raw mantissas is a positive integer and the value is below 1,
-    so the exponent is negative.
-    """
-    _, y_man, y_exp, _ = ypow
-    while True:
-        lo, hi = ((man * y_man, 1 << -(exp + y_exp))
-                  for _, man, exp, _ in _tail_constants(m, digits).lead)
-        out = nearest_double(lo, hi)
-        if out is not None:
-            return out
-        digits *= 2
+def _leading_term(m: int, digits: int, lead: tuple, y_man: int, y_exp: int) -> float:
+    """The double nearest to L_m y^(m+1), each end of `lead`, L_m's enclosure at `digits`, times
+    y^(m+1) = y_man 2^y_exp formed exactly (below 1, so at a negative exponent); refined at
+    twice the digits where the ends round to different doubles."""
+    (_, lo, lo_exp, _), (_, hi, hi_exp, _) = lead
+    out = nearest_double((lo * y_man, 1 << -(lo_exp + y_exp)), (hi * y_man, 1 << -(hi_exp + y_exp)))
+    if out is None:
+        return _leading_term(m, 2 * digits, _tail_constants(m, 2 * digits).lead, y_man, y_exp)
+    return out
 
 
 def error_bound(
@@ -271,29 +276,30 @@ def error_bound(
     """Certified truncation bound at x; x must lie in the open canonical domain.
 
     y^(m+1) is exact in integers, so the one rounding in `bound_hp` is
-    the product with the upper end of K_m, rounded up at the working
-    precision; `bound` is the least double >= bound_hp.
+    the product of the raw mantissas of it and of the upper end of K_m,
+    rounded up to the working precision by integer shifts; `bound` is the
+    least double >= bound_hp.
     """
     _check_func(func)
     require_digits(digits)
     if m < 1:
         raise ValueError("m must be >= 1")
-    lo, hi = DOMAINS[func]
+    require_index(m)
+    lo, hi = domain = DOMAINS[func]
     if not (lo < x < hi):
         raise DomainError(f"{func} bound only asserted on ({lo}, {hi}); got x={x}")
     c = _tail_constants(m, digits)
-    ypow = _y_power(func, x, m + 1)
-    bound = mpf_mul(c.k[1], ypow, c.prec, round_ceiling)
-    return ErrorCertificate(
-        func=func,
-        m=m,
-        leading_term=_leading_term(m, digits, ypow),
-        q_m=c.q_m,
-        tail_factor=c.tail_factor,
-        bound=to_double(*exact_ratio(bound), 1),
-        domain=(lo, hi),
-        bound_hp=mp.make_mpf(bound),
-    )
+    y_man, y_exp = _y_power(func, x, m + 1)
+    _, k_man, k_exp, _ = c.k[1]
+    man = k_man * y_man
+    cut = max(man.bit_length() - c.prec, 0)
+    man = -(-man >> cut)  # rounded up to prec bits
+    zeros = (man & -man).bit_length() - 1  # and stripped of trailing zeros, as libmp normalizes
+    man, exp = man >> zeros, k_exp + y_exp + cut + zeros  # below 1, so exp < 0
+    return _certificate(
+        func=func, m=m, leading_term=_leading_term(m, digits, c.lead, y_man, y_exp),
+        q_m=c.q_m, tail_factor=c.tail_factor, bound=to_double(man, 1 << -exp, 1),
+        domain=domain, bound_hp=mp.make_mpf((0, man, exp, man.bit_length())))
 
 
 def bound_sup(m: int, digits: int = DEFAULT_DIGITS) -> mpf:
@@ -301,6 +307,7 @@ def bound_sup(m: int, digits: int = DEFAULT_DIGITS) -> mpf:
 
     It is attained at y = 1/4, where it equals `error_bound`'s bound_hp.
     """
+    require_index(m)
     return mp.make_mpf(mpf_shift(_tail_constants(m, digits).k[1], -2 * (m + 1)))
 
 

@@ -55,7 +55,7 @@ def interval_dps(digits: int):
     """Temporarily set mpmath's interval context's decimal precision.
 
     Nothing in the library calls it: it stays only for the benchmark's
-    tracer, which counts its calls, until ROADMAP item 6 replaces that.
+    tracer, which counts its calls, until ROADMAP item 8 replaces that.
     """
     with PRECISION_LOCK:
         old = iv.dps
@@ -173,10 +173,18 @@ def to_double(num: int, den: int, toward: int = 0) -> float:
     """The rational num/den (den > 0) rounded once to a double: to nearest, ties to even
     (toward=0), down (toward=-1) or up (toward=1).
 
-    CPython's int / int is correctly rounded, subnormals included; a
-    directed rounding that lands on the wrong side of num/den, by an exact
-    comparison, moves one step.  Raises OverflowError past the doubles.
+    To nearest, CPython's int / int, correctly rounded, subnormals included.
+    Down or up, a power-of-two den with |num/den| in [2**-1022, 2**1023) floors
+    or ceils num's 53 leading bits by a shift, scaled exactly by `math.ldexp`;
+    any other num/den takes int / int, moved one step if an exact comparison
+    puts it on the wrong side.  Raises OverflowError past the doubles.
     """
+    if toward and not den & (den - 1):
+        e, cut = den.bit_length() - 1, num.bit_length() - 53
+        if -1074 <= cut - e <= 970:
+            if cut > 0:
+                num, e = num >> cut if toward < 0 else -(-num >> cut), e - cut
+            return math.ldexp(num, -e)
     d = num / den
     if toward:
         m, e = math.frexp(d)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
-from mpmath.libmp import mpf_le
+from mpmath.libmp import mpf_le, mpf_mul, mpf_shift, round_ceiling
 
 import trigpoly.approx as approx
 from trigpoly.approx import (
@@ -21,6 +21,7 @@ from trigpoly.approx import (
     ApproxPolynomial,
     SIN_PI_X,
     DomainError,
+    ErrorCertificate,
     bound_sup,
     build_poly,
     error_bound,
@@ -30,7 +31,7 @@ from trigpoly.approx import (
     sine_monomials,
 )
 from trigpoly.coeffs import c_enclosure, coeff_symbolic
-from trigpoly.intervals import exact_ratio, fixed_bits, interval_dps, nearest_double
+from trigpoly.intervals import exact_ratio, fixed_bits, interval_dps, nearest_double, y_ratio
 from trigpoly.precision import DEFAULT_INDEX_LIMIT, IndexLimitError, horner, working
 
 
@@ -442,6 +443,82 @@ def test_error_bound_rejects_a_non_binary_x():
     assert error_bound(SIN_PI_X, 3, mpf(0.375)) == error_bound(SIN_PI_X, 3, 0.375)
 
 
+def test_error_bound_refuses_an_index_past_the_limit():
+    with pytest.raises(IndexLimitError):
+        error_bound(SIN_PI_X, DEFAULT_INDEX_LIMIT + 1, 0.3)
+    with pytest.raises(IndexLimitError):
+        bound_sup(DEFAULT_INDEX_LIMIT + 1, 50)
+    assert 0 < error_bound(SIN_PI_X, DEFAULT_INDEX_LIMIT, 0.3).bound < 1e-300
+
+
+def _reference_certificate(func, m, x, digits):
+    """The fields error_bound gave before its integer path: libmp's `mpf_mul` of the raw
+    upper end of K_m by the raw mpf y^(m+1), and the leading term refined in a loop."""
+    p, q = x.as_integer_ratio() if isinstance(x, (int, float)) else exact_ratio(x)
+    num, den = y_ratio(p, q, func == COS_PI_X)
+    tz = (num & -num).bit_length() - 1
+    man = (num >> tz) ** (m + 1)
+    y_exp = (tz - den.bit_length() + 1) * (m + 1)
+    c = approx._tail_constants(m, digits)
+    bound = mpf_mul(c.k[1], (0, man, y_exp, man.bit_length()), c.prec, round_ceiling)
+    lead_digits = digits
+    while True:
+        ends = [(lo_man * man, 1 << -(exp + y_exp))
+                for _, lo_man, exp, _ in approx._tail_constants(m, lead_digits).lead]
+        lead = nearest_double(*ends)
+        if lead is not None:
+            break
+        lead_digits *= 2
+    return lead, c.q_m, c.tail_factor, _least_double_at_least(Fraction(*exact_ratio(bound))), bound
+
+
+def test_error_bound_is_bit_identical_to_the_mpf_product():
+    for func in (COS_PI_X, SIN_PI_X):
+        for m in _SOUNDNESS_M:
+            xs = _soundness_points(func, m)
+            for digits in (30, 50, 100):
+                for x in xs + [mpf(xs[3]), mpf(xs[-1])]:
+                    got = _certificate_bits(error_bound(func, m, x, digits))
+                    assert got == _reference_certificate(func, m, x, digits), (func, m, x, digits)
+
+
+def test_error_bound_refines_a_straddling_leading_term(monkeypatch):
+    # the lower end of L_m halved at 50 digits: its two ends round to different doubles,
+    # so the leading term is read from the enclosure at 100 digits
+    cases = [(func, m, x) for func, x in ((COS_PI_X, 0.3), (SIN_PI_X, 0.61), (SIN_PI_X, 1e-5))
+             for m in (1, 7, 14)]
+    plain = [error_bound(*case, 50) for case in cases]
+    real, calls = approx._tail_constants, []
+
+    def widened(m, digits):
+        calls.append(digits)
+        c = real(m, digits)
+        if digits != 50:
+            return c
+        return dataclasses.replace(c, lead=(mpf_shift(c.lead[0], -1), c.lead[1]))
+
+    monkeypatch.setattr(approx, "_tail_constants", widened)
+    for case, cert in zip(cases, plain):
+        calls.clear()
+        got = _certificate_bits(error_bound(*case, 50))
+        assert calls == [50, 100], case
+        assert got == _reference_certificate(*case, 50) == _certificate_bits(cert), case
+
+
+def test_certificate_behaves_as_one_built_by_its_init():
+    cert = error_bound(COS_PI_X, 7, 0.3)
+    init = ErrorCertificate(**{f.name: getattr(cert, f.name) for f in dataclasses.fields(cert)})
+    assert type(cert) is ErrorCertificate and cert.__dict__ == init.__dict__
+    assert cert == init and hash(cert) == hash(init) and repr(cert) == repr(init)
+    assert pickle.dumps(cert) == pickle.dumps(init)
+    for other in (pickle.loads(pickle.dumps(cert)), copy.copy(cert), copy.deepcopy(cert)):
+        assert other == init and _certificate_bits(other) == _certificate_bits(init)
+    moved = dataclasses.replace(cert, bound=1.0)
+    assert moved == dataclasses.replace(init, bound=1.0) and moved.bound_hp is cert.bound_hp
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cert.bound = 1.0
+
+
 # --- float eval keeps its operations ------------------------------------------
 
 def _eval_reference(poly, x):
@@ -457,9 +534,9 @@ def _bits(v) -> bytes:
 
 
 def test_float_eval_is_bit_identical_to_the_reversed_loop():
-    # every m up to the index cap: a kernel written as one nested expression
-    # would not even parse at m = 200; the bit patterns also tell apart the
-    # signs of zero
+    # every m up to the index cap: at m = 200 one nested expression would reach
+    # the parser's cap of 200 nested parentheses, so the kernel cuts it into
+    # chunks; the bit patterns also tell apart the signs of zero
     special = [-0.5, 0.5, 0.0, -0.0, 1.0, 0.25, -0.3, 0.7, 1e-300, 5e-324,
                math.nextafter(-0.5, 0), math.nextafter(0.5, 0), math.nextafter(0.0, 1),
                math.nextafter(1.0, 0), 1.25, -3.0, 2.0, 7.5, 1e10, -1e200, 1e300,

@@ -163,6 +163,18 @@ def test_bound_outside_domain_is_usage_error(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_bound_refuses_an_index_over_the_cap_as_eval_does(capsys):
+    errors = []
+    for command in ("eval", "bound"):
+        assert run_cli(command, "--func", "sin", "--m", "201", "--x", "0.3") == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors.append(captured.err)
+    assert errors[0] == errors[1] == "error: coefficient index 201 exceeds the limit 200\n"
+    assert run_cli("bound", "--func", "sin", "--m", "200", "--x", "0.3") == 0
+    assert capsys.readouterr().out.startswith("m=200\n")
+
+
 def test_select_degree(capsys):
     assert run_cli("select", "--func", "sin", "--tol", "1e-6") == 0
     assert capsys.readouterr().out.strip() == "m=5"

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -456,6 +457,35 @@ def test_to_double_rounds_once_to_nearest_down_or_up():
     assert to_double(0, 7, -1) == to_double(0, 7, 1) == 0.0
     assert to_double(1, 10) == 0.1 and to_double(1, 10, 1) == 0.1
     assert to_double(1, 10, -1) == math.nextafter(0.1, 0)
+
+
+def test_to_double_rounds_a_dyadic_ratio_on_the_integer():
+    # den = 2**e: results across the subnormal boundary (2**-1022) and up to 2**1024, mantissas
+    # up to 2000 bits, exact halves (ties to even) and exact values, both signs, all directions
+    rng = random.Random(27)
+    cases = []
+    for bits in (1, 2, 52, 53, 54, 55, 64, 106, 500, 2000):
+        for k in (-1080, -1075, -1074, -1073, -1023, -1022, -1021, -1, 0, 1, 1000, 1022, 1023):
+            e = bits - 1 - k  # num in [2**(bits-1), 2**bits), so num/2**e in [2**k, 2**(k+1))
+            if e < 0:
+                continue
+            nums = [rng.getrandbits(bits - 1) | 1 << (bits - 1) for _ in range(4)]
+            if bits > 54:  # an exact value, and ties between an even and an odd significand
+                cut = bits - 53
+                nums += [(q << cut | 1 << (cut - 1)) for q in (1 << 52, 1 << 52 | 1)]
+                nums.append(nums[0] >> cut << cut)
+            cases += [(num, e) for num in nums]
+    top = Fraction(sys.float_info.max)
+    for num, e in cases:
+        for num in (num, -num):
+            f = Fraction(num, 2 ** e)
+            for toward in (-1, 0, 1):
+                if abs(f) >= top:  # overflow keeps its int / int behaviour, checked elsewhere
+                    continue
+                got = to_double(num, 2 ** e, toward)
+                assert _rounds_correctly(f, toward, got), (num, e, toward)
+    assert to_double(3, 4, 1) == to_double(3, 4, -1) == 0.75
+    assert to_double(2 ** 1024 - 2 ** 970 - 1, 1, -1) == sys.float_info.max
 
 
 def test_nearest_double_needs_both_ends_to_round_alike():
