@@ -28,8 +28,8 @@ from mpmath.libmp import (fone, from_int, mpf_div, mpf_mul, mpf_pi, mpf_pow_int,
                           mpf_sub, round_ceiling, round_floor)
 
 from .coeffs import _c_ends, _mid, coeff_symbolic, poly_sum
-from .intervals import (IntervalValue, exact_ratio, fixed_bits, nearest_double, pi_interval,
-                        series_interval, to_double, y_ratio)
+from .intervals import (_check_ends, _rounded, exact_ratio, fixed_bits, nearest_double,
+                        pi_interval, series_ends, to_double, y_ratio)
 from .precision import (
     DEFAULT_DIGITS,
     DEFAULT_INDEX_LIMIT,
@@ -277,8 +277,8 @@ def error_bound(
 
     y^(m+1) is exact in integers, so the one rounding in `bound_hp` is
     the product of the raw mantissas of it and of the upper end of K_m,
-    rounded up to the working precision by integer shifts; `bound` is the
-    least double >= bound_hp.
+    rounded up to the working precision by the kernel's one directed
+    rounding, `intervals._rounded`; `bound` is the least double >= bound_hp.
     """
     _check_func(func)
     require_digits(digits)
@@ -291,15 +291,12 @@ def error_bound(
     c = _tail_constants(m, digits)
     y_man, y_exp = _y_power(func, x, m + 1)
     _, k_man, k_exp, _ = c.k[1]
-    man = k_man * y_man
-    cut = max(man.bit_length() - c.prec, 0)
-    man = -(-man >> cut)  # rounded up to prec bits
-    zeros = (man & -man).bit_length() - 1  # and stripped of trailing zeros, as libmp normalizes
-    man, exp = man >> zeros, k_exp + y_exp + cut + zeros  # below 1, so exp < 0
+    bound_hp = _rounded(k_man * y_man, 1, k_exp + y_exp, c.prec, True)
+    _, man, exp, _ = bound_hp  # below 1, so exp < 0
     return _certificate(
         func=func, m=m, leading_term=_leading_term(m, digits, c.lead, y_man, y_exp),
         q_m=c.q_m, tail_factor=c.tail_factor, bound=to_double(man, 1 << -exp, 1),
-        domain=domain, bound_hp=mp.make_mpf((0, man, exp, man.bit_length())))
+        domain=domain, bound_hp=mp.make_mpf(bound_hp))
 
 
 def bound_sup(m: int, digits: int = DEFAULT_DIGITS) -> mpf:
@@ -350,18 +347,18 @@ def maclaurin_eval_hp(m: int, x, digits: int = DEFAULT_DIGITS) -> mpf:
     """S_m(x), the m-term Maclaurin partial sum of sin(pi*x), in extended precision.
 
     S_m(x) = t sum_{k<m} (-t^2)^k/(2k+1)! with t = pi |x|, negated for x < 0:
-    the midpoint of the enclosure `series_interval` gives for x rounded to
-    the working precision, t rounded outward.
+    the midpoint (`_mid`) of the enclosure `series_ends` gives for x rounded
+    to the working precision, t rounded outward.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     prec = fixed_bits(digits)
     with working(digits):
         xv = to_mpf(x)
-        ends = [mpf_mul(mpf_pi(prec, rnd), abs(xv)._mpf_, prec, rnd)
-                for rnd in (round_floor, round_ceiling)]
-        t, t2 = IntervalValue._of(*ends), IntervalValue._of(*(mpf_mul(v, v) for v in ends))
-        s = +series_interval(t, t2, 2, 3, prec, n=m).mid
+        t = tuple(mpf_mul(mpf_pi(prec, rnd), abs(xv)._mpf_, prec, rnd)
+                  for rnd in (round_floor, round_ceiling))
+        _check_ends(*t)  # an infinite x would never end the series
+        s = _mid(series_ends(t, tuple(mpf_mul(v, v) for v in t), 2, 3, prec, n=m), digits).value
         return -s if xv < 0 else s
 
 

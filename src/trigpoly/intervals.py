@@ -8,14 +8,15 @@ tightness, never containment.  `IntervalValue` is the public form of an
 enclosure: two exact, finite mpf ends, its midpoint, width and membership
 test.  Inside a computation an enclosure travels as its raw ends, a pair
 of libmp tuples (`ends_from_fixed`, `series_ends`), and becomes an
-`IntervalValue` only where a public function returns one.  A fixed-point
-end leaves fixed point by one integer rounding step: one floor or
-ceiling division by the denominator's odd part, then one directed
-rounding to `bits` bits, whose result is unique, so it is bit for bit
-what one outward `mpf_div` by the whole denominator gives.  An exact
-value reaches a double by one rule, `to_double`: the
-rational num/den rounded once, to nearest, down or up; `nearest_double`
-is the double that a whole enclosure rounds to, if there is one.
+`IntervalValue` only where a public function returns one.
+
+Every directed rounding of an exact value is one integer step, `_rounded`.
+Its result is unique, so `ends_from_fixed` gives an end bit for bit as one
+outward `mpf_div` does, and `approx.error_bound` its bound as `mpf_mul`.
+An exact value reaches a double by one rule, `to_double`: num/den rounded
+once, to nearest by int / int, or down or up by `_rounded`, saturating or
+overflowing past the doubles as IEEE 754 directs; `nearest_double` is the
+double that a whole enclosure rounds to, if there is one.
 
 The fixed-point kernel encloses pi, the weights t_j (2j)!, the y-map,
 the partial sums sum c_j y^j, the Maclaurin partial sums of
@@ -37,6 +38,7 @@ one Horner loop on enclosures.
 from __future__ import annotations
 
 import math
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
@@ -173,27 +175,20 @@ def to_double(num: int, den: int, toward: int = 0) -> float:
     """The rational num/den (den > 0) rounded once to a double: to nearest, ties to even
     (toward=0), down (toward=-1) or up (toward=1).
 
-    To nearest, CPython's int / int, correctly rounded, subnormals included.
-    Down or up, a power-of-two den with |num/den| in [2**-1022, 2**1023) floors
-    or ceils num's 53 leading bits by a shift, scaled exactly by `math.ldexp`;
-    any other num/den takes int / int, moved one step if an exact comparison
-    puts it on the wrong side.  Raises OverflowError past the doubles.
+    To nearest, CPython's int / int, correctly rounded; OverflowError past the
+    doubles.  Down or up, `_rounded` to 53 bits on the grid of 2**-1074, then
+    `math.ldexp`; past the largest double, rounded toward zero it saturates at
+    +-sys.float_info.max, away from zero it is +-inf, as IEEE 754 directs.  A
+    negative value rounded up to zero is -0.0.
     """
-    if toward and not den & (den - 1):
-        e, cut = den.bit_length() - 1, num.bit_length() - 53
-        if -1074 <= cut - e <= 970:
-            if cut > 0:
-                num, e = num >> cut if toward < 0 else -(-num >> cut), e - cut
-            return math.ldexp(num, -e)
-    d = num / den
-    if toward:
-        m, e = math.frexp(d)
-        a, e = int(m * 2.0 ** 53), e - 53  # d == a * 2**e exactly
-        # d - num/den, times the positive den * 2**max(-e, 0)
-        excess = (a * den << e) - num if e >= 0 else a * den - (num << -e)
-        if excess * toward < 0:
-            return math.nextafter(d, toward * math.inf)
-    return d
+    if not toward:
+        return num / den
+    _, man, exp, bc = _rounded(num, den, 0, 53, toward > 0, -1074)
+    if bc + exp > 1024:  # man * 2**exp >= 2**1024
+        x = math.inf if (num > 0) == (toward > 0) else sys.float_info.max
+    else:
+        x = math.ldexp(man, exp)
+    return -x if num < 0 else x
 
 
 def nearest_double(lo: tuple[int, int], hi: tuple[int, int]) -> float | None:
@@ -213,36 +208,42 @@ def fixed_from_interval(enc: IntervalValue, bits: int) -> tuple[int, int]:
     return fixed_from_ends((enc.lo._mpf_, enc.hi._mpf_), bits)
 
 
-def _divided(v: int, odd: int, exp: int, bits: int, up: bool) -> tuple:
-    # the raw mpf of v / odd * 2**exp rounded to `bits` bits, down (or up if `up`):
-    # the floor (ceiling) of the quotient at a scale where it has more than `bits`
-    # bits, then that rounded the same way; the two roundings compose, since the
-    # result's last place is a whole number of the finer scale's units
-    if not v:
+def _rounded(num: int, den: int, exp: int, bits: int, up: bool, low: int | None = None) -> tuple:
+    """The raw mpf, normalized as libmp's are, of num/den * 2**exp (den > 0) rounded once,
+    down or up (`up`), to at most `bits` significant bits and, given `low`, to a multiple
+    of 2**low.  A power-of-two den only moves the exponent.  Any other den's odd part
+    divides num, floor (or ceiling), at a scale where the quotient has more than `bits`
+    bits; rounding that the same way composes with the division.
+    """
+    if not den & (den - 1):
+        exp -= den.bit_length() - 1
+    else:
+        twos = (den & -den).bit_length() - 1
+        odd = den >> twos
+        shift = max(0, bits + 1 + odd.bit_length() - num.bit_length())  # |quotient| > 2**bits
+        num = -((-num << shift) // odd) if up else (num << shift) // odd
+        exp -= twos + shift
+    cut = num.bit_length() - bits
+    if low is not None and low - exp > cut:
+        cut = low - exp
+    if cut > 0:
+        num, exp = -(-num >> cut) if up else num >> cut, exp + cut
+    if not num:
         return fzero
-    shift = max(0, bits + 1 + odd.bit_length() - abs(v).bit_length())  # |q| > 2**bits
-    q = -((-v << shift) // odd) if up else (v << shift) // odd
-    sign = q < 0
-    man = -q if sign else q
-    cut = man.bit_length() - bits
-    man = -(-man >> cut) if up != sign else man >> cut  # the magnitude up or down
-    zeros = (man & -man).bit_length() - 1
-    return 1 if sign else 0, man >> zeros, exp - shift + cut + zeros, man.bit_length() - zeros
+    zeros = (num & -num).bit_length() - 1
+    sign = 1 if num < 0 else 0
+    man = (-num if sign else num) >> zeros
+    return sign, man, exp + zeros, man.bit_length()
 
 
 def ends_from_fixed(enc: tuple[int, int], bits: int, den: int = 1) -> tuple[tuple, tuple]:
-    """Raw mpf ends of enc / den (den > 0), each rounded outward to `bits` bits, bit for bit
-    as one `mpf_div` by den rounds it (exact when den is a power of two).
-
-    Each end is one floor (or ceiling) division by den's odd part, then one
-    directed rounding to `bits` bits on `int.bit_length`; a directed
-    rounding has one correct result.  den's power of two moves the exponent.
-    """
-    twos = (den & -den).bit_length() - 1
-    odd, exp = den >> twos, -bits - twos
-    if odd == 1:
+    """Raw mpf ends of enc / den (den > 0), each rounded outward to `bits` bits by one
+    `_rounded` step, bit for bit as one `mpf_div` by den rounds it, since a directed
+    rounding has one correct result (exact when den is a power of two)."""
+    if not den & (den - 1):
+        exp = -bits - den.bit_length() + 1
         return from_man_exp(enc[0], exp), from_man_exp(enc[1], exp)
-    return _divided(enc[0], odd, exp, bits, False), _divided(enc[1], odd, exp, bits, True)
+    return _rounded(enc[0], den, -bits, bits, False), _rounded(enc[1], den, -bits, bits, True)
 
 
 def interval_from_fixed(enc: tuple[int, int], bits: int, den: int = 1) -> IntervalValue:

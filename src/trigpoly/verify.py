@@ -12,10 +12,12 @@ up to eight times the base; points still open there are counted as
 unresolved.  A grid report passes only if every margin's enclosure is
 positive, so no pass rests on rounding noise.  The three grid reports
 come from one sweep, `check_grid`, over one grid of exact dyadics,
-symmetric about 1/2 (`_grid`).  At each point u of the lower half and
-per bits, one pass down sin's Maclaurin series (`fixed_sin_maclaurin`)
-encloses sin(pi u) and the Maclaurin partial sums, and the partial sums
-in y = u(1 - u) are enclosed once.  bracketing_cos reads those rows at
+symmetric about 1/2 (`_grid`), its lower half rounded at
+`fixed_bits(digits)` bits by libmp: the sweep reads and sets no mpmath
+context.  At each point u of the lower half and per bits, one pass down
+sin's Maclaurin series (`fixed_sin_maclaurin`) encloses sin(pi u) and
+the Maclaurin partial sums, and the partial sums in y = u(1 - u) are
+enclosed once.  bracketing_cos reads those rows at
 x = u - 1/2 (the cosine grid is the sine grid minus 1/2), as
 cos(pi x) = sin(pi u) and 1/4 - x^2 = u(1 - u); both bracketing reports
 read them again at the mirror 1 - u, and the Maclaurin report reads the
@@ -47,18 +49,18 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from mpmath import mp, mpf
-from mpmath.libmp import (from_int, from_man_exp, mpf_div, mpf_shift, repr_dps, round_nearest,
-                          to_str)
+from mpmath import mp
+from mpmath.libmp import (from_int, from_man_exp, from_str, mpf_div, mpf_pi, mpf_shift, mpf_sqrt,
+                          repr_dps, round_nearest, to_float, to_str)
 
 from .approx import COS_PI_X, _check_func, sine_monomials
-from .coeffs import (c_enclosure, coeff_symbolic, coefficient_table, fixed_at_pi2, poly_mul,
-                     poly_sum)
-from .intervals import (IntervalValue, exact_ratio, fixed_bits, fixed_from_interval,
-                        fixed_maclaurin, fixed_mul, fixed_partial_sums, fixed_pi, fixed_ratio,
-                        fixed_sin_cos_pi, fixed_sin_maclaurin, fixed_t_scaled, fixed_y,
-                        interval_from_fixed, nearest_double, poly_eval_centered, to_double)
-from .precision import DEFAULT_DIGITS, require_digits, require_index, working
+from .coeffs import _c_ends, coeff_symbolic, coefficient_table, fixed_at_pi2, poly_mul, poly_sum
+from .intervals import (IntervalValue, exact_ratio, fixed_bits, fixed_from_ends,
+                        fixed_from_interval, fixed_maclaurin, fixed_mul, fixed_partial_sums,
+                        fixed_pi, fixed_ratio, fixed_sin_cos_pi, fixed_sin_maclaurin,
+                        fixed_t_scaled, fixed_y, interval_from_fixed, nearest_double,
+                        poly_eval_centered, to_double)
+from .precision import DEFAULT_DIGITS, require_digits, require_index
 
 __all__ = [
     "PositivityProof",
@@ -114,21 +116,20 @@ def reports_to_json(reports) -> str:
     return json.dumps(docs, indent=2, default=str)
 
 
-def _grid(n: int) -> list[tuple[int, int]]:
+def _grid(n: int, prec: int) -> list[tuple[int, int]]:
     """The grid checks' sine grid, ascending, as exact ratios (p, q), q a power of two.
 
     n uniform interior points i/(n+1) and 32 points within 1e-6 of each
     end, which probe the high-order zeros at the ends, where every
     quantity under test degenerates.  The grid is symmetric about 1/2.
     Its lower half is 1e-6 * 2^-k, k = 31..0, and i/(n+1) for 2i <= n+1,
-    each rounded to nearest at the context's precision as mpf arithmetic
-    rounds it (1/2 itself, for odd n, is exact).  Its upper half is 1 - x
+    each rounded to nearest at `prec` bits (1/2 itself, for odd n, is
+    exact), by libmp, so no mpmath context is read.  Its upper half is 1 - x
     for each x below 1/2, exact, with no rounding.  The cosine grid is the
     sine grid minus 1/2, exact, and the Maclaurin grid adds x = 1; one
     sweep, `check_grid`, walks the lower half for all three.
     """
-    prec = mp.prec
-    off = mpf("1e-6")._mpf_
+    off = from_str("1e-6", prec, round_nearest)
     raw = [mpf_shift(off, -k) for k in range(_CLUSTER)]
     den = from_int(n + 1)
     raw += [mpf_div(from_int(i), den, prec, round_nearest) for i in range(1, (n + 1) // 2 + 1)]
@@ -154,8 +155,7 @@ class _Worst:
     x, the last one does, which is the first in ascending x.  Its label
     is kept as a format string and its parts, and formatted once, by
     `where`: a sweep makes thousands of comparisons but reports one
-    label.  mpf parts print with 10 significant digits, and a grid point,
-    an exact ratio (p, q), in full.
+    label.  A grid point, an exact ratio (p, q), prints in full.
     """
 
     def __init__(self, descending: bool = False):
@@ -177,9 +177,7 @@ class _Worst:
     @property
     def where(self) -> str:
         fmt, parts = self._label
-        return fmt.format(*(_dyadic_text(*p) if isinstance(p, tuple)
-                            else mp.nstr(p, 10) if isinstance(p, mpf) else p
-                            for p in parts))
+        return fmt.format(*(_dyadic_text(*p) if isinstance(p, tuple) else p for p in parts))
 
     def report(self, property_id: str, metadata: dict) -> PropertyReport:
         ok = self.margin is not None and self.margin > 0
@@ -226,7 +224,7 @@ _MAX_DOUBLINGS = 3  # escalation stops at fixed_bits(digits) * 2**3 bits
 @lru_cache(maxsize=32)
 def _fixed_coefficients(n: int, bits: int) -> tuple[tuple[int, int], ...]:
     """Enclosures of c_1..c_n at `bits` fractional bits: each `c_enclosure`, rounded outward."""
-    return tuple(fixed_from_interval(c_enclosure(j, bits), bits) for j in range(1, n + 1))
+    return tuple(fixed_from_ends(_c_ends(j, bits), bits) for j in range(1, n + 1))
 
 
 def _fold(rows, enclosures) -> tuple[bool, tuple[int, float]]:
@@ -383,41 +381,41 @@ def check_grid(
                        for kind in ("even-step", "even-below", "odd-above", "prev-odd-above")]
     n = 2 * j_max + 2 if j_max else 0  # the Maclaurin terms a pass sums
 
-    with working(digits):
-        bracket, mac = _Sweep(digits), _Sweep(digits)
-        worsts = {func: _Worst() for func in bracketing}
-        # the Maclaurin points above 1/2 are visited downwards
-        below, above = _Worst(), _Worst(descending=True)
+    prec = fixed_bits(digits)
+    bracket, mac = _Sweep(digits), _Sweep(digits)
+    worsts = {func: _Worst() for func in bracketing}
+    # the Maclaurin points above 1/2 are visited downwards
+    below, above = _Worst(), _Worst(descending=True)
 
-        def maclaurin(point, at, worst):
-            i, margin = mac.fold(mac_rows, at)
-            worst.update(margin, *mac_labels[i], point)
-        if j_max:  # x = 1 tops the Maclaurin grid: first on the way down
-            maclaurin((1, 1), lambda bits: fixed_sin_maclaurin(1, 1, n, bits), above)
-        points = _grid(grid_size)
-        for p, q in points[:(len(points) + 1) // 2]:
-            passes = {}  # bits -> the one series pass at u, for this point's visit only
+    def maclaurin(point, at, worst):
+        i, margin = mac.fold(mac_rows, at)
+        worst.update(margin, *mac_labels[i], point)
+    if j_max:  # x = 1 tops the Maclaurin grid: first on the way down
+        maclaurin((1, 1), lambda bits: fixed_sin_maclaurin(1, 1, n, bits), above)
+    points = _grid(grid_size, prec)
+    for p, q in points[:(len(points) + 1) // 2]:
+        passes = {}  # bits -> the one series pass at u, for this point's visit only
 
-            def one_pass(bits):
-                if bits not in passes:
-                    passes[bits] = fixed_sin_maclaurin(p, q, n, bits)
-                return passes[bits]
-            mirrored = 2 * p < q
-            if bracketing:
-                i, margin = bracket.fold(bracket_rows, lambda bits: (
-                    *fixed_partial_sums(_fixed_coefficients(m_max + 2, bits),
-                                        fixed_y(p, q, bits, False), bits),
-                    one_pass(bits)[2]), 1 + mirrored)
-                for func, worst in worsts.items():
-                    x = (2 * p - q, 2 * q) if func == COS_PI_X else (p, q)
-                    worst.update(margin, *bracket_labels[i], x)
-            if j_max:
-                maclaurin((p, q), one_pass, below)
-                if mirrored:
-                    maclaurin((q - p, q), lambda bits: (*fixed_maclaurin(q - p, q, n, bits),
-                                                        one_pass(bits)[2]), above)
-        below.merge(above)
-        thresholds = _chain_thresholds(j_max) if j_max else None
+        def one_pass(bits):
+            if bits not in passes:
+                passes[bits] = fixed_sin_maclaurin(p, q, n, bits)
+            return passes[bits]
+        mirrored = 2 * p < q
+        if bracketing:
+            i, margin = bracket.fold(bracket_rows, lambda bits: (
+                *fixed_partial_sums(_fixed_coefficients(m_max + 2, bits),
+                                    fixed_y(p, q, bits, False), bits),
+                one_pass(bits)[2]), 1 + mirrored)
+            for func, worst in worsts.items():
+                x = (2 * p - q, 2 * q) if func == COS_PI_X else (p, q)
+                worst.update(margin, *bracket_labels[i], x)
+        if j_max:
+            maclaurin((p, q), one_pass, below)
+            if mirrored:
+                maclaurin((q - p, q), lambda bits: (*fixed_maclaurin(q - p, q, n, bits),
+                                                    one_pass(bits)[2]), above)
+    below.merge(above)
+    thresholds = _chain_thresholds(j_max, prec) if j_max else None
 
     reports = [
         bracket.report(f"bracketing_{'cos' if func == COS_PI_X else 'sin'}",
@@ -509,14 +507,15 @@ def check_maclaurin_interleaving(
     return check_grid(grid_size, digits, j_max=j_max)[0]
 
 
-def _chain_thresholds(j_max: int) -> dict:
+def _chain_thresholds(j_max: int, prec: int) -> dict:
     """Where the five-way chain's S_{2j-1} < S_{2j+1} starts to hold, on a scan of (0, 3].
 
     S_{2j+1} - S_{2j-1} = t^(4j-1)/(4j-1)! (t^2/(4j(4j+1)) - 1), t = pi x, so
     at a scan point x = i/200 it has the sign of pi^2 i^2 - 40000 4j(4j+1),
     which `fixed_pi` decides; pi^2 is irrational, so more bits always do.
     The threshold is the largest scan point where the step is negative,
-    found walking the same scan downwards.
+    found walking the same scan downwards; theoretical_x is
+    sqrt(4j(4j+1))/pi, each step rounded to nearest at `prec` bits.
     """
 
     def negative(i, j, bits=64):
@@ -530,7 +529,9 @@ def _chain_thresholds(j_max: int) -> dict:
         thresholds[f"j={j}"] = {
             # a cut at the top of the scan: the chain never became valid in range
             "empirical_x_above": cut / 200 if cut < 600 else None,
-            "theoretical_x": float(mp.sqrt(4 * j * (4 * j + 1)) / mp.pi),
+            "theoretical_x": to_float(mpf_div(
+                mpf_sqrt(from_int(4 * j * (4 * j + 1)), prec, round_nearest),
+                mpf_pi(prec, round_nearest), prec, round_nearest), rnd=round_nearest),
         }
     return thresholds
 

@@ -21,6 +21,7 @@ from trigpoly.coeffs import (
     coeff_recurrence,
     coeff_symbolic,
 )
+from trigpoly.intervals import fixed_bits
 from trigpoly.precision import working
 from trigpoly.verify import (
     _grid,
@@ -111,7 +112,7 @@ def _bound_validity_sweep(func, m_max, grid_size):
         slack = mpf(10) ** -(DIGITS - 10)
         pi2 = mp.pi ** 2
         # the checks' grid: the cosine one is the sine one minus 1/2
-        for p, q in _grid(grid_size):
+        for p, q in _grid(grid_size, fixed_bits(DIGITS)):
             x = mpf(2 * p - q) / (2 * q) if is_cos else mpf(p) / q
             y = top.y_of_hp(x)
             ref = mp.cos(mp.pi * x) if is_cos else mp.sin(mp.pi * x)

@@ -241,6 +241,13 @@ def test_maclaurin_hp_matches_machine():
             )
 
 
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan, "inf"])
+def test_maclaurin_hp_refuses_a_non_finite_x(x):
+    # the series of an infinite argument would never end
+    with pytest.raises(ValueError, match="finite"):
+        maclaurin_eval_hp(3, x, 50)
+
+
 # --- monomial expansion -------------------------------------------------------
 
 def test_taylor_q1_is_pi_x_minus_pi_x_squared():

@@ -488,6 +488,47 @@ def test_to_double_rounds_a_dyadic_ratio_on_the_integer():
     assert to_double(2 ** 1024 - 2 ** 970 - 1, 1, -1) == sys.float_info.max
 
 
+def test_to_double_rounds_down_or_up_over_every_range():
+    # any den, an odd part times a power of two: results below the least subnormal, in the
+    # subnormal range, normal, in the top binade and past the largest double, both signs
+    rng = random.Random(28)
+    top = Fraction(sys.float_info.max)
+    cases = []
+    for k in (-1100, -1076, -1075, -1074, -1073, -1050, -1023, -1022, -1021, 0, 1022, 1023, 1024,
+              1030):
+        for _ in range(12):
+            num = rng.getrandbits(rng.randrange(1, 200)) | 1
+            odd = rng.getrandbits(rng.randrange(1, 400)) | 1
+            shift = num.bit_length() - odd.bit_length() - k  # num/den near 2**k
+            num, den = (num, odd << shift) if shift >= 0 else (num << -shift, odd)
+            cases += [(num, den), (-num, den)]
+    for num, den in cases:
+        f = Fraction(num, den)
+        for toward in (-1, 1):
+            got = to_double(num, den, toward)
+            if abs(f) > top:  # IEEE 754: away from zero overflows, toward zero saturates
+                away = (f > 0) == (toward > 0)
+                assert got == (math.inf if away else sys.float_info.max) * (1 if f > 0 else -1)
+            else:
+                assert _rounds_correctly(f, toward, got), (num, den, toward)
+            if got == 0:  # zero keeps the sign of the value rounded to it
+                assert math.copysign(1, got) == (1 if f > 0 else -1), (num, den, toward)
+    # just past the largest double, 2**1024 - 2**971: up overflows, down saturates
+    assert to_double(2 ** 1024 - 2 ** 970 - 1, 1, 1) == math.inf
+    assert to_double(2 ** 1024 - 2 ** 970, 1, -1) == sys.float_info.max
+    assert to_double(-(2 ** 1024 - 2 ** 970), 1, 1) == -sys.float_info.max
+    assert to_double(-(2 ** 1024 - 2 ** 970 - 1), 1, -1) == -math.inf
+    assert to_double(-2 ** 1100, 3, 1) == -sys.float_info.max
+    assert to_double(-2 ** 1100, 3, -1) == -math.inf
+    assert to_double(2 ** 1100, 3, 1) == math.inf
+    # below the least subnormal, with an odd den: down to 0.0, up to -0.0 when negative
+    assert math.copysign(1, to_double(1, 3 * 2 ** 1100, -1)) == 1
+    assert math.copysign(1, to_double(-1, 3 * 2 ** 1100, 1)) == -1
+    assert to_double(1, 3 * 2 ** 1100, 1) == 5e-324 == -to_double(-1, 3 * 2 ** 1100, -1)
+    with pytest.raises(OverflowError):  # to nearest stays CPython's int / int
+        to_double(2 ** 1100, 3)
+
+
 def test_nearest_double_needs_both_ends_to_round_alike():
     assert nearest_double((1, 3), (1, 3)) == 1 / 3
     assert nearest_double((2 ** 60 - 1, 2 ** 60), (1, 1)) == 1.0

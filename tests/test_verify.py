@@ -11,6 +11,7 @@ from mpmath import mp, mpf
 import trigpoly.approx as approx
 import trigpoly.cli as cli
 import trigpoly.coeffs as coeffs
+import trigpoly.precision as precision
 import trigpoly.verify as verify
 from trigpoly.approx import COS_PI_X, SIN_PI_X, build_poly, maclaurin_eval
 from trigpoly.coeffs import (
@@ -576,8 +577,7 @@ def _grid_points(n, func=SIN_PI_X, include_one=False):
     # the checks' grid at 50 digits, each point exact with its label text: the
     # sine grid, the cosine grid (the sine grid minus 1/2), or the sine grid
     # and x = 1 (the Maclaurin grid)
-    with working(50):
-        ratios = verify._grid(n)
+    ratios = verify._grid(n, fixed_bits(50))
     if func == COS_PI_X:
         ratios = [(2 * p - q, 2 * q) for p, q in ratios]
     if include_one:
@@ -671,7 +671,7 @@ def test_grid_reports_print_x_in_full():
         for x, text in _grid_points(64, func):
             assert _parses_back(text, x), text
     with working(50):
-        p, q = verify._grid(64)[-1]  # 1 - 1e-6 * 2^-31, exact
+        p, q = verify._grid(64, fixed_bits(50))[-1]  # 1 - 1e-6 * 2^-31, exact
         sweep, worst = verify._Sweep(50), verify._Worst()
         rows, enclosures = _diff_rows([(-1, -1, 1, 1)])
         _, margin = sweep.fold(rows, lambda bits: enclosures)
@@ -703,7 +703,7 @@ def test_maclaurin_thresholds_match_per_j_scan():
 def test_worst_keeps_the_first_of_equal_margins():
     worst = verify._Worst()
     worst.update(mpf(2), "j={} a", 1)
-    worst.update(mpf(1), "j={} x={} b", 2, mpf(1) / 3)
+    worst.update(mpf(1), "j={} x={} b", 2, "0.3333333333")
     worst.update(mpf(1), "j={} c", 3)
     assert worst.where == "j=2 x=0.3333333333 b"
     report = worst.report("demo", {})
@@ -723,13 +723,13 @@ def test_worst_keeps_the_first_of_equal_margins():
 
 def test_example_polynomial_builds_each_y_coefficient_once(monkeypatch):
     calls = []
-    original = verify.c_enclosure
+    original = verify._c_ends
 
     def counted(j, bits):
         calls.append(j)
         return original(j, bits)
 
-    monkeypatch.setattr(verify, "c_enclosure", counted)
+    monkeypatch.setattr(verify, "_c_ends", counted)
     verify._fixed_coefficients.cache_clear()
     _, c_intervals = example_inequality_polynomial(50)
     assert calls == [1, 2, 3, 4]
@@ -930,8 +930,7 @@ def test_verify_all_encloses_each_sine_row_once(monkeypatch):
     for name in ("pass", "maclaurin", "sums"):
         assert len(set(calls[name])) == len(calls[name]), name
     assert not calls["sine"] and not any(calls["y"])
-    with working(50):
-        grid = {Fraction(p, q) for p, q in verify._grid(64)}
+    grid = {Fraction(p, q) for p, q in verify._grid(64, fixed_bits(50))}
     lower = {x for x in grid if x <= Fraction(1, 2)}
     # at the base bits: every point of the sine grid's lower half, and x = 1
     base = fixed_bits(50)
@@ -981,13 +980,30 @@ def test_grid_reports_keep_the_first_of_equal_margins(monkeypatch):
     # every point's margin equal: each report names the lowest x of its grid
     monkeypatch.setattr(verify, "_fold", lambda rows, enclosures: (True, (0, 1.0)))
     reports = verify.check_grid(16, 50, (SIN_PI_X, COS_PI_X), 3, 1)
-    with working(50):
-        p, q = verify._grid(16)[0]
+    p, q = verify._grid(16, fixed_bits(50))[0]
     assert [r.worst_case[0] for r in reports] == [
         f"m=1 x={verify._dyadic_text(p, q)} delta",
         f"m=1 x={verify._dyadic_text(2 * p - q, 2 * q)} delta",
         f"j=1 x={verify._dyadic_text(p, q)} even-step",
     ]
+
+
+def test_grid_sweep_enters_no_precision_section(monkeypatch):
+    # the sweep reads no mpmath context: with the precision lock refusing entry,
+    # and the coefficient cache cleared, it still gives the same reports
+    class Refusing:
+        def __enter__(self):
+            raise AssertionError("a precision section was entered")
+
+        def __exit__(self, *exc):
+            return False
+
+    args = (64, 50, (SIN_PI_X, COS_PI_X), 10, 4)
+    expected = verify.check_grid(*args)
+    verify._fixed_coefficients.cache_clear()
+    monkeypatch.setattr(precision, "PRECISION_LOCK", Refusing())
+    with mp.workprec(20):  # nor does the ambient precision move the grid
+        assert verify.check_grid(*args) == expected
 
 
 def _diff_rows(rows):
