@@ -24,8 +24,9 @@ from operator import attrgetter
 from typing import Callable, Literal
 
 from mpmath import mp, mpf
-from mpmath.libmp import (fone, from_int, mpf_div, mpf_mul, mpf_pi, mpf_pow_int, mpf_shift,
-                          mpf_sub, round_ceiling, round_floor)
+from mpmath.libmp import (fone, from_int, fzero, mpf_abs, mpf_add, mpf_div, mpf_mul, mpf_neg,
+                          mpf_pi, mpf_pow_int, mpf_shift, mpf_sub, round_ceiling, round_floor,
+                          round_nearest)
 
 from .coeffs import _c_ends, _mid, coeff_symbolic, poly_sum
 from .intervals import (_check_ends, _rounded, exact_ratio, fixed_bits, nearest_double,
@@ -34,11 +35,9 @@ from .precision import (
     DEFAULT_DIGITS,
     DEFAULT_INDEX_LIMIT,
     IndexLimitError,
-    horner,
     require_digits,
     require_index,
     to_mpf,
-    working,
 )
 
 __all__ = [
@@ -138,25 +137,31 @@ class ApproxPolynomial:
                                   self.precision_digits)
 
     def y_of_hp(self, x) -> mpf:
-        """The shifted variable y at the current working precision."""
-        xv = to_mpf(x)
-        return mpf(1) / 4 - xv * xv if self._cos else xv * (1 - xv)
+        """The shifted variable y, x and each step rounded to nearest at the approximant's
+        precision, `fixed_bits(precision_digits)` bits."""
+        prec, rnd = fixed_bits(self.precision_digits), round_nearest
+        xv = to_mpf(x, prec)._mpf_
+        return mp.make_mpf(mpf_sub(mpf_shift(fone, -2), mpf_mul(xv, xv, prec, rnd), prec, rnd)
+                           if self._cos else mpf_mul(xv, mpf_sub(fone, xv, prec, rnd), prec, rnd))
 
     eval = _Kernel(attrgetter("_kernel"), doc="Machine-precision Horner evaluation in y.")
     __call__ = eval
 
     def eval_hp(self, x) -> mpf:
-        """Extended-precision Horner evaluation, for verification."""
-        with working(self.precision_digits):
-            y = self.y_of_hp(x)
-            return horner(self.hp_coeffs, y) * y
+        """Extended-precision Horner evaluation in y, for verification: acc * y + c from 0 for
+        c_m down to c_1, then acc * y, each step rounded as `y_of_hp` rounds."""
+        prec, rnd = fixed_bits(self.precision_digits), round_nearest
+        y, acc = self.y_of_hp(x)._mpf_, fzero
+        for c in reversed(self.hp_coeffs):
+            acc = mpf_add(mpf_mul(acc, y, prec, rnd), c._mpf_, prec, rnd)
+        return mp.make_mpf(mpf_mul(acc, y, prec, rnd))
 
 
 def build_poly(func: FuncTag, m: int, digits: int = DEFAULT_DIGITS) -> ApproxPolynomial:
     """The degree-m approximant.
 
     hp_coeffs[j - 1] is the midpoint of `c_enclosure(j, fixed_bits(digits))`
-    rounded to the working precision, and y_coeffs[j - 1] that value rounded
+    rounded to nearest at those bits, and y_coeffs[j - 1] that value rounded
     to the nearest double by `to_double`.
     """
     _check_func(func)
@@ -318,13 +323,12 @@ def select_degree(func: FuncTag, tol, digits: int = DEFAULT_DIGITS) -> int:
     """
     _check_func(func)
     require_digits(digits)
-    with working(digits):
-        tol_v = to_mpf(tol)
-        if not tol_v > 0:
-            raise ValueError("tol must be positive")
-        for m in range(1, DEFAULT_INDEX_LIMIT + 1):
-            if bound_sup(m, digits) <= tol_v:
-                return m
+    tol_v = to_mpf(tol, fixed_bits(digits))
+    if not tol_v > 0:
+        raise ValueError("tol must be positive")
+    for m in range(1, DEFAULT_INDEX_LIMIT + 1):
+        if bound_sup(m, digits) <= tol_v:
+            return m
     raise IndexLimitError(f"no degree <= {DEFAULT_INDEX_LIMIT} meets tol={tol}")
 
 
@@ -348,18 +352,17 @@ def maclaurin_eval_hp(m: int, x, digits: int = DEFAULT_DIGITS) -> mpf:
 
     S_m(x) = t sum_{k<m} (-t^2)^k/(2k+1)! with t = pi |x|, negated for x < 0:
     the midpoint (`_mid`) of the enclosure `series_ends` gives for x rounded
-    to the working precision, t rounded outward.
+    to nearest at `fixed_bits(digits)` bits, t rounded outward.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     prec = fixed_bits(digits)
-    with working(digits):
-        xv = to_mpf(x)
-        t = tuple(mpf_mul(mpf_pi(prec, rnd), abs(xv)._mpf_, prec, rnd)
-                  for rnd in (round_floor, round_ceiling))
-        _check_ends(*t)  # an infinite x would never end the series
-        s = _mid(series_ends(t, tuple(mpf_mul(v, v) for v in t), 2, 3, prec, n=m), digits).value
-        return -s if xv < 0 else s
+    xv = to_mpf(x, prec)
+    t = tuple(mpf_mul(mpf_pi(prec, rnd), mpf_abs(xv._mpf_), prec, rnd)
+              for rnd in (round_floor, round_ceiling))
+    _check_ends(*t)  # an infinite x would never end the series
+    s = _mid(series_ends(t, tuple(mpf_mul(v, v) for v in t), 2, 3, prec, n=m), digits).value
+    return mp.make_mpf(mpf_neg(s._mpf_)) if xv < 0 else s
 
 
 def sine_monomials(m: int) -> list[tuple[Fraction, ...]]:

@@ -28,12 +28,14 @@ Every route's certificate comes from an enclosure by one rule:
 trunc_bound = max(hi - v, v - lo), rounded up, for the route's value v;
 the direct route's from its own `t_enclosure`, the recurrence and Bessel
 tables' from `t_enclosures`.  A value rounded from an enclosure is its
-exact midpoint rounded to the working precision (`_mid`).  Inside the
-module an enclosure travels as its raw ends, a pair of libmp tuples
-(lo, hi), from the recurrence, the series and the Bessel ladder to
-`_mid` and `_certified`; it becomes an `IntervalValue` only where a
-public function returns one (`t_enclosure`, `t_enclosures`,
-`c_enclosure`, `SymbolicCoefficient.evaluate_interval`).
+exact midpoint rounded to nearest at `fixed_bits(digits)` bits (`_mid`),
+and an argument z or x is rounded once to those bits by `to_mpf`: no
+function here reads or sets mpmath's context.  Inside the module an
+enclosure travels as its raw ends, a pair of libmp tuples (lo, hi), from
+the recurrence, the series and the Bessel ladder to `_mid` and
+`_certified`; it becomes an `IntervalValue` only where a public function
+returns one (`t_enclosure`, `t_enclosures`, `c_enclosure`,
+`SymbolicCoefficient.evaluate_interval`).
 
 The generalized series T_j(z) = sum_k (-z)^k binom(j+k,j)/(2j+2k)!
 recovers t_j at z = pi^2/4 and is exposed for cross-checks.  It and
@@ -59,9 +61,9 @@ from itertools import zip_longest
 from typing import Literal
 
 from mpmath import mp, mpf
-from mpmath.libmp import (fone, from_int, mpf_add, mpf_cmp, mpf_div, mpf_mul, mpf_pi, mpf_pow_int,
-                          mpf_shift, mpf_sqrt, mpf_sub, round_ceiling, round_floor, round_nearest,
-                          to_float)
+from mpmath.libmp import (fone, from_int, mpf_add, mpf_cmp, mpf_div, mpf_le, mpf_mul, mpf_pi,
+                          mpf_pow_int, mpf_shift, mpf_sign, mpf_sqrt, mpf_sub, round_ceiling,
+                          round_floor, round_nearest, to_float)
 
 from .intervals import (
     IntervalValue,
@@ -81,7 +83,6 @@ from .precision import (
     require_digits,
     require_index,
     to_mpf,
-    working,
 )
 
 __all__ = [
@@ -160,8 +161,7 @@ class CoefficientTable:
 
 def _mid(enc: tuple, digits: int) -> ExtReal:
     """The one midpoint rule: the exact midpoint of the raw ends enc = (lo, hi) rounded to
-    nearest at `fixed_bits(digits)` bits, the precision `working(digits)` sets, without
-    entering it."""
+    nearest at `fixed_bits(digits)` bits."""
     mid = mpf_add(enc[0], enc[1], fixed_bits(digits), round_nearest)
     return ExtReal(mp.make_mpf(mpf_shift(mid, -1)), digits)
 
@@ -317,7 +317,7 @@ class SymbolicCoefficient:
         return 2 * self.index - 1
 
     def evaluate(self, digits: int = DEFAULT_DIGITS) -> ExtReal:
-        """t_j: the midpoint of `evaluate_interval`, at the working precision."""
+        """t_j: the midpoint of `evaluate_interval`, rounded to nearest at `fixed_bits(digits)`."""
         require_digits(digits)
         return _mid(_t_ends(self.index, fixed_bits(digits)), digits)
 
@@ -459,10 +459,11 @@ def _bessel(js: range, digits: int, h: tuple | None = None) -> list[tuple]:
 MAX_SERIES_Z = 10 ** 6
 
 
-def _positive_finite(x, name: str, squared: bool = False) -> mpf:
-    """x as an mpf, refused unless 0 < z <= MAX_SERIES_Z for z = x (or x^2 if `squared`)."""
-    v = to_mpf(x)
-    if not (v > 0 and (v * v if squared else v) <= MAX_SERIES_Z):
+def _positive_finite(x, name: str, prec: int, squared: bool = False) -> tuple:
+    """x rounded to nearest at `prec` bits, as a raw mpf, refused unless 0 < z <= MAX_SERIES_Z
+    for z = x (or x^2 if `squared`), compared exactly."""
+    v = to_mpf(x, prec)._mpf_
+    if not (mpf_sign(v) > 0 and mpf_le(mpf_mul(v, v) if squared else v, from_int(MAX_SERIES_Z))):
         bound = f"{name}^2" if squared else name
         raise ValueError(f"{name} must be positive and finite, with {bound} <= {MAX_SERIES_Z}")
     return v
@@ -471,11 +472,10 @@ def _positive_finite(x, name: str, squared: bool = False) -> mpf:
 def bessel_j_half_integer(j: int, x, digits: int = DEFAULT_DIGITS) -> ExtReal:
     """J_{j-1/2}(x) for 0 < x <= 1000 (x^2 <= MAX_SERIES_Z) by the defining power series
     J_nu(x) = sum_k (-1)^k (x/2)^(nu+2k) / (k! Gamma(nu+k+1)): the midpoint of `_bessel`'s
-    enclosure for x rounded to the working precision."""
+    enclosure for x rounded to nearest at `fixed_bits(digits)` bits."""
     if j < 0:
         raise ValueError("j must be >= 0")
-    with working(digits):
-        h = mpf_shift(_positive_finite(x, "x", squared=True)._mpf_, -1)
+    h = mpf_shift(_positive_finite(x, "x", fixed_bits(digits), squared=True), -1)
     return _mid(_bessel(range(j, j + 1), digits, (h, h))[0], digits)
 
 
@@ -496,18 +496,18 @@ def general_series_direct(j: int, z, digits: int = DEFAULT_DIGITS) -> ExtReal:
     j = 0 is permitted (T_0(z) = cos(sqrt(z))); it seeds the recurrence
     route.  Each term is the last times z/((2k+2)(2k+2j+1)); the value is
     the midpoint of the enclosure `series_ends` gives for z rounded to
-    the working precision, the first term 1/(2j)! rounded outward.
+    nearest at `fixed_bits(digits)` bits, the first term 1/(2j)! rounded
+    outward.
     """
     require_digits(digits)
     require_index(j)
     if j < 0:
         raise ValueError("j must be >= 0")
-    with working(digits):
-        zv = _positive_finite(z, "z")
     prec = fixed_bits(digits)
+    zv = _positive_finite(z, "z", prec)
     fact = from_int(math.factorial(2 * j))
     first = mpf_div(fone, fact, prec, round_floor), mpf_div(fone, fact, prec, round_ceiling)
-    return _mid(series_ends(first, (zv._mpf_, zv._mpf_), 2, 2 * j + 1, prec), digits)
+    return _mid(series_ends(first, (zv, zv), 2, 2 * j + 1, prec), digits)
 
 
 def general_series_recurrence(j_max: int, z, digits: int = DEFAULT_DIGITS) -> list[ExtReal]:
@@ -516,15 +516,15 @@ def general_series_recurrence(j_max: int, z, digits: int = DEFAULT_DIGITS) -> li
         T_{j-2}(z) = (j-1) (2(2j-3) T_{j-1}(z) - 4jz T_j(z)):
 
     each value is the midpoint of its `_downward` enclosure, for z rounded
-    to the working precision.
+    to nearest at `fixed_bits(digits)` bits.
     """
     require_digits(digits)
     require_index(j_max)
     if j_max < 1:
         raise ValueError("j_max must be >= 1")
-    with working(digits):
-        zv = _positive_finite(z, "z")
-    return [_mid(enc, digits) for enc in _downward((zv._mpf_, zv._mpf_), j_max, fixed_bits(digits))]
+    prec = fixed_bits(digits)
+    zv = _positive_finite(z, "z", prec)
+    return [_mid(enc, digits) for enc in _downward((zv, zv), j_max, prec)]
 
 
 def coefficient_table(

@@ -404,13 +404,15 @@ def series_ends(first: tuple[tuple, tuple], z: tuple[tuple, tuple], a: int, b: i
 
     `first` and `z` are non-negative raw ends (lo, hi).  The scaled sum runs
     on `fixed_series` from one unit, so a tiny first term loses nothing, at
-    `prec` fractional bits plus the bits its terms grow by before they fall;
-    it is then multiplied by `first`, each end rounded outward at `prec`
-    bits.  With n, the sum of the terms 0..n-1 only.
+    `prec` fractional bits plus the bits its terms grow by before they fall,
+    or, with n, by term n; it is then multiplied by `first`, each end
+    rounded outward at `prec` bits.  With n, the sum of the terms 0..n-1 only.
     """
     zf, growth, k = to_float(z[1], rnd=round_nearest), 0.0, 0
-    while (ratio := zf / ((2 * k + a) * (2 * k + b))) > 1:
-        growth += math.log2(ratio)
+    while k != n and (ratio := zf / (d := (2 * k + a) * (2 * k + b))) > 1:
+        # past the doubles, log2 z is read off the raw mantissa and exponent
+        growth += (math.log2(ratio) if ratio < math.inf
+                   else math.log2(z[1][1]) + z[1][2] - math.log2(d))
         k += 1
     bits = prec + math.ceil(growth)
     scaled = fixed_series((1 << bits, 1 << bits), fixed_from_ends(z, bits), a, b, bits, n)

@@ -1,19 +1,19 @@
-"""Extended-precision value carrier and working-precision control.
+"""Extended-precision value carrier and the front ends' precision section.
 
 Every mpf value in this package is computed at a working precision of
-``requested digits + GUARD_DIGITS``.  The guard
-digits keep values accurate; no certificate rests on them, since
-certificates come from the outward-rounded enclosures of `intervals`.
-The one mpf loop left lives here, `horner` for polynomials; its callers
-hold the `working` section.  The series of T_j(z), J_{j-1/2} and the
-sine's Maclaurin sums, and the three-term recurrence, run on the
-fixed-point kernel of `intervals`.
+``requested digits + GUARD_DIGITS``, in bits ``intervals.fixed_bits``,
+and every extended-precision step names those bits: inputs round once to
+nearest by `to_mpf(x, prec)`, and each operation is a libmp call at an
+explicit precision.  The guard digits keep values accurate; no
+certificate rests on them, since certificates come from the
+outward-rounded enclosures of `intervals`.  No library section reads or
+sets mpmath's context, so a result does not depend on the caller's
+``mp.prec`` and the library has no serialization point.
 
-mpmath's context precision is process-global, so precision-sensitive
-sections are serialized with a reentrant lock; results are pure
-functions of their inputs and immutable outputs are safe to share
-across threads.  Machine-precision evaluation paths never enter these
-sections and run fully concurrently.
+mpmath's context precision is process-global, so `working` serializes
+its sections with a reentrant lock.  Only the front ends enter it, `cli`
+and `bench`, for mpmath's own reference values; the lock also serves
+`intervals.interval_dps`.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import mp, mpf
+from mpmath.libmp import from_rational, round_nearest
 
 # one reentrant lock for mpmath's process-global precisions: working() and
 # interval_dps() sections nest without deadlock
@@ -60,44 +61,32 @@ def require_index(j: int) -> None:
 
 @contextmanager
 def working(digits: int):
-    """Context with mp precision set to digits + guard decimals."""
+    """Context with mp precision set to digits + guard decimals, for the front ends."""
     with PRECISION_LOCK:
         with mp.workdps(digits + GUARD_DIGITS):
             yield mp
 
 
-def horner(coeffs, u) -> mpf:
-    """sum_k coeffs[k] * u**k by Horner's rule (constant term first).
+def to_mpf(x, prec: int) -> mpf:
+    """Ints, fractions, floats, strings and mpfs as an mpf rounded once to nearest at `prec` bits.
 
-    The one mpf Horner loop: each step rounds once for the product and
-    once for the sum, at the current working precision.
-    """
-    acc = mpf(0)
-    for c in reversed(coeffs):
-        acc = acc * u + c
-    return acc
-
-
-def to_mpf(x) -> mpf:
-    """Coerce ints, fractions, floats, strings and ExtReal to mpf.
-
-    Conversion happens at the *current* working precision; ints and
-    floats are exact, fractions round once.
+    A Fraction's p/q rounds once, by `from_rational`; an ExtReal's value
+    passes through as it is.
     """
     if isinstance(x, ExtReal):
         return x.value
     if isinstance(x, Fraction):
-        return mpf(x.numerator) / mpf(x.denominator)
-    return mpf(x)
+        return mp.make_mpf(from_rational(x.numerator, x.denominator, prec, round_nearest))
+    return mpf(x, prec=prec, rounding=round_nearest)
 
 
 @dataclass(frozen=True)
 class ExtReal:
     """An extended-precision real tagged with its requested decimal precision.
 
-    A frozen carrier: computation happens on `value` (an mpf) inside a
-    `working` section, and the result is wrapped again with its digits.
-    Equality compares both fields.
+    A frozen carrier: computation happens on `value` (an mpf) by libmp
+    calls at `fixed_bits(precision_digits)` bits, and the result is
+    wrapped again with its digits.  Equality compares both fields.
     """
 
     value: mpf

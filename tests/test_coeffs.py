@@ -450,7 +450,7 @@ def test_general_recurrence_values_are_the_downward_midpoints(z):
     # pass's enclosures, z rounded to the working precision
     vals = general_series_recurrence(30, z, 50)
     with working(50):
-        zv = to_mpf(z)._mpf_
+        zv = to_mpf(z, mp.prec)._mpf_
         encs = [IntervalValue._of(*e) for e in coeffs._downward((zv, zv), 30, fixed_bits(50))]
         assert [v.value for v in vals] == [+e.mid for e in encs]
 
