@@ -230,17 +230,16 @@ _SUITES = ("all", "coeffs", "bracketing", "bessel", "maclaurin", "taylor")
 
 
 def run_suite(suite: str, grid: int, digits: int) -> list[verify.PropertyReport]:
-    funcs = (SIN_PI_X, COS_PI_X) if suite in ("all", "bracketing") else ()
-    j_max = 4 if suite in ("all", "maclaurin") else None
-    # one walk of the grid serves every grid report the suite asks for
-    gridded = verify.check_grid(grid, digits, funcs, 10, j_max) if funcs or j_max else []
     reports = []
     if suite in ("all", "coeffs"):
         reports.append(verify.check_coefficient_bounds(100, digits))
-    reports += gridded[:len(funcs)]
+    if suite in ("all", "bracketing"):
+        reports += [verify.check_bracketing(func, 10, grid, digits)
+                    for func in (SIN_PI_X, COS_PI_X)]
     if suite in ("all", "bessel"):
         reports.append(verify.check_bessel_identity(50, digits))
-    reports += gridded[len(funcs):]
+    if suite in ("all", "maclaurin"):
+        reports.append(verify.check_maclaurin_interleaving(4, grid, digits))
     if suite in ("all", "taylor"):
         reports.append(verify.check_taylor_exactness(8, digits))
     return reports
@@ -334,7 +333,8 @@ def build_parser(default_digits: int) -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the property-check suites")
     p.add_argument("--suite", choices=_SUITES, default="all")
-    p.add_argument("--grid", type=_positive_int, default=2048)
+    p.add_argument("--grid", type=_positive_int, default=2048,
+                   help="accepted and ignored: no report samples a grid")
     p.add_argument("--json", default=None, metavar="PATH",
                    help="also write a structured JSON report")
     add_digits(p)

@@ -13,7 +13,7 @@ first, so `t_enclosure` encloses t_j with outward rounding (the
 fixed-point kernel `intervals.fixed_t_scaled`, then one outward division
 by (2j)!), and `c_enclosure` encloses c_j the same way at a few more
 bits, times pi^(2j) rounded outward: the one source of c_j for the
-approximants' coefficients, the grid checks and the symbolic forms'
+approximants' coefficients, the verify checks and the symbolic forms'
 values.  t_j is computed by three routes -- the series (the enclosure's
 midpoint), a three-term recurrence and a half-integer Bessel identity --
 plus an exact symbolic form, with its helpers in Q[u], u = pi^2:

@@ -18,17 +18,13 @@ once, to nearest by int / int, or down or up by `_rounded`, saturating or
 overflowing past the doubles as IEEE 754 directs; `nearest_double` is the
 double that a whole enclosure rounds to, if there is one.
 
-The fixed-point kernel encloses pi, the weights t_j (2j)!, the y-map,
-the partial sums sum c_j y^j, the Maclaurin partial sums of
-sin(pi x) and polynomials over dyadic tiles.  The weights, sin/cos,
+The fixed-point kernel encloses pi, the weights t_j (2j)!, sin and cos
+of pi x, and polynomials over dyadic tiles.  The weights, sin/cos,
 T_j(z) and J_{j-1/2}(x) are one alternating series, each term the last
-times z/((2k+a)(2k+b)), summed by the one loop `fixed_series`; its terms
-may grow before they fall.  `fixed_t_scaled`, `fixed_maclaurin` and
-`fixed_sin_cos_pi` only set up its arguments.  `fixed_sin_maclaurin` is
-one pass that gives both the first Maclaurin partial sums of sin(pi x)
-and the enclosure of the whole sum: it reads the whole sum's stop off
-the terms already summed, or sums on from the last of them, the rest of
-a series from term n being the same series with a and b raised by 2n.
+times z/((2k+a)(2k+b)), summed by the one loop `fixed_series`, which
+gives the first partial sums or the enclosure of the whole sum; its
+terms may grow before they fall.  `fixed_t_scaled` and
+`fixed_sin_cos_pi` only set up its arguments (`_fixed_sin_cos_args`).
 `series_ends` scales its first term to one unit and multiplies the sum
 by the first term's mpf enclosure, so a first term far below any
 fixed-point unit keeps its relative precision.  `fixed_horner` is the
@@ -321,36 +317,6 @@ def y_ratio(p: int, q: int, cos: bool) -> tuple[int, int]:
     return p * (q - p), q * q
 
 
-def fixed_y(p: int, q: int, bits: int, cos: bool) -> tuple[int, int]:
-    """The shifted variable at x = p/q, formed exactly and rounded once."""
-    return fixed_ratio(*y_ratio(p, q, cos), bits)
-
-
-def fixed_partial_sums(coeffs, y, bits: int):
-    """Enclosures of the terms c_j y^j and of the partial sums sum_{i<=j} c_i y^i.
-
-    `coeffs` holds fixed-point enclosures of c_1, c_2, ...; they and `y`
-    must be non-negative, as the expansion's are.  Returns (sums, terms),
-    both indexed from j = 1.
-    """
-    y_lo, y_hi = y
-    if y_lo < 0 or any(c_lo < 0 for c_lo, _ in coeffs):
-        raise ValueError("y and the coefficients must be non-negative")
-    pow_lo = pow_hi = 1 << bits
-    s_lo = s_hi = 0
-    sums, terms = [], []
-    for c_lo, c_hi in coeffs:
-        pow_lo = pow_lo * y_lo >> bits
-        pow_hi = -(-(pow_hi * y_hi) >> bits)
-        t_lo = c_lo * pow_lo >> bits
-        t_hi = -(-(c_hi * pow_hi) >> bits)
-        s_lo += t_lo
-        s_hi += t_hi
-        terms.append((t_lo, t_hi))
-        sums.append((s_lo, s_hi))
-    return sums, terms
-
-
 def fixed_series(first, z, a: int, b: int, bits: int, n: int | None = None):
     """The alternating series sum_k (-1)^k u_k, u_0 = first, u_{k+1} = u_k z/((2k+a)(2k+b)).
 
@@ -438,43 +404,6 @@ def _fixed_sin_cos_args(p: int, q: int, bits: int, odd: bool):
     t_lo, t_hi = pi_lo * p // q, -(-pi_hi * p // q)
     t2 = t_lo * t_lo >> bits, -(-(t_hi * t_hi) >> bits)
     return ((t_lo, t_hi), t2, 2, 3) if odd else ((1 << bits, 1 << bits), t2, 1, 2)
-
-
-def fixed_maclaurin(p: int, q: int, n: int, bits: int):
-    """Maclaurin partial sums of sin(pi x) at x = p/q >= 0.
-
-    Returns (sums, mags): sums[k] encloses S_{k+1}, the sum of the terms
-    0..k, for k < n, and mags[k] the magnitude of term k (its sign is
-    (-1)^k), for k <= n.
-    """
-    if p < 0:
-        raise ValueError("the series are summed for x >= 0")
-    return fixed_series(*_fixed_sin_cos_args(p, q, bits, True), bits, n)
-
-
-def fixed_sin_maclaurin(p: int, q: int, n: int, bits: int):
-    """One pass down sin(pi x)'s Maclaurin series at x = p/q >= 0: (sums, mags, sine).
-
-    sums and mags are `fixed_maclaurin(p, q, n, bits)`'s.  sine encloses
-    sin(pi x): the series stopped, and its tail bounded, by `fixed_series`'s
-    rule for the whole sum, read off the n terms already summed when it
-    stops among them, and otherwise summed on from term n by `fixed_series`
-    (the terms from n are its series with a + 2n and b + 2n).  Either way
-    it is bit for bit `fixed_series`'s whole sum, so for x <= 1/4, where
-    `fixed_sin_cos_pi` reduces nothing, it is that function's enclosure.
-    """
-    if p < 0:
-        raise ValueError("the series are summed for x >= 0")
-    first, z, a, b = _fixed_sin_cos_args(p, q, bits, True)
-    sums, mags = fixed_series(first, z, a, b, bits, n)
-    units = z[1] >> bits
-    for k, (_, u_hi) in enumerate(mags):
-        if u_hi <= 1 and units < (2 * k + a) * (2 * k + b):  # fixed_series' stop at term k
-            s_lo, s_hi = sums[k - 1] if k else (0, 0)
-            return sums, mags, (s_lo, s_hi + u_hi) if k % 2 == 0 else (s_lo - u_hi, s_hi)
-    s_lo, s_hi = sums[n - 1] if n else (0, 0)
-    t_lo, t_hi = fixed_series(mags[n], z, a + 2 * n, b + 2 * n, bits)
-    return sums, mags, (s_lo + t_lo, s_hi + t_hi) if n % 2 == 0 else (s_lo - t_hi, s_hi - t_lo)
 
 
 def fixed_t_scaled(j: int, bits: int) -> tuple[int, int]:

@@ -1,36 +1,31 @@
 """Executable checks for the expansion's inequalities and identities.
 
-The grid checks (monotone bracketing, Maclaurin interleaving) enclose
-every quantity with the outward-rounded fixed-point kernel of
-`intervals`, at `fixed_bits(digits)` fractional bits; the coefficients
-c_j are `coeffs.c_enclosure`'s, as `build_poly`'s are.  Each margin is an
-enclosure of a difference divided by its leading term (the first
-dropped c_{m+1} y^{m+1}, or the next Maclaurin term), and a report
-prints the smallest lower end over the grid, rounded down.  A point
-whose enclosures leave a sign open is recomputed with twice the bits,
-up to eight times the base; points still open there are counted as
-unresolved.  A grid report passes only if every margin's enclosure is
-positive, so no pass rests on rounding noise.  The three grid reports
-come from one sweep, `check_grid`, over one grid of exact dyadics,
-symmetric about 1/2 (`_grid`), its lower half rounded at
-`fixed_bits(digits)` bits by libmp: the sweep reads and sets no mpmath
-context.  At each point u of the lower half and per bits, one pass down
-sin's Maclaurin series (`fixed_sin_maclaurin`) encloses sin(pi u) and
-the Maclaurin partial sums, and the partial sums in y = u(1 - u) are
-enclosed once.  bracketing_cos reads those rows at
-x = u - 1/2 (the cosine grid is the sine grid minus 1/2), as
-cos(pi x) = sin(pi u) and 1/4 - x^2 = u(1 - u); both bracketing reports
-read them again at the mirror 1 - u, and the Maclaurin report reads the
-same sine there.  Each margin is folded as it is formed (`_fold`), and one
-step, `_Sweep.fold`, escalates the bits and folds for every grid point.
+No report rests on sampled points or on a tolerance: each is exact
+arithmetic, or a proof whose hypotheses are checked exactly, or reads
+outward-rounded enclosures from the fixed-point kernel of `intervals`,
+at `fixed_bits(digits)` fractional bits.  A margin is exact or the
+lower end of such an enclosure, rounded down.
 
-The coefficient check reads the same kernel's enclosures of
-t_j (2j)! (`fixed_t_scaled`) and reports their lower ends, with no
-slack.  The Bessel and Taylor checks are exact: their identities are
+One lemma covers t_j for every j (`_t_lemma`).  In s_j = t_j (2j)!,
+successive terms shrink by z/((2k+2)(2k+2j+1)) <= pi^2/24, z = pi^2/4;
+so once pi^2 < 24, checked in integers from `fixed_pi`'s upper end, the
+series alternates with decreasing terms, 1 - pi^2/(8(2j+1)) < s_j < 1
+for every j >= 1, and every c_j = t_j pi^(2j) is positive.  The
+coefficient check reports the lemma and, as a test of the kernel, the
+enclosures of s_j (`fixed_t_scaled`) for j <= j_max.  The bracketing
+and Maclaurin reports are proofs for every x in the domain that cite
+the lemma: with the expansion identity, target = sum_j c_j y^j,
+positive c_j make P_m < P_{m+1} < target for every m; and the remainder
+of sin's n-term Maclaurin sum has the sign of (-1)^n for every t > 0.
+They check their hypotheses exactly, the bracketing report the lower
+ends of c_1..c_{m_max+2}'s enclosures too, and the Maclaurin report
+keeps one certified number, its margins at x = 1.
+
+The Bessel and Taylor checks are exact: their identities are
 compared in Fraction arithmetic, the Taylor one as polynomials in
 u = pi^2 over Q, and each margin is an outward-rounded lower end (the
 Bessel route's certificates, the Taylor contact coefficient c_{m+1}),
-rounded down; no report rests on a tolerance.  The positivity
+rounded down.  The positivity
 prover bisects dyadic tiles on the same kernel: it accepts a tile whose
 enclosure is positive and stops at one whose enclosure is negative.  It
 can return "inconclusive" or a refutation, never a false positive.  The
@@ -49,17 +44,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from mpmath import mp
-from mpmath.libmp import (from_int, from_man_exp, from_str, mpf_div, mpf_pi, mpf_shift, mpf_sqrt,
-                          repr_dps, round_nearest, to_float, to_str)
+from mpmath.libmp import from_int, mpf_div, mpf_pi, mpf_sqrt, round_nearest, to_float
 
-from .approx import COS_PI_X, _check_func, sine_monomials
+from .approx import COS_PI_X, SIN_PI_X, _check_func, sine_monomials
 from .coeffs import _c_ends, coeff_symbolic, coefficient_table, fixed_at_pi2, poly_mul, poly_sum
-from .intervals import (IntervalValue, exact_ratio, fixed_bits, fixed_from_ends,
-                        fixed_from_interval, fixed_maclaurin, fixed_mul, fixed_partial_sums,
-                        fixed_pi, fixed_ratio, fixed_sin_cos_pi, fixed_sin_maclaurin,
-                        fixed_t_scaled, fixed_y, interval_from_fixed, nearest_double,
-                        poly_eval_centered, to_double)
+from .intervals import (IntervalValue, _fixed_sin_cos_args, exact_ratio, fixed_bits,
+                        fixed_from_ends, fixed_from_interval, fixed_mul, fixed_pi, fixed_ratio,
+                        fixed_series, fixed_sin_cos_pi, fixed_t_scaled, interval_from_fixed,
+                        nearest_double, poly_eval_centered, to_double)
 from .precision import DEFAULT_DIGITS, require_digits, require_index
 
 __all__ = [
@@ -68,7 +60,6 @@ __all__ = [
     "check_bessel_identity",
     "check_bracketing",
     "check_coefficient_bounds",
-    "check_grid",
     "check_maclaurin_interleaving",
     "check_taylor_exactness",
     "example_curve",
@@ -79,14 +70,13 @@ __all__ = [
     "reports_to_json",
 ]
 
-# endpoint-clustered sample count per side, on top of the uniform grid
-_CLUSTER = 32
 _EVIDENCE = "outward-rounded fixed-point enclosure"
+_LEMMA = "lemma pi^2 < 24"
 
 
 @dataclass(frozen=True)
 class PropertyReport:
-    """Outcome of one grid/sweep check; failures carry a counterexample."""
+    """Outcome of one check or proof; failures carry a counterexample."""
 
     property_id: str
     status: str  # "pass" or "fail"
@@ -116,68 +106,17 @@ def reports_to_json(reports) -> str:
     return json.dumps(docs, indent=2, default=str)
 
 
-def _grid(n: int, prec: int) -> list[tuple[int, int]]:
-    """The grid checks' sine grid, ascending, as exact ratios (p, q), q a power of two.
-
-    n uniform interior points i/(n+1) and 32 points within 1e-6 of each
-    end, which probe the high-order zeros at the ends, where every
-    quantity under test degenerates.  The grid is symmetric about 1/2.
-    Its lower half is 1e-6 * 2^-k, k = 31..0, and i/(n+1) for 2i <= n+1,
-    each rounded to nearest at `prec` bits (1/2 itself, for odd n, is
-    exact), by libmp, so no mpmath context is read.  Its upper half is 1 - x
-    for each x below 1/2, exact, with no rounding.  The cosine grid is the
-    sine grid minus 1/2, exact, and the Maclaurin grid adds x = 1; one
-    sweep, `check_grid`, walks the lower half for all three.
-    """
-    off = from_str("1e-6", prec, round_nearest)
-    raw = [mpf_shift(off, -k) for k in range(_CLUSTER)]
-    den = from_int(n + 1)
-    raw += [mpf_div(from_int(i), den, prec, round_nearest) for i in range(1, (n + 1) // 2 + 1)]
-    # sorted: the clustered points lie below the uniform ones unless n > 10^6
-    lower = [exact_ratio(x) for x in sorted(map(mp.make_mpf, raw))]
-    return lower + [(q - p, q) for p, q in reversed(lower) if 2 * p < q]
-
-
-def _dyadic_text(p: int, q: int) -> str:
-    """p/q, q a power of two, with the digits its own mantissa needs.
-
-    The text parses back to p/q at that mantissa's width; the shifted and
-    mirrored grid points need more bits than the working precision.
-    """
-    x = from_man_exp(p, 1 - q.bit_length())
-    return to_str(x, repr_dps(x[3]))
-
-
 class _Worst:
-    """Track the minimum margin and where it happened.
+    """Track the minimum margin and where it happened; the first of equal margins wins."""
 
-    The first point with the smallest margin wins; updated in descending
-    x, the last one does, which is the first in ascending x.  Its label
-    is kept as a format string and its parts, and formatted once, by
-    `where`: a sweep makes thousands of comparisons but reports one
-    label.  A grid point, an exact ratio (p, q), prints in full.
-    """
-
-    def __init__(self, descending: bool = False):
+    def __init__(self):
         self.margin = None
-        self.descending = descending
-        self._label = ("", ())
+        self.where = ""
 
     def update(self, margin, fmt: str, *parts) -> None:
-        if (self.margin is None or margin < self.margin
-                or (self.descending and margin == self.margin)):
+        if self.margin is None or margin < self.margin:
             self.margin = margin
-            self._label = (fmt, parts)
-
-    def merge(self, after: "_Worst") -> None:
-        """Fold in the worst of points that all lie above this one's."""
-        if after.margin is not None:
-            self.update(after.margin, after._label[0], *after._label[1])
-
-    @property
-    def where(self) -> str:
-        fmt, parts = self._label
-        return fmt.format(*(_dyadic_text(*p) if isinstance(p, tuple) else p for p in parts))
+            self.where = fmt.format(*parts)
 
     def report(self, property_id: str, metadata: dict) -> PropertyReport:
         ok = self.margin is not None and self.margin > 0
@@ -189,12 +128,37 @@ class _Worst:
         )
 
 
+def _t_lemma(bits: int) -> dict:
+    """The lemma on t_j for every j >= 1, its hypothesis pi^2 < 24 checked exactly.
+
+    s_j = t_j (2j)! = sum_k (-z)^k binom(j+k, j) (2j)!/(2j+2k)!, z = pi^2/4,
+    and term k+1 is term k times z/((2k+2)(2k+2j+1)) <= z/6 = pi^2/24.  So
+    if pi^2 < 24 the terms decrease from the first for every j, and the
+    alternating sum lies strictly between 1 - pi^2/(8(2j+1)) and 1: t_j > 0,
+    and c_j = t_j pi^(2j) > 0.  The check is pi_hi^2 < 24 * 4^bits in
+    integers, pi_hi the ceiling of pi 2^bits (`fixed_pi`); the margin,
+    (24 - pi_hi^2/4^bits)/24 rounded down, is a lower bound of 1 - pi^2/24.
+    """
+    pi_hi = fixed_pi(bits)[1]
+    den = 24 << 2 * bits
+    return {
+        "statement": "pi^2 < 24, so 1 - pi^2/(8(2j+1)) < t_j (2j)! < 1 and c_j > 0 "
+                     "for every j >= 1",
+        "holds": pi_hi * pi_hi < den,
+        "margin": to_double(den - pi_hi * pi_hi, den, -1),
+        "evidence": "exact integer comparison pi_hi^2 < 24 * 4^bits, pi_hi = ceil(pi 2^bits)",
+        "bits": bits,
+    }
+
+
 def check_coefficient_bounds(j_max: int, digits: int = DEFAULT_DIGITS) -> PropertyReport:
     """0 < t_j < 1/(2j)! and the two-term bracket 1 - pi^2/(8(2j+1)) < t_j (2j)! < 1.
 
-    The margins are the lower ends, rounded down, of outward enclosures of
-    s_j = t_j (2j)!, 1 - s_j and s_j - (1 - pi^2/(8(2j+1))); a pass needs
-    every one positive, so it holds for the exact coefficients.
+    For every j, by the lemma (`_t_lemma`), whose margin the report
+    includes and whose record is the metadata's `lemma`.  As a test of the
+    kernel, the margins for j <= j_max are the lower ends, rounded down, of
+    outward enclosures of s_j = t_j (2j)!, 1 - s_j and
+    s_j - (1 - pi^2/(8(2j+1))); a pass needs every margin positive.
     """
     require_digits(digits)
     if j_max < 1:
@@ -202,7 +166,9 @@ def check_coefficient_bounds(j_max: int, digits: int = DEFAULT_DIGITS) -> Proper
     bits = fixed_bits(digits)
     one = 1 << bits
     pi2_lo = fixed_pi(bits)[0] ** 2  # at 2 * bits fractional bits
+    lemma = _t_lemma(bits)
     worst = _Worst()
+    worst.update(lemma["margin"], _LEMMA)
     for j in range(1, j_max + 1):
         s_lo, s_hi = fixed_t_scaled(j, bits)
         bracket_hi = one - pi2_lo // (8 * (2 * j + 1) << bits)
@@ -212,13 +178,12 @@ def check_coefficient_bounds(j_max: int, digits: int = DEFAULT_DIGITS) -> Proper
             worst.update(math.nextafter(margin / one, -math.inf), "j={} " + what, j)
     return worst.report(
         "coeff_bounds",
-        {"j_max": j_max, "digits": digits, "evidence": _EVIDENCE, "base_bits": bits},
+        {"j_max": j_max, "digits": digits, "evidence": _EVIDENCE, "base_bits": bits,
+         "lemma": lemma},
     )
 
 
-# --- grid checks on fixed-point enclosures ---------------------------------
-
-_MAX_DOUBLINGS = 3  # escalation stops at fixed_bits(digits) * 2**3 bits
+_MAX_DOUBLINGS = 3  # the curve's escalation stops at fixed_bits(digits) * 2**3 bits
 
 
 @lru_cache(maxsize=32)
@@ -227,215 +192,58 @@ def _fixed_coefficients(n: int, bits: int) -> tuple[tuple[int, int], ...]:
     return tuple(fixed_from_ends(_c_ends(j, bits), bits) for j in range(1, n + 1))
 
 
-def _fold(rows, enclosures) -> tuple[bool, tuple[int, float]]:
-    """(settled, (i, margin)) of one point's margin rows, folded as they are formed.
-
-    enclosures = (sums, scales, sine); with vals = sums and the sine last,
-    row i, (a, b, s), is vals[a] - vals[b] over scales[s].  settled: every
-    difference's sign is decided.  Each row's margin is diff/scale at its
-    low end, diff_lo / (scale_hi if diff_lo > 0 else scale_lo), rounded to
-    nearest, and -inf when that scale bound is not positive; i is the first
-    row with the least margin.
-    """
-    sums, scales, sine = enclosures
-    vals = sums + [sine]
-    settled, at, least = True, 0, math.inf
-    for i, (a, b, s) in enumerate(rows):
-        d_lo = vals[a][0] - vals[b][1]
-        if d_lo > 0:
-            den = scales[s][1]
-        else:
-            den = scales[s][0]
-            settled = settled and vals[a][1] - vals[b][0] < 0
-        if den <= 0:
-            rel = -math.inf
-        else:
-            try:
-                rel = d_lo / den
-            except OverflowError:
-                rel = -math.inf if d_lo < 0 else math.inf
-        if rel < least:
-            at, least = i, rel
-    return settled, (at, least)
-
-
-class _Sweep:
-    """Fixed-point evaluation of a grid, with per-point precision escalation.
-
-    `fold(rows, at, weight)` folds the margin rows over `at(bits)`'s
-    enclosures (`_fold`), first at the base bits and then with the bits
-    doubled while any row's difference leaves its sign open, up to the
-    cap; a point still open at the cap is counted as unresolved.  `weight`
-    is the number of grid points the rows stand for.  `report` adds the
-    escalation counts to a `_Worst`'s report.
-    """
-
-    def __init__(self, digits: int):
-        self.digits = digits
-        self.base = self.top = fixed_bits(digits)
-        self.cap = self.base << _MAX_DOUBLINGS
-        self.escalated = 0
-        self.unresolved = 0
-
-    def fold(self, rows, at, weight: int = 1) -> tuple[int, float]:
-        """(i, margin) at the last bits tried: row i has the least quotient, and margin is
-        that quotient rounded to nearest and then down one step, a lower bound."""
-        bits = self.base
-        settled, (i, least) = _fold(rows, at(bits))
-        while not settled:
-            if bits >= self.cap:
-                self.unresolved += weight
-                break
-            bits *= 2
-            settled, (i, least) = _fold(rows, at(bits))
-        if bits > self.base:
-            self.escalated += weight
-            self.top = max(self.top, bits)
-        return i, math.nextafter(least, -math.inf)
-
-    def report(self, property_id: str, metadata: dict, worst: _Worst,
-               evidence: str = _EVIDENCE) -> PropertyReport:
-        report = worst.report(
-            property_id,
-            {
-                **metadata,
-                "digits": self.digits,
-                "evidence": evidence,
-                "margin": "lower end of difference / leading term",
-                "base_bits": self.base,
-                "max_bits": self.top,
-                "escalated_points": self.escalated,
-                "unresolved_points": self.unresolved,
-            },
-        )
-        return dataclasses.replace(report, status="fail") if self.unresolved else report
-
-
-_GRID_NOTE = ("sine grid symmetric about 1/2, its upper half 1 - x of the lower; "
-              "cosine grid = sine grid - 1/2; Maclaurin grid = sine grid and x = 1")
-_SHIFT_EVIDENCE = (f"{_EVIDENCE} of the sine rows at u = x + 1/2: "
-                   "cos(pi x) = sin(pi u) and 1/4 - x^2 = u(1 - u)")
+_DOMAIN = {COS_PI_X: "-1/2 < x < 1/2, where y = 1/4 - x^2 is in (0, 1/4]",
+           SIN_PI_X: "0 < x < 1, where y = x(1 - x) is in (0, 1/4]"}
 
 
 def check_bracketing(
     func: str, m_max: int, grid_size: int, digits: int = DEFAULT_DIGITS
 ) -> PropertyReport:
-    """Monotone bracketing: approximants increase with m and stay below the target.
+    """Monotone bracketing, proved for every m >= 1 and every x in the open domain.
 
-    Enclosed pointwise on the grid: for every m up to m_max,
-    P_m < P_{m+1} (margin scaled by c_{m+1} y^{m+1}) and
-    P_{m+1} < target (scaled by c_{m+2} y^{m+2}), with the exact
-    coefficients and the target from its alternating Maclaurin series.
-    The sweep of `check_grid`, asked for this one report.
-    """
-    return check_grid(grid_size, digits, (func,), m_max)[0]
-
-
-def check_grid(
-    grid_size: int,
-    digits: int = DEFAULT_DIGITS,
-    bracketing: tuple[str, ...] = (),
-    m_max: int = 10,
-    j_max: int | None = None,
-) -> list[PropertyReport]:
-    """The grid reports asked for, from one walk of the grid (`_grid`).
-
-    `bracketing` names the functions whose `check_bracketing` report is
-    wanted, up to m_max; j_max asks for `check_maclaurin_interleaving`'s.
-    The reports come in that order.
-
-    The walk visits the sine grid's lower half, u = p/q <= 1/2, once.  At
-    each point and bits one series pass encloses sin(pi u) and the
-    Maclaurin partial sums (`fixed_sin_maclaurin`), and y = u(1 - u) and
-    the partial sums in y are enclosed once.  Those rows are every
-    bracketing report's: bracketing_sin at 1 - u is the same statement, as
-    y and sin(pi u) are symmetric about 1/2, and so is bracketing_cos at
-    x = u - 1/2, as cos(pi x) = sin(pi u) and 1/4 - x^2 = u(1 - u).  A
-    point below 1/2 therefore counts twice in escalated_points and
-    unresolved_points.  The Maclaurin report reads the pass at u, and its
-    sine at 1 - u with that point's own partial sums, with its own
-    escalation.  Each report keeps the first of equal margins in
-    ascending x.  Nothing computed outlives the call, and no point's rows
-    outlive its visit.
+    There 0 < y <= 1/4, the expansion identity gives target = sum_j c_j y^j,
+    and the lemma (`_t_lemma`) gives every c_j > 0.  So P_{m+1} - P_m =
+    c_{m+1} y^{m+1} > 0, a chain margin (over c_{m+1} y^{m+1}) of exactly 1,
+    and target - P_{m+1} = sum_{j>m+1} c_j y^j > c_{m+2} y^{m+2}, a delta
+    margin (over c_{m+2} y^{m+2}) above 1, with infimum 1 as y -> 0.  The
+    hypotheses are checked exactly: the lemma, and the lower ends of the
+    enclosures of c_1..c_{m_max+2} (`_fixed_coefficients`), which must be
+    positive, a cross-check of the kernel against the lemma.  When they
+    hold the margin is 1.0; otherwise the report fails, its worst case the
+    failing hypothesis with the least margin, <= 0.  Nothing is sampled:
+    grid_size is checked and otherwise unused.
     """
     require_digits(digits)
+    _check_func(func)
     if grid_size < 1:
         raise ValueError("grid_size must be >= 1")
-    for func in bracketing:
-        _check_func(func)
-    if bracketing and m_max < 2:
+    if m_max < 2:
         raise ValueError("m_max must be >= 2")
-    if j_max is not None and j_max < 1:
-        raise ValueError("j_max must be >= 1")
-
-    # margin rows (a, b, s): vals[a] - vals[b] over scales[s], the sine last in vals
-    bracket_rows, bracket_labels = [(-1, 0, 1)], [("m=1 x={} delta",)]
-    for m in range(1, m_max + 1):
-        bracket_rows += [(m, m - 1, m), (-1, m, m + 1)]
-        bracket_labels += [("m={} x={} chain", m), ("m={} x={} delta", m + 1)]
-    mac_rows, mac_labels = [], []
-    for j in range(1, (j_max or 0) + 1):
-        mac_rows += [(2 * j + 1, 2 * j - 1, 2 * j), (-1, 2 * j + 1, 2 * j + 2),
-                     (2 * j, -1, 2 * j + 1), (2 * j - 2, -1, 2 * j - 1)]
-        mac_labels += [("j={} x={} " + kind, j)
-                       for kind in ("even-step", "even-below", "odd-above", "prev-odd-above")]
-    n = 2 * j_max + 2 if j_max else 0  # the Maclaurin terms a pass sums
-
-    prec = fixed_bits(digits)
-    bracket, mac = _Sweep(digits), _Sweep(digits)
-    worsts = {func: _Worst() for func in bracketing}
-    # the Maclaurin points above 1/2 are visited downwards
-    below, above = _Worst(), _Worst(descending=True)
-
-    def maclaurin(point, at, worst):
-        i, margin = mac.fold(mac_rows, at)
-        worst.update(margin, *mac_labels[i], point)
-    if j_max:  # x = 1 tops the Maclaurin grid: first on the way down
-        maclaurin((1, 1), lambda bits: fixed_sin_maclaurin(1, 1, n, bits), above)
-    points = _grid(grid_size, prec)
-    for p, q in points[:(len(points) + 1) // 2]:
-        passes = {}  # bits -> the one series pass at u, for this point's visit only
-
-        def one_pass(bits):
-            if bits not in passes:
-                passes[bits] = fixed_sin_maclaurin(p, q, n, bits)
-            return passes[bits]
-        mirrored = 2 * p < q
-        if bracketing:
-            i, margin = bracket.fold(bracket_rows, lambda bits: (
-                *fixed_partial_sums(_fixed_coefficients(m_max + 2, bits),
-                                    fixed_y(p, q, bits, False), bits),
-                one_pass(bits)[2]), 1 + mirrored)
-            for func, worst in worsts.items():
-                x = (2 * p - q, 2 * q) if func == COS_PI_X else (p, q)
-                worst.update(margin, *bracket_labels[i], x)
-        if j_max:
-            maclaurin((p, q), one_pass, below)
-            if mirrored:
-                maclaurin((q - p, q), lambda bits: (*fixed_maclaurin(q - p, q, n, bits),
-                                                    one_pass(bits)[2]), above)
-    below.merge(above)
-    thresholds = _chain_thresholds(j_max, prec) if j_max else None
-
-    reports = [
-        bracket.report(f"bracketing_{'cos' if func == COS_PI_X else 'sin'}",
-                       {"m_max": m_max, "grid_size": grid_size, "grid": _GRID_NOTE},
-                       worsts[func], _SHIFT_EVIDENCE if func == COS_PI_X else _EVIDENCE)
-        for func in bracketing
-    ]
-    if j_max:
-        reports.append(mac.report(
-            "maclaurin_interleaving",
-            {
-                "j_max": j_max,
-                "grid_size": grid_size,
-                "grid": _GRID_NOTE,
-                "asserted": "sub-chains on (0,1]",
-                "five_way_chain_valid_for": thresholds,
-            },
-            below,
-        ))
-    return reports
+    bits = fixed_bits(digits)
+    lemma = _t_lemma(bits)
+    worst = _Worst()
+    if not lemma["holds"]:
+        worst.update(lemma["margin"], _LEMMA)
+    for j, (c_lo, _) in enumerate(_fixed_coefficients(m_max + 2, bits), start=1):
+        if c_lo <= 0:
+            worst.update(to_double(c_lo, 1 << bits, -1), "j={} c_j lower end", j)
+    if worst.margin is None:
+        worst.update(1.0, "m>=1 every x chain")
+    return worst.report(
+        f"bracketing_{'cos' if func == COS_PI_X else 'sin'}",
+        {
+            "m_max": m_max,
+            "digits": digits,
+            "scope": "all x in the domain, every m",
+            "domain": _DOMAIN[func],
+            "evidence": "proof from target = sum_j c_j y^j and the lemma: P_{m+1} - P_m = "
+                        "c_{m+1} y^{m+1}, target - P_{m+1} = sum_{j>m+1} c_j y^j",
+            "margin": "chain exactly 1; delta above 1, infimum 1 as y -> 0",
+            "lemma": lemma,
+            "checked": f"lower ends of c_1..c_{m_max + 2} positive at base_bits",
+            "base_bits": bits,
+        },
+    )
 
 
 def check_bessel_identity(j_max: int, digits: int = DEFAULT_DIGITS) -> PropertyReport:
@@ -491,49 +299,73 @@ def check_bessel_identity(j_max: int, digits: int = DEFAULT_DIGITS) -> PropertyR
     )
 
 
+_SUB_CHAINS = ("even-step", "even-below", "odd-above", "prev-odd-above")
+
+
 def check_maclaurin_interleaving(
     j_max: int, grid_size: int, digits: int = DEFAULT_DIGITS
 ) -> PropertyReport:
-    """Alternating Maclaurin brackets for sin(pi*x) on (0, 1].
+    """Alternating Maclaurin brackets for sin(pi x), proved for every x in (0, 1].
 
-    Asserts the sub-chains that hold on the whole interval:
-    S_2j < S_{2j+2} < sin(pi x) < S_{2j+1} and sin(pi x) < S_{2j-1},
-    each margin scaled by the first term its lower side drops.  The
-    five-way chain with S_{2j-1} < S_{2j+1} needs (pi x)^2 > 4j(4j+1)
-    and so holds for no x in (0, 1]; its empirical validity threshold is
-    measured on a wider grid and reported in the metadata instead of
-    being asserted.  The sweep of `check_grid`, asked for this one report.
+    With S_n the n-term Maclaurin sum of sin t, the remainder sin t - S_n
+    has the sign of (-1)^n for every t > 0: integrate cos t - 1 <= 0 from
+    0, then repeat.  So sin(pi x) < S_{2j+1}, sin(pi x) < S_{2j-1} and
+    S_{2j+2} < sin(pi x), for every j and every x > 0; and S_{2j+2} - S_{2j}
+    = t^(4j+1)/(4j+1)! (1 - t^2/((4j+2)(4j+3))) > 0 for t = pi x <= pi,
+    as pi^2 < 24 < (4j+2)(4j+3) by the lemma (`_t_lemma`), checked
+    exactly.  One certified number is kept: each sub-chain's margin at
+    x = 1, its difference over the first term its lower side drops,
+    enclosed by the fixed-point kernel at that one point (`fixed_series`
+    summing n terms and the whole series), the least lower end reported.
+    The five-way chain with S_{2j-1} < S_{2j+1} needs (pi x)^2 > 4j(4j+1),
+    so it holds for no x in (0, 1]; its threshold sqrt(4j(4j+1))/pi is
+    reported in the metadata instead of being asserted.  Nothing is
+    sampled: grid_size is checked and otherwise unused.
     """
-    return check_grid(grid_size, digits, j_max=j_max)[0]
-
-
-def _chain_thresholds(j_max: int, prec: int) -> dict:
-    """Where the five-way chain's S_{2j-1} < S_{2j+1} starts to hold, on a scan of (0, 3].
-
-    S_{2j+1} - S_{2j-1} = t^(4j-1)/(4j-1)! (t^2/(4j(4j+1)) - 1), t = pi x, so
-    at a scan point x = i/200 it has the sign of pi^2 i^2 - 40000 4j(4j+1),
-    which `fixed_pi` decides; pi^2 is irrational, so more bits always do.
-    The threshold is the largest scan point where the step is negative,
-    found walking the same scan downwards; theoretical_x is
-    sqrt(4j(4j+1))/pi, each step rounded to nearest at `prec` bits.
-    """
-
-    def negative(i, j, bits=64):
-        bound = 160000 * j * (4 * j + 1) << 2 * bits
-        lo, hi = ((pi * i) ** 2 < bound for pi in fixed_pi(bits))
-        return hi if lo == hi else negative(i, j, 2 * bits)  # open at these bits
-
-    thresholds = {}
+    require_digits(digits)
+    if j_max < 1:
+        raise ValueError("j_max must be >= 1")
+    if grid_size < 1:
+        raise ValueError("grid_size must be >= 1")
+    bits = fixed_bits(digits)
+    lemma = _t_lemma(bits)
+    worst = _Worst()
+    if not lemma["holds"]:
+        worst.update(lemma["margin"], _LEMMA)
+    # at x = 1: sums[k] encloses S_{k+1} and mags[k] the magnitude of term k; the sine is last
+    args = _fixed_sin_cos_args(1, 1, bits, True)
+    sums, mags = fixed_series(*args, bits, 2 * j_max + 2)
+    vals = sums + [fixed_series(*args, bits)]
     for j in range(1, j_max + 1):
-        cut = next((i for i in range(600, 0, -1) if negative(i, j)), 600)
-        thresholds[f"j={j}"] = {
-            # a cut at the top of the scan: the chain never became valid in range
-            "empirical_x_above": cut / 200 if cut < 600 else None,
-            "theoretical_x": to_float(mpf_div(
-                mpf_sqrt(from_int(4 * j * (4 * j + 1)), prec, round_nearest),
-                mpf_pi(prec, round_nearest), prec, round_nearest), rnd=round_nearest),
-        }
-    return thresholds
+        # (a, b, s): vals[a] - vals[b] over mags[s], one row per sub-chain
+        rows = ((2 * j + 1, 2 * j - 1, 2 * j), (-1, 2 * j + 1, 2 * j + 2),
+                (2 * j, -1, 2 * j + 1), (2 * j - 2, -1, 2 * j - 1))
+        for (a, b, s), kind in zip(rows, _SUB_CHAINS):
+            d_lo = vals[a][0] - vals[b][1]
+            den = mags[s][1] if d_lo > 0 else mags[s][0]
+            # the nearest quotient, rounded down one step: a lower bound
+            margin = math.nextafter(d_lo / den, -math.inf) if den > 0 else -math.inf
+            worst.update(margin, "j={} x=1.0 " + kind, j)
+    return worst.report(
+        "maclaurin_interleaving",
+        {
+            "j_max": j_max,
+            "digits": digits,
+            "asserted": "sub-chains on (0,1]",
+            "scope": "all x in (0, 1], every j",
+            "five_way_chain_valid_for": {
+                f"j={j}": {"theoretical_x": to_float(mpf_div(
+                    mpf_sqrt(from_int(4 * j * (4 * j + 1)), bits, round_nearest),
+                    mpf_pi(bits, round_nearest), bits, round_nearest), rnd=round_nearest)}
+                for j in range(1, j_max + 1)
+            },
+            "evidence": "proof: sin t - S_n has the sign of (-1)^n for t > 0, and the lemma; "
+                        f"margins at x = 1 from an {_EVIDENCE}",
+            "margin": "at x = 1: lower end of difference / leading term",
+            "lemma": lemma,
+            "base_bits": bits,
+        },
+    )
 
 
 def _sin_monomial(n: int) -> tuple:
@@ -713,11 +545,13 @@ def prove_example_inequality(
 ) -> PositivityProof:
     """Prove the worked example: f4 > 0 on [0, 1/2], hence f > 0 there.
 
-    Precondition (machine-checked): the approximant's y-coefficients are
+    Preconditions (machine-checked): the approximant's y-coefficients are
     positive, so Q(u) = sum c_j (u(1-u))^j >= 0 whenever u(1-u) >= 0,
-    i.e. on [0, 1].  Combined with Q <= sin(pi u) from the monotone
-    bracketing, squares satisfy Q(u)^2 <= sin(pi u)^2, so f >= f4 and a
-    positive lower bound for f4 transfers to f.
+    i.e. on [0, 1]; and the lemma on t_j (`_t_lemma`), which gives every
+    c_j > 0 and so Q <= sin(pi u) there, as `check_bracketing` proves.
+    Then squares satisfy Q(u)^2 <= sin(pi u)^2, so f >= f4 and a positive
+    lower bound for f4 transfers to f.  Should the lemma's check fail, the
+    transfer is not established and the proof is not "proved".
     """
     if max_depth < 8:
         raise ValueError("max_depth must be >= 8")
@@ -725,11 +559,14 @@ def prove_example_inequality(
     q_positive = all(ci.lo > 0 for ci in c_intervals)
     if not q_positive:  # pragma: no cover
         raise ArithmeticError("approximant coefficient enclosure not positive")
+    lemma = _t_lemma(fixed_bits(digits))
     proof = prove_polynomial_positive(coeffs, (0.0, 0.5), max_depth, digits)
     return dataclasses.replace(
         proof,
+        proved=proof.proved and lemma["holds"],
         preconditions={
             "positive_y_coefficients": q_positive,
+            "lemma": lemma,
             "envelope": "0 <= Q <= sin(pi u) on [0,1] gives Q^2 <= sin^2",
         },
         metadata={**proof.metadata, "digits": digits, "max_depth": max_depth},

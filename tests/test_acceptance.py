@@ -5,6 +5,7 @@ lines alongside pytest's own verdicts.
 """
 
 import time
+from fractions import Fraction
 
 from mpmath import mp, mpf
 
@@ -21,10 +22,8 @@ from trigpoly.coeffs import (
     coeff_recurrence,
     coeff_symbolic,
 )
-from trigpoly.intervals import fixed_bits
 from trigpoly.precision import working
 from trigpoly.verify import (
-    _grid,
     check_bessel_identity,
     check_bracketing,
     check_coefficient_bounds,
@@ -105,15 +104,23 @@ def _partial_sums_at(poly_coeffs, y):
     return sums
 
 
+def _grid(n):
+    """The sine grid of the bound sweep, exact: n uniform points i/(n+1) and 32 points
+    within 1e-6 of each end, where every term of the bound degenerates."""
+    near = [Fraction(1e-6) / 2 ** k for k in range(32)]
+    return sorted(near + [Fraction(i, n + 1) for i in range(1, n + 1)] + [1 - u for u in near])
+
+
 def _bound_validity_sweep(func, m_max, grid_size):
     top = build_poly(func, m_max, DIGITS)
     is_cos = func == COS_PI_X
     with working(DIGITS):
         slack = mpf(10) ** -(DIGITS - 10)
         pi2 = mp.pi ** 2
-        # the checks' grid: the cosine one is the sine one minus 1/2
-        for p, q in _grid(grid_size, fixed_bits(DIGITS)):
-            x = mpf(2 * p - q) / (2 * q) if is_cos else mpf(p) / q
+        # the cosine grid is the sine one minus 1/2
+        for u in _grid(grid_size):
+            v = u - Fraction(1, 2) if is_cos else u
+            x = mpf(v.numerator) / v.denominator
             y = top.y_of_hp(x)
             ref = mp.cos(mp.pi * x) if is_cos else mp.sin(mp.pi * x)
             sums = _partial_sums_at(top.hp_coeffs, y)

@@ -384,23 +384,22 @@ def test_subset_suites_match_the_all_suite():
 
 
 def test_run_suite_keeps_no_state_between_calls(monkeypatch):
-    # a second call must read the coefficients afresh: with c_3 raised by
-    # 1e-30 (as in test_nudged_coefficient_fails_bracketing) both bracketing
-    # reports fail, with a negative delta margin
+    # a second call must read the coefficients afresh: with c_3's lower end
+    # at 0 (as in test_nudged_coefficient_fails_bracketing) both bracketing
+    # proofs fail on that hypothesis
     assert all(r.passed for r in cli.run_suite("all", 64, 50))
     original = cli.verify._fixed_coefficients
 
     def nudged(n, bits):
         coeffs = list(original(n, bits))
-        bump = (1 << bits) // 10 ** 30 + 1
-        coeffs[2] = (coeffs[2][0] + bump, coeffs[2][1] + bump)
+        coeffs[2] = (0, coeffs[2][1])
         return tuple(coeffs)
 
     monkeypatch.setattr(cli.verify, "_fixed_coefficients", nudged)
     reports = {r.property_id: r for r in cli.run_suite("all", 64, 50)}
     for name in ("bracketing_sin", "bracketing_cos"):
-        where, margin = reports[name].worst_case
-        assert reports[name].status == "fail" and margin < 0 and " delta" in where, name
+        assert reports[name].status == "fail", name
+        assert reports[name].worst_case == ("j=3 c_j lower end", 0.0), name
     assert reports["maclaurin_interleaving"].passed
 
 

@@ -12,19 +12,16 @@ from mpmath.libmp import from_float, from_int, fzero
 from trigpoly.coeffs import coeff_symbolic, t_enclosure
 from trigpoly.intervals import (
     IntervalValue,
+    _fixed_sin_cos_args,
     exact_ratio,
     fixed_bits,
     fixed_from_interval,
     fixed_horner,
-    fixed_maclaurin,
     fixed_mul,
-    fixed_partial_sums,
     fixed_pi,
     fixed_ratio,
     fixed_series,
     fixed_sin_cos_pi,
-    fixed_sin_maclaurin,
-    fixed_y,
     interval_dps,
     interval_from_fixed,
     nearest_double,
@@ -238,17 +235,15 @@ def test_fixed_point_enclosures_contain_high_precision_values(x, scale):
         for u, cos in ((xv, False), (hv, True)):
             y = mpf(1) / 4 - u * u if cos else u * (1 - u)
             num, den = (half if cos else (p, q))
-            y_enc = fixed_y(num, den, bits, cos)
+            y_enc = fixed_ratio(*y_ratio(num, den, cos), bits)
             assert _encloses(y_enc, y, bits)
-            sums, terms = fixed_partial_sums(coeffs, y_enc, bits)
             acc = 0
             for j, cj in enumerate(c):
-                term = cj * y ** (j + 1)
-                acc += term
-                assert _encloses(terms[j], term, bits)
-                assert _encloses(sums[j], acc, bits)
+                acc += cj * y ** (j + 1)
+                # the partial sum P_{j+1}, a polynomial in y with no constant term
+                assert _encloses(fixed_horner([(0, 0), *coeffs[:j + 1]], y_enc, bits), acc, bits)
         t = mp.pi * xv
-        sums, mags = fixed_maclaurin(p, q, 10, bits)
+        sums, mags = fixed_series(*_fixed_sin_cos_args(p, q, bits, True), bits, 10)
         acc = 0
         for k in range(11):
             n = 2 * k + 1
@@ -346,37 +341,13 @@ def test_fixed_series_encloses_t_sin_and_cos():
                 assert _encloses(fixed_series(one, t2, 1, 2, bits), mp.cospi(x), bits), (p, q, bits)
 
 
-@pytest.mark.parametrize("seed", range(3))
-def test_one_sine_pass_gives_the_maclaurin_sums_and_the_sine(seed):
-    # on dyadics in [0, 1/2], the endpoint cluster among them, from 16 bits
-    # to the grid checks' cap: the pass's sums and magnitudes are
-    # fixed_maclaurin's, its sine encloses sin(pi x), and for x <= 1/4 the
-    # sine is fixed_sin_cos_pi's, bit for bit
-    rng = random.Random(f"sin-pass/{seed}")
-    cap = fixed_bits(50) << 3
-    points = [(0, 1), (1, 4), (1, 2)]
-    points += [exact_ratio(Fraction(1e-6 * 2.0 ** -k)) for k in rng.sample(range(32), 6)]
-    for _ in range(30):
-        k = rng.randint(1, 80)
-        points.append((rng.randint(0, 1 << k - 1), 1 << k))
-    for p, q in points:
-        bits = rng.choice([16, rng.randint(16, cap), fixed_bits(50) << rng.randint(0, 3)])
-        n = rng.choice([0, 2 * rng.randint(1, 6) + 2])
-        sums, mags, sine = fixed_sin_maclaurin(p, q, n, bits)
-        assert (sums, mags) == fixed_maclaurin(p, q, n, bits), (p, q, n, bits)
-        with mp.workprec(bits + 64):
-            assert _encloses(sine, mp.sinpi(mpf(p) / q), bits), (p, q, n, bits)
-        if 4 * p <= q:
-            assert sine == fixed_sin_cos_pi(p, q, bits), (p, q, n, bits)
-
-
 def test_fixed_point_exact_inputs_stay_exact():
     bits = fixed_bits(50)
     assert fixed_sin_cos_pi(0, 1, bits) == (0, 0)
     assert fixed_sin_cos_pi(1, 1, bits) == (0, 0)
     assert fixed_sin_cos_pi(1, 2, bits, cos=True) == (0, 0)
     assert fixed_sin_cos_pi(0, 1, bits, cos=True) == (1 << bits, 1 << bits)
-    assert fixed_y(1, 2, bits, False) == (1 << bits - 2, 1 << bits - 2)
+    assert fixed_ratio(*y_ratio(1, 2, False), bits) == (1 << bits - 2, 1 << bits - 2)
     assert exact_ratio(mpf(0.75)) == (3, 4)
     with mp.workprec(300):
         third = mpf(1) / 3
@@ -386,8 +357,6 @@ def test_fixed_point_exact_inputs_stay_exact():
         assert mpf(p) / q == third
     with pytest.raises(ValueError):
         fixed_sin_cos_pi(3, 4, bits, cos=True)
-    with pytest.raises(ValueError):
-        fixed_partial_sums([(-1, 1)], (0, 1), bits)
 
 
 def test_interval_from_fixed_rounds_each_end_outward():

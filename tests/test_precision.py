@@ -93,10 +93,9 @@ def _library_outputs():
         "bessel_j_half_integer": bessel_j_half_integer(2, "1.5", 30),
         "gamma_half": coeffs.gamma_half(5, 30),
         "evaluate": coeffs.coeff_symbolic(6)[-1].evaluate(30),
-        "check_grid": verify.check_grid(16, 30, (SIN_PI_X, COS_PI_X), 4, 2),
         "reports": [verify.check_coefficient_bounds(8, 30), verify.check_bessel_identity(8, 30),
                     verify.check_taylor_exactness(4, 30),
-                    verify.check_bracketing(COS_PI_X, 3, 16, 30),
+                    *(verify.check_bracketing(func, 4, 16, 30) for func in (SIN_PI_X, COS_PI_X)),
                     verify.check_maclaurin_interleaving(2, 16, 30)],
         "prove_example_inequality": verify.prove_example_inequality(),
         "example_curve": verify.example_curve(64),

@@ -9,9 +9,7 @@ import pytest
 from mpmath import mp, mpf
 
 import trigpoly.approx as approx
-import trigpoly.cli as cli
 import trigpoly.coeffs as coeffs
-import trigpoly.precision as precision
 import trigpoly.verify as verify
 from trigpoly.approx import COS_PI_X, SIN_PI_X, build_poly, maclaurin_eval
 from trigpoly.coeffs import (
@@ -28,9 +26,9 @@ from trigpoly.intervals import (
     fixed_horner,
     fixed_ratio,
     fixed_sin_cos_pi,
-    fixed_y,
     interval_from_fixed,
     poly_eval_centered,
+    y_ratio,
 )
 from trigpoly.precision import DEFAULT_INDEX_LIMIT, IndexLimitError, working
 from trigpoly.verify import (
@@ -57,6 +55,13 @@ def test_coefficient_bounds_pass_small():
     assert report.metadata["j_max"] == 5
     assert report.metadata["evidence"] == "outward-rounded fixed-point enclosure"
     assert report.metadata["base_bits"] == fixed_bits(50)
+    # the lemma for every j: pi_hi^2 < 24 * 4^bits, its margin 1 - pi_hi^2/(24 * 4^bits)
+    # rounded down, just below 1 - pi^2/24
+    bits, lemma = fixed_bits(50), report.metadata["lemma"]
+    exact = 1 - Fraction(verify.fixed_pi(bits)[1] ** 2, 24 << 2 * bits)
+    assert lemma["holds"] is True and lemma["bits"] == bits
+    assert _rounded_down(lemma["margin"], exact)
+    assert lemma["margin"] == pytest.approx(1 - math.pi ** 2 / 24, rel=1e-15)
 
 
 def test_coefficient_bounds_worked_arithmetic():
@@ -128,8 +133,8 @@ def test_coefficient_bounds_refuses_j_max_below_one():
 def test_bracketing_sin_small_grid():
     report = check_bracketing(SIN_PI_X, 3, 64, 50)
     assert report.passed
-    assert report.metadata["evidence"] == "outward-rounded fixed-point enclosure"
-    assert report.worst_case[1] > 0
+    assert report.metadata["scope"] == "all x in the domain, every m"
+    assert report.worst_case == ("m>=1 every x chain", 1.0)
 
 
 def test_bracketing_cos_small_grid_and_worked_value():
@@ -275,8 +280,7 @@ def test_maclaurin_metadata_reports_chain_threshold():
     report = check_maclaurin_interleaving(2, 64, 50)
     info = report.metadata["five_way_chain_valid_for"]
     j1 = info["j=1"]
-    assert j1["theoretical_x"] == pytest.approx(math.sqrt(20) / math.pi, rel=1e-12)
-    assert j1["empirical_x_above"] == pytest.approx(j1["theoretical_x"], abs=0.02)
+    assert j1 == {"theoretical_x": pytest.approx(math.sqrt(20) / math.pi, rel=1e-15)}
     # the chain is not valid anywhere inside (0, 1]
     assert j1["theoretical_x"] > 1.0
 
@@ -336,6 +340,7 @@ def test_prove_example_succeeds_with_defaults():
     assert proof.proved
     assert proof.max_depth_used <= 24
     assert proof.preconditions["positive_y_coefficients"] is True
+    assert proof.preconditions["lemma"]["holds"] is True
     assert all(lb > 0 for _, _, lb in proof.subintervals)
     assert proof.min_lower_bound > 0
 
@@ -448,8 +453,6 @@ def test_engine_cannot_be_given_a_non_finite_coefficient(bad):
 @pytest.mark.parametrize("grid_size", [0, -3])
 def test_grid_checks_and_the_curve_refuse_a_grid_below_one(grid_size):
     with pytest.raises(ValueError, match="grid_size must be >= 1"):
-        verify.check_grid(grid_size, 50, (SIN_PI_X,), 3, 1)
-    with pytest.raises(ValueError, match="grid_size must be >= 1"):
         check_bracketing(COS_PI_X, 3, grid_size, 50)
     with pytest.raises(ValueError, match="grid_size must be >= 1"):
         check_maclaurin_interleaving(2, grid_size, 50)
@@ -554,36 +557,23 @@ def test_reports_are_deterministic():
     assert a.worst_case == b.worst_case
 
 
-# --- grid reports, brute force and fixed-point enclosures ---------------------
+# --- whole-domain proofs, brute force and fixed-point enclosures ------------
 
-def _maclaurin_from_scratch(m, x):
-    # the m-term sum built on its own, as the grid checks once did per m
-    t = mp.pi * x
-    term = t
-    acc = +t
-    for j in range(1, m):
-        term *= -t * t / ((2 * j) * (2 * j + 1))
-        acc += term
-    return +acc
-
-
-# high-precision brute force of the grid reports' relative margins: every
-# value comes from mpmath at three times the most fractional bits the
-# checks may use, enough for the cancellation near the domain ends
+# high-precision brute force: mpmath at three times the kernel's bits at
+# 50 digits, doubled three times, enough for the cancellation at the points
+# within 1e-6 * 2^-31 of the domain ends
 BRUTE_PREC = 3 * (fixed_bits(50) << verify._MAX_DOUBLINGS)
 
 
-def _grid_points(n, func=SIN_PI_X, include_one=False):
-    # the checks' grid at 50 digits, each point exact with its label text: the
-    # sine grid, the cosine grid (the sine grid minus 1/2), or the sine grid
-    # and x = 1 (the Maclaurin grid)
-    ratios = verify._grid(n, fixed_bits(50))
-    if func == COS_PI_X:
-        ratios = [(2 * p - q, 2 * q) for p, q in ratios]
-    if include_one:
-        ratios.append((1, 1))
-    with mp.workprec(BRUTE_PREC):  # exact: no point needs as many bits
-        return [(mpf(p) / q, verify._dyadic_text(p, q)) for p, q in ratios]
+def _sample_points(n, func=SIN_PI_X, include_one=False):
+    # (x, label) at n uniform points i/(n+1) of the sine domain and 32 within 1e-6 of each
+    # end; the cosine's are those minus 1/2, and x = 1 may be added, labelled as the
+    # Maclaurin report labels it
+    near = [Fraction(1e-6) / 2 ** k for k in range(32)]
+    us = near + [Fraction(i, n + 1) for i in range(1, n + 1)] + [1 - u for u in near]
+    xs = [u - Fraction(1, 2) if func == COS_PI_X else u for u in us]
+    points = [(mpf(x.numerator) / x.denominator, str(x)) for x in xs]
+    return points + [(mpf(1), "1.0")] if include_one else points
 
 
 def _brute_y_coefficients(n):
@@ -593,22 +583,13 @@ def _brute_y_coefficients(n):
             for s in coeff_symbolic(n)]
 
 
-def _check_against_brute(report, rows):
-    assert report.passed
-    where, margin = report.worst_case
-    true_min = min(rows.values())
-    # every enclosure's lower end lies below the value it encloses
-    assert 0 < margin <= true_min
-    assert where in rows
-    assert margin <= rows[where]
-    return where, margin, true_min
-
-
 def test_maclaurin_worst_case_matches_brute_force():
+    # the margins at x = 1, the report's one certified number, are the least over the
+    # sampled points too, and the report's lower end is tight there
     j_max, grid = 4, 64
     rows = {}
     with mp.workprec(BRUTE_PREC):
-        for x, xs in _grid_points(grid, include_one=True):
+        for x, xs in _sample_points(grid, include_one=True):
             t = mp.pi * x
             terms = [(-1) ** k * t ** (2 * k + 1) / mp.factorial(2 * k + 1)
                      for k in range(2 * j_max + 3)]
@@ -621,20 +602,25 @@ def test_maclaurin_worst_case_matches_brute_force():
                 rows[f"{tag} odd-above"] = (sums[2 * j] - ref) / abs(terms[2 * j + 1])
                 rows[f"{tag} prev-odd-above"] = (sums[2 * j - 2] - ref) / abs(terms[2 * j - 1])
     report = check_maclaurin_interleaving(j_max, grid, 50)
-    where, margin, true_min = _check_against_brute(report, rows)
+    assert report.passed
+    where, margin = report.worst_case
+    true_min = min(rows.values())
     # at the true minimum (S_1 - sin(pi) over pi^3/6 at x = 1) the enclosure is tight
     assert where == min(rows, key=rows.get) == "j=1 x=1.0 prev-odd-above"
+    assert 0 < margin <= true_min
     assert margin == pytest.approx(float(true_min), rel=1e-12)
     assert true_min == pytest.approx(6 / math.pi ** 2, rel=1e-15)
 
 
 @pytest.mark.parametrize("func", [SIN_PI_X, COS_PI_X])
 def test_bracketing_worst_case_matches_brute_force(func):
+    # sampled, the proof's margins read as it states: every chain margin 1, every
+    # delta margin above 1; the report's margin is their infimum, 1.0
     m_max, grid = 10, 64
     rows = {}
     with mp.workprec(BRUTE_PREC):
         c = _brute_y_coefficients(m_max + 2)
-        for x, xs in _grid_points(grid, func):
+        for x, xs in _sample_points(grid, func):
             y = mp.mpf(1) / 4 - x * x if func == COS_PI_X else x * (1 - x)
             terms = [cj * y ** (j + 1) for j, cj in enumerate(c)]  # terms[j] = c_{j+1} y^{j+1}
             sums = [mp.fsum(terms[:j + 1]) for j in range(len(terms))]
@@ -648,56 +634,78 @@ def test_bracketing_worst_case_matches_brute_force(func):
         # P_{m+1} - P_m is its own leading term; the tail is at least its first term
         assert max(abs(v - 1) for v in chains) < mpf(2) ** (-BRUTE_PREC // 2)
         assert min(deltas) > 1
+        # the infimum 1 is approached as y -> 0, at the points nearest the ends
+        assert min(deltas) < 1 + mpf(10) ** -6
     report = check_bracketing(func, m_max, grid, 50)
-    _, margin, _ = _check_against_brute(report, rows)
-    assert margin > 0.99
+    assert report.passed and report.worst_case == ("m>=1 every x chain", 1.0)
 
 
-def _parses_back(text, x):
-    # the label parses back to x at the width of x's own mantissa
-    with mp.workprec(max(x._mpf_[3], 1)):
-        return mpf(text) == x
+@pytest.mark.parametrize("func", [SIN_PI_X, COS_PI_X])
+def test_kernel_obeys_bracketing_and_contains_mpmath(func):
+    # at 200 seeded points: the kernel's target (fixed_sin_cos_pi) and the partial sums
+    # P_1..P_11 formed from c_enclosure ends obey P_m < P_{m+1} < target with their
+    # enclosures apart, and each encloses mpmath's value at three times the digits
+    rng = random.Random(f"kernel-bracketing/{func}")
+    bits, is_cos = fixed_bits(50), func == COS_PI_X
+    coeffs = [fixed_from_interval(c_enclosure(j, bits), bits) for j in range(1, 12)]
+
+    def encloses(enc, value):
+        return enc[0] <= value * 2 ** bits <= enc[1]
+
+    with mp.workdps(150):
+        c = _brute_y_coefficients(11)
+        for _ in range(200):
+            q = rng.randint(2, 4096)
+            u = Fraction(rng.randint(1, q - 1), q)  # y = u(1 - u) >= 1/4096 - 1/4096^2
+            x = u - Fraction(1, 2) if is_cos else u
+            p, q = x.numerator, x.denominator
+            y_enc = fixed_ratio(*y_ratio(p, q, is_cos), bits)
+            sums = [fixed_horner([(0, 0), *coeffs[:m]], y_enc, bits) for m in range(1, 12)]
+            target = fixed_sin_cos_pi(p, q, bits, cos=is_cos)
+            for m, (lower, upper) in enumerate(zip(sums, sums[1:] + [target]), start=1):
+                assert lower[1] < upper[0], (func, x, m)
+            xv = mpf(p) / q
+            assert encloses(target, mp.cospi(xv) if is_cos else mp.sinpi(xv)), (func, x)
+            y, acc = mp.mpf(1) / 4 - xv * xv if is_cos else xv * (1 - xv), 0
+            for m, cj in enumerate(c):
+                acc += cj * y ** (m + 1)
+                assert encloses(sums[m], acc), (func, x, m + 1)
 
 
-def test_grid_reports_print_x_in_full():
-    for func in (SIN_PI_X, COS_PI_X):
-        report = check_bracketing(func, 10, 64, 50)
-        x_text = report.worst_case[0].split("x=")[1].split()[0]
-        assert [x for x, _ in _grid_points(64, func) if _parses_back(x_text, x)], x_text
-        assert len(x_text) > 60
-    # the cosine grid's points, and the sine grid's above 1/2, need more
-    # bits than the working precision; each label still parses back
-    for func in (SIN_PI_X, COS_PI_X):
-        for x, text in _grid_points(64, func):
-            assert _parses_back(text, x), text
-    with working(50):
-        p, q = verify._grid(64, fixed_bits(50))[-1]  # 1 - 1e-6 * 2^-31, exact
-        sweep, worst = verify._Sweep(50), verify._Worst()
-        rows, enclosures = _diff_rows([(-1, -1, 1, 1)])
-        _, margin = sweep.fold(rows, lambda bits: enclosures)
-        worst.update(margin, "x={} first", (p, q))
-    x_text = sweep.report("t", {}, worst).worst_case[0].split("x=")[1].split()[0]
-    with mp.workprec(BRUTE_PREC):
-        x = mpf(p) / q
-    assert x_text.startswith("0.99999999999999") and _parses_back(x_text, x)
-    assert x._mpf_[3] > fixed_bits(50)
+def test_proofs_do_not_depend_on_the_grid():
+    for report in (lambda grid: check_bracketing(SIN_PI_X, 10, grid, 50),
+                   lambda grid: check_bracketing(COS_PI_X, 10, grid, 50),
+                   lambda grid: check_maclaurin_interleaving(4, grid, 50)):
+        assert report(1) == report(64) == report(2048)
 
 
-def test_maclaurin_thresholds_match_per_j_scan():
-    j_max = 4
-    report = check_maclaurin_interleaving(j_max, 16, 50)
-    info = report.metadata["five_way_chain_valid_for"]
-    with working(50):
-        scan = [mpf(3) * i / 600 for i in range(1, 601)]
-        for j in range(1, j_max + 1):
-            cut = None
-            for x in reversed(scan):
-                if _maclaurin_from_scratch(2 * j + 1, x) <= _maclaurin_from_scratch(2 * j - 1, x):
-                    cut = x
-                    break
-            found = cut is not None and cut < scan[-1]
-            assert info[f"j={j}"]["empirical_x_above"] == (float(cut) if found else None)
-    assert info["j=1"]["empirical_x_above"] is not None
+@pytest.mark.parametrize("past", [False, True], ids=["below", "past"])
+def test_lemma_is_checked_exactly_at_pi2_24(monkeypatch, past):
+    # fixed_pi's upper end moved next to sqrt(24) 2^bits.  Just below, the lemma holds
+    # by a hair and every report passes; just past, pi_hi^2 > 24 * 4^bits, and
+    # coeff_bounds, both bracketing proofs, the Maclaurin proof and the prover's
+    # precondition fail on it
+    original = verify.fixed_pi
+
+    def moved(bits):
+        root = math.isqrt(24 << 2 * bits)  # root^2 < 24 * 4^bits: 24 is not a square
+        return original(bits)[0], root + past
+
+    monkeypatch.setattr(verify, "fixed_pi", moved)
+    reports = [check_coefficient_bounds(5, 50), check_bracketing(SIN_PI_X, 3, 16, 50),
+               check_bracketing(COS_PI_X, 3, 16, 50), check_maclaurin_interleaving(2, 16, 50)]
+    proof = prove_example_inequality()
+    lemma = proof.preconditions["lemma"]
+    assert all(r.metadata["lemma"] == lemma for r in reports)
+    assert lemma["holds"] is not past and proof.proved is not past
+    if past:
+        assert lemma["margin"] < 0 and proof.status == "inconclusive"
+        assert all(r.status == "fail" and r.worst_case == ("lemma pi^2 < 24", lemma["margin"])
+                   for r in reports)
+    else:
+        assert 0 < lemma["margin"] < 1e-70
+        assert all(r.passed for r in reports)
+        assert reports[0].worst_case == ("lemma pi^2 < 24", lemma["margin"])
 
 
 def test_worst_keeps_the_first_of_equal_margins():
@@ -708,17 +716,6 @@ def test_worst_keeps_the_first_of_equal_margins():
     assert worst.where == "j=2 x=0.3333333333 b"
     report = worst.report("demo", {})
     assert report.worst_case == ("j=2 x=0.3333333333 b", 1.0)
-    # visited in descending x, the last of equal margins is the first in
-    # ascending x; merged after, the points above lose ties
-    above = verify._Worst(descending=True)
-    for x in ((7, 8), (3, 4), (5, 8)):
-        above.update(1.0, "x={} d", x)
-    assert above.where == "x=0.625 d"
-    worst.merge(above)
-    assert worst.where == "j=2 x=0.3333333333 b"
-    above.update(0.25, "x={} e", (9, 16))
-    worst.merge(above)
-    assert (worst.where, worst.margin) == ("x=0.5625 e", 0.25)
 
 
 def test_example_polynomial_builds_each_y_coefficient_once(monkeypatch):
@@ -747,51 +744,16 @@ def test_grid_coefficients_stay_within_four_units_at_every_escalation(doublings)
 
 
 def test_nudged_coefficient_fails_bracketing(monkeypatch):
-    # c_3 raised by 1e-30: P_m then exceeds the target wherever the tail
-    # c_{m+1} y^{m+1} drops below 1e-30 y^3, which the endpoint cluster reaches
+    # c_3's enclosure moved down to a lower end of 0, then of -1 unit: the proofs'
+    # hypothesis that every c_j's lower end is positive fails, and names c_3
     original = verify._fixed_coefficients
-
-    def nudged(n, bits):
-        coeffs = list(original(n, bits))
-        bump = (1 << bits) // 10 ** 30 + 1
-        coeffs[2] = (coeffs[2][0] + bump, coeffs[2][1] + bump)
-        return tuple(coeffs)
-
-    monkeypatch.setattr(verify, "_fixed_coefficients", nudged)
-    for func in (SIN_PI_X, COS_PI_X):
-        report = check_bracketing(func, 10, 64, 50)
-        assert report.status == "fail"
-        assert report.worst_case[1] < 0
-        assert " delta" in report.worst_case[0]
-
-
-def test_unsettled_enclosure_is_counted_not_passed(monkeypatch):
-    # c_1 known only to within 1e-9: no precision settles P_m < target near
-    # the ends, so those points must be counted as unresolved
-    original = verify._fixed_coefficients
-
-    def blurred(n, bits):
-        coeffs = list(original(n, bits))
-        lo, hi = coeffs[0]
-        coeffs[0] = (lo - lo // 10 ** 9, hi + hi // 10 ** 9)
-        return tuple(coeffs)
-
-    monkeypatch.setattr(verify, "_fixed_coefficients", blurred)
-    report = check_bracketing(SIN_PI_X, 3, 16, 50)
-    assert report.status == "fail"
-    assert report.metadata["unresolved_points"] > 0
-    assert report.metadata["max_bits"] == fixed_bits(50) << verify._MAX_DOUBLINGS
-    assert report.worst_case[1] <= 0
-
-
-def test_escalation_cap_counts_unresolved_points(monkeypatch):
-    full = check_maclaurin_interleaving(2, 32, 50)
-    assert full.passed and full.metadata["escalated_points"] > 0
-    monkeypatch.setattr(verify, "_MAX_DOUBLINGS", 0)
-    capped = check_maclaurin_interleaving(2, 32, 50)
-    assert capped.status == "fail"
-    assert capped.metadata["unresolved_points"] == full.metadata["escalated_points"]
-    assert capped.metadata["max_bits"] == capped.metadata["base_bits"] == fixed_bits(50)
+    for low in (0, -1):
+        monkeypatch.setattr(verify, "_fixed_coefficients", lambda n, bits, low=low: tuple(
+            (low, hi) if j == 3 else (lo, hi) for j, (lo, hi) in enumerate(original(n, bits), 1)))
+        for func in (SIN_PI_X, COS_PI_X):
+            report = check_bracketing(func, 10, 64, 50)
+            assert report.status == "fail"
+            assert report.worst_case == ("j=3 c_j lower end", low * 2.0 ** -fixed_bits(50))
 
 
 def test_every_report_records_digits_and_grid_reports_their_evidence():
@@ -806,17 +768,14 @@ def test_every_report_records_digits_and_grid_reports_their_evidence():
     assert all(r.metadata["digits"] == 40 for r in reports)
     # every report names what it rests on; none rests on a tolerance
     assert all(r.metadata["evidence"] and "tolerance" not in r.metadata for r in reports)
+    # the three proofs state their scope and cite the lemma, as coeff_bounds records it
     for r in reports[1:3] + reports[4:5]:
         meta = r.metadata
-        assert meta["evidence"].startswith("outward-rounded fixed-point enclosure")
-        assert "symmetric about 1/2" in meta["grid"] and "sine grid - 1/2" in meta["grid"]
-        assert meta["base_bits"] == fixed_bits(40) <= meta["max_bits"]
-        assert meta["unresolved_points"] == 0
-        assert meta["escalated_points"] > 0
+        assert meta["evidence"].startswith("proof") and meta["scope"].startswith("all x in ")
+        assert meta["lemma"] == reports[0].metadata["lemma"] and meta["lemma"]["holds"]
+        assert meta["base_bits"] == fixed_bits(40)
         assert r.passed and r.worst_case[1] > 0
-    # bracketing_cos reads the sine rows shifted by 1/2, and says so
-    assert reports[1].metadata["evidence"] == reports[4].metadata["evidence"]
-    assert "cos(pi x) = sin(pi u)" in reports[2].metadata["evidence"]
+    assert "y = 1/4 - x^2" in reports[2].metadata["domain"]
 
 
 def test_example_curve_values_are_correctly_rounded():
@@ -877,8 +836,8 @@ def test_curve_quadratic_part_is_exact_inside_horner(grid):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_cosine_kernel_path_overlaps_the_shifted_sine_path(seed):
-    # the grid checks read cos(pi x) as sin(pi u), u = x + 1/2; the cosine
-    # kernel path (fixed_y and fixed_sin_cos_pi with cos=True) must agree
+    # cos(pi x) = sin(pi u) and 1/4 - x^2 = u(1 - u), u = x + 1/2: the cosine
+    # kernel path (the y-map and fixed_sin_cos_pi with cos=True) must agree
     rng = random.Random(f"cos-kernel/{seed}")
     points = [(-1, 2), (0, 1), (1, 2)]
     for _ in range(40):
@@ -889,161 +848,15 @@ def test_cosine_kernel_path_overlaps_the_shifted_sine_path(seed):
         bits = fixed_bits(50) << rng.randint(0, verify._MAX_DOUBLINGS)
         scale = Fraction(1, 1 << bits)
         for cos_enc, sin_enc in (
-            (fixed_y(p, q, bits, True), fixed_y(u.numerator, u.denominator, bits, False)),
+            (fixed_ratio(*y_ratio(p, q, True), bits),
+             fixed_ratio(*y_ratio(u.numerator, u.denominator, False), bits)),
             (fixed_sin_cos_pi(p, q, bits, cos=True),
              fixed_sin_cos_pi(u.numerator, u.denominator, bits)),
         ):
             assert max(cos_enc[0], sin_enc[0]) <= min(cos_enc[1], sin_enc[1]), (p, q, bits)
-        y_lo, y_hi = fixed_y(p, q, bits, True)
+        y_lo, y_hi = fixed_ratio(*y_ratio(p, q, True), bits)
         assert y_lo * scale <= Fraction(1, 4) - Fraction(p, q) ** 2 <= y_hi * scale
         c_lo, c_hi = fixed_sin_cos_pi(p, q, bits, cos=True)
         with mp.workprec(bits + 64):
             ref = mp.cospi(mpf(p) / q)
             assert mpf(c_lo) / (1 << bits) <= ref <= mpf(c_hi) / (1 << bits), (p, q, bits)
-
-
-def test_verify_all_encloses_each_sine_row_once(monkeypatch):
-    # one series pass (fixed_sin_maclaurin) per lower grid point and bits,
-    # and at x = 1; its sine serves the mirror 1 - x, which sums its own
-    # Maclaurin terms (fixed_maclaurin) and nothing else does; one
-    # fixed_partial_sums per distinct y and bits; no cosine kernel call
-    calls = {"pass": [], "maclaurin": [], "sine": [], "sums": [], "y": []}
-
-    def counted(name, fn, key):
-        def wrapper(*args):
-            calls[name].append(key(*args))
-            return fn(*args)
-        return wrapper
-
-    monkeypatch.setattr(verify, "fixed_sin_maclaurin", counted(
-        "pass", verify.fixed_sin_maclaurin, lambda p, q, n, bits: (Fraction(p, q), bits)))
-    monkeypatch.setattr(verify, "fixed_maclaurin", counted(
-        "maclaurin", verify.fixed_maclaurin, lambda p, q, n, bits: (Fraction(p, q), bits)))
-    monkeypatch.setattr(verify, "fixed_sin_cos_pi", counted(
-        "sine", verify.fixed_sin_cos_pi, lambda *args: args))
-    monkeypatch.setattr(verify, "fixed_partial_sums", counted(
-        "sums", verify.fixed_partial_sums, lambda coeffs, y, bits: (y, bits)))
-    monkeypatch.setattr(verify, "fixed_y", counted(
-        "y", verify.fixed_y, lambda p, q, bits, cos: cos))
-    reports = cli.run_suite("all", 64, 50)
-    assert all(r.passed for r in reports)
-    for name in ("pass", "maclaurin", "sums"):
-        assert len(set(calls[name])) == len(calls[name]), name
-    assert not calls["sine"] and not any(calls["y"])
-    grid = {Fraction(p, q) for p, q in verify._grid(64, fixed_bits(50))}
-    lower = {x for x in grid if x <= Fraction(1, 2)}
-    # at the base bits: every point of the sine grid's lower half, and x = 1
-    base = fixed_bits(50)
-    assert {x for x, bits in calls["pass"] if bits == base} == lower | {1}
-    assert {x for x, _ in calls["pass"]} <= lower | {1}
-    # fixed_maclaurin only at the mirrors: none at a lower point, none off the grid
-    assert {x for x, bits in calls["maclaurin"] if bits == base} == grid - lower
-    assert {x for x, _ in calls["maclaurin"]} <= grid - lower
-    assert sum(bits == base for _, bits in calls["sums"]) == len(lower)
-
-
-def _fold_reference(rows, sums, scales, sine):
-    # each row's difference and scale formed on its own, then the margin rule
-    vals = sums + [sine]
-    settled, at, least = True, 0, math.inf
-    for i, (a, b, s) in enumerate(rows):
-        d_lo, d_hi = vals[a][0] - vals[b][1], vals[a][1] - vals[b][0]
-        settled = settled and (d_lo > 0 or d_hi < 0)
-        den = scales[s][1] if d_lo > 0 else scales[s][0]
-        try:
-            rel = float(Fraction(d_lo, den)) if den > 0 else -math.inf
-        except OverflowError:
-            rel = math.inf if d_lo > 0 else -math.inf
-        if rel < least:
-            at, least = i, rel
-    return settled, (at, least)
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_fold_matches_the_row_by_row_margin(seed):
-    # small ends so that signs touch 0 and margins tie; huge ones past the doubles
-    rng = random.Random(f"fold/{seed}")
-    ends = [-3, -1, 0, 1, 2, 4, 10 ** 400, -10 ** 400]
-
-    def enc():
-        lo = rng.choice(ends)
-        return lo, lo + rng.choice([0, 0, 1, 3])
-
-    for _ in range(300):
-        sums, scales, sine = [enc() for _ in range(5)], [enc() for _ in range(5)], enc()
-        rows = [(rng.randrange(-1, 5), rng.randrange(-1, 5), rng.randrange(5))
-                for _ in range(rng.randint(1, 8))]
-        assert verify._fold(rows, (sums, scales, sine)) == _fold_reference(rows, sums, scales, sine)
-
-
-def test_grid_reports_keep_the_first_of_equal_margins(monkeypatch):
-    # every point's margin equal: each report names the lowest x of its grid
-    monkeypatch.setattr(verify, "_fold", lambda rows, enclosures: (True, (0, 1.0)))
-    reports = verify.check_grid(16, 50, (SIN_PI_X, COS_PI_X), 3, 1)
-    p, q = verify._grid(16, fixed_bits(50))[0]
-    assert [r.worst_case[0] for r in reports] == [
-        f"m=1 x={verify._dyadic_text(p, q)} delta",
-        f"m=1 x={verify._dyadic_text(2 * p - q, 2 * q)} delta",
-        f"j=1 x={verify._dyadic_text(p, q)} even-step",
-    ]
-
-
-def test_grid_sweep_enters_no_precision_section(monkeypatch):
-    # the sweep reads no mpmath context: with the precision lock refusing entry,
-    # and the coefficient cache cleared, it still gives the same reports
-    class Refusing:
-        def __enter__(self):
-            raise AssertionError("a precision section was entered")
-
-        def __exit__(self, *exc):
-            return False
-
-    args = (64, 50, (SIN_PI_X, COS_PI_X), 10, 4)
-    expected = verify.check_grid(*args)
-    verify._fixed_coefficients.cache_clear()
-    monkeypatch.setattr(precision, "PRECISION_LOCK", Refusing())
-    with mp.workprec(20):  # nor does the ambient precision move the grid
-        assert verify.check_grid(*args) == expected
-
-
-def _diff_rows(rows):
-    """Rows (diff_lo, diff_hi, scale_lo, scale_hi) as `_fold`'s (rows, enclosures): row i
-    is sums[i] less the sine, (0, 0), over scales[i]."""
-    enclosures = [r[:2] for r in rows], [r[2:] for r in rows], (0, 0)
-    return [(i, -1, i) for i in range(len(rows))], enclosures
-
-
-def test_sweep_reports_the_lower_end_and_counts_open_points():
-    labels = [("x={} first",), ("x={} second",)]
-    with working(50):
-        sweep, worst = verify._Sweep(50), verify._Worst()
-        tried = []
-
-        def visit(rows, point, weight=1):
-            index_rows, enclosures = _diff_rows(rows)
-            i, margin = sweep.fold(index_rows, lambda bits: tried.append(bits) or enclosures,
-                                   weight)
-            worst.update(margin, *labels[i], point)
-        # settled at the base bits: [1, 3] / [1, 2] has lower end 1/2, rounded one step down
-        visit([(5, 6, 1, 1), (1, 3, 1, 2)], (1, 4))
-        assert (sweep.escalated, sweep.unresolved, tried) == (0, 0, [sweep.base])
-        assert worst.margin == math.nextafter(0.5, 0) and sweep.report("t", {}, worst).passed
-        # open at every precision: the bits double up to the cap, the point
-        # counts with its weight, and the report fails
-        tried.clear()
-        visit([(-1, 1, 1, 1), (1, 1, 1, 1)], (1, 8), 2)
-        assert tried == [sweep.base << k for k in range(verify._MAX_DOUBLINGS + 1)]
-        assert (sweep.escalated, sweep.unresolved) == (2, 2)
-        assert sweep.top == sweep.cap == fixed_bits(50) << verify._MAX_DOUBLINGS
-        report = sweep.report("t", {}, worst)
-        assert report.status == "fail" and report.metadata["unresolved_points"] == 2
-        assert report.worst_case == ("x=0.125 first", math.nextafter(-1.0, -math.inf))
-    # settled negative: no escalation; [-3, -1] / [2, 4] has lower end -3/2
-    assert verify._fold(*_diff_rows([(-3, -1, 2, 4)])) == (True, (0, -1.5))
-    assert verify._fold(*_diff_rows([(-3, 1, 0, 4)])) == (False, (0, -math.inf))
-    assert verify._fold(*_diff_rows([(3, 5, 2, 4)])) == (True, (0, 0.75))
-    # the first of equal margins wins; a quotient past the doubles is +-inf
-    rows = [(3, 5, 2, 4), (-3, -1, 2, 4), (-6, -1, 4, 8), (10 ** 400, 10 ** 401, 1, 1)]
-    assert verify._fold(*_diff_rows(rows)) == (True, (1, -1.5))
-    assert verify._fold(*_diff_rows(rows[3:])) == (True, (0, math.inf))
-    assert verify._fold(*_diff_rows([(-10 ** 401, -10 ** 400, 1, 1)])) == (True, (0, -math.inf))
