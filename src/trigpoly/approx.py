@@ -25,12 +25,12 @@ from typing import Callable, Literal
 
 from mpmath import mp, mpf
 from mpmath.libmp import (fone, from_int, fzero, mpf_abs, mpf_add, mpf_div, mpf_mul, mpf_neg,
-                          mpf_pi, mpf_pow_int, mpf_shift, mpf_sub, round_ceiling, round_floor,
+                          mpf_pow_int, mpf_shift, mpf_sub, round_ceiling, round_floor,
                           round_nearest)
 
 from .coeffs import _c_ends, _mid, coeff_symbolic, poly_sum
-from .intervals import (_check_ends, _rounded, exact_ratio, fixed_bits, nearest_double,
-                        pi_interval, series_ends, to_double, y_ratio)
+from .intervals import (_check_ends, _rounded, ends_from_fixed, exact_ratio, fixed_bits, fixed_pi,
+                        nearest_double, pi_interval, series_ends, to_double, y_ratio)
 from .precision import (
     DEFAULT_DIGITS,
     DEFAULT_INDEX_LIMIT,
@@ -358,8 +358,9 @@ def maclaurin_eval_hp(m: int, x, digits: int = DEFAULT_DIGITS) -> mpf:
         raise ValueError("m must be >= 1")
     prec = fixed_bits(digits)
     xv = to_mpf(x, prec)
-    t = tuple(mpf_mul(mpf_pi(prec, rnd), mpf_abs(xv._mpf_), prec, rnd)
-              for rnd in (round_floor, round_ceiling))
+    pi = ends_from_fixed(fixed_pi(prec - 2), prec - 2)
+    t = tuple(mpf_mul(p, mpf_abs(xv._mpf_), prec, rnd)
+              for p, rnd in zip(pi, (round_floor, round_ceiling)))
     _check_ends(*t)  # an infinite x would never end the series
     s = _mid(series_ends(t, tuple(mpf_mul(v, v) for v in t), 2, 3, prec, n=m), digits).value
     return mp.make_mpf(mpf_neg(s._mpf_)) if xv < 0 else s

@@ -218,7 +218,7 @@ def cmd_prove_example(args) -> int:
     elif proof.status == "refuted":
         print("refutation={!r},{!r},{!r}".format(*proof.refutation))
     if args.emit_curves:
-        rows = verify.example_curve(args.grid, args.digits)
+        rows = verify.example_curve(args.grid)
         with open(args.emit_curves, "w", encoding="utf-8", newline="\n") as handle:
             handle.write("x,f,f_minus_f4\n")
             for x, f_val, diff in rows:
@@ -229,24 +229,23 @@ def cmd_prove_example(args) -> int:
 _SUITES = ("all", "coeffs", "bracketing", "bessel", "maclaurin", "taylor")
 
 
-def run_suite(suite: str, grid: int, digits: int) -> list[verify.PropertyReport]:
+def run_suite(suite: str, digits: int) -> list[verify.PropertyReport]:
     reports = []
     if suite in ("all", "coeffs"):
         reports.append(verify.check_coefficient_bounds(100, digits))
     if suite in ("all", "bracketing"):
-        reports += [verify.check_bracketing(func, 10, grid, digits)
-                    for func in (SIN_PI_X, COS_PI_X)]
+        reports += [verify.check_bracketing(func, 10, digits) for func in (SIN_PI_X, COS_PI_X)]
     if suite in ("all", "bessel"):
         reports.append(verify.check_bessel_identity(50, digits))
     if suite in ("all", "maclaurin"):
-        reports.append(verify.check_maclaurin_interleaving(4, grid, digits))
+        reports.append(verify.check_maclaurin_interleaving(4, digits))
     if suite in ("all", "taylor"):
         reports.append(verify.check_taylor_exactness(8, digits))
     return reports
 
 
 def cmd_verify(args) -> int:
-    reports = run_suite(args.suite, args.grid, args.digits)
+    reports = run_suite(args.suite, args.digits)
     for report in reports:
         print(verify.report_line(report))
     if args.json:

@@ -61,9 +61,9 @@ from itertools import zip_longest
 from typing import Literal
 
 from mpmath import mp, mpf
-from mpmath.libmp import (fone, from_int, mpf_add, mpf_cmp, mpf_div, mpf_le, mpf_mul, mpf_pi,
-                          mpf_pow_int, mpf_shift, mpf_sign, mpf_sqrt, mpf_sub, round_ceiling,
-                          round_floor, round_nearest, to_float)
+from mpmath.libmp import (fone, from_int, mpf_add, mpf_cmp, mpf_div, mpf_le, mpf_mul, mpf_pow_int,
+                          mpf_shift, mpf_sign, mpf_sqrt, mpf_sub, round_ceiling, round_floor,
+                          round_nearest, to_float)
 
 from .intervals import (
     IntervalValue,
@@ -186,8 +186,9 @@ def _c_ends(j: int, bits: int) -> tuple:
     # raw ends of c_enclosure(j, bits)
     require_index(j)
     prec = bits + T_GUARD_BITS
-    return tuple(mpf_mul(v, mpf_pow_int(mpf_pi(prec, rnd), 2 * j, prec, rnd), prec, rnd)
-                 for v, rnd in zip(_t_ends(j, prec), (round_floor, round_ceiling)))
+    pi = ends_from_fixed(fixed_pi(prec - 2), prec - 2)
+    return tuple(mpf_mul(v, mpf_pow_int(p, 2 * j, prec, rnd), prec, rnd)
+                 for v, p, rnd in zip(_t_ends(j, prec), pi, (round_floor, round_ceiling)))
 
 
 def c_enclosure(j: int, bits: int) -> IntervalValue:
@@ -413,9 +414,9 @@ def gamma_half(n: int, digits: int = DEFAULT_DIGITS) -> ExtReal:
         raise ValueError("n must be >= 0")
     prec = fixed_bits(digits)
     num, den = from_int(math.factorial(2 * n)), from_int(4 ** n * math.factorial(n))
-    return _mid(tuple(
-        mpf_div(mpf_mul(mpf_sqrt(mpf_pi(prec, rnd), prec, rnd), num, prec, rnd), den, prec, rnd)
-        for rnd in (round_floor, round_ceiling)), digits)
+    pi = ends_from_fixed(fixed_pi(prec - 2), prec - 2)
+    return _mid(tuple(mpf_div(mpf_mul(mpf_sqrt(p, prec, rnd), num, prec, rnd), den, prec, rnd)
+                      for p, rnd in zip(pi, (round_floor, round_ceiling))), digits)
 
 
 def _ladder(h: tuple, pi: tuple, j_max: int, prec: int, weighted: bool) -> list[tuple]:
@@ -447,7 +448,7 @@ def _bessel(js: range, digits: int, h: tuple | None = None) -> list[tuple]:
     -z/((2k+2)(2k+2j+1)), at `fixed_bits(digits) + T_GUARD_BITS` bits."""
     require_digits(digits)
     prec = fixed_bits(digits) + T_GUARD_BITS
-    pi = mpf_pi(prec, round_floor), mpf_pi(prec, round_ceiling)
+    pi = ends_from_fixed(fixed_pi(prec - 2), prec - 2)
     weighted, h = h is None, h or tuple(mpf_shift(v, -2) for v in pi)
     firsts = _ladder(h, pi, js[-1], prec, weighted)
     z = tuple(mpf_shift(mpf_mul(v, v), 2) for v in h)  # x^2 = (2h)^2, exact

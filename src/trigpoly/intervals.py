@@ -1,14 +1,14 @@
 """Outward-rounded enclosures: one fixed-point kernel on Python ints.
 
 Every enclosure in the library is computed on plain Python ints or with
-mpmath's directed-rounding primitives (`mpf_pi`, `mpf_mul`, `mpf_div`,
-... with round_floor for a lower end and round_ceiling for an upper
-one), so each result encloses the exact value; precision only affects
-tightness, never containment.  `IntervalValue` is the public form of an
-enclosure: two exact, finite mpf ends, its midpoint, width and membership
-test.  Inside a computation an enclosure travels as its raw ends, a pair
-of libmp tuples (`ends_from_fixed`, `series_ends`), and becomes an
-`IntervalValue` only where a public function returns one.
+mpmath's directed-rounding primitives (`mpf_mul`, `mpf_div`, ..., with
+round_floor for a lower end and round_ceiling for an upper one), so each
+result encloses the exact value; precision only affects tightness, never
+containment.  `IntervalValue` is the public form of an enclosure: two
+exact, finite mpf ends, its midpoint, width and membership test.  Inside
+a computation an enclosure travels as its raw ends, a pair of libmp
+tuples (`ends_from_fixed`, `series_ends`), and becomes an `IntervalValue`
+only where a public function returns one.
 
 Every directed rounding of an exact value is one integer step, `_rounded`.
 Its result is unique, so `ends_from_fixed` gives an end bit for bit as one
@@ -18,17 +18,17 @@ once, to nearest by int / int, or down or up by `_rounded`, saturating or
 overflowing past the doubles as IEEE 754 directs; `nearest_double` is the
 double that a whole enclosure rounds to, if there is one.
 
-The fixed-point kernel encloses pi, the weights t_j (2j)!, sin and cos
-of pi x, and polynomials over dyadic tiles.  The weights, sin/cos,
-T_j(z) and J_{j-1/2}(x) are one alternating series, each term the last
-times z/((2k+a)(2k+b)), summed by the one loop `fixed_series`, which
-gives the first partial sums or the enclosure of the whole sum; its
-terms may grow before they fall.  `fixed_t_scaled` and
-`fixed_sin_cos_pi` only set up its arguments (`_fixed_sin_cos_args`).
-`series_ends` scales its first term to one unit and multiplies the sum
-by the first term's mpf enclosure, so a first term far below any
-fixed-point unit keeps its relative precision.  `fixed_horner` is the
-one Horner loop on enclosures.
+The fixed-point kernel encloses pi (`fixed_pi`, by Machin's formula),
+the weights t_j (2j)!, sin and cos of pi x, and polynomials over dyadic
+tiles.  The weights, sin/cos, T_j(z) and J_{j-1/2}(x) are one
+alternating series, each term the last times z/((2k+a)(2k+b)), summed by
+the one loop `fixed_series`, which gives the first partial sums or the
+enclosure of the whole sum; its terms may grow before they fall.
+`fixed_t_scaled` and `fixed_sin_cos_pi` only set up its arguments
+(`_fixed_sin_cos_args`).  `series_ends` scales its first term to one
+unit and multiplies the sum by the first term's mpf enclosure, so a
+first term far below any fixed-point unit keeps its relative precision.
+`fixed_horner` is the one Horner loop on enclosures.
 """
 
 from __future__ import annotations
@@ -38,11 +38,10 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from mpmath import iv, mp, mpf
 from mpmath.libmp import (dps_to_prec, from_float, from_int, from_man_exp, fzero, mpf_add, mpf_lt,
-                          mpf_mul, mpf_pi, mpf_shift, mpf_sub, round_ceiling, round_floor,
+                          mpf_mul, mpf_shift, mpf_sub, round_ceiling, round_floor,
                           round_nearest, to_float)
 
 from .precision import DEFAULT_DIGITS, GUARD_DIGITS, PRECISION_LOCK
@@ -123,9 +122,9 @@ class IntervalValue:
 
 
 def pi_interval(digits: int = DEFAULT_DIGITS) -> IntervalValue:
-    """pi enclosed by `mpf_pi` rounded down and up at `fixed_bits(digits)` bits."""
-    bits = fixed_bits(digits)
-    return IntervalValue._of(mpf_pi(bits, round_floor), mpf_pi(bits, round_ceiling))
+    """pi rounded down and up to `fixed_bits(digits)` significant bits: `fixed_pi`'s ends."""
+    bits = fixed_bits(digits) - 2  # pi < 4: two integer bits
+    return IntervalValue._of(*ends_from_fixed(fixed_pi(bits), bits))
 
 
 # --- fixed-point enclosures -----------------------------------------------
@@ -247,11 +246,33 @@ def interval_from_fixed(enc: tuple[int, int], bits: int, den: int = 1) -> Interv
     return IntervalValue._of(*ends_from_fixed(enc, bits, den))
 
 
-@lru_cache(maxsize=16)
+_pi_floor = 0, 3  # (bits, floor(pi * 2**bits)) at the most bits asked for so far
+
+
 def fixed_pi(bits: int) -> tuple[int, int]:
-    """floor and ceiling of pi * 2**bits, from `mpf_pi` rounded down and up at bits + 2 bits."""
-    return (_scaled(mpf_pi(bits + 2, round_floor), bits, False),
-            _scaled(mpf_pi(bits + 2, round_ceiling), bits, True))
+    """floor and ceiling of pi * 2**bits (bits >= 0), by Machin's formula in ints.
+
+    pi = 16 arctan(1/5) - 4 arctan(1/239) at bits + guard bits, each term floored: k terms
+    of each and their tails are within 16(k_5+1) + 4(k_239+1) units, and the guard doubles
+    until that range shifts to one floor (pi is irrational: the ceiling is one more).  The
+    floor at the most bits asked for so far is kept, read in one load, shifted right.
+    """
+    global _pi_floor
+    top, floor = _pi_floor
+    guard = bits.bit_length() + 8
+    while top < bits:
+        s = err = 0
+        for w, n in ((16, 5), (-4, 239)):
+            power, k = (1 << bits + guard) // n, 0
+            while power:
+                s += w * (power // (2 * k + 1))
+                power, w, k = power // (n * n), -w, k + 1
+            err += abs(w) * (k + 1)
+        if (s - err) >> guard == (s + err) >> guard:
+            top, floor = _pi_floor = bits, (s - err) >> guard
+        guard *= 2
+    floor >>= top - bits
+    return floor, floor + 1
 
 
 def fixed_ratio(num: int, den: int, bits: int) -> tuple[int, int]:
@@ -389,13 +410,6 @@ def series_ends(first: tuple[tuple, tuple], z: tuple[tuple, tuple], a: int, b: i
     lo = mpf_mul(f_hi if s_lo < 0 else f_lo, from_man_exp(s_lo, -bits), prec, round_floor)
     hi = mpf_mul(f_hi if s_hi > 0 else f_lo, from_man_exp(s_hi, -bits), prec, round_ceiling)
     return lo, hi
-
-
-def series_interval(first: IntervalValue, z: IntervalValue, a: int, b: int, prec: int,
-                    n: int | None = None) -> IntervalValue:
-    """`series_ends` of IntervalValues, as an IntervalValue."""
-    return IntervalValue._of(*series_ends((first.lo._mpf_, first.hi._mpf_),
-                                          (z.lo._mpf_, z.hi._mpf_), a, b, prec, n))
 
 
 def _fixed_sin_cos_args(p: int, q: int, bits: int, odd: bool):

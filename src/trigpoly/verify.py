@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from mpmath.libmp import from_int, mpf_div, mpf_pi, mpf_sqrt, round_nearest, to_float
+from mpmath.libmp import from_int, from_man_exp, mpf_div, mpf_sqrt, round_nearest, to_float
 
 from .approx import COS_PI_X, SIN_PI_X, _check_func, sine_monomials
 from .coeffs import _c_ends, coeff_symbolic, coefficient_table, fixed_at_pi2, poly_mul, poly_sum
@@ -183,9 +183,6 @@ def check_coefficient_bounds(j_max: int, digits: int = DEFAULT_DIGITS) -> Proper
     )
 
 
-_MAX_DOUBLINGS = 3  # the curve's escalation stops at fixed_bits(digits) * 2**3 bits
-
-
 @lru_cache(maxsize=32)
 def _fixed_coefficients(n: int, bits: int) -> tuple[tuple[int, int], ...]:
     """Enclosures of c_1..c_n at `bits` fractional bits: each `c_enclosure`, rounded outward."""
@@ -196,9 +193,7 @@ _DOMAIN = {COS_PI_X: "-1/2 < x < 1/2, where y = 1/4 - x^2 is in (0, 1/4]",
            SIN_PI_X: "0 < x < 1, where y = x(1 - x) is in (0, 1/4]"}
 
 
-def check_bracketing(
-    func: str, m_max: int, grid_size: int, digits: int = DEFAULT_DIGITS
-) -> PropertyReport:
+def check_bracketing(func: str, m_max: int, digits: int = DEFAULT_DIGITS) -> PropertyReport:
     """Monotone bracketing, proved for every m >= 1 and every x in the open domain.
 
     There 0 < y <= 1/4, the expansion identity gives target = sum_j c_j y^j,
@@ -210,13 +205,10 @@ def check_bracketing(
     enclosures of c_1..c_{m_max+2} (`_fixed_coefficients`), which must be
     positive, a cross-check of the kernel against the lemma.  When they
     hold the margin is 1.0; otherwise the report fails, its worst case the
-    failing hypothesis with the least margin, <= 0.  Nothing is sampled:
-    grid_size is checked and otherwise unused.
+    failing hypothesis with the least margin, <= 0.
     """
     require_digits(digits)
     _check_func(func)
-    if grid_size < 1:
-        raise ValueError("grid_size must be >= 1")
     if m_max < 2:
         raise ValueError("m_max must be >= 2")
     bits = fixed_bits(digits)
@@ -302,9 +294,7 @@ def check_bessel_identity(j_max: int, digits: int = DEFAULT_DIGITS) -> PropertyR
 _SUB_CHAINS = ("even-step", "even-below", "odd-above", "prev-odd-above")
 
 
-def check_maclaurin_interleaving(
-    j_max: int, grid_size: int, digits: int = DEFAULT_DIGITS
-) -> PropertyReport:
+def check_maclaurin_interleaving(j_max: int, digits: int = DEFAULT_DIGITS) -> PropertyReport:
     """Alternating Maclaurin brackets for sin(pi x), proved for every x in (0, 1].
 
     With S_n the n-term Maclaurin sum of sin t, the remainder sin t - S_n
@@ -319,14 +309,11 @@ def check_maclaurin_interleaving(
     summing n terms and the whole series), the least lower end reported.
     The five-way chain with S_{2j-1} < S_{2j+1} needs (pi x)^2 > 4j(4j+1),
     so it holds for no x in (0, 1]; its threshold sqrt(4j(4j+1))/pi is
-    reported in the metadata instead of being asserted.  Nothing is
-    sampled: grid_size is checked and otherwise unused.
+    reported in the metadata instead of being asserted.
     """
     require_digits(digits)
     if j_max < 1:
         raise ValueError("j_max must be >= 1")
-    if grid_size < 1:
-        raise ValueError("grid_size must be >= 1")
     bits = fixed_bits(digits)
     lemma = _t_lemma(bits)
     worst = _Worst()
@@ -346,6 +333,7 @@ def check_maclaurin_interleaving(
             # the nearest quotient, rounded down one step: a lower bound
             margin = math.nextafter(d_lo / den, -math.inf) if den > 0 else -math.inf
             worst.update(margin, "j={} x=1.0 " + kind, j)
+    pi_nearest = from_man_exp((fixed_pi(bits - 1)[0] + 1) >> 1, 2 - bits)  # to `bits` bits
     return worst.report(
         "maclaurin_interleaving",
         {
@@ -356,7 +344,7 @@ def check_maclaurin_interleaving(
             "five_way_chain_valid_for": {
                 f"j={j}": {"theoretical_x": to_float(mpf_div(
                     mpf_sqrt(from_int(4 * j * (4 * j + 1)), bits, round_nearest),
-                    mpf_pi(bits, round_nearest), bits, round_nearest), rnd=round_nearest)}
+                    pi_nearest, bits, round_nearest), rnd=round_nearest)}
                 for j in range(1, j_max + 1)
             },
             "evidence": "proof: sin t - S_n has the sign of (-1)^n for t > 0, and the lemma; "
@@ -573,8 +561,7 @@ def prove_example_inequality(
     )
 
 
-# the curve's enclosures start at twice a double's significand; see example_curve
-_CURVE_BITS = 2 * 53
+_CURVE_BITS, _CURVE_MAX_BITS = 2 * 53, 2 * 53 << 5  # the curve's first and last bits
 
 
 def _table_sine(q: int, bits: int):
@@ -634,27 +621,24 @@ def _curve_level(grid_size: int, bits: int):
     return row
 
 
-def example_curve(grid_size: int = 2048, digits: int = DEFAULT_DIGITS):
+def example_curve(grid_size: int = 2048):
     """Rows (x, f(x), f(x) - f4(x)) at x = i/(2 grid_size), i = 0..grid_size.
 
-    f and f - f4 are enclosed with the fixed-point kernel, the bits
-    doubled until each enclosure rounds to a single float, so every
-    value is the correctly rounded one, whatever the bits it settles at:
-    the rows do not depend on `digits`, which sets only the cap,
-    `fixed_bits(digits)` * 2**3 bits.  The enclosures start at twice a
-    double's 53-bit significand, 106 fractional bits (`_CURVE_BITS`): a
-    value near 1 then has 53 bits past the ones a double keeps, so only a
-    value within about 2^-53 of a rounding boundary, relative, or far
-    below 1 (f - f4 near x = 0) doubles; on the default grid 10 of the
-    2049 rows do, once.  At x = i/q, q = 2 grid_size, sin(2 pi x) =
-    sin(pi j/q), j = min(2i, q - 2i): the grid_size + 1 sines, each formed
-    once per bits from two angle tables (`_table_sine`), serve every row.
-    f4's quadratic part is exact, by integer Horner in i, rounded once.
+    f and f - f4 are enclosed with the fixed-point kernel, the bits doubled
+    until each enclosure rounds to a single float, so every value is the
+    correctly rounded one, whatever the bits it settles at, up to 3,392
+    (`_CURVE_MAX_BITS`).  The enclosures start at twice a double's 53-bit
+    significand, 106 fractional bits (`_CURVE_BITS`): a value near 1 then
+    has 53 bits past the ones a double keeps, so only a value within about
+    2^-53 of a rounding boundary, relative, or far below 1 (f - f4 near
+    x = 0) doubles; on the default grid 10 of the 2049 rows do, once.  At
+    x = i/q, q = 2 grid_size, sin(2 pi x) = sin(pi j/q), j = min(2i, q - 2i):
+    the grid_size + 1 sines, each formed once per bits from two angle tables
+    (`_table_sine`), serve every row.  f4's quadratic part is exact, by
+    integer Horner in i, rounded once.
     """
-    require_digits(digits)
     if grid_size < 1:
         raise ValueError("grid_size must be >= 1")
-    cap = fixed_bits(digits) << _MAX_DOUBLINGS
     levels = {}  # bits -> `_curve_level`'s row, for this call only
     rows = []
     for i in range(grid_size + 1):
@@ -666,7 +650,7 @@ def example_curve(grid_size: int = 2048, digits: int = DEFAULT_DIGITS):
             f_val, gap = (nearest_double((lo, one), (hi, one)) for lo, hi in levels[bits](i))
             if f_val is not None and gap is not None:
                 break
-            if bits >= cap:  # pragma: no cover
+            if bits >= _CURVE_MAX_BITS:  # pragma: no cover
                 raise ArithmeticError(f"curve value at i={i} not settled at {bits} bits")
             bits *= 2
         rows.append((i / (2 * grid_size), f_val, gap))

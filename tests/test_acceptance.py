@@ -87,7 +87,7 @@ def test_criterion_02_coefficient_inequalities():
 def test_criterion_03_monotone_bracketing():
     def body():
         for func in (SIN_PI_X, COS_PI_X):
-            report = check_bracketing(func, 10, 2048, DIGITS)
+            report = check_bracketing(func, 10, DIGITS)
             assert report.passed, report.worst_case
     _run(3, "monotone-bracketing", body, limit=60.0)
 
@@ -164,7 +164,7 @@ def test_criterion_06_taylor_exactness():
 
 def test_criterion_07_maclaurin_brackets():
     def body():
-        report = check_maclaurin_interleaving(4, 2048, DIGITS)
+        report = check_maclaurin_interleaving(4, DIGITS)
         assert report.passed, report.worst_case
         domains = report.metadata["five_way_chain_valid_for"]
         assert set(domains) == {f"j={j}" for j in range(1, 5)}
@@ -179,7 +179,7 @@ def test_criterion_08_example_proof():
         proof = prove_example_inequality()
         assert proof.proved
         assert proof.min_lower_bound > 0
-        rows = example_curve(2048, DIGITS)
+        rows = example_curve(2048)
         assert all(diff >= 0 for _, _, diff in rows)
         assert rows[0][1] == mpf(4) / 9 or abs(rows[0][1] - 4 / 9) < 1e-15
     _run(8, "example-proof", body, limit=30.0)

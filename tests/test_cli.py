@@ -373,11 +373,11 @@ def _report_lines(reports):
 
 
 def test_subset_suites_match_the_all_suite():
-    # the one grid walk, asked for a subset of its reports, gives the same reports
-    every = {r.property_id: r for r in cli.run_suite("all", 64, 50)}
+    # a subset of the reports, asked for alone, gives the same reports
+    every = {r.property_id: r for r in cli.run_suite("all", 50)}
     for suite, ids in (("bracketing", ["bracketing_sin", "bracketing_cos"]),
                        ("maclaurin", ["maclaurin_interleaving"])):
-        reports = cli.run_suite(suite, 64, 50)
+        reports = cli.run_suite(suite, 50)
         assert [r.property_id for r in reports] == ids
         assert reports == [every[i] for i in ids]
         assert _report_lines(reports) == _report_lines(every[i] for i in ids)
@@ -387,7 +387,7 @@ def test_run_suite_keeps_no_state_between_calls(monkeypatch):
     # a second call must read the coefficients afresh: with c_3's lower end
     # at 0 (as in test_nudged_coefficient_fails_bracketing) both bracketing
     # proofs fail on that hypothesis
-    assert all(r.passed for r in cli.run_suite("all", 64, 50))
+    assert all(r.passed for r in cli.run_suite("all", 50))
     original = cli.verify._fixed_coefficients
 
     def nudged(n, bits):
@@ -396,7 +396,7 @@ def test_run_suite_keeps_no_state_between_calls(monkeypatch):
         return tuple(coeffs)
 
     monkeypatch.setattr(cli.verify, "_fixed_coefficients", nudged)
-    reports = {r.property_id: r for r in cli.run_suite("all", 64, 50)}
+    reports = {r.property_id: r for r in cli.run_suite("all", 50)}
     for name in ("bracketing_sin", "bracketing_cos"):
         assert reports[name].status == "fail", name
         assert reports[name].worst_case == ("j=3 c_j lower end", 0.0), name

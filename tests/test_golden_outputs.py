@@ -34,8 +34,6 @@ CASES = {
        for route in ("recurrence", "direct", "bessel")},
     "coeffs_table_100": ["coeffs", "--max-j", "12", "--digits", "100"],
     "verify_all": ["verify", "--suite", "all", "--grid", "64", "--json", "{out}"],
-    # the default grid (2048), the size the benchmark's verify-suite runs
-    "verify_all_default_grid": ["verify", "--suite", "all", "--json", "{out}"],
     "prove_example": ["prove-example", "--grid", "64", "--emit-curves", "{out}"],
     "eval_cos": ["eval", "--func", "cos", "--m", "12", "--x", "0.1"],
     "eval_sin": ["eval", "--func", "sin", "--m", "5", "--x", "0.3"],

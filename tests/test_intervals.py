@@ -7,12 +7,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
-from mpmath.libmp import from_float, from_int, fzero
+from mpmath.libmp import from_float, from_int, fzero, mpf_pi, round_ceiling, round_floor
 
+from trigpoly import intervals
 from trigpoly.coeffs import coeff_symbolic, t_enclosure
 from trigpoly.intervals import (
     IntervalValue,
     _fixed_sin_cos_args,
+    _scaled,
     exact_ratio,
     fixed_bits,
     fixed_from_interval,
@@ -86,19 +88,59 @@ def test_pi_interval_width_and_containment():
 def test_pi_interval_is_mpmath_interval_pi():
     from mpmath import iv
 
-    for digits in (30, 50, 97, 200):
+    for digits in (30, 50, 97, 200, 1000):
         with interval_dps(digits):
             ref = (+iv.pi)._mpi_
         enc = pi_interval(digits)
         assert (enc.lo._mpf_, enc.hi._mpf_) == ref
+        bits = fixed_bits(digits)
+        assert ref == (mpf_pi(bits, round_floor), mpf_pi(bits, round_ceiling))
 
 
-def test_fixed_pi_is_the_floor_and_ceiling():
-    for bits in (1, 8, 53, 166, 1000):
-        lo, hi = fixed_pi(bits)
-        assert hi == lo + 1
-        with mp.workprec(bits + 80):
-            assert lo == int(mp.floor(mp.pi * 2 ** bits))
+def test_fixed_pi_is_the_floor_and_ceiling(monkeypatch):
+    # rising bits recompute Machin's sum each time; falling ones shift the kept floor
+    sizes = [0, 1, 2, 3, 8, 53, 106, 166, 236, 1000, 1888, 4001, 7552, 8000]
+    for order in (sizes, sizes[::-1]):
+        monkeypatch.setattr(intervals, "_pi_floor", (0, 3))
+        for bits in order:
+            lo, hi = fixed_pi(bits)
+            assert hi == lo + 1
+            # the definition it replaces: mpmath's pi rounded down and up at bits + 2 bits
+            assert (lo, hi) == (_scaled(mpf_pi(bits + 2, round_floor), bits, False),
+                                _scaled(mpf_pi(bits + 2, round_ceiling), bits, True))
+            with mp.workprec(bits + 80):
+                assert lo == int(mp.floor(mp.pi * 2 ** bits))
+        assert intervals._pi_floor[0] == 8000
+
+
+def test_fixed_pi_is_consistent_across_threads(monkeypatch):
+    # threads asking for rising and falling bits race on the one kept floor: each
+    # call must still return mpmath's floor and ceiling for its own bits
+    import threading
+
+    sizes = list(range(3, 2400, 37))
+    expected = {b: (_scaled(mpf_pi(b + 2, round_floor), b, False),
+                    _scaled(mpf_pi(b + 2, round_ceiling), b, True)) for b in sizes}
+    monkeypatch.setattr(intervals, "_pi_floor", (0, 3))
+    wrong = []
+
+    def work(seed):
+        order = sizes[:]
+        random.Random(seed).shuffle(order)
+        wrong.extend(b for b in order if fixed_pi(b) != expected[b])
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
 
 
 def sample_point(a: float, b: float, t: float) -> float:

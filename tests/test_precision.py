@@ -9,7 +9,7 @@ from mpmath.libmp import from_rational, round_nearest
 from trigpoly import approx, coeffs, intervals, precision, verify
 from trigpoly.approx import COS_PI_X, SIN_PI_X, build_poly, maclaurin_eval_hp, select_degree
 from trigpoly.coeffs import bessel_j_half_integer, general_series_direct
-from trigpoly.intervals import IntervalValue, fixed_bits, series_interval
+from trigpoly.intervals import IntervalValue, fixed_bits, series_ends
 from trigpoly.precision import DEFAULT_DIGITS, ExtReal, PrecisionError, to_mpf, working
 
 
@@ -95,8 +95,8 @@ def _library_outputs():
         "evaluate": coeffs.coeff_symbolic(6)[-1].evaluate(30),
         "reports": [verify.check_coefficient_bounds(8, 30), verify.check_bessel_identity(8, 30),
                     verify.check_taylor_exactness(4, 30),
-                    *(verify.check_bracketing(func, 4, 16, 30) for func in (SIN_PI_X, COS_PI_X)),
-                    verify.check_maclaurin_interleaving(2, 16, 30)],
+                    *(verify.check_bracketing(func, 4, 30) for func in (SIN_PI_X, COS_PI_X)),
+                    verify.check_maclaurin_interleaving(2, 30)],
         "prove_example_inequality": verify.prove_example_inequality(),
         "example_curve": verify.example_curve(64),
     }
@@ -147,8 +147,8 @@ def test_concurrent_coefficient_generation_is_consistent():
 # --- the series on the fixed-point kernel ------------------------------------
 #
 # Every extended-precision series value is the midpoint of an enclosure from
-# `intervals.series_interval`; mpmath's own functions, at digits + 40, are
-# the references.
+# `intervals.series_ends`; mpmath's own functions, at digits + 40, are the
+# references.
 
 ARGS = ["0.1", "0.5", "1", "3", "7.5", "12", "30", 1.5707963267948966]
 
@@ -211,21 +211,29 @@ def test_maclaurin_partial_sums_match_mpmath(digits):
 
 def test_kernel_sums_n_terms_or_to_convergence():
     prec = 200
+
+    def ends(lo, hi=None):
+        # raw mpf ends (lo, hi) of exact values
+        return mpf(lo)._mpf_, mpf(lo if hi is None else hi)._mpf_
+
+    def series(first, z, a, b, n=None):
+        return IntervalValue._of(*series_ends(first, z, a, b, prec, n))
+
     with mp.workprec(400):
-        one = IntervalValue(mpf(1))
+        one = ends(1)
         # cos 1 = sum (-1)^k 1/(2k)!: u_0 = 1, z = 1, (a, b) = (1, 2)
-        enc = series_interval(one, one, 1, 2, prec)
+        enc = series(one, one, 1, 2)
         assert enc.contains(mp.cos(1)) and enc.width < mpf(2) ** -190
-        assert series_interval(one, one, 1, 2, prec, n=1) == one
-        assert series_interval(one, one, 1, 2, prec, n=2) == IntervalValue(mpf(1) / 2)
+        assert series_ends(one, one, 1, 2, prec, n=1) == one
+        assert series_ends(one, one, 1, 2, prec, n=2) == ends(mpf(1) / 2)
         # growing terms first: sin 10 = 10 sum (-1)^k 100^k/(2k+1)!
-        enc = series_interval(IntervalValue(mpf(10)), IntervalValue(mpf(100)), 2, 3, prec)
+        enc = series(ends(10), ends(100), 2, 3)
         assert enc.contains(mp.sin(10)) and enc.width < mpf(2) ** -190
         # a wide first term: each end of the product takes the factor that
         # makes it least or most, here 2 for both ends of the negative cos 10
-        enc = series_interval(IntervalValue(mpf(1), mpf(2)), IntervalValue(mpf(100)), 1, 2, prec)
+        enc = series(ends(1, 2), ends(100), 1, 2)
         assert enc.contains(2 * mp.cos(10)) and enc.contains(mp.cos(10))
         # a first term far below any fixed-point unit keeps its relative precision
-        tiny = IntervalValue(mpf(2) ** -3000)
-        enc = series_interval(tiny, one, 1, 2, prec)
-        assert enc.contains(mp.cos(1) * tiny.lo) and enc.width < tiny.lo * mpf(2) ** -190
+        tiny = mpf(2) ** -3000
+        enc = series(ends(tiny), one, 1, 2)
+        assert enc.contains(mp.cos(1) * tiny) and enc.width < tiny * mpf(2) ** -190

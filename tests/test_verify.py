@@ -131,14 +131,14 @@ def test_coefficient_bounds_refuses_j_max_below_one():
 # --- bracketing -----------------------------------------------------------------
 
 def test_bracketing_sin_small_grid():
-    report = check_bracketing(SIN_PI_X, 3, 64, 50)
+    report = check_bracketing(SIN_PI_X, 3, 50)
     assert report.passed
     assert report.metadata["scope"] == "all x in the domain, every m"
     assert report.worst_case == ("m>=1 every x chain", 1.0)
 
 
 def test_bracketing_cos_small_grid_and_worked_value():
-    report = check_bracketing(COS_PI_X, 2, 64, 50)
+    report = check_bracketing(COS_PI_X, 2, 50)
     assert report.passed
     # P_2(0) = pi/4 + pi/16 sits strictly between P_1(0) and cos(0) = 1
     p2_at_zero = math.pi / 4 + math.pi / 16
@@ -148,7 +148,7 @@ def test_bracketing_cos_small_grid_and_worked_value():
 
 def test_bracketing_rejects_tiny_m():
     with pytest.raises(ValueError):
-        check_bracketing(SIN_PI_X, 1, 64, 50)
+        check_bracketing(SIN_PI_X, 1, 50)
 
 
 # --- Bessel identity -------------------------------------------------------------
@@ -253,14 +253,14 @@ def test_bessel_identity_reports_a_refused_route_as_fail(monkeypatch):
 # --- Maclaurin interleaving -------------------------------------------------------
 
 def test_maclaurin_interleaving_passes_on_unit_interval():
-    report = check_maclaurin_interleaving(2, 128, 50)
+    report = check_maclaurin_interleaving(2, 50)
     assert report.passed
     assert report.metadata["asserted"] == "sub-chains on (0,1]"
 
 
 def test_maclaurin_interleaving_refuses_j_max_below_one():
     with pytest.raises(ValueError, match="j_max"):
-        check_maclaurin_interleaving(0, 16, 50)
+        check_maclaurin_interleaving(0, 50)
 
 
 def test_maclaurin_chain_failure_at_x_equals_one():
@@ -277,7 +277,7 @@ def test_maclaurin_chain_failure_at_x_equals_one():
 
 
 def test_maclaurin_metadata_reports_chain_threshold():
-    report = check_maclaurin_interleaving(2, 64, 50)
+    report = check_maclaurin_interleaving(2, 50)
     info = report.metadata["five_way_chain_valid_for"]
     j1 = info["j=1"]
     assert j1 == {"theoretical_x": pytest.approx(math.sqrt(20) / math.pi, rel=1e-15)}
@@ -453,10 +453,6 @@ def test_engine_cannot_be_given_a_non_finite_coefficient(bad):
 @pytest.mark.parametrize("grid_size", [0, -3])
 def test_grid_checks_and_the_curve_refuse_a_grid_below_one(grid_size):
     with pytest.raises(ValueError, match="grid_size must be >= 1"):
-        check_bracketing(COS_PI_X, 3, grid_size, 50)
-    with pytest.raises(ValueError, match="grid_size must be >= 1"):
-        check_maclaurin_interleaving(2, grid_size, 50)
-    with pytest.raises(ValueError, match="grid_size must be >= 1"):
         example_curve(grid_size)
 
 
@@ -524,7 +520,7 @@ def test_example_polynomial_endpoint_values():
 
 
 def test_example_curve_rows():
-    rows = example_curve(64, 50)
+    rows = example_curve(64)
     assert rows[0] == (0.0, pytest.approx(4 / 9, rel=1e-15), 0.0)
     assert all(diff >= 0 for _, _, diff in rows)
     assert min(f for _, f, _ in rows) > 0
@@ -551,18 +547,21 @@ def test_reports_to_json_roundtrip():
 
 
 def test_reports_are_deterministic():
-    a = check_bracketing(SIN_PI_X, 2, 32, 50)
-    b = check_bracketing(SIN_PI_X, 2, 32, 50)
+    a = check_bracketing(SIN_PI_X, 2, 50)
+    b = check_bracketing(SIN_PI_X, 2, 50)
     assert report_line(a) == report_line(b)
     assert a.worst_case == b.worst_case
 
 
 # --- whole-domain proofs, brute force and fixed-point enclosures ------------
 
+# the tests below enclose at the kernel's bits at 50 digits, doubled up to three times
+DOUBLINGS = 3
+
 # high-precision brute force: mpmath at three times the kernel's bits at
 # 50 digits, doubled three times, enough for the cancellation at the points
 # within 1e-6 * 2^-31 of the domain ends
-BRUTE_PREC = 3 * (fixed_bits(50) << verify._MAX_DOUBLINGS)
+BRUTE_PREC = 3 * (fixed_bits(50) << DOUBLINGS)
 
 
 def _sample_points(n, func=SIN_PI_X, include_one=False):
@@ -601,7 +600,7 @@ def test_maclaurin_worst_case_matches_brute_force():
                 rows[f"{tag} even-below"] = (ref - sums[2 * j + 1]) / abs(terms[2 * j + 2])
                 rows[f"{tag} odd-above"] = (sums[2 * j] - ref) / abs(terms[2 * j + 1])
                 rows[f"{tag} prev-odd-above"] = (sums[2 * j - 2] - ref) / abs(terms[2 * j - 1])
-    report = check_maclaurin_interleaving(j_max, grid, 50)
+    report = check_maclaurin_interleaving(j_max, 50)
     assert report.passed
     where, margin = report.worst_case
     true_min = min(rows.values())
@@ -636,7 +635,7 @@ def test_bracketing_worst_case_matches_brute_force(func):
         assert min(deltas) > 1
         # the infimum 1 is approached as y -> 0, at the points nearest the ends
         assert min(deltas) < 1 + mpf(10) ** -6
-    report = check_bracketing(func, m_max, grid, 50)
+    report = check_bracketing(func, m_max, 50)
     assert report.passed and report.worst_case == ("m>=1 every x chain", 1.0)
 
 
@@ -672,13 +671,6 @@ def test_kernel_obeys_bracketing_and_contains_mpmath(func):
                 assert encloses(sums[m], acc), (func, x, m + 1)
 
 
-def test_proofs_do_not_depend_on_the_grid():
-    for report in (lambda grid: check_bracketing(SIN_PI_X, 10, grid, 50),
-                   lambda grid: check_bracketing(COS_PI_X, 10, grid, 50),
-                   lambda grid: check_maclaurin_interleaving(4, grid, 50)):
-        assert report(1) == report(64) == report(2048)
-
-
 @pytest.mark.parametrize("past", [False, True], ids=["below", "past"])
 def test_lemma_is_checked_exactly_at_pi2_24(monkeypatch, past):
     # fixed_pi's upper end moved next to sqrt(24) 2^bits.  Just below, the lemma holds
@@ -692,8 +684,8 @@ def test_lemma_is_checked_exactly_at_pi2_24(monkeypatch, past):
         return original(bits)[0], root + past
 
     monkeypatch.setattr(verify, "fixed_pi", moved)
-    reports = [check_coefficient_bounds(5, 50), check_bracketing(SIN_PI_X, 3, 16, 50),
-               check_bracketing(COS_PI_X, 3, 16, 50), check_maclaurin_interleaving(2, 16, 50)]
+    reports = [check_coefficient_bounds(5, 50), check_bracketing(SIN_PI_X, 3, 50),
+               check_bracketing(COS_PI_X, 3, 50), check_maclaurin_interleaving(2, 50)]
     proof = prove_example_inequality()
     lemma = proof.preconditions["lemma"]
     assert all(r.metadata["lemma"] == lemma for r in reports)
@@ -733,7 +725,7 @@ def test_example_polynomial_builds_each_y_coefficient_once(monkeypatch):
     assert len(c_intervals) == 4
 
 
-@pytest.mark.parametrize("doublings", range(verify._MAX_DOUBLINGS + 1))
+@pytest.mark.parametrize("doublings", range(DOUBLINGS + 1))
 def test_grid_coefficients_stay_within_four_units_at_every_escalation(doublings):
     bits = fixed_bits(50) << doublings
     for j, (lo, hi) in enumerate(verify._fixed_coefficients(12, bits), start=1):
@@ -751,7 +743,7 @@ def test_nudged_coefficient_fails_bracketing(monkeypatch):
         monkeypatch.setattr(verify, "_fixed_coefficients", lambda n, bits, low=low: tuple(
             (low, hi) if j == 3 else (lo, hi) for j, (lo, hi) in enumerate(original(n, bits), 1)))
         for func in (SIN_PI_X, COS_PI_X):
-            report = check_bracketing(func, 10, 64, 50)
+            report = check_bracketing(func, 10, 50)
             assert report.status == "fail"
             assert report.worst_case == ("j=3 c_j lower end", low * 2.0 ** -fixed_bits(50))
 
@@ -759,10 +751,10 @@ def test_nudged_coefficient_fails_bracketing(monkeypatch):
 def test_every_report_records_digits_and_grid_reports_their_evidence():
     reports = [
         check_coefficient_bounds(5, 40),
-        check_bracketing(SIN_PI_X, 2, 16, 40),
-        check_bracketing(COS_PI_X, 2, 16, 40),
+        check_bracketing(SIN_PI_X, 2, 40),
+        check_bracketing(COS_PI_X, 2, 40),
         check_bessel_identity(3, 40),
-        check_maclaurin_interleaving(1, 16, 40),
+        check_maclaurin_interleaving(1, 40),
         check_taylor_exactness(2, 40),
     ]
     assert all(r.metadata["digits"] == 40 for r in reports)
@@ -782,8 +774,7 @@ def test_example_curve_values_are_correctly_rounded():
     # an odd grid too, so that x = i/(2 grid) is not dyadic and sin(2 pi x)
     # reads the fold j = min(2i, 2 grid - 2i) from both halves of the curve
     for grid in (64, 37):
-        rows = example_curve(grid, 50)
-        assert all(example_curve(grid, digits) == rows for digits in (30, 100))
+        rows = example_curve(grid)
         with mp.workprec(3 * fixed_bits(50)):
             pi2 = mp.pi ** 2
             cs = _brute_y_coefficients(4)
@@ -845,7 +836,7 @@ def test_cosine_kernel_path_overlaps_the_shifted_sine_path(seed):
         points.append((rng.randint(-(1 << k - 1), 1 << k - 1), 1 << k))
     for p, q in points:
         u = Fraction(2 * p + q, 2 * q)
-        bits = fixed_bits(50) << rng.randint(0, verify._MAX_DOUBLINGS)
+        bits = fixed_bits(50) << rng.randint(0, DOUBLINGS)
         scale = Fraction(1, 1 << bits)
         for cos_enc, sin_enc in (
             (fixed_ratio(*y_ratio(p, q, True), bits),
