@@ -373,12 +373,18 @@ def sine_monomials(m: int) -> list[tuple[Fraction, ...]]:
     (`coeff_symbolic`), so the x^n coefficient is the polynomial
     sum_j (-1)^(n-j) binom(j, n-j) N_j(u)/D_j in u: Fraction coefficients,
     constant term first, trailing zeros dropped (the zero polynomial is ()).
+    The sums run in ints over one denominator, L = lcm(D_1..D_m), and each
+    coefficient becomes a Fraction once.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    out = [()] * (2 * m + 1)
-    for j, form in enumerate(coeff_symbolic(m), start=1):
+    forms = coeff_symbolic(m)
+    den = math.lcm(*(form.denominator for form in forms))
+    width = max(len(form.numerator) for form in forms)
+    sums = [[0] * width for _ in range(2 * m + 1)]
+    for j, form in enumerate(forms, start=1):
         for i in range(j + 1):
-            scale = Fraction((-1) ** i * math.comb(j, i), form.denominator)
-            out[j + i] = poly_sum(out[j + i], [scale * c for c in form.numerator])
-    return out
+            scale, row = (-1) ** i * math.comb(j, i) * (den // form.denominator), sums[j + i]
+            for k, c in enumerate(form.numerator):
+                row[k] += scale * c
+    return [tuple(Fraction(c, den) for c in poly_sum(row)) for row in sums]

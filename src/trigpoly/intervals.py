@@ -16,7 +16,7 @@ outward `mpf_div` does, and `approx.error_bound` its bound as `mpf_mul`.
 An exact value reaches a double by one rule, `to_double`: num/den rounded
 once, to nearest by int / int, or down or up by `_rounded`, saturating or
 overflowing past the doubles as IEEE 754 directs; `nearest_double` is the
-double that a whole enclosure rounds to, if there is one.
+double that a whole enclosure rounds to by that int / int, if there is one.
 
 The fixed-point kernel encloses pi (`fixed_pi`, by Machin's formula),
 the weights t_j (2j)!, sin and cos of pi x, and polynomials over dyadic
@@ -188,9 +188,9 @@ def to_double(num: int, den: int, toward: int = 0) -> float:
 
 def nearest_double(lo: tuple[int, int], hi: tuple[int, int]) -> float | None:
     """The double nearest to every value in [lo, hi], given as ratios (num, den), or None
-    if the ends round to different doubles; -0.0 and 0.0 count as different."""
-    a, b = to_double(*lo), to_double(*hi)
-    return a if a == b and (a or math.copysign(1, a) == math.copysign(1, b)) else None
+    if the ends round to different doubles; -0.0, from a negative end, differs from 0.0."""
+    a = lo[0] / lo[1]
+    return a if a == hi[0] / hi[1] and (lo[0] < 0) == (hi[0] < 0) else None
 
 
 def fixed_from_ends(ends: tuple[tuple, tuple], bits: int) -> tuple[int, int]:

@@ -30,9 +30,10 @@ prover bisects dyadic tiles on the same kernel: it accepts a tile whose
 enclosure is positive and stops at one whose enclosure is negative.  It
 can return "inconclusive" or a refutation, never a false positive.  The
 worked example's polynomial f4 is exact in Q[pi^2] (`sine_monomials(4)`)
-and enclosed once per bits; `example_curve` computes f - f4 from that
-same polynomial, its quadratic part by exact integer Horner and its
-sines from two angle tables, and its values are correctly rounded floats.
+and enclosed once per bits; `example_curve` reads the same Q, as Q/pi by
+exact integer Horner in y's numerator, and one sine per abscissa, as
+2 sin^2(pi x) + sin^2(2 pi x) = 6S - 4S^2 with S = sin^2(pi x); its values
+are correctly rounded floats.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from mpmath.libmp import from_int, from_man_exp, mpf_div, mpf_sqrt, round_neares
 from .approx import COS_PI_X, SIN_PI_X, _check_func, sine_monomials
 from .coeffs import _c_ends, coeff_symbolic, coefficient_table, fixed_at_pi2, poly_mul, poly_sum
 from .intervals import (IntervalValue, _fixed_sin_cos_args, exact_ratio, fixed_bits,
-                        fixed_from_ends, fixed_from_interval, fixed_mul, fixed_pi, fixed_ratio,
+                        fixed_from_ends, fixed_from_interval, fixed_pi, fixed_ratio,
                         fixed_series, fixed_sin_cos_pi, fixed_t_scaled, interval_from_fixed,
                         nearest_double, poly_eval_centered, to_double)
 from .precision import DEFAULT_DIGITS, require_digits, require_index
@@ -564,94 +565,80 @@ def prove_example_inequality(
 _CURVE_BITS, _CURVE_MAX_BITS = 2 * 53, 2 * 53 << 5  # the curve's first and last bits
 
 
-def _table_sine(q: int, bits: int):
-    """sine(j), the enclosure of sin(pi j/q) for 0 <= j <= q/2, from two angle tables.
+def _curve_rows(grid_size: int, bits: int, rows):
+    """Yield the enclosures of f and f - f4 at x = i/q, q = 2 grid_size, for each i in rows.
 
-    With j = aB + b, B = 2^floor(log2(q)/2), sin(pi j/q) is
-    sin(pi aB/q) cos(pi b/q) + cos(pi aB/q) sin(pi b/q): the tables, k = aB
-    and k = b < B, of sin and cos(pi k/q), about 2 (q/2B + B) enclosures
-    from `fixed_sin_cos_pi`, each computed when first read, serve every j.
+    Each row reads one sine: with i = a + b, a a multiple of B = 2^floor(log2(n)/2)
+    for n rows and 0 <= b < B, sin(pi i/q) = sin(pi a/q) cos(pi b/q) + cos(pi a/q)
+    sin(pi b/q), from two tables of `fixed_sin_cos_pi` holding only the angles the rows
+    read.  With S = sin^2(pi x), 2 sin^2(pi x) + sin^2(2 pi x) = 6S - 4S^2 = 2S(3 - 2S).
+    f4's quadratic part is 4(2A(x)^2 + A(2x)^2), A = Q/pi = sum_{j<=4} b_j y^j, each
+    b_j = N_j(pi^2)/D_j (`coeff_symbolic(4)`) enclosed once.  At x = k/q, y = Y/q^2
+    with Y = k(q - k), so q^8 A is exact integer Horner in Y on the enclosures of
+    b_j q^(8-2j), divided once by q^8; A(2x) at row i is A at k = min(2i, q - 2i), as
+    y(2x) = y(1 - 2x).  The ends are at `bits` fractional bits.
     """
-    step = 1 << (q.bit_length() - 1) // 2
-    angle = lru_cache(maxsize=None)(
-        lambda k: (fixed_sin_cos_pi(k, q, bits), fixed_sin_cos_pi(k, q, bits, cos=True)))
-
-    def sine(j):
-        (sin_a, cos_a), (sin_b, cos_b) = angle(j - j % step), angle(j % step)
-        u, v = fixed_mul(sin_a, cos_b, bits), fixed_mul(cos_a, sin_b, bits)
-        return u[0] + v[0], u[1] + v[1]
-    return sine
-
-
-def _curve_level(grid_size: int, bits: int):
-    """`example_curve` at one precision: row(i), the enclosures of f and
-    f - f4 at x = i/q, q = 2 grid_size, its sines from `_table_sine`."""
     q = 2 * grid_size
-    den = q ** 16
+    step = 1 << (len(rows).bit_length() - 1) // 2
+    # sin and cos(pi k/q) here, and every b_j by the lemma, are >= 0: ends may be raised to 0
+    tables = [{k: [max(0, e) for cos in (False, True) for e in fixed_sin_cos_pi(k, q, bits, cos)]
+               for k in keys} for keys in ({i - i % step for i in rows}, {i % step for i in rows})]
+    (b1_lo, b1_hi), (b2_lo, b2_hi), (b3_lo, b3_hi), (b4_lo, b4_hi) = (
+        [max(0, e) * q ** (8 - 2 * f.index) for e in fixed_at_pi2(
+            [Fraction(n, f.denominator) for n in f.numerator], bits)] for f in coeff_symbolic(4))
     pi_lo, pi_hi = fixed_pi(bits)
-    four_over_pi2 = (4 << 3 * bits) // (pi_hi * pi_hi), -((-4 << 3 * bits) // (pi_lo * pi_lo))
-    # for x = i/q >= 0 the quadratic part is [sum lo_k i^k q^(16-k),
-    # sum hi_k i^k q^(16-k)] / q^16 exactly: its coefficients times q^(16-k)
-    quad = [(lo * q ** (16 - k), hi * q ** (16 - k))
-            for k, (lo, hi) in enumerate(_quadratic_part(bits))][::-1]
-    # row i reads sin^2(pi j/q) at j = i and at the even j = min(2i, q - 2i):
-    # only an even j is read by more than one row, so only those are kept
-    sine, evens = _table_sine(q, bits), [None] * (grid_size // 2 + 1)
-
-    def square(j):
-        sq = None if j % 2 else evens[j // 2]
-        if sq is None:
-            s = sine(j)
-            sq = fixed_mul(s, s, bits)
-            if j % 2 == 0:
-                evens[j // 2] = sq
-        return sq
-
-    def row(i):
-        # sin(2 pi i/q) = sin(pi j/q), j = min(2i, q - 2i)
-        s1, s2 = square(i), square(min(2 * i, q - 2 * i))
-        trig = fixed_mul(four_over_pi2, (2 * s1[0] + s2[0], 2 * s1[1] + s2[1]), bits)
-        # 4/9 - 8x + 15x^2 = (4q^2 - 72iq + 135i^2) / (9q^2); in f - f4 it
-        # cancels exactly, leaving trig less the quadratic part, by integer Horner
-        base = fixed_ratio(4 * q * q - 72 * i * q + 135 * i * i, 9 * q * q, bits)
-        lo = hi = 0
-        for c_lo, c_hi in quad:
-            lo, hi = lo * i + c_lo, hi * i + c_hi
-        return (base[0] + trig[0], base[1] + trig[1]), (trig[0] + -hi // den, trig[1] - lo // den)
-    return row
+    k_lo, k_hi = (8 << 3 * bits) // (pi_hi * pi_hi), -((-8 << 3 * bits) // (pi_lo * pi_lo))
+    q8, squares = q ** 8, {}  # k -> the ends of A(k/q)^2, at 2 bits fractional bits
+    for k in {*rows, *(min(2 * i, q - 2 * i) for i in rows)}:
+        y = k * (q - k)
+        lo = (((b4_lo * y + b3_lo) * y + b2_lo) * y + b1_lo) * y // q8
+        hi = -(-(((b4_hi * y + b3_hi) * y + b2_hi) * y + b1_hi) * y // q8)
+        squares[k] = lo * lo, hi * hi
+    three, base_den = 3 << bits, 9 * q * q
+    for i in rows:
+        sa_lo, sa_hi, ca_lo, ca_hi = tables[0][i - i % step]
+        sb_lo, sb_hi, cb_lo, cb_hi = tables[1][i % step]
+        s_lo, s_hi = sa_lo * cb_lo + ca_lo * sb_lo, sa_hi * cb_hi + ca_hi * sb_hi  # at 2 bits
+        s_lo, s_hi = s_lo * s_lo >> 3 * bits, -(-(s_hi * s_hi) >> 3 * bits)  # S, at bits
+        # (4/pi^2)(6S - 4S^2) = (8/pi^2) S (3 - 2S), and 3 - 2S > 0
+        t_lo = k_lo * s_lo * (three - 2 * s_hi) >> 2 * bits
+        t_hi = -(-k_hi * s_hi * (three - 2 * s_lo) >> 2 * bits)
+        (a_lo, a_hi), (d_lo, d_hi) = squares[i], squares[min(2 * i, q - 2 * i)]
+        # 4/9 - 8x + 15x^2 = (4q^2 - 72iq + 135i^2) / (9q^2), floored: base + 1 is above it
+        base = ((4 * q * q - 72 * i * q + 135 * i * i) << bits) // base_den
+        # f - f4 = (4/pi^2)(6S - 4S^2) less 4(2a + d), a and d at 2 bits
+        quad_lo, quad_hi = 2 * a_lo + d_lo >> bits - 2, -(-(2 * a_hi + d_hi) >> bits - 2)
+        yield (base + t_lo, base + 1 + t_hi), (t_lo - quad_hi, t_hi - quad_lo)
 
 
 def example_curve(grid_size: int = 2048):
     """Rows (x, f(x), f(x) - f4(x)) at x = i/(2 grid_size), i = 0..grid_size.
 
-    f and f - f4 are enclosed with the fixed-point kernel, the bits doubled
-    until each enclosure rounds to a single float, so every value is the
-    correctly rounded one, whatever the bits it settles at, up to 3,392
-    (`_CURVE_MAX_BITS`).  The enclosures start at twice a double's 53-bit
-    significand, 106 fractional bits (`_CURVE_BITS`): a value near 1 then
-    has 53 bits past the ones a double keeps, so only a value within about
-    2^-53 of a rounding boundary, relative, or far below 1 (f - f4 near
-    x = 0) doubles; on the default grid 10 of the 2049 rows do, once.  At
-    x = i/q, q = 2 grid_size, sin(2 pi x) = sin(pi j/q), j = min(2i, q - 2i):
-    the grid_size + 1 sines, each formed once per bits from two angle tables
-    (`_table_sine`), serve every row.  f4's quadratic part is exact, by
-    integer Horner in i, rounded once.
+    f and f - f4 are enclosed with the fixed-point kernel (`_curve_rows`), so
+    every value is the correctly rounded double.  The first pass encloses every
+    row at twice a double's 53-bit significand, 106 fractional bits
+    (`_CURVE_BITS`): a value near 1 then has 53 bits past the ones a double
+    keeps, so only a value within about 2^-53 of a rounding boundary, relative,
+    or far below 1 (f - f4 near x = 0) has ends that round to different
+    doubles.  Each further pass doubles the bits for those rows only, up to
+    3,392 (`_CURVE_MAX_BITS`); on the default grid 11 of the 2049 rows take a
+    second pass, at 212 bits, and none a third.  Each row reads one sine,
+    sin^2(2 pi x) = 4S(1 - S) with S = sin^2(pi x), and f4's quadratic part
+    from Q/pi by exact integer Horner in y's numerator.
     """
     if grid_size < 1:
         raise ValueError("grid_size must be >= 1")
-    levels = {}  # bits -> `_curve_level`'s row, for this call only
-    rows = []
-    for i in range(grid_size + 1):
-        bits = _CURVE_BITS
-        while True:
-            if bits not in levels:
-                levels[bits] = _curve_level(grid_size, bits)
-            one = 1 << bits
-            f_val, gap = (nearest_double((lo, one), (hi, one)) for lo, hi in levels[bits](i))
-            if f_val is not None and gap is not None:
-                break
-            if bits >= _CURVE_MAX_BITS:  # pragma: no cover
-                raise ArithmeticError(f"curve value at i={i} not settled at {bits} bits")
-            bits *= 2
-        rows.append((i / (2 * grid_size), f_val, gap))
-    return rows
+    values, rows, bits = [None] * (grid_size + 1), range(grid_size + 1), _CURVE_BITS
+    while rows:
+        if bits > _CURVE_MAX_BITS:  # pragma: no cover
+            raise ArithmeticError(f"curve value at i={rows[0]} not settled at {bits // 2} bits")
+        one, pending = 1 << bits, []
+        for i, ((f_lo, f_hi), (g_lo, g_hi)) in zip(rows, _curve_rows(grid_size, bits, rows)):
+            f_val = nearest_double((f_lo, one), (f_hi, one))
+            gap = nearest_double((g_lo, one), (g_hi, one))
+            if f_val is None or gap is None:
+                pending.append(i)
+            else:
+                values[i] = (i / (2 * grid_size), f_val, gap)
+        rows, bits = pending, 2 * bits
+    return values

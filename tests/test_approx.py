@@ -30,7 +30,7 @@ from trigpoly.approx import (
     select_degree,
     sine_monomials,
 )
-from trigpoly.coeffs import c_enclosure, coeff_symbolic
+from trigpoly.coeffs import c_enclosure, coeff_symbolic, poly_sum
 from trigpoly.intervals import exact_ratio, fixed_bits, interval_dps, nearest_double, y_ratio
 from trigpoly.precision import DEFAULT_INDEX_LIMIT, IndexLimitError, working
 
@@ -289,6 +289,25 @@ def test_sine_monomials_match_sine_maclaurin_through_order_m():
     # at order m + 1 = 8 sin's coefficient is 0 and Q_7's is -c_8/pi = -N_8(u)/D_8
     form = coeff_symbolic(8)[7]
     assert coeffs[8] == tuple(Fraction(-c, form.denominator) for c in form.numerator)
+
+
+def _sine_monomials_by_fractions(m):
+    # the Fraction loop: each order's polynomial summed term by term in Fraction
+    out = [()] * (2 * m + 1)
+    for j, form in enumerate(coeff_symbolic(m), start=1):
+        for i in range(j + 1):
+            scale = Fraction((-1) ** i * math.comb(j, i), form.denominator)
+            out[j + i] = poly_sum(out[j + i], [scale * c for c in form.numerator])
+    return out
+
+
+def test_sine_monomials_equal_the_fraction_loop():
+    # summed in ints over lcm(D_1..D_m), the same tuples of Fractions, trailing zeros dropped
+    for m in range(1, 15):
+        got = sine_monomials(m)
+        assert got == _sine_monomials_by_fractions(m), m
+        assert all(type(p) is tuple and all(type(c) is Fraction for c in p) for p in got), m
+        assert all(not p or p[-1] for p in got), m
 
 
 # --- analytic behavior ---------------------------------------------------------

@@ -5,7 +5,10 @@ file it writes, with the files under tests/golden/.  The printed
 coefficients show only digits + 2 digits, so `coefficient_digest` pins
 the full-precision coefficient output as well: one sha256 over the exact
 ratios of every value, certificate and enclosure end listed there,
-stored in tests/golden/coefficients.sha256.  After a change that alters
+stored in tests/golden/coefficients.sha256, and `curve_digest` pins the
+default-grid curve of `prove-example --emit-curves` (2,049 rows) by the
+sha256 of the CSV it writes, stored in tests/golden/prove_example_2048.sha256
+in `sha256sum -c` form.  After a change that alters
 an output on purpose (and says so in CHANGES.md), rewrite them all with
 
     PYTHONPATH=src python tests/test_golden_outputs.py
@@ -26,6 +29,8 @@ from trigpoly.intervals import exact_ratio, fixed_bits
 
 GOLDEN = Path(__file__).parent / "golden"
 DIGEST = GOLDEN / "coefficients.sha256"
+CURVE = "prove_example_2048.csv"
+CURVE_DIGEST = GOLDEN / "prove_example_2048.sha256"
 
 # name -> argv; "{out}" stands for a file the command writes
 CASES = {
@@ -78,8 +83,22 @@ def coefficient_digest() -> str:
     return digest.hexdigest()
 
 
+def curve_digest(tmp: Path) -> str:
+    """sha256 of the CSV that `prove-example --emit-curves` writes at the default grid."""
+    out = tmp / CURVE
+    with redirect_stdout(io.StringIO()):
+        code = cli.main(["prove-example", "--emit-curves", str(out)])
+    if code != 0:
+        raise AssertionError(f"prove-example exited {code}")
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
 def test_coefficient_digest_matches_golden():
     assert coefficient_digest() == DIGEST.read_text().strip()
+
+
+def test_default_grid_curve_matches_golden(tmp_path):
+    assert curve_digest(tmp_path) == CURVE_DIGEST.read_text().split()[0]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -101,4 +120,5 @@ if __name__ == "__main__":
             (GOLDEN / f"{name}.stdout").write_text(stdout)
             if written is not None:
                 (GOLDEN / f"{name}.out").write_bytes(written)
+        CURVE_DIGEST.write_text(f"{curve_digest(Path(tmp))}  {CURVE}\n")
     DIGEST.write_text(coefficient_digest() + "\n")
