@@ -726,7 +726,7 @@ def test_example_polynomial_builds_each_y_coefficient_once(monkeypatch):
 
 
 @pytest.mark.parametrize("doublings", range(DOUBLINGS + 1))
-def test_fixed_coefficients_stay_within_four_units_at_every_doubling(doublings):
+def test_grid_coefficients_stay_within_four_units_at_every_escalation(doublings):
     bits = fixed_bits(50) << doublings
     for j, (lo, hi) in enumerate(verify._fixed_coefficients(12, bits), start=1):
         enc = c_enclosure(j, bits)
